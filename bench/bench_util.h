@@ -19,6 +19,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -180,85 +181,79 @@ inline statusz::Server*& GlobalStatuszServer() {
   return server;
 }
 
+// Stops an armed profiler capture (CPU or heap), writes its JSON to
+// `path` when --<flag>= was given, and embeds it in the run record
+// (sans trailing newline: it is spliced as a raw JSON object value) so
+// bench_compare.py can diff runs. Returns the capture, or nullopt when
+// nothing was armed or the stop failed.
+template <typename P>
+std::optional<P> StopAndEmitCapture(const char* what, bool (*active)(),
+                                    StatusOr<P> (*stop)(),
+                                    std::string (*to_json)(const P&),
+                                    const char* flag, const std::string& path,
+                                    std::string* embed) {
+  if (!active()) return std::nullopt;
+  StatusOr<P> profile = stop();
+  if (!profile.ok()) {
+    SIMJ_LOG(WARN) << what << " capture failed: "
+                   << profile.status().ToString();
+    return std::nullopt;
+  }
+  const std::string json = to_json(*profile);
+  if (!path.empty()) {
+    std::ofstream os(path);
+    if (!os) {
+      SIMJ_LOG(WARN) << "cannot open --" << flag << "=" << path;
+    } else {
+      os << json;
+      SIMJ_LOG(INFO) << what << " (" << profile->sections.size()
+                     << " sections) written to " << path
+                     << " (render with tools/flame.py)";
+    }
+  }
+  *embed = json.substr(0, json.find_last_not_of('\n') + 1);
+  return std::move(profile).value();
+}
+
 // Dumps the sinks requested on the command line (metrics exposition, Chrome
 // trace, BenchResult run record). Registered via atexit so every harness
 // emits them on any successful exit path.
 inline void EmitBenchArtifacts() {
   const BenchOptions& options = GlobalBenchOptions();
   if (statusz::Server* server = GlobalStatuszServer()) server->Stop();
-  if (prof::ProfilingActive()) {
-    StatusOr<prof::Profile> profile = prof::StopProfiling();
-    if (!profile.ok()) {
-      SIMJ_LOG(WARN) << "profiler capture failed: "
-                     << profile.status().ToString();
-    } else {
-      const std::string json = prof::ProfileJson(*profile);
-      if (!options.profile_out.empty()) {
-        std::ofstream os(options.profile_out);
-        if (!os) {
-          SIMJ_LOG(WARN) << "cannot open --profile_out="
-                         << options.profile_out;
-        } else {
-          os << json;
-          SIMJ_LOG(INFO) << "cpu profile (" << profile->TotalSamples()
-                         << " samples, " << profile->sections.size()
-                         << " sections) written to " << options.profile_out
-                         << " (render with tools/flame.py)";
-        }
+  StopAndEmitCapture("cpu profile", &prof::ProfilingActive,
+                     &prof::StopProfiling, &prof::ProfileJson, "profile_out",
+                     options.profile_out,
+                     &GlobalBenchRecorder().result.profile_json);
+  std::optional<heapprof::HeapProfile> heap = StopAndEmitCapture(
+      "heap profile", &heapprof::HeapProfilingActive,
+      &heapprof::StopHeapProfiling, &heapprof::HeapProfileJson, "heap_out",
+      options.heap_out, &GlobalBenchRecorder().result.heap_json);
+  if (heap) {
+    // End-of-run leak report: stacks still holding sampled bytes now
+    // that the measured work is done. Raw sampled bytes (each sampled
+    // object stands for ~sample_bytes of allocation, nothing upscaled).
+    std::vector<const heapprof::HeapFoldedStack*> live;
+    for (const heapprof::HeapSection& section : heap->sections) {
+      for (const heapprof::HeapFoldedStack& stack : section.batch.stacks) {
+        if (stack.inuse_bytes > 0) live.push_back(&stack);
       }
-      // Embed in the run record (sans trailing newline: it is spliced as
-      // a raw JSON object value) so bench_compare.py can diff hot paths.
-      GlobalBenchRecorder().result.profile_json =
-          json.substr(0, json.find_last_not_of('\n') + 1);
     }
-  }
-  if (heapprof::HeapProfilingActive()) {
-    StatusOr<heapprof::HeapProfile> heap = heapprof::StopHeapProfiling();
-    if (!heap.ok()) {
-      SIMJ_LOG(WARN) << "heap profiler capture failed: "
-                     << heap.status().ToString();
-    } else {
-      const std::string json = heapprof::HeapProfileJson(*heap);
-      if (!options.heap_out.empty()) {
-        std::ofstream os(options.heap_out);
-        if (!os) {
-          SIMJ_LOG(WARN) << "cannot open --heap_out=" << options.heap_out;
-        } else {
-          os << json;
-          SIMJ_LOG(INFO) << "heap profile (" << heap->TotalAllocObjects()
-                         << " sampled allocations, " << heap->sections.size()
-                         << " sections) written to " << options.heap_out
-                         << " (render with tools/flame.py --metric)";
-        }
-      }
-      GlobalBenchRecorder().result.heap_json =
-          json.substr(0, json.find_last_not_of('\n') + 1);
-      // End-of-run leak report: stacks still holding sampled bytes now
-      // that the measured work is done. Raw sampled bytes (each sampled
-      // object stands for ~sample_bytes of allocation, nothing upscaled).
-      std::vector<const heapprof::HeapFoldedStack*> live;
-      for (const heapprof::HeapSection& section : heap->sections) {
-        for (const heapprof::HeapFoldedStack& stack : section.batch.stacks) {
-          if (stack.inuse_bytes > 0) live.push_back(&stack);
-        }
-      }
-      std::sort(live.begin(), live.end(),
-                [](const heapprof::HeapFoldedStack* a,
-                   const heapprof::HeapFoldedStack* b) {
-                  return a->inuse_bytes > b->inuse_bytes;
-                });
-      SIMJ_LOG(INFO) << "heap leak report: " << heap->TotalInuseBytes()
-                     << " sampled bytes live at exit across " << live.size()
-                     << " stacks";
-      for (size_t i = 0; i < live.size() && i < 3; ++i) {
-        const heapprof::HeapFoldedStack& stack = *live[i];
-        SIMJ_LOG(INFO) << "  leak #" << (i + 1) << ": "
-                       << stack.inuse_bytes << " bytes / "
-                       << stack.inuse_objects << " objects at "
-                       << (stack.frames.empty() ? "[unknown]"
-                                                : stack.frames.back())
-                       << " (thread " << stack.thread << ")";
-      }
+    std::sort(live.begin(), live.end(),
+              [](const heapprof::HeapFoldedStack* a,
+                 const heapprof::HeapFoldedStack* b) {
+                return a->inuse_bytes > b->inuse_bytes;
+              });
+    SIMJ_LOG(INFO) << "heap leak report: " << heap->TotalInuseBytes()
+                   << " sampled bytes live at exit across " << live.size()
+                   << " stacks";
+    for (size_t i = 0; i < live.size() && i < 3; ++i) {
+      const heapprof::HeapFoldedStack& stack = *live[i];
+      SIMJ_LOG(INFO) << "  leak #" << (i + 1) << ": " << stack.inuse_bytes
+                     << " bytes / " << stack.inuse_objects << " objects at "
+                     << (stack.frames.empty() ? "[unknown]"
+                                              : stack.frames.back())
+                     << " (thread " << stack.thread << ")";
     }
   }
   if (!options.metrics_out.empty()) {
@@ -398,23 +393,22 @@ inline void ApplySharedFlags(const Flags& flags, const char* argv0) {
   // StartProfiling below.
   trace::SetThisThreadName("main");
 
-  if (options.profile_hz > 0) {
-    Status armed =
-        prof::StartProfiling(prof::ProfileOptions{options.profile_hz});
+  // A profiler that refuses to arm (e.g. under a sanitizer) is not fatal:
+  // the run proceeds unprofiled.
+  auto warn_unarmed = [](const char* flag, int64_t rate, const Status& armed) {
     if (!armed.ok()) {
-      // Not fatal (e.g. disabled under TSan): the run proceeds unprofiled.
-      SIMJ_LOG(WARN) << "--profile_hz=" << options.profile_hz << ": "
-                     << armed.ToString();
+      SIMJ_LOG(WARN) << "--" << flag << "=" << rate << ": " << armed.ToString();
     }
+  };
+  if (options.profile_hz > 0) {
+    warn_unarmed(
+        "profile_hz", options.profile_hz,
+        prof::StartProfiling(prof::ProfileOptions{options.profile_hz}));
   }
   if (options.heap_sample_bytes > 0) {
-    Status armed = heapprof::StartHeapProfiling(
-        heapprof::HeapProfileOptions{options.heap_sample_bytes});
-    if (!armed.ok()) {
-      // Not fatal (e.g. disabled under ASan/TSan): the run proceeds.
-      SIMJ_LOG(WARN) << "--heap_sample_bytes=" << options.heap_sample_bytes
-                     << ": " << armed.ToString();
-    }
+    warn_unarmed("heap_sample_bytes", options.heap_sample_bytes,
+                 heapprof::StartHeapProfiling(
+                     heapprof::HeapProfileOptions{options.heap_sample_bytes}));
   }
 
   BenchRecorder& recorder = GlobalBenchRecorder();

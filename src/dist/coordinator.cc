@@ -399,10 +399,8 @@ class Coordinator : public ClusterzSource {
                      double elapsed_seconds, bool counts_in_process) {
     bool duplicate = false;
     core::JoinStats shard_stats;
-    prof::SampleBatch profile = std::move(result.profile);
-    result.profile = prof::SampleBatch();
-    heapprof::HeapBatch heap = std::move(result.heap);
-    result.heap = heapprof::HeapBatch();
+    const prof::SampleBatch profile = std::exchange(result.profile, {});
+    const heapprof::HeapBatch heap = std::exchange(result.heap, {});
     {
       MutexLock lock(mu_);
       const auto id = static_cast<size_t>(shard_id);
@@ -429,19 +427,14 @@ class Coordinator : public ClusterzSource {
     if (!duplicate) {
       if (!counts_in_process) ReplayStatsIntoRegistry(shard_stats);
       AddLabeledShardStats(shard_stats, std::to_string(w));
-      if (!profile.empty()) {
-        // Outside mu_ (lock order: never hold mu_ into another module's
-        // lock). Duplicates ship no second batch: the first completion
-        // already drained the worker's ring for these samples.
-        prof::AccumulateRemoteSection("worker-" + std::to_string(w), profile);
-      }
-      if (!heap.empty()) {
-        // Duplicate completions were dropped above, so a worker's delta
-        // batch is added exactly once — double-adding would inflate the
-        // merged levels.
-        heapprof::AccumulateRemoteSection("worker-" + std::to_string(w),
-                                          heap);
-      }
+      // Outside mu_ (lock order: never hold mu_ into another module's
+      // lock). Duplicate completions were dropped above, so a worker's
+      // batches are added exactly once: the first completion already
+      // drained its samples, and double-adding heap deltas would inflate
+      // the merged levels.
+      const std::string label = "worker-" + std::to_string(w);
+      prof::AccumulateRemoteSection(label, profile);
+      heapprof::AccumulateRemoteSection(label, heap);
     }
   }
 

@@ -88,14 +88,23 @@ class ByteReader {
     return v;
   }
   std::string Str() {
-    const int32_t n = I32();
-    if (!ok_ || n < 0 || buf_.size() - pos_ < static_cast<size_t>(n)) {
-      ok_ = false;
-      return std::string();
-    }
-    std::string s = buf_.substr(pos_, static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
+    const size_t n = static_cast<size_t>(Count(1));
+    if (!ok_) return std::string();
+    std::string s = buf_.substr(pos_, n);
+    pos_ += n;
     return s;
+  }
+  // Reads an element count and bounds it by the bytes left: each element
+  // takes at least `min_bytes`, so a count the frame cannot hold is
+  // corruption — rejected here, before any reserve() can act on it.
+  int32_t Count(size_t min_bytes) {
+    const int32_t n = I32();
+    if (!ok_ || n < 0 ||
+        static_cast<size_t>(n) > (buf_.size() - pos_) / min_bytes) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
   }
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == buf_.size(); }
@@ -152,18 +161,66 @@ bool DecodeRequest(const std::string& frame, Request* out) {
   out->span_ctx.trace_id = r.U64();
   out->span_ctx.parent_span_id = r.U64();
   out->span_ctx.profile_hz = r.I32();
-  const int32_t n = r.I32();
-  if (!r.ok() || n < 0) return false;
-  out->pairs.clear();
-  out->pairs.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    const int32_t qi = r.I32();
-    const int32_t gi = r.I32();
-    out->pairs.emplace_back(qi, gi);
+  out->pairs.resize(static_cast<size_t>(r.Count(2 * sizeof(int32_t))));
+  for (auto& [qi, gi] : out->pairs) {
+    qi = r.I32();
+    gi = r.I32();
   }
   out->span_ctx.heap_sample_bytes = r.I64();
   return r.AtEnd();
 }
+
+// Minimum encoded sizes, for bounding decoded counts (ByteReader::Count).
+constexpr size_t kPairMinBytes =
+    4 * sizeof(int32_t) + sizeof(double);  // + mapping entries
+constexpr size_t kExplainMinBytes = 6 * sizeof(int32_t) + 3 * sizeof(uint8_t) +
+                                    3 * sizeof(double) + 2 * sizeof(int64_t);
+constexpr size_t kSpanMinBytes = 2 * sizeof(int32_t) + 2 * sizeof(double) +
+                                 2 * sizeof(uint64_t);  // + name bytes
+
+// A profiler batch (prof::SampleBatch or heapprof::HeapBatch), laid out by
+// its schema: the batch fields, then per stack the thread, the stack
+// fields and the frames. Frames ship symbolized — a child's addresses
+// mean nothing to the parent, so symbolization cannot be deferred across
+// the pipe.
+template <typename Schema, typename Batch>
+void EncodeBatch(const Batch& batch, ByteWriter* w) {
+  for (const auto& field : Schema::kBatchFields) w->I64(batch.*field.member);
+  w->I32(static_cast<int32_t>(batch.stacks.size()));
+  for (const auto& stack : batch.stacks) {
+    w->Str(stack.thread);
+    for (const auto& field : Schema::kStackFields) w->I64(stack.*field.member);
+    w->I32(static_cast<int32_t>(stack.frames.size()));
+    for (const std::string& frame : stack.frames) w->Str(frame);
+  }
+}
+
+// A failed read leaves the reader !ok(), after which every count reads as
+// 0, so one check at the end covers the whole batch.
+template <typename Schema, typename Batch>
+Status DecodeBatch(const char* what, ByteReader* r, Batch* batch) {
+  for (const auto& field : Schema::kBatchFields) {
+    batch->*field.member = r->I64();
+  }
+  constexpr size_t kStackMinBytes =
+      2 * sizeof(int32_t) + Schema::kStackFields.size() * sizeof(int64_t);
+  batch->stacks.resize(static_cast<size_t>(r->Count(kStackMinBytes)));
+  for (auto& stack : batch->stacks) {
+    stack.thread = r->Str();
+    for (const auto& field : Schema::kStackFields) {
+      stack.*field.member = r->I64();
+    }
+    stack.frames.resize(static_cast<size_t>(r->Count(sizeof(int32_t))));
+    for (std::string& frame : stack.frames) frame = r->Str();
+  }
+  if (!r->ok()) {
+    return InternalError(std::string("shard response corrupt (") + what +
+                         " batch)");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 std::string EncodeResult(const ShardResult& result) {
   ByteWriter w;
@@ -219,37 +276,11 @@ std::string EncodeResult(const ShardResult& result) {
     w.U64(span.trace_id);
     w.U64(span.parent_span_id);
   }
-  // Profile batch (empty unless the request carried profile_hz > 0):
-  // already-symbolized folded stacks — the child's symbol addresses mean
-  // nothing to the parent, so symbolization cannot be deferred across the
-  // pipe.
-  const prof::SampleBatch& batch = result.profile;
-  w.I64(batch.samples);
-  w.I64(batch.dropped);
-  w.I64(batch.truncated);
-  w.I32(static_cast<int32_t>(batch.stacks.size()));
-  for (const prof::FoldedStack& stack : batch.stacks) {
-    w.Str(stack.thread);
-    w.I64(stack.count);
-    w.I32(static_cast<int32_t>(stack.frames.size()));
-    for (const std::string& frame : stack.frames) w.Str(frame);
-  }
-  // Heap batch (empty unless the request carried heap_sample_bytes > 0):
-  // symbolized for the same reason as the profile batch, counters are
-  // deltas since this worker's previous drain. Appended last (additive).
-  const heapprof::HeapBatch& heap = result.heap;
-  w.I64(heap.dropped);
-  w.I64(heap.truncated);
-  w.I32(static_cast<int32_t>(heap.stacks.size()));
-  for (const heapprof::HeapFoldedStack& stack : heap.stacks) {
-    w.Str(stack.thread);
-    w.I64(stack.inuse_bytes);
-    w.I64(stack.inuse_objects);
-    w.I64(stack.alloc_bytes);
-    w.I64(stack.alloc_objects);
-    w.I32(static_cast<int32_t>(stack.frames.size()));
-    for (const std::string& frame : stack.frames) w.Str(frame);
-  }
+  // Profiler batches (empty unless the request carried profile_hz or
+  // heap_sample_bytes > 0). Heap counters are deltas since this worker's
+  // previous drain. The heap batch was appended last (additive).
+  EncodeBatch<prof::ProfileSchema>(result.profile, &w);
+  EncodeBatch<heapprof::HeapSchema>(result.heap, &w);
   return w.Take();
 }
 
@@ -270,32 +301,21 @@ StatusOr<ShardResult> DecodeResult(const std::string& frame) {
   s.verify.ged_aborted = r.I64();
   s.pruning_cpu_seconds = r.F64();
   s.verification_cpu_seconds = r.F64();
-  const int32_t npairs = r.I32();
-  if (!r.ok() || npairs < 0) {
-    return InternalError("shard response corrupt (pair count)");
-  }
-  result.pairs.reserve(static_cast<size_t>(npairs));
-  for (int32_t i = 0; i < npairs; ++i) {
-    core::MatchedPair p;
+  // Every count is bounded by ByteReader::Count before it sizes a vector.
+  result.pairs.resize(static_cast<size_t>(r.Count(kPairMinBytes)));
+  if (!r.ok()) return InternalError("shard response corrupt (pair count)");
+  for (core::MatchedPair& p : result.pairs) {
     p.q_index = r.I32();
     p.g_index = r.I32();
     p.similarity_probability = r.F64();
     p.best_world_ged = r.I32();
-    const int32_t maplen = r.I32();
-    if (!r.ok() || maplen < 0) {
-      return InternalError("shard response corrupt (mapping)");
-    }
-    p.mapping.reserve(static_cast<size_t>(maplen));
-    for (int32_t m = 0; m < maplen; ++m) p.mapping.push_back(r.I32());
-    result.pairs.push_back(std::move(p));
+    p.mapping.resize(static_cast<size_t>(r.Count(sizeof(int32_t))));
+    if (!r.ok()) return InternalError("shard response corrupt (mapping)");
+    for (int& m : p.mapping) m = r.I32();
   }
-  const int32_t nexplains = r.I32();
-  if (!r.ok() || nexplains < 0) {
-    return InternalError("shard response corrupt (explain count)");
-  }
-  result.explains.reserve(static_cast<size_t>(nexplains));
-  for (int32_t i = 0; i < nexplains; ++i) {
-    core::PairExplain e;
+  result.explains.resize(static_cast<size_t>(r.Count(kExplainMinBytes)));
+  if (!r.ok()) return InternalError("shard response corrupt (explain count)");
+  for (core::PairExplain& e : result.explains) {
     e.q_index = r.I32();
     e.g_index = r.I32();
     e.pruned_by = static_cast<core::PruneStage>(r.I32());
@@ -310,70 +330,29 @@ StatusOr<ShardResult> DecodeResult(const std::string& frame) {
     e.worlds_enumerated = r.I64();
     e.ged_calls = r.I64();
     e.best_world_ged = r.I32();
-    result.explains.push_back(std::move(e));
   }
-  const int32_t nspans = r.I32();
-  if (!r.ok() || nspans < 0) {
-    return InternalError("shard response corrupt (span count)");
-  }
-  result.spans.reserve(static_cast<size_t>(nspans));
-  for (int32_t i = 0; i < nspans; ++i) {
-    trace::TraceEvent span;
+  result.spans.resize(static_cast<size_t>(r.Count(kSpanMinBytes)));
+  if (!r.ok()) return InternalError("shard response corrupt (span count)");
+  for (trace::TraceEvent& span : result.spans) {
     span.name = r.Str();
     span.category = r.Str();
     span.ts_us = r.F64();
     span.dur_us = r.F64();
     span.trace_id = r.U64();
     span.parent_span_id = r.U64();
-    result.spans.push_back(std::move(span));
   }
-  result.profile.samples = r.I64();
-  result.profile.dropped = r.I64();
-  result.profile.truncated = r.I64();
-  const int32_t nstacks = r.I32();
-  if (!r.ok() || nstacks < 0) {
-    return InternalError("shard response corrupt (profile stack count)");
-  }
-  result.profile.stacks.reserve(static_cast<size_t>(nstacks));
-  for (int32_t i = 0; i < nstacks; ++i) {
-    prof::FoldedStack stack;
-    stack.thread = r.Str();
-    stack.count = r.I64();
-    const int32_t nframes = r.I32();
-    if (!r.ok() || nframes < 0) {
-      return InternalError("shard response corrupt (profile frame count)");
-    }
-    stack.frames.reserve(static_cast<size_t>(nframes));
-    for (int32_t f = 0; f < nframes; ++f) stack.frames.push_back(r.Str());
-    result.profile.stacks.push_back(std::move(stack));
-  }
-  result.heap.dropped = r.I64();
-  result.heap.truncated = r.I64();
-  const int32_t nheap = r.I32();
-  if (!r.ok() || nheap < 0) {
-    return InternalError("shard response corrupt (heap stack count)");
-  }
-  result.heap.stacks.reserve(static_cast<size_t>(nheap));
-  for (int32_t i = 0; i < nheap; ++i) {
-    heapprof::HeapFoldedStack stack;
-    stack.thread = r.Str();
-    stack.inuse_bytes = r.I64();
-    stack.inuse_objects = r.I64();
-    stack.alloc_bytes = r.I64();
-    stack.alloc_objects = r.I64();
-    const int32_t nframes = r.I32();
-    if (!r.ok() || nframes < 0) {
-      return InternalError("shard response corrupt (heap frame count)");
-    }
-    stack.frames.reserve(static_cast<size_t>(nframes));
-    for (int32_t f = 0; f < nframes; ++f) stack.frames.push_back(r.Str());
-    result.heap.stacks.push_back(std::move(stack));
-  }
+  Status batch =
+      DecodeBatch<prof::ProfileSchema>("profile", &r, &result.profile);
+  if (!batch.ok()) return batch;
+  batch = DecodeBatch<heapprof::HeapSchema>("heap", &r, &result.heap);
+  if (!batch.ok()) return batch;
   if (!r.AtEnd()) {
     return InternalError("shard response corrupt (trailing bytes)");
   }
   return result;
 }
+
+namespace {
 
 // Evaluates `pairs` into a ShardResult via the shared core evaluator.
 ShardResult EvaluateShardPairs(const WorkerContext& ctx,

@@ -25,6 +25,7 @@
 #define SIMJ_DIST_WORKER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/join.h"
@@ -117,6 +118,14 @@ struct ShardResult {
   // frame.
   heapprof::HeapBatch heap;
 };
+
+// The process transport's response frame (DESIGN.md §9): fixed-width
+// little-endian fields, encoded by the child and decoded by the parent.
+// DecodeResult rejects a torn, truncated or trailing-garbage frame, and any
+// element count the frame's remaining bytes cannot hold, with an
+// InternalError "shard response corrupt (...)".
+std::string EncodeResult(const ShardResult& result);
+[[nodiscard]] StatusOr<ShardResult> DecodeResult(const std::string& frame);
 
 class ShardWorker {
  public:

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 
-#include "util/trace.h"  // JsonEscape, Tracer::NowUs
+#include "util/strings.h"
+#include "util/trace.h"  // Tracer::NowUs
 
 namespace simj::flight {
 
@@ -67,7 +68,7 @@ std::string EventsJson(const std::vector<Event>& events, int64_t dropped) {
     std::snprintf(buffer, sizeof(buffer), ",\"ts_us\":%.3f", event.ts_us);
     out += buffer;
     out += ",\"type\":\"";
-    out += trace::JsonEscape(event.type);
+    out += JsonEscape(event.type);
     out += "\",\"worker\":";
     out += std::to_string(event.worker);
     out += ",\"shard\":";
@@ -75,7 +76,7 @@ std::string EventsJson(const std::vector<Event>& events, int64_t dropped) {
     out += ",\"attempt\":";
     out += std::to_string(event.attempt);
     out += ",\"detail\":\"";
-    out += trace::JsonEscape(event.detail);
+    out += JsonEscape(event.detail);
     out += "\"}";
   }
   out += "]}\n";

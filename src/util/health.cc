@@ -2,8 +2,8 @@
 
 #include <map>
 
+#include "util/strings.h"
 #include "util/sync.h"
-#include "util/trace.h"  // JsonEscape
 
 namespace simj::health {
 
@@ -49,7 +49,7 @@ std::string HealthzBody() {
     if (!reason.empty()) reason += "; ";
     reason += component + ": " + why;
   }
-  return "{\"status\":\"degraded\",\"reason\":\"" + trace::JsonEscape(reason) +
+  return "{\"status\":\"degraded\",\"reason\":\"" + JsonEscape(reason) +
          "\"}\n";
 }
 

@@ -1,7 +1,5 @@
 #include "util/heap_profiler.h"
 
-#include <cxxabi.h>
-#include <dlfcn.h>
 #include <execinfo.h>
 #include <pthread.h>
 #include <unistd.h>
@@ -10,14 +8,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <new>
-#include <thread>
 #include <utility>
 
+#include "util/strings.h"
 #include "util/sync.h"
 
 // ASan, TSan and MSan interpose the allocator themselves (poisoning,
@@ -64,16 +61,21 @@ struct StackEntry {
   std::atomic<int64_t> inuse_objects{0};
   int64_t alloc_bytes = 0;
   int64_t alloc_objects = 0;
-  // Drain baselines: drains ship deltas against these (inuse deltas may be
-  // negative — they sum to the live level), and StartHeapProfiling
-  // re-baselines so each capture reports only its own activity.
-  int64_t shipped_inuse_bytes = 0;
-  int64_t shipped_inuse_objects = 0;
-  int64_t shipped_alloc_bytes = 0;
-  int64_t shipped_alloc_objects = 0;
-  int thread_key = 0;
+  // Drain baseline, in HeapSchema::kStackFields order: drains ship deltas
+  // against it (inuse deltas may be negative — they sum to the live
+  // level), and StartHeapProfiling re-baselines so each capture reports
+  // only its own activity.
+  std::array<int64_t, 4> shipped{};
+  int tid = 0;
   int depth = 0;           // stored frames (leaf-first, profiler-stripped)
   void* frames[kMaxFrames];
+
+  // The counters now, in HeapSchema::kStackFields order.
+  std::array<int64_t, 4> Levels() const {
+    return {inuse_bytes.load(std::memory_order_relaxed),
+            inuse_objects.load(std::memory_order_relaxed), alloc_bytes,
+            alloc_objects};
+  }
 };
 
 // addr transitions: 0 (empty) -> ptr (insert, under mu) -> kTombstone
@@ -93,34 +95,20 @@ struct AddrSlot {
 struct Tables {
   Mutex mu;
   std::map<std::pair<int, std::vector<void*>>, int> dedupe
-      SIMJ_GUARDED_BY(mu);  // (thread key, leaf-first frames) -> index
+      SIMJ_GUARDED_BY(mu);  // (tid, leaf-first frames) -> index
   int stack_count SIMJ_GUARDED_BY(mu) = 0;
   StackEntry stacks[kMaxStacks];
   AddrSlot slots[kAddrSlots];
   std::atomic<int64_t> live_objects{0};
-  std::atomic<int64_t> dropped{0};    // cumulative; deltas via baselines
+  std::atomic<int64_t> dropped{0};  // cumulative; drains ship deltas
   std::atomic<int64_t> truncated{0};
-  int64_t base_dropped SIMJ_GUARDED_BY(mu) = 0;
-  int64_t base_truncated SIMJ_GUARDED_BY(mu) = 0;
-  int64_t shipped_dropped SIMJ_GUARDED_BY(mu) = 0;
-  int64_t shipped_truncated SIMJ_GUARDED_BY(mu) = 0;
-  std::map<std::string, HeapBatch> remote SIMJ_GUARDED_BY(mu);
-  std::map<const void*, std::string> symbols SIMJ_GUARDED_BY(mu);
+  stackprof::LossDelta dropped_delta SIMJ_GUARDED_BY(mu);
+  stackprof::LossDelta truncated_delta SIMJ_GUARDED_BY(mu);
+  stackprof::RemoteSections<HeapSection> remote SIMJ_GUARDED_BY(mu);
+  stackprof::Symbolizer symbols SIMJ_GUARDED_BY(mu);
   int64_t sample_bytes SIMJ_GUARDED_BY(mu) = 0;
   std::chrono::steady_clock::time_point start SIMJ_GUARDED_BY(mu);
 };
-
-// Thread names live outside Tables so naming works before any capture and
-// survives the atfork table swap.
-struct NameRegistry {
-  Mutex mu;
-  std::map<int, std::string> names SIMJ_GUARDED_BY(mu);  // key -> name
-};
-
-NameRegistry& Names() {
-  static NameRegistry* names = new NameRegistry();  // simj-lint: allow(new) leaky singleton
-  return *names;
-}
 
 // Hook-visible arming state. All constant-initialized: the operator
 // new/delete replacements run before main and during static destruction,
@@ -130,7 +118,6 @@ std::atomic<int> g_armed_pid{0};
 std::atomic<int64_t> g_active_sample_bytes{0};
 std::atomic<Tables*> g_tables{nullptr};
 std::atomic<uint64_t> g_capture_gen{0};
-std::atomic<int> g_next_thread_key{0};
 std::atomic<bool> g_atfork_registered{false};
 
 // Per-thread sampling state. t_in_hook is the re-entrancy guard: while
@@ -141,7 +128,6 @@ std::atomic<bool> g_atfork_registered{false};
 thread_local bool t_in_hook = false;
 thread_local int64_t t_countdown = 0;
 thread_local uint64_t t_gen = 0;
-thread_local int t_thread_key = 0;
 
 // Scoped re-entrancy guard for every path that allocates while the
 // profiler is (or may be) enabled — including drains and Stop, whose
@@ -159,19 +145,6 @@ class HookGuard {
   bool active_;
 };
 
-bool ArmedInThisProcess() {
-  return g_enabled.load(std::memory_order_acquire) &&
-         g_armed_pid.load(std::memory_order_relaxed) ==
-             static_cast<int>(::getpid());
-}
-
-int ThisThreadKey() {
-  if (t_thread_key == 0) {
-    t_thread_key = g_next_thread_key.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  return t_thread_key;
-}
-
 [[maybe_unused]] size_t HomeSlot(uintptr_t p) {
   // Fibonacci hash of the address sans allocator-alignment bits.
   return static_cast<size_t>(((p >> 4) * 0x9E3779B97F4A7C15ull) >> 40) &
@@ -181,7 +154,7 @@ int ThisThreadKey() {
 // A fork()ed child inherits the arming flags and a possibly mid-mutation
 // copy of the tables. Abandon both (the block is leaked — a few MiB once
 // per child); async-signal-safe: atomic stores only.
-void AtForkInChild() {
+[[maybe_unused]] void AtForkInChild() {
   g_enabled.store(false, std::memory_order_relaxed);
   g_active_sample_bytes.store(0, std::memory_order_relaxed);
   g_armed_pid.store(0, std::memory_order_relaxed);
@@ -200,7 +173,7 @@ void AtForkInChild() {
   if (tables == nullptr) return;
   void* raw[kMaxFrames + kSkipFrames];
   const int raw_depth = ::backtrace(raw, kMaxFrames + kSkipFrames);
-  const int key = ThisThreadKey();
+  const int tid = stackprof::ThisTid();
 
   MutexLock lock(tables->mu);
   if (!g_enabled.load(std::memory_order_acquire)) return;  // Stop raced us
@@ -211,7 +184,7 @@ void AtForkInChild() {
   }
   std::vector<void*> frames(raw + begin, raw + raw_depth);
   auto [it, inserted] =
-      tables->dedupe.try_emplace({key, std::move(frames)}, tables->stack_count);
+      tables->dedupe.try_emplace({tid, std::move(frames)}, tables->stack_count);
   if (inserted) {
     if (tables->stack_count >= kMaxStacks) {
       tables->dedupe.erase(it);
@@ -219,7 +192,7 @@ void AtForkInChild() {
       return;
     }
     StackEntry& fresh = tables->stacks[tables->stack_count++];
-    fresh.thread_key = key;
+    fresh.tid = tid;
     fresh.depth = depth;
     std::memcpy(fresh.frames, raw + begin,
                 sizeof(void*) * static_cast<size_t>(depth));
@@ -329,99 +302,45 @@ Tables* GetOrCreateTables() {
   return tables != nullptr ? tables : GetOrCreateTablesSlow();
 }
 
-std::string CleanFrameToken(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    if (c == ' ') continue;  // "Foo(int, long)" -> "Foo(int,long)"
-    out.push_back(c == ';' ? ':' : (c == '\n' ? '_' : c));
-  }
-  return out.empty() ? std::string("[unknown]") : out;
-}
-
-const std::string& SymbolizeLocked(Tables& tables, const void* addr)
-    SIMJ_REQUIRES(tables.mu) {
-  auto it = tables.symbols.find(addr);
-  if (it != tables.symbols.end()) return it->second;
-  std::string name;
-  Dl_info info{};
-  if (::dladdr(addr, &info) != 0 && info.dli_sname != nullptr) {
-    int status = -1;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    name = (status == 0 && demangled != nullptr) ? demangled
-                                                 : info.dli_sname;
-    std::free(demangled);
-  } else if (info.dli_fname != nullptr && info.dli_fbase != nullptr) {
-    const char* base = std::strrchr(info.dli_fname, '/');
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer), "%s+0x%zx",
-                  base != nullptr ? base + 1 : info.dli_fname,
-                  reinterpret_cast<size_t>(addr) -
-                      reinterpret_cast<size_t>(info.dli_fbase));
-    name = buffer;
-  } else {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "0x%zx",
-                  reinterpret_cast<size_t>(addr));
-    name = buffer;
-  }
-  return tables.symbols[addr] = CleanFrameToken(name);
-}
-
-std::string ThreadLabel(int key) {
-  NameRegistry& names = Names();
-  MutexLock lock(names.mu);
-  auto it = names.names.find(key);
-  if (it != names.names.end()) return CleanFrameToken(it->second);
-  return "t-" + std::to_string(key);
-}
-
 // Drains every entry's counters as deltas against its shipped baselines
-// (all entries when only_thread_key < 0, else that thread's). All-zero
-// entries are skipped, so repeat drains of quiet stacks ship nothing.
-HeapBatch DrainLocked(Tables& tables, int only_thread_key)
-    SIMJ_REQUIRES(tables.mu) {
+// (all entries when only_tid is 0, else that thread's). All-zero entries
+// are skipped, so repeat drains of quiet stacks ship nothing. `names` is a
+// registry snapshot taken before tables.mu: registering a thread may
+// allocate, and a sampled allocation takes tables.mu.
+HeapBatch DrainLocked(Tables& tables, const std::map<int, std::string>& names,
+                      int only_tid) SIMJ_REQUIRES(tables.mu) {
   HeapBatch batch;
   for (int i = 0; i < tables.stack_count; ++i) {
     StackEntry& entry = tables.stacks[i];
-    if (only_thread_key >= 0 && entry.thread_key != only_thread_key) continue;
-    const int64_t inuse_bytes =
-        entry.inuse_bytes.load(std::memory_order_relaxed);
-    const int64_t inuse_objects =
-        entry.inuse_objects.load(std::memory_order_relaxed);
+    if (only_tid != 0 && entry.tid != only_tid) continue;
+    const std::array<int64_t, 4> levels = entry.Levels();
+    if (levels == entry.shipped) continue;
     HeapFoldedStack stack;
-    stack.inuse_bytes = inuse_bytes - entry.shipped_inuse_bytes;
-    stack.inuse_objects = inuse_objects - entry.shipped_inuse_objects;
-    stack.alloc_bytes = entry.alloc_bytes - entry.shipped_alloc_bytes;
-    stack.alloc_objects = entry.alloc_objects - entry.shipped_alloc_objects;
-    if (stack.inuse_bytes == 0 && stack.inuse_objects == 0 &&
-        stack.alloc_bytes == 0 && stack.alloc_objects == 0) {
-      continue;
+    for (size_t c = 0; c < levels.size(); ++c) {
+      stack.*HeapSchema::kStackFields[c].member = levels[c] - entry.shipped[c];
     }
-    entry.shipped_inuse_bytes = inuse_bytes;
-    entry.shipped_inuse_objects = inuse_objects;
-    entry.shipped_alloc_bytes = entry.alloc_bytes;
-    entry.shipped_alloc_objects = entry.alloc_objects;
-    stack.thread = ThreadLabel(entry.thread_key);
-    stack.frames.reserve(static_cast<size_t>(entry.depth));
-    for (int f = entry.depth - 1; f >= 0; --f) {  // leaf-first -> root-first
-      stack.frames.push_back(SymbolizeLocked(tables, entry.frames[f]));
-    }
-    if (stack.frames.empty()) stack.frames.push_back("[truncated]");
+    entry.shipped = levels;
+    stack.thread = stackprof::ThreadLabel(names, entry.tid);
+    stack.frames = tables.symbols.RootFirst(entry.frames, entry.depth);
     batch.stacks.push_back(std::move(stack));
   }
-  const int64_t total_dropped =
-      tables.dropped.load(std::memory_order_relaxed) - tables.base_dropped;
-  const int64_t total_truncated =
-      tables.truncated.load(std::memory_order_relaxed) -
-      tables.base_truncated;
-  batch.dropped = total_dropped - tables.shipped_dropped;
-  batch.truncated = total_truncated - tables.shipped_truncated;
-  tables.shipped_dropped = total_dropped;
-  tables.shipped_truncated = total_truncated;
+  batch.dropped =
+      tables.dropped_delta.Take(tables.dropped.load(std::memory_order_relaxed));
+  batch.truncated = tables.truncated_delta.Take(
+      tables.truncated.load(std::memory_order_relaxed));
   batch.Normalize();
   return batch;
+}
+
+// The armed drain path: `only_tid`'s entries, or every entry for 0.
+HeapBatch Drain(int only_tid) {
+  if (!HeapProfilingActive()) return HeapBatch();
+  HookGuard guard;
+  Tables* tables = g_tables.load(std::memory_order_acquire);
+  if (tables == nullptr) return HeapBatch();
+  const std::map<int, std::string> names = stackprof::ThreadNames();
+  MutexLock lock(tables->mu);
+  return DrainLocked(*tables, names, only_tid);
 }
 
 // Empties the live table, decrementing through the same CAS protocol as
@@ -447,146 +366,38 @@ void ClearLiveTableLocked(Tables& tables) SIMJ_REQUIRES(tables.mu) {
   tables.live_objects.store(0, std::memory_order_relaxed);
 }
 
-std::string FormatFixed3(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return buffer;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-bool StackLess(const HeapFoldedStack& a, const HeapFoldedStack& b) {
-  if (a.thread != b.thread) return a.thread < b.thread;
-  return a.frames < b.frames;
-}
-
-struct SectionTotals {
-  int64_t inuse_bytes = 0;
-  int64_t inuse_objects = 0;
-  int64_t alloc_bytes = 0;
-  int64_t alloc_objects = 0;
-};
-
-SectionTotals TotalsOf(const HeapBatch& batch) {
-  SectionTotals totals;
-  for (const HeapFoldedStack& stack : batch.stacks) {
-    totals.inuse_bytes += stack.inuse_bytes;
-    totals.inuse_objects += stack.inuse_objects;
-    totals.alloc_bytes += stack.alloc_bytes;
-    totals.alloc_objects += stack.alloc_objects;
-  }
-  return totals;
-}
-
 }  // namespace
 
 void HeapBatch::Normalize() {
-  std::map<std::pair<std::string, std::vector<std::string>>,
-           std::array<int64_t, 4>>
-      agg;
-  for (HeapFoldedStack& stack : stacks) {
-    auto& counters = agg[{std::move(stack.thread), std::move(stack.frames)}];
-    counters[0] += stack.inuse_bytes;
-    counters[1] += stack.inuse_objects;
-    counters[2] += stack.alloc_bytes;
-    counters[3] += stack.alloc_objects;
-  }
-  stacks.clear();
-  stacks.reserve(agg.size());
-  for (auto& [key, counters] : agg) {
-    HeapFoldedStack stack;
-    stack.thread = key.first;
-    stack.frames = key.second;
-    stack.inuse_bytes = counters[0];
-    stack.inuse_objects = counters[1];
-    stack.alloc_bytes = counters[2];
-    stack.alloc_objects = counters[3];
-    stacks.push_back(std::move(stack));
-  }
+  stackprof::NormalizeStacks<HeapSchema>(&stacks);
 }
 
 void HeapBatch::MergeFrom(const HeapBatch& other) {
-  dropped += other.dropped;
-  truncated += other.truncated;
-  stacks.insert(stacks.end(), other.stacks.begin(), other.stacks.end());
-  Normalize();
+  stackprof::MergeBatch<HeapSchema>(other, this);
 }
 
 int64_t HeapProfile::TotalInuseBytes() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) {
-    total += TotalsOf(section.batch).inuse_bytes;
-  }
-  return total;
+  return stackprof::Total(sections, &HeapFoldedStack::inuse_bytes);
 }
 
 int64_t HeapProfile::TotalInuseObjects() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) {
-    total += TotalsOf(section.batch).inuse_objects;
-  }
-  return total;
+  return stackprof::Total(sections, &HeapFoldedStack::inuse_objects);
 }
 
 int64_t HeapProfile::TotalAllocBytes() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) {
-    total += TotalsOf(section.batch).alloc_bytes;
-  }
-  return total;
+  return stackprof::Total(sections, &HeapFoldedStack::alloc_bytes);
 }
 
 int64_t HeapProfile::TotalAllocObjects() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) {
-    total += TotalsOf(section.batch).alloc_objects;
-  }
-  return total;
+  return stackprof::Total(sections, &HeapFoldedStack::alloc_objects);
 }
 
 int64_t HeapProfile::TotalDropped() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) total += section.batch.dropped;
-  return total;
+  return stackprof::Total(sections, &HeapBatch::dropped);
 }
 
 int64_t HeapProfile::TotalTruncated() const {
-  int64_t total = 0;
-  for (const HeapSection& section : sections) {
-    total += section.batch.truncated;
-  }
-  return total;
+  return stackprof::Total(sections, &HeapBatch::truncated);
 }
 
 Status StartHeapProfiling(const HeapProfileOptions& options) {
@@ -620,18 +431,12 @@ Status StartHeapProfiling(const HeapProfileOptions& options) {
   // Fresh capture: re-baseline every persistent entry and the loss
   // counters so this capture reports only its own activity.
   for (int i = 0; i < tables->stack_count; ++i) {
-    StackEntry& entry = tables->stacks[i];
-    entry.shipped_inuse_bytes =
-        entry.inuse_bytes.load(std::memory_order_relaxed);
-    entry.shipped_inuse_objects =
-        entry.inuse_objects.load(std::memory_order_relaxed);
-    entry.shipped_alloc_bytes = entry.alloc_bytes;
-    entry.shipped_alloc_objects = entry.alloc_objects;
+    tables->stacks[i].shipped = tables->stacks[i].Levels();
   }
-  tables->base_dropped = tables->dropped.load(std::memory_order_relaxed);
-  tables->base_truncated = tables->truncated.load(std::memory_order_relaxed);
-  tables->shipped_dropped = tables->shipped_truncated = 0;
-  tables->remote.clear();
+  tables->dropped_delta.Rebase(tables->dropped.load(std::memory_order_relaxed));
+  tables->truncated_delta.Rebase(
+      tables->truncated.load(std::memory_order_relaxed));
+  tables->remote.Discard();
   tables->sample_bytes = options.sample_bytes;
   tables->start = std::chrono::steady_clock::now();
   g_capture_gen.fetch_add(1, std::memory_order_relaxed);
@@ -646,9 +451,10 @@ Status StartHeapProfiling(const HeapProfileOptions& options) {
 StatusOr<HeapProfile> StopHeapProfiling() {
   HookGuard guard;
   Tables* tables = g_tables.load(std::memory_order_acquire);
-  if (tables == nullptr || !ArmedInThisProcess()) {
+  if (tables == nullptr || !HeapProfilingActive()) {
     return FailedPreconditionError("heap profiler not armed in this process");
   }
+  const std::map<int, std::string> names = stackprof::ThreadNames();
   MutexLock lock(tables->mu);
   if (!g_enabled.load(std::memory_order_acquire)) {
     return FailedPreconditionError("heap profiler not armed in this process");
@@ -666,25 +472,20 @@ StatusOr<HeapProfile> StopHeapProfiling() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     tables->start)
           .count();
-  HeapBatch local = DrainLocked(*tables, -1);
+  HeapBatch local = DrainLocked(*tables, names, 0);
   ClearLiveTableLocked(*tables);
-  profile.sections.push_back({"coordinator", std::move(local)});
-  for (auto& [label, batch] : tables->remote) {
-    batch.Normalize();
-    profile.sections.push_back({label, std::move(batch)});
-  }
-  tables->remote.clear();
-  std::sort(profile.sections.begin(), profile.sections.end(),
-            [](const HeapSection& a, const HeapSection& b) {
-              return a.label < b.label;
-            });
+  profile.sections = tables->remote.Take(local);
   return profile;
 }
 
-bool HeapProfilingActive() { return ArmedInThisProcess(); }
+bool HeapProfilingActive() {
+  return g_enabled.load(std::memory_order_acquire) &&
+         g_armed_pid.load(std::memory_order_relaxed) ==
+             static_cast<int>(::getpid());
+}
 
 int64_t ActiveSampleBytes() {
-  return ArmedInThisProcess()
+  return HeapProfilingActive()
              ? g_active_sample_bytes.load(std::memory_order_relaxed)
              : 0;
 }
@@ -693,38 +494,13 @@ StatusOr<HeapProfile> CaptureHeapProfile(double seconds,
                                          int64_t sample_bytes) {
   Status started = StartHeapProfiling(HeapProfileOptions{sample_bytes});
   if (!started.ok()) return started;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(std::clamp(seconds, 0.01, 600.0)));
+  stackprof::SleepCaptureWindow(seconds);
   return StopHeapProfiling();
 }
 
-void NoteThisThread(const std::string& name) {
-  HookGuard guard;
-  NameRegistry& names = Names();
-  const int key = ThisThreadKey();
-  MutexLock lock(names.mu);
-  names.names[key] = name;
-}
+HeapBatch DrainThisThreadBatch() { return Drain(stackprof::ThisTid()); }
 
-HeapBatch DrainThisThreadBatch() {
-  HeapBatch batch;
-  if (!ArmedInThisProcess()) return batch;
-  HookGuard guard;
-  Tables* tables = g_tables.load(std::memory_order_acquire);
-  if (tables == nullptr) return batch;
-  MutexLock lock(tables->mu);
-  return DrainLocked(*tables, ThisThreadKey());
-}
-
-HeapBatch DrainAllThreadsBatch() {
-  HeapBatch batch;
-  if (!ArmedInThisProcess()) return batch;
-  HookGuard guard;
-  Tables* tables = g_tables.load(std::memory_order_acquire);
-  if (tables == nullptr) return batch;
-  MutexLock lock(tables->mu);
-  return DrainLocked(*tables, -1);
-}
+HeapBatch DrainAllThreadsBatch() { return Drain(0); }
 
 void AccumulateRemoteSection(const std::string& label,
                              const HeapBatch& batch) {
@@ -732,98 +508,19 @@ void AccumulateRemoteSection(const std::string& label,
   HookGuard guard;
   Tables* tables = GetOrCreateTables();
   MutexLock lock(tables->mu);
-  tables->remote[label].MergeFrom(batch);
+  tables->remote.Accumulate(label, batch);
 }
 
 std::string HeapProfileJson(const HeapProfile& profile) {
-  // Deterministic: fixed key order, %.3f floats, sections/stacks sorted.
-  std::vector<HeapSection> sections = profile.sections;
-  std::sort(sections.begin(), sections.end(),
-            [](const HeapSection& a, const HeapSection& b) {
-              return a.label < b.label;
-            });
-  std::string out = "{\"schema\":\"simj_heap_v1\",\"sample_bytes\":";
-  out += std::to_string(profile.sample_bytes);
-  out += ",\"duration_seconds\":" + FormatFixed3(profile.duration_seconds);
-  out += ",\"inuse_bytes\":" + std::to_string(profile.TotalInuseBytes());
-  out += ",\"inuse_objects\":" + std::to_string(profile.TotalInuseObjects());
-  out += ",\"alloc_bytes\":" + std::to_string(profile.TotalAllocBytes());
-  out += ",\"alloc_objects\":" + std::to_string(profile.TotalAllocObjects());
-  out += ",\"dropped\":" + std::to_string(profile.TotalDropped());
-  out += ",\"truncated\":" + std::to_string(profile.TotalTruncated());
-  out += ",\"sections\":[";
-  bool first_section = true;
-  for (const HeapSection& section : sections) {
-    if (!first_section) out += ",";
-    first_section = false;
-    const SectionTotals totals = TotalsOf(section.batch);
-    out += "{\"label\":";
-    AppendJsonString(&out, section.label);
-    out += ",\"inuse_bytes\":" + std::to_string(totals.inuse_bytes);
-    out += ",\"inuse_objects\":" + std::to_string(totals.inuse_objects);
-    out += ",\"alloc_bytes\":" + std::to_string(totals.alloc_bytes);
-    out += ",\"alloc_objects\":" + std::to_string(totals.alloc_objects);
-    out += ",\"dropped\":" + std::to_string(section.batch.dropped);
-    out += ",\"truncated\":" + std::to_string(section.batch.truncated);
-    out += ",\"stacks\":[";
-    std::vector<HeapFoldedStack> stacks = section.batch.stacks;
-    std::sort(stacks.begin(), stacks.end(), StackLess);
-    bool first_stack = true;
-    for (const HeapFoldedStack& stack : stacks) {
-      if (!first_stack) out += ",";
-      first_stack = false;
-      out += "{\"thread\":";
-      AppendJsonString(&out, stack.thread);
-      out += ",\"inuse_bytes\":" + std::to_string(stack.inuse_bytes);
-      out += ",\"inuse_objects\":" + std::to_string(stack.inuse_objects);
-      out += ",\"alloc_bytes\":" + std::to_string(stack.alloc_bytes);
-      out += ",\"alloc_objects\":" + std::to_string(stack.alloc_objects);
-      out += ",\"frames\":[";
-      bool first_frame = true;
-      for (const std::string& frame : stack.frames) {
-        if (!first_frame) out += ",";
-        first_frame = false;
-        AppendJsonString(&out, frame);
-      }
-      out += "]}";
-    }
-    out += "]}";
-  }
-  out += "]}\n";
-  return out;
+  return stackprof::ProfileJson<HeapSchema>(
+      "\"sample_bytes\":" + std::to_string(profile.sample_bytes) +
+          ",\"duration_seconds\":" +
+          FormatFixed3(profile.duration_seconds),
+      profile.sections);
 }
 
 std::string HeapFoldedText(const HeapProfile& profile) {
-  std::vector<HeapSection> sections = profile.sections;
-  std::sort(sections.begin(), sections.end(),
-            [](const HeapSection& a, const HeapSection& b) {
-              return a.label < b.label;
-            });
-  std::string out;
-  for (const HeapSection& section : sections) {
-    const std::string label = CleanFrameToken(section.label);
-    std::vector<HeapFoldedStack> stacks = section.batch.stacks;
-    std::sort(stacks.begin(), stacks.end(), StackLess);
-    for (const HeapFoldedStack& stack : stacks) {
-      out += label;
-      out.push_back(';');
-      out += CleanFrameToken(stack.thread);
-      for (const std::string& frame : stack.frames) {
-        out.push_back(';');
-        out += CleanFrameToken(frame);
-      }
-      out.push_back(' ');
-      out += std::to_string(stack.inuse_bytes);
-      out.push_back(' ');
-      out += std::to_string(stack.inuse_objects);
-      out.push_back(' ');
-      out += std::to_string(stack.alloc_bytes);
-      out.push_back(' ');
-      out += std::to_string(stack.alloc_objects);
-      out.push_back('\n');
-    }
-  }
-  return out;
+  return stackprof::FoldedText<HeapSchema>(profile.sections);
 }
 
 }  // namespace simj::heapprof
@@ -863,7 +560,12 @@ inline void* SimjAllocAligned(std::size_t size, std::size_t align) {
   return ptr;
 }
 
-inline void SimjFree(void* ptr) {
+// Out of line on purpose: inlined, this file's operator delete lets GCC
+// pair the std::free below with the builtin operator new behind
+// std::allocator in this file's container code and warn
+// (-Wmismatched-new-delete). Every variant here is malloc-backed, so that
+// pairing is correct; out of line, each operator delete is a tail call.
+[[gnu::noinline]] void SimjFree(void* ptr) {
   if (ptr == nullptr) return;
   // Record before free(): the allocator cannot reuse the address until
   // free() returns, so a live-table entry can never alias a new object.

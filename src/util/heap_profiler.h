@@ -18,12 +18,13 @@
 // sampled object stands for roughly `sample_bytes` of allocation; nothing
 // is up-scaled, so the end-of-run leak report reads "live sampled bytes".
 //
-// Sample -> symbolize split (same shape as the CPU profiler, DESIGN.md
-// §12): the allocation hook stores raw backtrace() addresses and byte
-// counts; dladdr + demangling run only when a capture is drained. The hook
-// guards itself with a thread-local re-entrancy flag, so its own internal
-// allocations (stack-table nodes, backtrace's lazy libgcc init) pass
-// through unrecorded instead of recursing. Frees are attributed by an
+// Sample -> symbolize split (the sampled-stack core shared with the CPU
+// profiler, util/stack_profile.h and DESIGN.md §12): the allocation hook
+// stores raw backtrace() addresses and byte counts; dladdr + demangling
+// run only when a capture is drained. The hook guards itself with a
+// thread-local re-entrancy flag, so its own internal allocations
+// (stack-table nodes, backtrace's lazy libgcc init) pass through
+// unrecorded instead of recursing. Frees are attributed by an
 // open-addressed address table probed lock-free, so the common
 // never-sampled free costs a few relaxed loads and no lock.
 //
@@ -46,10 +47,12 @@
 #ifndef SIMJ_UTIL_HEAP_PROFILER_H_
 #define SIMJ_UTIL_HEAP_PROFILER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "util/stack_profile.h"
 #include "util/status.h"
 
 namespace simj::heapprof {
@@ -73,8 +76,8 @@ struct HeapProfileOptions {
 };
 
 // One aggregated allocation stack: `frames` is root-first, already
-// symbolized; `thread` is the allocating thread's registered name (or a
-// stable "t-N" for unregistered threads). In a shipped worker batch the
+// symbolized; `thread` is the allocating thread's registered name (or
+// "tid-N" for unregistered threads). In a shipped worker batch the
 // counters are deltas since the worker's previous drain.
 struct HeapFoldedStack {
   std::string thread;
@@ -124,6 +127,22 @@ struct HeapProfile {
   int64_t TotalTruncated() const;
 };
 
+// The record layout the shared core merges, ships and emits: four
+// counters per stack; section and record totals lead with their sums.
+struct HeapSchema {
+  using Section = HeapSection;
+  static constexpr const char* kName = "simj_heap_v1";
+  static constexpr std::array<stackprof::Field<HeapFoldedStack>, 4>
+      kStackFields{{{"inuse_bytes", &HeapFoldedStack::inuse_bytes},
+                    {"inuse_objects", &HeapFoldedStack::inuse_objects},
+                    {"alloc_bytes", &HeapFoldedStack::alloc_bytes},
+                    {"alloc_objects", &HeapFoldedStack::alloc_objects}}};
+  static constexpr std::array<stackprof::Field<HeapBatch>, 2> kBatchFields{
+      {{"dropped", &HeapBatch::dropped},
+       {"truncated", &HeapBatch::truncated}}};
+  static constexpr bool kTotalsSumStacks = true;
+};
+
 // Arms the heap profiler process-wide: resets the per-capture tables and
 // enables sampling in the operator new/delete hooks. Fails if already
 // armed in this process or when a sanitizer owns the allocator. In a
@@ -147,10 +166,11 @@ int64_t ActiveSampleBytes();
 [[nodiscard]] StatusOr<HeapProfile> CaptureHeapProfile(double seconds,
                                                        int64_t sample_bytes);
 
-// Registers the calling thread's name for sample attribution. Called by
+// Registers the calling thread's name for sample attribution (the
+// registry shared with the CPU profiler). Called by
 // trace::SetThisThreadName, so named threads are covered transparently;
-// safe any time. Unregistered threads appear as "t-N".
-void NoteThisThread(const std::string& name);
+// safe any time. Unregistered threads appear as "tid-N".
+using stackprof::NoteThisThread;
 
 // Drains the calling thread's entries as deltas since its last drain.
 // Used by thread-transport shard workers to ship per-shard heap batches

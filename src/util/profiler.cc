@@ -1,8 +1,7 @@
 #include "util/profiler.h"
 
-#include <cxxabi.h>
-#include <dlfcn.h>
 #include <execinfo.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -12,14 +11,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <thread>
-#include <utility>
 
 #include "util/log.h"
+#include "util/strings.h"
 #include "util/sync.h"
 
 // Linux delivers SIGEV_THREAD_ID timer expirations to one specific thread;
@@ -49,7 +45,7 @@ namespace simj::prof {
 
 namespace {
 
-int ThisTid() { return static_cast<int>(::syscall(SYS_gettid)); }
+using stackprof::ThisTid;
 
 // Linux encodes "the scheduling CPU-time clock of thread `tid`" as
 // ((~tid) << 3) | 6 (CPUCLOCK_SCHED with the per-thread bit) — the same
@@ -84,14 +80,11 @@ struct ThreadSlot {
   RawSample* ring = nullptr;  // [kRingCapacity]; allocated before arming
 
   // Normal-context bookkeeping (registry mutex): the thread's timer and
-  // the counter baselines that turn the cumulative atomics into per-drain
-  // deltas (each drop/truncation is reported by exactly one batch).
+  // the per-drain deltas of the cumulative loss atomics.
   timer_t timer{};
   bool timer_armed = false;
-  int64_t base_dropped = 0;
-  int64_t base_truncated = 0;
-  int64_t shipped_dropped = 0;
-  int64_t shipped_truncated = 0;
+  stackprof::LossDelta dropped_delta;
+  stackprof::LossDelta truncated_delta;
 };
 
 ThreadSlot g_slots[kMaxThreads];
@@ -108,7 +101,7 @@ std::atomic<int> g_active_hz{0};
 // kMaxThreads slots taken); folded into the local section's drop count.
 std::atomic<int64_t> g_unattributed{0};
 
-void SigProfHandler(int /*signo*/) {
+[[maybe_unused]] void SigProfHandler(int /*signo*/) {
   // Async-signal-safe only (tools/simj_lint.py signal-handler-safety):
   // raw syscalls, atomics with explicit orders, backtrace(). No
   // allocation, no locks, no symbolization — that all happens at drain
@@ -153,9 +146,8 @@ void SigProfHandler(int /*signo*/) {
 
 struct Registry {
   Mutex mu;
-  std::map<int, std::string> names SIMJ_GUARDED_BY(mu);  // tid -> name
-  std::map<std::string, SampleBatch> remote SIMJ_GUARDED_BY(mu);
-  std::map<const void*, std::string> symbols SIMJ_GUARDED_BY(mu);
+  stackprof::RemoteSections<ProfileSection> remote SIMJ_GUARDED_BY(mu);
+  stackprof::Symbolizer symbols SIMJ_GUARDED_BY(mu);
   bool rings_allocated SIMJ_GUARDED_BY(mu) = false;
   bool handler_installed SIMJ_GUARDED_BY(mu) = false;
   int hz SIMJ_GUARDED_BY(mu) = 0;
@@ -165,12 +157,6 @@ struct Registry {
 Registry& GlobalRegistry() {
   static Registry* registry = new Registry();  // simj-lint: allow(new) leaky singleton
   return *registry;
-}
-
-bool ArmedInThisProcess() {
-  return g_armed.load(std::memory_order_acquire) &&
-         g_armed_pid.load(std::memory_order_relaxed) ==
-             static_cast<int>(::getpid());
 }
 
 // Finds (or CAS-claims) the slot for `tid`. nullptr when all slots are
@@ -214,10 +200,12 @@ bool ArmTimerLocked(Registry& reg, ThreadSlot* slot, int tid)
   return true;
 }
 
-// A fork()ed child inherits the parent's flags, rings and registrations,
-// but none of its timers or threads: every slot tid is stale. Reset to a
-// blank, disarmed profiler so the child can arm itself cleanly.
-void ResetAfterForkLocked(Registry& reg) SIMJ_REQUIRES(reg.mu) {
+// A fork()ed child inherits the parent's flags, rings and slots, but none
+// of its timers or threads: every slot tid is stale. Reset to a blank,
+// disarmed profiler so the child can arm itself cleanly. (Inherited name
+// registrations stay: their tids fail timer_create and are pruned.)
+[[maybe_unused]] void ResetAfterForkLocked(Registry& reg)
+    SIMJ_REQUIRES(reg.mu) {
   g_armed.store(false, std::memory_order_release);
   g_active_hz.store(0, std::memory_order_relaxed);
   g_armed_pid.store(0, std::memory_order_relaxed);
@@ -229,121 +217,62 @@ void ResetAfterForkLocked(Registry& reg) SIMJ_REQUIRES(reg.mu) {
     slot.dropped.store(0, std::memory_order_relaxed);
     slot.truncated.store(0, std::memory_order_relaxed);
     slot.timer_armed = false;  // the parent's timer ids mean nothing here
-    slot.base_dropped = slot.base_truncated = 0;
-    slot.shipped_dropped = slot.shipped_truncated = 0;
+    slot.dropped_delta = slot.truncated_delta = stackprof::LossDelta();
   }
-  reg.names.clear();
-  reg.remote.clear();
+  reg.remote.Discard();
 }
 
-// Rewrites a symbol or thread name so it cannot break the folded-stack
-// line structure (space separates the count, semicolon separates frames).
-std::string CleanFrameToken(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    if (c == ' ') {
-      // Demangled signatures put a space after each comma; dropping it
-      // keeps "Foo(int, long)" readable as "Foo(int,long)".
-      continue;
-    }
-    out.push_back(c == ';' ? ':' : (c == '\n' ? '_' : c));
-  }
-  return out.empty() ? std::string("[unknown]") : out;
-}
-
-const std::string& SymbolizeLocked(Registry& reg, const void* addr)
+// Drains `only_tid`'s ring, or every ring for 0, into one normalized
+// batch: the symbolized samples plus each slot's untold drop/truncation
+// deltas.
+SampleBatch DrainRingsLocked(Registry& reg, int only_tid)
     SIMJ_REQUIRES(reg.mu) {
-  auto it = reg.symbols.find(addr);
-  if (it != reg.symbols.end()) return it->second;
-  std::string name;
-  Dl_info info{};
-  if (::dladdr(addr, &info) != 0 && info.dli_sname != nullptr) {
-    int status = -1;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    name = (status == 0 && demangled != nullptr) ? demangled
-                                                 : info.dli_sname;
-    std::free(demangled);
-  } else if (info.dli_fname != nullptr && info.dli_fbase != nullptr) {
-    // No symbol (static function, stripped object): module + offset keeps
-    // the frame stable enough to aggregate and diff.
-    const char* base = std::strrchr(info.dli_fname, '/');
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer), "%s+0x%zx",
-                  base != nullptr ? base + 1 : info.dli_fname,
-                  reinterpret_cast<size_t>(addr) -
-                      reinterpret_cast<size_t>(info.dli_fbase));
-    name = buffer;
-  } else {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "0x%zx",
-                  reinterpret_cast<size_t>(addr));
-    name = buffer;
+  const std::map<int, std::string> names = stackprof::ThreadNames();
+  SampleBatch batch;
+  for (ThreadSlot& slot : g_slots) {
+    const int tid = slot.tid.load(std::memory_order_acquire);
+    if (tid == 0 || slot.ring == nullptr) continue;
+    if (only_tid != 0 && tid != only_tid) continue;
+    const uint32_t w = slot.write_pos.load(std::memory_order_acquire);
+    const uint32_t r = slot.read_pos.load(std::memory_order_relaxed);
+    const std::string thread_label = stackprof::ThreadLabel(names, tid);
+    for (uint32_t i = r; i != w; ++i) {
+      const RawSample& sample =
+          slot.ring[i % static_cast<uint32_t>(kRingCapacity)];
+      const int depth = std::min<int>(sample.depth, kMaxFrames);
+      // Strip the profiler's own frames. backtrace() inside a signal
+      // handler always yields [handler, kernel signal trampoline,
+      // interrupted PC, ...] leaf-first on Linux, so drop the two leading
+      // frames by position (the handler has internal linkage and rarely
+      // symbolizes by name), plus a defensive check in case the
+      // trampoline unwinds to two frames.
+      int begin = std::min(2, depth);
+      if (begin < depth &&
+          reg.symbols.Name(sample.frames[begin]).find("__restore") !=
+              std::string::npos) {
+        ++begin;
+      }
+      batch.stacks.push_back(
+          {thread_label,
+           reg.symbols.RootFirst(sample.frames + begin, depth - begin), 1});
+    }
+    slot.read_pos.store(w, std::memory_order_release);
+    batch.samples += static_cast<int64_t>(w - r);
+    batch.dropped +=
+        slot.dropped_delta.Take(slot.dropped.load(std::memory_order_relaxed));
+    batch.truncated += slot.truncated_delta.Take(
+        slot.truncated.load(std::memory_order_relaxed));
   }
-  return reg.symbols[addr] = CleanFrameToken(name);
+  batch.Normalize();
+  return batch;
 }
 
-std::string ThreadLabelLocked(Registry& reg, int tid) SIMJ_REQUIRES(reg.mu) {
-  auto it = reg.names.find(tid);
-  if (it != reg.names.end()) return CleanFrameToken(it->second);
-  return "tid-" + std::to_string(tid);
-}
-
-// Drains one slot's pending samples into `batch` (symbolized, folded per
-// stack) and ships the slot's untold drop/truncation deltas with them.
-void DrainSlotLocked(Registry& reg, ThreadSlot& slot, SampleBatch* batch)
-    SIMJ_REQUIRES(reg.mu) {
-  const int tid = slot.tid.load(std::memory_order_acquire);
-  if (tid == 0 || slot.ring == nullptr) return;
-  const uint32_t w = slot.write_pos.load(std::memory_order_acquire);
-  uint32_t r = slot.read_pos.load(std::memory_order_relaxed);
-  const std::string thread_label = ThreadLabelLocked(reg, tid);
-  std::map<std::vector<std::string>, int64_t> folded;
-  int64_t drained = 0;
-  for (; r != w; ++r) {
-    const RawSample& sample =
-        slot.ring[r % static_cast<uint32_t>(kRingCapacity)];
-    const int depth = std::min<int>(sample.depth, kMaxFrames);
-    std::vector<std::string> leaf_first;
-    leaf_first.reserve(static_cast<size_t>(depth));
-    for (int f = 0; f < depth; ++f) {
-      leaf_first.push_back(SymbolizeLocked(reg, sample.frames[f]));
-    }
-    // Strip the profiler's own frames. backtrace() inside a signal handler
-    // always yields [handler, kernel signal trampoline, interrupted PC,
-    // ...] leaf-first on Linux, so drop the two leading frames by position
-    // (the handler has internal linkage and rarely symbolizes by name),
-    // plus a defensive check in case the trampoline unwinds to two frames.
-    size_t begin = std::min<size_t>(2, leaf_first.size());
-    if (begin < leaf_first.size() &&
-        leaf_first[begin].find("__restore") != std::string::npos) {
-      ++begin;
-    }
-    std::vector<std::string> root_first(leaf_first.rbegin(),
-                                        leaf_first.rend() -
-                                            static_cast<long>(begin));
-    if (root_first.empty()) root_first.push_back("[truncated]");
-    folded[std::move(root_first)] += 1;
-    ++drained;
-  }
-  slot.read_pos.store(w, std::memory_order_release);
-  batch->samples += drained;
-  for (auto& [frames, count] : folded) {
-    FoldedStack stack;
-    stack.thread = thread_label;
-    stack.frames = frames;
-    stack.count = count;
-    batch->stacks.push_back(std::move(stack));
-  }
-  const int64_t total_dropped =
-      slot.dropped.load(std::memory_order_relaxed) - slot.base_dropped;
-  const int64_t total_truncated =
-      slot.truncated.load(std::memory_order_relaxed) - slot.base_truncated;
-  batch->dropped += total_dropped - slot.shipped_dropped;
-  batch->truncated += total_truncated - slot.shipped_truncated;
-  slot.shipped_dropped = total_dropped;
-  slot.shipped_truncated = total_truncated;
+// The armed drain path for DrainThisThreadBatch/DrainAllThreadsBatch.
+SampleBatch DrainRings(int only_tid) {
+  if (!ProfilingActive()) return SampleBatch();
+  Registry& reg = GlobalRegistry();
+  MutexLock lock(reg.mu);
+  return DrainRingsLocked(reg, only_tid);
 }
 
 void DisarmTimersLocked(Registry& reg) SIMJ_REQUIRES(reg.mu) {
@@ -356,94 +285,39 @@ void DisarmTimersLocked(Registry& reg) SIMJ_REQUIRES(reg.mu) {
   }
 }
 
-std::string FormatFixed3(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return buffer;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
+// Installed as the registry's noted-thread hook: a thread named while a
+// capture runs is covered from then on.
+[[maybe_unused]] void OnThreadNoted(int tid, const std::string& name) {
+  Registry& reg = GlobalRegistry();
+  MutexLock lock(reg.mu);
+  if (!ProfilingActive()) return;
+  ThreadSlot* slot = ClaimSlot(tid);
+  if (slot != nullptr && !ArmTimerLocked(reg, slot, tid)) {
+    SIMJ_LOG(WARN) << "profiler: cannot arm timer for thread '" << name
+                   << "' (tid " << tid << ")";
   }
-  out->push_back('"');
-}
-
-bool StackLess(const FoldedStack& a, const FoldedStack& b) {
-  if (a.thread != b.thread) return a.thread < b.thread;
-  return a.frames < b.frames;
 }
 
 }  // namespace
 
 void SampleBatch::Normalize() {
-  std::map<std::pair<std::string, std::vector<std::string>>, int64_t> agg;
-  for (FoldedStack& stack : stacks) {
-    agg[{std::move(stack.thread), std::move(stack.frames)}] += stack.count;
-  }
-  stacks.clear();
-  stacks.reserve(agg.size());
-  for (auto& [key, count] : agg) {
-    FoldedStack stack;
-    stack.thread = key.first;
-    stack.frames = key.second;
-    stack.count = count;
-    stacks.push_back(std::move(stack));
-  }
+  stackprof::NormalizeStacks<ProfileSchema>(&stacks);
 }
 
 void SampleBatch::MergeFrom(const SampleBatch& other) {
-  samples += other.samples;
-  dropped += other.dropped;
-  truncated += other.truncated;
-  stacks.insert(stacks.end(), other.stacks.begin(), other.stacks.end());
-  Normalize();
+  stackprof::MergeBatch<ProfileSchema>(other, this);
 }
 
 int64_t Profile::TotalSamples() const {
-  int64_t total = 0;
-  for (const ProfileSection& section : sections) total += section.batch.samples;
-  return total;
+  return stackprof::Total(sections, &SampleBatch::samples);
 }
 
 int64_t Profile::TotalDropped() const {
-  int64_t total = 0;
-  for (const ProfileSection& section : sections) total += section.batch.dropped;
-  return total;
+  return stackprof::Total(sections, &SampleBatch::dropped);
 }
 
 int64_t Profile::TotalTruncated() const {
-  int64_t total = 0;
-  for (const ProfileSection& section : sections) {
-    total += section.batch.truncated;
-  }
-  return total;
+  return stackprof::Total(sections, &SampleBatch::truncated);
 }
 
 Status StartProfiling(const ProfileOptions& options) {
@@ -484,9 +358,17 @@ Status StartProfiling(const ProfileOptions& options) {
       return InternalError(std::string("profiler: sigaction(SIGPROF): ") +
                            std::strerror(errno));
     }
+    // A fork() while another thread holds reg.mu would leave the child —
+    // which arms its own profiler (DESIGN.md §12) — a mutex no thread there
+    // can release, so the forking thread holds it across fork().
+    ::pthread_atfork(
+        []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { GlobalRegistry().mu.Lock(); },
+        []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { GlobalRegistry().mu.Unlock(); },
+        []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { GlobalRegistry().mu.Unlock(); });
     reg.handler_installed = true;
   }
   reg.hz = options.hz;
+  stackprof::SetThreadNotedHook(&OnThreadNoted);
   // The arming thread is always covered, named or not.
   const int self = ThisTid();
   (void)ClaimSlot(self);
@@ -496,9 +378,9 @@ Status StartProfiling(const ProfileOptions& options) {
     if (slot.tid.load(std::memory_order_acquire) == 0) continue;
     slot.read_pos.store(slot.write_pos.load(std::memory_order_relaxed),
                         std::memory_order_release);
-    slot.base_dropped = slot.dropped.load(std::memory_order_relaxed);
-    slot.base_truncated = slot.truncated.load(std::memory_order_relaxed);
-    slot.shipped_dropped = slot.shipped_truncated = 0;
+    slot.dropped_delta.Rebase(slot.dropped.load(std::memory_order_relaxed));
+    slot.truncated_delta.Rebase(
+        slot.truncated.load(std::memory_order_relaxed));
   }
   g_unattributed.store(0, std::memory_order_relaxed);
   reg.start = std::chrono::steady_clock::now();
@@ -507,24 +389,22 @@ Status StartProfiling(const ProfileOptions& options) {
   g_armed.store(true, std::memory_order_release);
   // One CPU-time timer per registered live thread. Registered tids whose
   // thread has exited fail timer_create and are pruned.
+  const std::map<int, std::string> names = stackprof::ThreadNames();
   int armed_timers = 0;
-  for (auto it = reg.names.begin(); it != reg.names.end();) {
-    ThreadSlot* slot = ClaimSlot(it->first);
-    if (slot != nullptr && ArmTimerLocked(reg, slot, it->first)) {
+  for (const auto& [tid, name] : names) {
+    ThreadSlot* slot = ClaimSlot(tid);
+    if (slot != nullptr && ArmTimerLocked(reg, slot, tid)) {
       ++armed_timers;
-      ++it;
-    } else if (slot != nullptr && it->first != self) {
+    } else if (slot != nullptr && tid != self) {
       slot->tid.store(0, std::memory_order_release);  // dead thread: recycle
-      it = reg.names.erase(it);
-    } else {
-      ++it;
+      stackprof::ForgetThread(tid);
     }
   }
   ThreadSlot* self_slot = ClaimSlot(self);
   if (self_slot != nullptr && ArmTimerLocked(reg, self_slot, self)) {
     // Counted above when `self` was registered by name; arming twice is a
     // no-op thanks to the timer_armed flag.
-    if (reg.names.find(self) == reg.names.end()) ++armed_timers;
+    if (names.find(self) == names.end()) ++armed_timers;
   }
   if (armed_timers == 0) {
     DisarmTimersLocked(reg);
@@ -539,9 +419,7 @@ Status StartProfiling(const ProfileOptions& options) {
 StatusOr<Profile> StopProfiling() {
   Registry& reg = GlobalRegistry();
   MutexLock lock(reg.mu);
-  if (!g_armed.load(std::memory_order_acquire) ||
-      g_armed_pid.load(std::memory_order_relaxed) !=
-          static_cast<int>(::getpid())) {
+  if (!ProfilingActive()) {
     return FailedPreconditionError("profiler not armed in this process");
   }
   // Gate first (a handler mid-flight past the gate finishes writing into
@@ -558,169 +436,52 @@ StatusOr<Profile> StopProfiling() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     reg.start)
           .count();
-
-  SampleBatch local;
-  for (ThreadSlot& slot : g_slots) {
-    DrainSlotLocked(reg, slot, &local);
-  }
-  local.dropped += g_unattributed.load(std::memory_order_relaxed);
-  g_unattributed.store(0, std::memory_order_relaxed);
-  local.Normalize();
-  profile.sections.push_back({"coordinator", std::move(local)});
-  for (auto& [label, batch] : reg.remote) {
-    batch.Normalize();
-    profile.sections.push_back({label, std::move(batch)});
-  }
-  reg.remote.clear();
-  std::sort(profile.sections.begin(), profile.sections.end(),
-            [](const ProfileSection& a, const ProfileSection& b) {
-              return a.label < b.label;
-            });
+  SampleBatch local = DrainRingsLocked(reg, 0);
+  local.dropped += g_unattributed.exchange(0, std::memory_order_relaxed);
+  profile.sections = reg.remote.Take(local);
   return profile;
 }
 
-bool ProfilingActive() { return ArmedInThisProcess(); }
+bool ProfilingActive() {
+  return g_armed.load(std::memory_order_acquire) &&
+         g_armed_pid.load(std::memory_order_relaxed) ==
+             static_cast<int>(::getpid());
+}
 
 int ActiveHz() {
-  return ArmedInThisProcess() ? g_active_hz.load(std::memory_order_relaxed)
-                              : 0;
+  return ProfilingActive() ? g_active_hz.load(std::memory_order_relaxed) : 0;
 }
 
 StatusOr<Profile> CaptureProfile(double seconds, int hz) {
   Status started = StartProfiling(ProfileOptions{hz});
   if (!started.ok()) return started;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(std::clamp(seconds, 0.01, 600.0)));
+  stackprof::SleepCaptureWindow(seconds);
   return StopProfiling();
 }
 
-void NoteThisThread(const std::string& name) {
-  Registry& reg = GlobalRegistry();
-  const int tid = ThisTid();
-  MutexLock lock(reg.mu);
-  reg.names[tid] = name;
-  if (g_armed.load(std::memory_order_acquire) &&
-      g_armed_pid.load(std::memory_order_relaxed) ==
-          static_cast<int>(::getpid())) {
-    // A capture is running: cover this thread from now on.
-    ThreadSlot* slot = ClaimSlot(tid);
-    if (slot != nullptr && !ArmTimerLocked(reg, slot, tid)) {
-      SIMJ_LOG(WARN) << "profiler: cannot arm timer for thread '" << name
-                     << "' (tid " << tid << ")";
-    }
-  }
-}
+SampleBatch DrainThisThreadBatch() { return DrainRings(ThisTid()); }
 
-SampleBatch DrainThisThreadBatch() {
-  SampleBatch batch;
-  if (!ArmedInThisProcess()) return batch;
-  Registry& reg = GlobalRegistry();
-  const int tid = ThisTid();
-  MutexLock lock(reg.mu);
-  for (ThreadSlot& slot : g_slots) {
-    if (slot.tid.load(std::memory_order_acquire) == tid) {
-      DrainSlotLocked(reg, slot, &batch);
-      break;
-    }
-  }
-  batch.Normalize();
-  return batch;
-}
-
-SampleBatch DrainAllThreadsBatch() {
-  SampleBatch batch;
-  if (!ArmedInThisProcess()) return batch;
-  Registry& reg = GlobalRegistry();
-  MutexLock lock(reg.mu);
-  for (ThreadSlot& slot : g_slots) {
-    DrainSlotLocked(reg, slot, &batch);
-  }
-  batch.Normalize();
-  return batch;
-}
+SampleBatch DrainAllThreadsBatch() { return DrainRings(0); }
 
 void AccumulateRemoteSection(const std::string& label,
                              const SampleBatch& batch) {
   if (batch.empty()) return;
   Registry& reg = GlobalRegistry();
   MutexLock lock(reg.mu);
-  reg.remote[label].MergeFrom(batch);
+  reg.remote.Accumulate(label, batch);
 }
 
 std::string ProfileJson(const Profile& profile) {
-  // Deterministic: fixed key order, %.3f floats, sections/stacks sorted.
-  std::vector<ProfileSection> sections = profile.sections;
-  std::sort(sections.begin(), sections.end(),
-            [](const ProfileSection& a, const ProfileSection& b) {
-              return a.label < b.label;
-            });
-  std::string out = "{\"schema\":\"simj_profile_v1\",\"hz\":";
-  out += std::to_string(profile.hz);
-  out += ",\"period_us\":" + FormatFixed3(profile.period_us);
-  out += ",\"duration_seconds\":" + FormatFixed3(profile.duration_seconds);
-  out += ",\"samples\":" + std::to_string(profile.TotalSamples());
-  out += ",\"dropped\":" + std::to_string(profile.TotalDropped());
-  out += ",\"truncated\":" + std::to_string(profile.TotalTruncated());
-  out += ",\"sections\":[";
-  bool first_section = true;
-  for (const ProfileSection& section : sections) {
-    if (!first_section) out += ",";
-    first_section = false;
-    out += "{\"label\":";
-    AppendJsonString(&out, section.label);
-    out += ",\"samples\":" + std::to_string(section.batch.samples);
-    out += ",\"dropped\":" + std::to_string(section.batch.dropped);
-    out += ",\"truncated\":" + std::to_string(section.batch.truncated);
-    out += ",\"stacks\":[";
-    std::vector<FoldedStack> stacks = section.batch.stacks;
-    std::sort(stacks.begin(), stacks.end(), StackLess);
-    bool first_stack = true;
-    for (const FoldedStack& stack : stacks) {
-      if (!first_stack) out += ",";
-      first_stack = false;
-      out += "{\"thread\":";
-      AppendJsonString(&out, stack.thread);
-      out += ",\"count\":" + std::to_string(stack.count);
-      out += ",\"frames\":[";
-      bool first_frame = true;
-      for (const std::string& frame : stack.frames) {
-        if (!first_frame) out += ",";
-        first_frame = false;
-        AppendJsonString(&out, frame);
-      }
-      out += "]}";
-    }
-    out += "]}";
-  }
-  out += "]}\n";
-  return out;
+  return stackprof::ProfileJson<ProfileSchema>(
+      "\"hz\":" + std::to_string(profile.hz) +
+          ",\"period_us\":" + FormatFixed3(profile.period_us) +
+          ",\"duration_seconds\":" +
+          FormatFixed3(profile.duration_seconds),
+      profile.sections);
 }
 
 std::string FoldedText(const Profile& profile) {
-  std::vector<ProfileSection> sections = profile.sections;
-  std::sort(sections.begin(), sections.end(),
-            [](const ProfileSection& a, const ProfileSection& b) {
-              return a.label < b.label;
-            });
-  std::string out;
-  for (const ProfileSection& section : sections) {
-    const std::string label = CleanFrameToken(section.label);
-    std::vector<FoldedStack> stacks = section.batch.stacks;
-    std::sort(stacks.begin(), stacks.end(), StackLess);
-    for (const FoldedStack& stack : stacks) {
-      out += label;
-      out.push_back(';');
-      out += CleanFrameToken(stack.thread);
-      for (const std::string& frame : stack.frames) {
-        out.push_back(';');
-        out += CleanFrameToken(frame);
-      }
-      out.push_back(' ');
-      out += std::to_string(stack.count);
-      out.push_back('\n');
-    }
-  }
-  return out;
+  return stackprof::FoldedText<ProfileSchema>(profile.sections);
 }
 
 }  // namespace simj::prof

@@ -6,7 +6,10 @@
 // it into an SVG flamegraph) and a deterministic `simj_profile_v1` JSON
 // record (tools/bench_compare.py diffs the embedded copies between runs).
 //
-// Sample -> symbolize split (DESIGN.md §12): the handler may only execute
+// This file is the CPU front end of the sampled-stack core
+// (util/stack_profile.h), which owns symbolization, thread names, batch
+// merging, remote sections and the emitters. Sample -> symbolize split
+// (DESIGN.md §12): the handler may only execute
 // async-signal-safe operations — write/clock_gettime-class syscalls,
 // sig-atomic loads/stores, and backtrace() — which rules out malloc, locks,
 // and therefore symbol resolution. So the handler stores raw return
@@ -38,10 +41,12 @@
 #ifndef SIMJ_UTIL_PROFILER_H_
 #define SIMJ_UTIL_PROFILER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "util/stack_profile.h"
 #include "util/status.h"
 
 namespace simj::prof {
@@ -103,6 +108,20 @@ struct Profile {
   int64_t TotalTruncated() const;
 };
 
+// The record layout the shared core merges, ships and emits: one counter
+// per stack; section and record totals are the batch counters.
+struct ProfileSchema {
+  using Section = ProfileSection;
+  static constexpr const char* kName = "simj_profile_v1";
+  static constexpr std::array<stackprof::Field<FoldedStack>, 1> kStackFields{
+      {{"count", &FoldedStack::count}}};
+  static constexpr std::array<stackprof::Field<SampleBatch>, 3> kBatchFields{
+      {{"samples", &SampleBatch::samples},
+       {"dropped", &SampleBatch::dropped},
+       {"truncated", &SampleBatch::truncated}}};
+  static constexpr bool kTotalsSumStacks = false;
+};
+
 // Arms the profiler process-wide: installs the SIGPROF handler, allocates
 // the rings (first call only), and starts one CPU-time timer per
 // registered thread. Fails if already armed in this process. In a fork()ed
@@ -124,10 +143,11 @@ int ActiveHz();
 // Start + sleep(seconds) + Stop, for on-demand captures (/profilez).
 [[nodiscard]] StatusOr<Profile> CaptureProfile(double seconds, int hz);
 
-// Registers the calling thread for sampling under `name`. Called by
+// Registers the calling thread for sampling under `name` (the shared
+// registry: it names the thread for the heap profiler too). Called by
 // trace::SetThisThreadName, so named threads are covered transparently;
 // safe to call any time, before or while armed. Re-registering renames.
-void NoteThisThread(const std::string& name);
+using stackprof::NoteThisThread;
 
 // Drains and symbolizes the calling thread's samples since its last drain.
 // Used by thread-transport shard workers to ship per-shard profile batches

@@ -21,6 +21,7 @@
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/run_record.h"
+#include "util/strings.h"
 #include "util/sync.h"
 #include "util/trace.h"
 
@@ -54,40 +55,69 @@ std::string MethodNotAllowed() {
                       "only GET is supported\n");
 }
 
+// One on-demand capture endpoint. /profilez and /heapz differ only in the
+// name and range of their rate parameter and in which profiler they arm.
+struct CaptureEndpoint {
+  const char* rate_key;  // "hz" or "sample_bytes"
+  int64_t default_rate;
+  int64_t min_rate;
+  int64_t max_rate;
+  const char* name;  // for the 409 "<name> already armed" body
+  bool (*active)();
+  // Arms, waits `seconds`, stops, and renders JSON or folded text.
+  StatusOr<std::string> (*capture)(double seconds, int64_t rate, bool folded);
+};
+
 // /profilez?seconds=N&hz=M&format=json|folded — on-demand CPU capture.
-// Deliberately synchronous: the single serving thread blocks for the
-// capture window, which also serializes concurrent capture requests (a
-// second caller while armed gets 409 instead of corrupting the first).
-std::string ProfilezResponse(const std::string& query) {
+const CaptureEndpoint kProfilez = {
+    "hz", 99, 1, 1000, "profiler", &prof::ProfilingActive,
+    [](double seconds, int64_t hz, bool folded) -> StatusOr<std::string> {
+      StatusOr<prof::Profile> profile =
+          prof::CaptureProfile(seconds, static_cast<int>(hz));
+      if (!profile.ok()) return profile.status();
+      return folded ? prof::FoldedText(*profile) : prof::ProfileJson(*profile);
+    }};
+
+// /heapz?seconds=N&sample_bytes=B&format=json|folded — on-demand heap
+// capture.
+const CaptureEndpoint kHeapz = {
+    "sample_bytes", heapprof::kDefaultSampleBytes, 1024, int64_t{1} << 32,
+    "heap profiler", &heapprof::HeapProfilingActive,
+    [](double seconds, int64_t sample_bytes,
+       bool folded) -> StatusOr<std::string> {
+      StatusOr<heapprof::HeapProfile> profile =
+          heapprof::CaptureHeapProfile(seconds, sample_bytes);
+      if (!profile.ok()) return profile.status();
+      return folded ? heapprof::HeapFoldedText(*profile)
+                    : heapprof::HeapProfileJson(*profile);
+    }};
+
+// Parses the capture query, then captures synchronously: the single
+// serving thread blocks for the window, which also serializes concurrent
+// capture requests (a second caller while armed gets 409 instead of
+// corrupting the first).
+std::string CaptureResponse(const std::string& query,
+                            const CaptureEndpoint& endpoint) {
   double seconds = 1.0;
-  int hz = 99;
+  int64_t rate = endpoint.default_rate;
   std::string format = "json";
-  size_t pos = 0;
-  while (pos < query.size()) {
-    const size_t amp = query.find('&', pos);
-    const std::string pair =
-        query.substr(pos, amp == std::string::npos ? amp : amp - pos);
-    pos = amp == std::string::npos ? query.size() : amp + 1;
+  for (const std::string& pair : SplitAndTrim(query, '&')) {
     const size_t eq = pair.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
+    char* end = nullptr;
     if (key == "seconds") {
-      char* end = nullptr;
       seconds = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        return HttpResponse(400, "Bad Request", "text/plain",
-                            "unparseable seconds: " + value + "\n");
-      }
-    } else if (key == "hz") {
-      char* end = nullptr;
-      hz = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (end == value.c_str() || *end != '\0') {
-        return HttpResponse(400, "Bad Request", "text/plain",
-                            "unparseable hz: " + value + "\n");
-      }
-    } else if (key == "format") {
-      format = value;
+    } else if (key == endpoint.rate_key) {
+      rate = std::strtoll(value.c_str(), &end, 10);
+    } else {
+      if (key == "format") format = value;
+      continue;
+    }
+    if (end == value.c_str() || *end != '\0') {
+      return HttpResponse(400, "Bad Request", "text/plain",
+                          "unparseable " + key + ": " + value + "\n");
     }
   }
   if (format != "json" && format != "folded") {
@@ -97,84 +127,22 @@ std::string ProfilezResponse(const std::string& query) {
   // Well-formed but extreme values are clamped, not rejected: the window
   // bounds protect the serving thread, not the caller's intent.
   seconds = std::min(std::max(seconds, 0.05), 60.0);
-  hz = std::min(std::max(hz, 1), 1000);
-  if (prof::ProfilingActive()) {
+  rate = std::min(std::max(rate, endpoint.min_rate), endpoint.max_rate);
+  if (endpoint.active()) {
     return HttpResponse(409, "Conflict", "text/plain",
-                        "profiler already armed\n");
+                        std::string(endpoint.name) + " already armed\n");
   }
-  StatusOr<prof::Profile> profile = prof::CaptureProfile(seconds, hz);
-  if (!profile.ok()) {
-    // E.g. disabled under TSan, or no per-thread timer could be armed.
+  StatusOr<std::string> body =
+      endpoint.capture(seconds, rate, format == "folded");
+  if (!body.ok()) {
+    // E.g. disabled under a sanitizer, or no per-thread timer could be
+    // armed, or a capture raced us to arm.
     return HttpResponse(503, "Service Unavailable", "text/plain",
-                        profile.status().ToString() + "\n");
+                        body.status().ToString() + "\n");
   }
-  if (format == "folded") {
-    return HttpResponse(200, "OK", "text/plain",
-                        prof::FoldedText(*profile));
-  }
-  return HttpResponse(200, "OK", "application/json",
-                      prof::ProfileJson(*profile));
-}
-
-// /heapz?seconds=N&sample_bytes=B&format=json|folded — on-demand heap
-// capture. Same synchronous contract as /profilez: the serving thread
-// blocks for the window and a concurrent capture gets 409.
-std::string HeapzResponse(const std::string& query) {
-  double seconds = 1.0;
-  int64_t sample_bytes = heapprof::kDefaultSampleBytes;
-  std::string format = "json";
-  size_t pos = 0;
-  while (pos < query.size()) {
-    const size_t amp = query.find('&', pos);
-    const std::string pair =
-        query.substr(pos, amp == std::string::npos ? amp : amp - pos);
-    pos = amp == std::string::npos ? query.size() : amp + 1;
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = pair.substr(0, eq);
-    const std::string value = pair.substr(eq + 1);
-    if (key == "seconds") {
-      char* end = nullptr;
-      seconds = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        return HttpResponse(400, "Bad Request", "text/plain",
-                            "unparseable seconds: " + value + "\n");
-      }
-    } else if (key == "sample_bytes") {
-      char* end = nullptr;
-      sample_bytes = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        return HttpResponse(400, "Bad Request", "text/plain",
-                            "unparseable sample_bytes: " + value + "\n");
-      }
-    } else if (key == "format") {
-      format = value;
-    }
-  }
-  if (format != "json" && format != "folded") {
-    return HttpResponse(400, "Bad Request", "text/plain",
-                        "format must be json or folded\n");
-  }
-  seconds = std::min(std::max(seconds, 0.05), 60.0);
-  sample_bytes = std::min(std::max(sample_bytes, int64_t{1024}),
-                          int64_t{1} << 32);
-  if (heapprof::HeapProfilingActive()) {
-    return HttpResponse(409, "Conflict", "text/plain",
-                        "heap profiler already armed\n");
-  }
-  StatusOr<heapprof::HeapProfile> profile =
-      heapprof::CaptureHeapProfile(seconds, sample_bytes);
-  if (!profile.ok()) {
-    // E.g. disabled under sanitizers, or a capture raced us to arm.
-    return HttpResponse(503, "Service Unavailable", "text/plain",
-                        profile.status().ToString() + "\n");
-  }
-  if (format == "folded") {
-    return HttpResponse(200, "OK", "text/plain",
-                        heapprof::HeapFoldedText(*profile));
-  }
-  return HttpResponse(200, "OK", "application/json",
-                      heapprof::HeapProfileJson(*profile));
+  return HttpResponse(200, "OK",
+                      format == "folded" ? "text/plain" : "application/json",
+                      *body);
 }
 
 struct EndpointRegistry {
@@ -213,18 +181,18 @@ std::string StatusBody(const std::vector<Section>& sections,
                 "\"build_type\":\"%s\",\"sanitizers\":\"%s\","
                 "\"debug_checks\":%s,\"uptime_seconds\":%.3f,"
                 "\"rss_bytes\":%lld,\"peak_rss_bytes\":%lld",
-                trace::JsonEscape(git.sha).c_str(),
+                JsonEscape(git.sha).c_str(),
                 git.dirty ? "true" : "false",
-                trace::JsonEscape(build.compiler).c_str(),
-                trace::JsonEscape(build.build_type).c_str(),
-                trace::JsonEscape(build.sanitizers).c_str(),
+                JsonEscape(build.compiler).c_str(),
+                JsonEscape(build.build_type).c_str(),
+                JsonEscape(build.sanitizers).c_str(),
                 build.debug_checks ? "true" : "false", uptime_seconds,
                 static_cast<long long>(mem::CurrentRssBytes()),
                 static_cast<long long>(mem::PeakRssBytes()));
   out += buffer;
   for (const Section& section : sections) {
     out += ",\"";
-    out += trace::JsonEscape(section.name);
+    out += JsonEscape(section.name);
     out += "\":";
     out += section.json ? section.json() : "null";
   }
@@ -241,7 +209,7 @@ std::string TracezBody() {
     if (!first_thread) out += ",";
     first_thread = false;
     std::snprintf(buffer, sizeof(buffer), "{\"tid\":%d,\"name\":\"%s\",\"spans\":[",
-                  thread.tid, trace::JsonEscape(thread.name).c_str());
+                  thread.tid, JsonEscape(thread.name).c_str());
     out += buffer;
     bool first_span = true;
     for (const trace::TraceEvent& span : thread.spans) {
@@ -250,8 +218,8 @@ std::string TracezBody() {
       std::snprintf(buffer, sizeof(buffer),
                     "{\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,"
                     "\"dur_us\":%.3f}",
-                    trace::JsonEscape(span.name).c_str(),
-                    trace::JsonEscape(span.category).c_str(), span.ts_us,
+                    JsonEscape(span.name).c_str(),
+                    JsonEscape(span.category).c_str(), span.ts_us,
                     span.dur_us);
       out += buffer;
     }
@@ -335,8 +303,8 @@ std::string Server::HandleRequest(const std::string& method,
   const std::string query = query_start == std::string::npos
                                 ? std::string()
                                 : request_path.substr(query_start + 1);
-  if (path == "/profilez") return ProfilezResponse(query);
-  if (path == "/heapz") return HeapzResponse(query);
+  if (path == "/profilez") return CaptureResponse(query, kProfilez);
+  if (path == "/heapz") return CaptureResponse(query, kHeapz);
   if (path == "/healthz") {
     return HttpResponse(200, "OK", "application/json", health::HealthzBody());
   }

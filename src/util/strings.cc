@@ -75,6 +75,12 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
+std::string FormatFixed3(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
+  return buffer;
+}
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());

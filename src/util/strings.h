@@ -28,6 +28,9 @@ std::string ToLower(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
+// `value` with exactly three decimals ("%.3f"), for deterministic JSON.
+std::string FormatFixed3(double value);
+
 // Escapes `text` for embedding inside a JSON string literal: quotes,
 // backslashes, and control characters (\uXXXX for the ones without a short
 // escape). Non-ASCII bytes pass through untouched (valid UTF-8 stays valid).

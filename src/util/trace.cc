@@ -1,10 +1,9 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "util/heap_profiler.h"
-#include "util/profiler.h"
+#include "util/stack_profile.h"
+#include "util/strings.h"
 
 namespace simj::trace {
 
@@ -56,11 +55,10 @@ void Tracer::SetThreadNameForThisThread(const std::string& name) {
 }
 
 void SetThisThreadName(const std::string& name) {
-  // The profiler keys sample attribution on thread names; register
+  // The profilers key sample attribution on thread names; register
   // unconditionally (bounded map entry, no buffer) so threads named before
   // a capture starts are covered by it.
-  prof::NoteThisThread(name);
-  heapprof::NoteThisThread(name);
+  stackprof::NoteThisThread(name);
   Tracer& tracer = Tracer::Global();
   // Skipping the registration while idle keeps short-lived pools from
   // accumulating dead ThreadBuffers in processes that never introspect.
@@ -204,40 +202,6 @@ std::vector<TraceEvent> Tracer::SnapshotEvents() const {
   return events;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Tracer::WriteChromeTrace(std::ostream& os) const {
   std::vector<TraceEvent> events;
   std::vector<std::pair<int, std::string>> lanes;  // (tid, registered name)
@@ -262,12 +226,6 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
             });
   std::sort(lanes.begin(), lanes.end());
   std::sort(proc_lanes.begin(), proc_lanes.end());
-
-  auto fmt_us = [](double v) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.3f", v);
-    return std::string(buffer);
-  };
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -295,8 +253,8 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
     comma();
     os << "{\"name\":\"" << JsonEscape(event.name) << "\",\"cat\":\""
        << JsonEscape(event.category) << "\",\"ph\":\"X\",\"pid\":" << event.pid
-       << ",\"tid\":" << event.tid << ",\"ts\":" << fmt_us(event.ts_us)
-       << ",\"dur\":" << fmt_us(event.dur_us);
+       << ",\"tid\":" << event.tid << ",\"ts\":" << FormatFixed3(event.ts_us)
+       << ",\"dur\":" << FormatFixed3(event.dur_us);
     if (event.trace_id != 0 || event.span_id != 0 ||
         event.parent_span_id != 0) {
       os << ",\"args\":{\"trace_id\":\"" << event.trace_id

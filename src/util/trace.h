@@ -236,9 +236,6 @@ class ScopedSpan {
   Tracer::Clock::time_point begin_{};
 };
 
-// JSON string escaping for event names/categories. Exposed for tests.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace simj::trace
 
 #endif  // SIMJ_UTIL_TRACE_H_

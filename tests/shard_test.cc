@@ -1,17 +1,23 @@
 // Tests for the shard planner (dist/shard.h): bucket homogeneity, size
 // bounds, exact cross-product coverage, determinism, and index-skip
-// accounting that mirrors IndexedSimJoin.
+// accounting that mirrors IndexedSimJoin. Also the process transport's
+// response frame codec (dist/worker.h): a full round trip, and rejection
+// of truncated frames and of counts the frame cannot hold.
 
 #include "dist/shard.h"
 
+#include <climits>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/index.h"
 #include "core/join.h"
+#include "dist/worker.h"
 #include "test_util.h"
 
 namespace simj::dist {
@@ -150,7 +156,128 @@ TEST(ShardPlanTest, SkewedWorkloadYieldsOneHotBucket) {
   const int hot = shards_per_signature[{4, 3}];
   EXPECT_GE(hot, 8);  // 24 hot graphs x 6 uncertain / 8 per shard
   for (const auto& [signature, count] : shards_per_signature) {
-    if (signature != std::make_pair(4, 3)) EXPECT_LT(count, hot);
+    if (signature != std::make_pair(4, 3)) {
+      EXPECT_LT(count, hot);
+    }
+  }
+}
+
+// A result with every frame section non-empty.
+ShardResult MakeFullResult() {
+  ShardResult result;
+  result.shard_id = 7;
+  result.stats.total_pairs = 12;
+  result.stats.pruned_structural = 5;
+  result.stats.candidates = 7;
+  result.stats.results = 2;
+  result.stats.verify.ged_calls = 9;
+  result.stats.pruning_cpu_seconds = 0.25;
+  result.pairs = {{3, 4, 0.75, {0, 2, 1}, 1}, {5, 6, 1.0, {}, 0}};
+  core::PairExplain explain;
+  explain.q_index = 3;
+  explain.g_index = 4;
+  explain.pruned_by = core::PruneStage::kNone;
+  explain.accepted = true;
+  explain.css_lower_bound = 1;
+  explain.simp_upper_bound = 0.9;
+  explain.early_accept = true;
+  explain.worlds_enumerated = 4;
+  explain.best_world_ged = 1;
+  result.explains = {explain};
+  trace::TraceEvent span;
+  span.name = "verify";
+  span.category = "join";
+  span.ts_us = 10.5;
+  span.dur_us = 2.0;
+  span.trace_id = 99;
+  span.parent_span_id = 42;
+  result.spans = {span};
+  result.profile.samples = 3;
+  result.profile.dropped = 1;
+  result.profile.stacks = {{"serve", {"ServeShards", "EvalShard"}, 3}};
+  result.heap.truncated = 2;
+  result.heap.stacks = {{"serve", {"RunShard"}, -64, -1, 128, 2}};
+  return result;
+}
+
+TEST(ShardFrameTest, RoundTripKeepsEverySection) {
+  const ShardResult in = MakeFullResult();
+  StatusOr<ShardResult> decoded = DecodeResult(EncodeResult(in));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const ShardResult& out = *decoded;
+  EXPECT_EQ(out.shard_id, 7);
+  EXPECT_EQ(out.stats.total_pairs, 12);
+  EXPECT_EQ(out.stats.pruned_structural, 5);
+  EXPECT_EQ(out.stats.verify.ged_calls, 9);
+  EXPECT_EQ(out.stats.pruning_cpu_seconds, 0.25);
+  ASSERT_EQ(out.pairs.size(), 2u);
+  EXPECT_EQ(out.pairs[0].q_index, 3);
+  EXPECT_EQ(out.pairs[0].g_index, 4);
+  EXPECT_EQ(out.pairs[0].similarity_probability, 0.75);
+  EXPECT_EQ(out.pairs[0].mapping, (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(out.pairs[0].best_world_ged, 1);
+  EXPECT_TRUE(out.pairs[1].mapping.empty());
+  ASSERT_EQ(out.explains.size(), 1u);
+  EXPECT_EQ(out.explains[0].q_index, 3);
+  EXPECT_TRUE(out.explains[0].accepted);
+  EXPECT_TRUE(out.explains[0].early_accept);
+  EXPECT_FALSE(out.explains[0].early_reject);
+  EXPECT_EQ(out.explains[0].simp_upper_bound, 0.9);
+  EXPECT_EQ(out.explains[0].worlds_enumerated, 4);
+  ASSERT_EQ(out.spans.size(), 1u);
+  EXPECT_EQ(out.spans[0].name, "verify");
+  EXPECT_EQ(out.spans[0].category, "join");
+  EXPECT_EQ(out.spans[0].ts_us, 10.5);
+  EXPECT_EQ(out.spans[0].trace_id, 99u);
+  EXPECT_EQ(out.spans[0].parent_span_id, 42u);
+  EXPECT_EQ(out.profile.samples, 3);
+  EXPECT_EQ(out.profile.dropped, 1);
+  ASSERT_EQ(out.profile.stacks.size(), 1u);
+  EXPECT_EQ(out.profile.stacks[0].thread, "serve");
+  EXPECT_EQ(out.profile.stacks[0].frames,
+            (std::vector<std::string>{"ServeShards", "EvalShard"}));
+  EXPECT_EQ(out.profile.stacks[0].count, 3);
+  EXPECT_EQ(out.heap.truncated, 2);
+  ASSERT_EQ(out.heap.stacks.size(), 1u);
+  EXPECT_EQ(out.heap.stacks[0].frames, std::vector<std::string>{"RunShard"});
+  EXPECT_EQ(out.heap.stacks[0].inuse_bytes, -64);
+  EXPECT_EQ(out.heap.stacks[0].inuse_objects, -1);
+  EXPECT_EQ(out.heap.stacks[0].alloc_bytes, 128);
+  EXPECT_EQ(out.heap.stacks[0].alloc_objects, 2);
+  // Re-encoding the decoded result reproduces the frame byte for byte.
+  EXPECT_EQ(EncodeResult(out), EncodeResult(in));
+}
+
+TEST(ShardFrameTest, TruncatedFrameIsAnError) {
+  const std::string frame = EncodeResult(MakeFullResult());
+  for (size_t keep = 0; keep < frame.size(); ++keep) {
+    StatusOr<ShardResult> decoded = DecodeResult(frame.substr(0, keep));
+    ASSERT_FALSE(decoded.ok()) << "truncated to " << keep << " bytes";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInternal);
+  }
+  EXPECT_FALSE(DecodeResult(frame + "x").ok());  // trailing bytes
+}
+
+TEST(ShardFrameTest, OversizedCountIsCorruptionNotAnAbort) {
+  std::string frame = EncodeResult(ShardResult());
+  // The pair count follows shard_id, ten int64 counters and two doubles.
+  const size_t pair_count_offset = 4 + 10 * 8 + 2 * 8;
+  const int32_t huge = INT32_MAX;
+  std::memcpy(&frame[pair_count_offset], &huge, sizeof(huge));
+  StatusOr<ShardResult> decoded = DecodeResult(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInternal);
+  EXPECT_NE(decoded.status().message().find("shard response corrupt"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+  // Every count in a full frame: a huge value anywhere must decode to an
+  // error (or, for a non-count field, to some value), never abort.
+  const std::string full = EncodeResult(MakeFullResult());
+  for (size_t offset = 0; offset + sizeof(huge) <= full.size(); ++offset) {
+    std::string patched = full;
+    std::memcpy(&patched[offset], &huge, sizeof(huge));
+    (void)DecodeResult(patched).ok();
   }
 }
 

@@ -183,14 +183,6 @@ TEST(TracerTest, ReArmingRecentRingClearsStaleSpans) {
   }
 }
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 // --- Cluster-trace features: process lanes, injection, thread capture ---
 
 TEST(ClusterTraceTest, RegisteredProcessLanesEmitNamedMetadata) {

@@ -114,6 +114,14 @@ TEST(StringsTest, JoinAndCase) {
   EXPECT_FALSE(StartsWith("ab", "abc"));
 }
 
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
 TEST(FlagsTest, ParsesTypedValues) {
   const char* argv[] = {"prog", "--n=42", "--alpha=0.25", "--name=webq",
                         "--verbose=true", "ignored", "--noval"};
