@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI driver: lints, then builds the Release, debug-checks, and ASan/UBSan
 # configurations and runs the full test suite in each, then reruns the
-# threaded join tests under TSan with an 8-worker pool (data races in the
-# parallel join only show up with real concurrency, whatever the host's
-# core count).
+# threaded join tests under TSan with up to 8 join workers (data races in
+# the parallel join only show up with real concurrency, whatever the
+# host's core count).
 #
 # Usage: ./ci.sh [--skip-tsan]
 set -euo pipefail
@@ -563,8 +563,9 @@ build_and_test build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMJ_SANITIZE="address;undefined" -DSIMJ_WERROR=ON
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
-# 3. TSan: the property/determinism tests exercise the work-stealing pool
-# with up to 8 workers; run them (and the pool-heavy join tests) race-checked.
+# 3. TSan: the property/determinism tests run the parallel join's shared
+# chunk cursor with up to 8 workers; run them (and the other threaded join
+# tests) race-checked.
 # cluster_sim_test rides along for the coordinator + in-process transport
 # (its process transport self-disables under TSan: fork from a threaded
 # parent deadlocks the TSan runtime, and the child shares no memory anyway).

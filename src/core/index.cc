@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -52,12 +53,30 @@ std::vector<int> CertainGraphIndex::Candidates(
   return out;
 }
 
+void AccountIndexSkips(int g_index, const std::vector<int>& skipped_q,
+                       const SimJParams& params, JoinStats* stats,
+                       std::vector<PairExplain>* explains) {
+  static metrics::Counter& skipped_total =
+      metrics::Registry::Global().GetCounter("simj_index_skipped_pairs_total");
+  const int64_t skipped = static_cast<int64_t>(skipped_q.size());
+  stats->total_pairs += skipped;
+  stats->pruned_structural += skipped;
+  skipped_total.Add(skipped);
+  if (!params.explain.enabled) return;
+  for (int qi : skipped_q) {
+    if (!params.explain.ShouldExplain(qi, g_index)) continue;
+    PairExplain explain;
+    explain.q_index = qi;
+    explain.g_index = g_index;
+    explain.pruned_by = PruneStage::kIndexCount;
+    explains->push_back(std::move(explain));
+  }
+}
+
 JoinResult IndexedSimJoin(const std::vector<graph::LabeledGraph>& d,
                           const std::vector<graph::UncertainGraph>& u,
                           const SimJParams& params,
                           const graph::LabelDictionary& dict) {
-  static metrics::Counter& skipped_total =
-      metrics::Registry::Global().GetCounter("simj_index_skipped_pairs_total");
   WallTimer wall;
   trace::ScopedSpan join_span("indexed_simjoin", "join");
   CertainGraphIndex index(&d);
@@ -68,32 +87,21 @@ JoinResult IndexedSimJoin(const std::vector<graph::LabeledGraph>& d,
   std::vector<std::pair<int, int>> pairs;
   {
     trace::ScopedSpan span("candidate_generation", "index");
+    std::vector<int> skipped;
     for (int gi = 0; gi < static_cast<int>(u.size()); ++gi) {
       std::vector<int> candidates = index.Candidates(u[gi], params.tau);
-      // Pairs skipped by the index never reach EvaluatePair; account for
-      // them as structurally pruned.
-      int64_t skipped = static_cast<int64_t>(d.size()) -
-                        static_cast<int64_t>(candidates.size());
-      result.stats.total_pairs += skipped;
-      result.stats.pruned_structural += skipped;
-      skipped_total.Add(skipped);
-      if (params.explain.enabled) {
-        // Explain the index-skipped pairs too: walk D against the sorted
-        // candidate list and record the gaps.
-        size_t next = 0;
-        for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
-          if (next < candidates.size() && candidates[next] == qi) {
-            ++next;
-            continue;
-          }
-          if (!params.explain.ShouldExplain(qi, gi)) continue;
-          PairExplain explain;
-          explain.q_index = qi;
-          explain.g_index = gi;
-          explain.pruned_by = PruneStage::kIndexCount;
-          result.explains.push_back(std::move(explain));
+      // Pairs skipped by the index never reach EvaluatePair: D minus the
+      // sorted candidate list.
+      skipped.clear();
+      size_t next = 0;
+      for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
+        if (next < candidates.size() && candidates[next] == qi) {
+          ++next;
+        } else {
+          skipped.push_back(qi);
         }
       }
+      AccountIndexSkips(gi, skipped, params, &result.stats, &result.explains);
       for (int qi : candidates) pairs.emplace_back(qi, gi);
     }
   }

@@ -54,9 +54,18 @@ class CertainGraphIndex {
   int64_t num_graphs_ = 0;
 };
 
+// Accounts the pairs <q, g_index>, q in `skipped_q` (ascending), that the
+// size index skipped: they count in stats->total_pairs and
+// stats->pruned_structural (the count bound is a structural filter), bump
+// simj_index_skipped_pairs_total, and get a PruneStage::kIndexCount record
+// appended to *explains when params.explain samples them. IndexedSimJoin
+// and the shard planner (src/dist) both account skips through this.
+void AccountIndexSkips(int g_index, const std::vector<int>& skipped_q,
+                       const SimJParams& params, JoinStats* stats,
+                       std::vector<PairExplain>* explains);
+
 // SimJoin driven by the size index: identical result set to SimJoin, with
-// index-skipped pairs counted in stats.pruned_structural (they are pruned
-// by the count bound, a structural filter).
+// index-skipped pairs accounted by AccountIndexSkips.
 JoinResult IndexedSimJoin(const std::vector<graph::LabeledGraph>& d,
                           const std::vector<graph::UncertainGraph>& u,
                           const SimJParams& params,

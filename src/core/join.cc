@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/progress.h"
 #include "ged/lower_bounds.h"
-#include "util/health.h"
 #include "util/log.h"
 #include "util/mem.h"
 #include "util/metrics.h"
-#include "util/threadpool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -291,14 +290,6 @@ std::string FormatExplains(const JoinResult& result,
 
 namespace {
 
-void SortExplains(std::vector<PairExplain>* explains) {
-  std::sort(explains->begin(), explains->end(),
-            [](const PairExplain& a, const PairExplain& b) {
-              return a.q_index != b.q_index ? a.q_index < b.q_index
-                                            : a.g_index < b.g_index;
-            });
-}
-
 // Slow-pair watchdog: logs a pair whose evaluation blew the budget, with
 // its full explain record (the record is captured opportunistically for
 // every pair while the watchdog is armed — recording is write-only, so
@@ -314,7 +305,7 @@ void LogSlowPair(double elapsed_ms, const SimJParams& params,
                  << FormatExplain(*explain, params);
 }
 
-// Per-pair execution shared by the serial loop, the thread-pool workers,
+// Per-pair execution shared by the serial loop, the parallel workers,
 // and the shard-list entry point (EvaluatePairList): heartbeat, evaluate,
 // watchdog epilogue, explain capture. Gates are captured once at
 // construction so the per-pair path never re-reads tracker atomics.
@@ -386,7 +377,78 @@ struct PairEvaluator {
   }
 };
 
+// 0 means one worker per hardware thread; anything else is taken
+// literally (minimum 1).
+int ResolveThreadCount(int num_threads) {
+  if (num_threads > 0) return num_threads;
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+// Chunks per worker: enough for fast workers to even out skewed pair costs
+// (evaluation time varies by orders of magnitude with pruning), few enough
+// that the shared cursor is rarely contended.
+constexpr int64_t kChunksPerWorker = 64;
+
+// The parallel join: `workers` threads claim [begin, end) chunks of pair
+// ids from one shared cursor and evaluate them into per-worker partial
+// results, merged into *result once every thread has joined.
+void RunWorkers(const PairEvaluator& evaluator, int workers,
+                int64_t num_pairs,
+                const std::function<std::pair<int, int>(int64_t)>& pair_at,
+                JoinResult* result) {
+  // Workers may only read the dictionary (EvaluatePair never interns, but
+  // the freeze makes that a hard guarantee rather than a convention).
+  evaluator.dict.Freeze();
+  metrics::Registry::Global()
+      .GetGauge("simj_join_workers")
+      .Set(static_cast<double>(workers));
+  const int64_t chunk = std::max<int64_t>(
+      1, num_pairs / (static_cast<int64_t>(workers) * kChunksPerWorker));
+  std::atomic<int64_t> cursor{0};
+  std::vector<JoinResult> partial(static_cast<size_t>(workers));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      trace::SetThisThreadName("join-worker-" + std::to_string(w));
+      JoinResult& mine = partial[static_cast<size_t>(w)];
+      while (true) {
+        // Relaxed: the cursor only hands out disjoint id ranges; the
+        // partial results reach the merge through join().
+        const int64_t begin =
+            cursor.fetch_add(chunk, std::memory_order_relaxed);
+        if (begin >= num_pairs) break;
+        const int64_t end = std::min(num_pairs, begin + chunk);
+        for (int64_t p = begin; p < end; ++p) {
+          auto [qi, gi] = pair_at(p);
+          evaluator.Evaluate(w, qi, gi, &mine.stats, &mine.pairs,
+                             &mine.explains);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (JoinResult& part : partial) {
+    MergeJoinStats(part.stats, &result->stats);
+    result->pairs.insert(result->pairs.end(),
+                         std::make_move_iterator(part.pairs.begin()),
+                         std::make_move_iterator(part.pairs.end()));
+    result->explains.insert(result->explains.end(),
+                            std::make_move_iterator(part.explains.begin()),
+                            std::make_move_iterator(part.explains.end()));
+  }
+}
+
 }  // namespace
+
+void SortByPairIdentity(JoinResult* result) {
+  const auto by_pair = [](const auto& a, const auto& b) {
+    return std::tie(a.q_index, a.g_index) < std::tie(b.q_index, b.g_index);
+  };
+  std::sort(result->pairs.begin(), result->pairs.end(), by_pair);
+  std::sort(result->explains.begin(), result->explains.end(), by_pair);
+}
 
 void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       const std::vector<UncertainGraph>& u,
@@ -407,87 +469,27 @@ void JoinPairs(const std::vector<LabeledGraph>& d,
                const graph::LabelDictionary& dict, int64_t num_pairs,
                const std::function<std::pair<int, int>(int64_t)>& pair_at,
                JoinResult* result) {
-  const bool stall_on = params.stall_warn_ms > 0.0;
   JoinProgress& progress = JoinProgress::Global();
   // Sticky per-join gates: captured once here so the per-pair path never
   // reads the tracker's atomics.
-  const bool heartbeats_on = stall_on || progress.heartbeats_requested();
-  const int planned_workers =
+  const bool heartbeats_on =
+      params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
+  const int workers =
       params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
-  progress.BeginJoin(num_pairs, planned_workers, heartbeats_on);
-
-  // Stall watchdog: a monitor thread samples the heartbeats and warns about
-  // any worker stuck inside one pair. It only ever reads tracker state —
-  // never join state — so results are unaffected.
-  std::atomic<bool> monitor_stop{false};
-  std::thread monitor;
-  if (stall_on) {
-    monitor = std::thread([&progress, &monitor_stop, &params] {
-      trace::SetThisThreadName("stall-monitor");
-      const auto poll = std::chrono::duration<double, std::milli>(
-          std::clamp(params.stall_warn_ms / 4.0, 1.0, 200.0));
-      auto report = [&] {
-        for (const StallEvent& event :
-             progress.CheckStalls(params.stall_warn_ms)) {
-          // Degrades /healthz until the next join begins cleanly
-          // (JoinProgress::BeginJoin clears the component).
-          health::SetUnhealthy("stall_watchdog",
-                               "worker " + std::to_string(event.worker) +
-                                   " stalled for " +
-                                   std::to_string(event.stalled_ms) + " ms");
-          SIMJ_LOG(WARN) << "stalled worker " << event.worker << ": pair <q="
-                         << event.q_index << ",g=" << event.g_index
-                         << "> running for " << event.stalled_ms
-                         << " ms (budget " << params.stall_warn_ms << " ms)";
-        }
-      };
-      while (!monitor_stop.load(std::memory_order_acquire)) {
-        report();
-        std::this_thread::sleep_for(poll);
-      }
-      report();  // final sweep: catches a stall between the last poll and exit
-    });
-  }
-
+  progress.BeginJoin(num_pairs, workers, heartbeats_on);
   const PairEvaluator evaluator(d, u, params, dict, heartbeats_on);
-
-  if (params.num_threads == 1) {
-    // Legacy serial path: accumulate directly into result->stats.
-    for (int64_t p = 0; p < num_pairs; ++p) {
-      auto [qi, gi] = pair_at(p);
-      evaluator.Evaluate(0, qi, gi, &result->stats, &result->pairs,
-                         &result->explains);
+  {
+    StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
+    if (params.num_threads == 1) {
+      // Legacy serial path: accumulate directly into result->stats.
+      for (int64_t p = 0; p < num_pairs; ++p) {
+        auto [qi, gi] = pair_at(p);
+        evaluator.Evaluate(0, qi, gi, &result->stats, &result->pairs,
+                           &result->explains);
+      }
+    } else {
+      RunWorkers(evaluator, workers, num_pairs, pair_at, result);
     }
-  } else {
-    // Workers may only read the dictionary (EvaluatePair never interns, but
-    // the freeze makes that a hard guarantee rather than a convention).
-    dict.Freeze();
-    int workers = ResolveThreadCount(params.num_threads);
-    metrics::Registry::Global()
-        .GetGauge("simj_join_workers")
-        .Set(static_cast<double>(workers));
-    std::vector<JoinStats> worker_stats(workers);
-    std::vector<std::vector<MatchedPair>> worker_pairs(workers);
-    std::vector<std::vector<PairExplain>> worker_explains(workers);
-    ParallelFor(params.num_threads, num_pairs, [&](int w, int64_t p) {
-      auto [qi, gi] = pair_at(p);
-      evaluator.Evaluate(w, qi, gi, &worker_stats[w], &worker_pairs[w],
-                         &worker_explains[w]);
-    });
-    for (int w = 0; w < workers; ++w) {
-      MergeJoinStats(worker_stats[w], &result->stats);
-      result->pairs.insert(result->pairs.end(),
-                           std::make_move_iterator(worker_pairs[w].begin()),
-                           std::make_move_iterator(worker_pairs[w].end()));
-      result->explains.insert(
-          result->explains.end(),
-          std::make_move_iterator(worker_explains[w].begin()),
-          std::make_move_iterator(worker_explains[w].end()));
-    }
-  }
-  if (monitor.joinable()) {
-    monitor_stop.store(true, std::memory_order_release);
-    monitor.join();
   }
   progress.EndJoin();
   // Debug-mode join postcondition: every pair was either pruned by exactly
@@ -503,14 +505,9 @@ void JoinPairs(const std::vector<LabeledGraph>& d,
   JoinMetrics::Get().candidate_set_peak.UpdateMax(
       static_cast<double>(result->stats.candidates));
   mem::SampleRssToMetrics();
-  // Canonical output order: pair evaluation is deterministic per pair, so
-  // after this sort the result is identical at every thread count.
-  std::sort(result->pairs.begin(), result->pairs.end(),
-            [](const MatchedPair& a, const MatchedPair& b) {
-              return a.q_index != b.q_index ? a.q_index < b.q_index
-                                            : a.g_index < b.g_index;
-            });
-  SortExplains(&result->explains);
+  // Pair evaluation is deterministic per pair, so after this sort the
+  // result is identical at every thread count.
+  SortByPairIdentity(result);
 }
 
 JoinResult SimJoin(const std::vector<LabeledGraph>& d,

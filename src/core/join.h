@@ -96,11 +96,12 @@ struct SimJParams {
   // Stop verification as soon as alpha is provably reached/unreachable.
   bool early_exit_verification = true;
   // Worker threads for the join loop. 1 = the exact legacy serial path
-  // (no pool, no freeze); 0 = one per hardware thread; >1 = that many
-  // workers. Any value other than 1 freezes the label dictionary for the
-  // duration of the join (see LabelDictionary::Freeze) and shards the
-  // candidate pairs across a work-stealing pool. Results are sorted by
-  // (q_index, g_index), so output is byte-identical at every thread count.
+  // (no worker threads, no freeze); 0 = one per hardware thread; >1 =
+  // that many workers. Any value other than 1 freezes the label dictionary
+  // for the duration of the join (see LabelDictionary::Freeze) and splits
+  // the candidate pairs into chunks that worker threads claim from a
+  // shared cursor. Results are sorted by (q_index, g_index), so output is
+  // byte-identical at every thread count.
   int num_threads = 1;
   // Explain mode: record per-pair prune/bound audit trails into
   // JoinResult::explains (off by default; costs nothing when disabled).
@@ -200,9 +201,14 @@ std::string FormatExplain(const PairExplain& explain,
 std::string FormatExplains(const JoinResult& result,
                            const SimJParams& params);
 
+// The canonical output order: sorts result->pairs and result->explains by
+// (q_index, g_index). Every join entry point ends with it, so a result is
+// byte-comparable whatever thread count, shard plan or transport made it.
+void SortByPairIdentity(JoinResult* result);
+
 // Algorithm 1: nested-loop join of D with U under the configured prunings.
-// With params.num_threads != 1 the |D| x |U| pairs are sharded across a
-// work-stealing pool (see SimJParams::num_threads).
+// With params.num_threads != 1 the |D| x |U| pairs are split across worker
+// threads (see SimJParams::num_threads).
 [[nodiscard]] JoinResult SimJoin(const std::vector<graph::LabeledGraph>& d,
                    const std::vector<graph::UncertainGraph>& u,
                    const SimJParams& params,
@@ -210,9 +216,10 @@ std::string FormatExplains(const JoinResult& result,
 
 // Shared join engine behind SimJoin and IndexedSimJoin: evaluates the
 // `num_pairs` candidate pairs enumerated by `pair_at` (flat id -> (q_index,
-// g_index)), serially when params.num_threads == 1 and across a
-// work-stealing pool otherwise. Qualifying pairs are appended to
-// result->pairs and the whole vector is sorted by (q_index, g_index);
+// g_index)), serially when params.num_threads == 1 and otherwise on worker
+// threads that claim chunks of pair ids from a shared cursor. Qualifying
+// pairs are appended to result->pairs and the result is put in
+// SortByPairIdentity order;
 // per-thread stats are merged into result->stats (which may already carry
 // counts from index-level pruning). `pair_at` must be pure: it is called
 // concurrently from workers.
@@ -230,8 +237,8 @@ void JoinPairs(const std::vector<graph::LabeledGraph>& d,
 // JoinProgress::heartbeats_armed(), armed by the caller's BeginJoin) — is
 // bit-for-bit the same work JoinPairs does for those pairs. Stats
 // accumulate into result->stats; qualifying pairs and explain records are
-// appended UNSORTED: the caller owns BeginJoin/EndJoin, the stall monitor
-// thread, and the final (q_index, g_index) merge ordering.
+// appended UNSORTED: the caller owns BeginJoin/EndJoin, the StallMonitor,
+// and the final SortByPairIdentity.
 void EvaluatePairList(const std::vector<graph::LabeledGraph>& d,
                       const std::vector<graph::UncertainGraph>& u,
                       const SimJParams& params,

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "util/health.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace simj::core {
 
@@ -284,6 +286,43 @@ std::string JoinProgress::StatusJson() {
   }
   out += "]}";
   return out;
+}
+
+StallMonitor::StallMonitor(double stall_warn_ms,
+                           const std::string& thread_name, OnStall on_stall)
+    : stall_warn_ms_(stall_warn_ms), on_stall_(std::move(on_stall)) {
+  if (stall_warn_ms_ <= 0.0) return;
+  thread_ = std::thread([this, thread_name] {
+    trace::SetThisThreadName(thread_name);
+    const auto poll = std::chrono::duration<double, std::milli>(
+        std::clamp(stall_warn_ms_ / 4.0, 1.0, 200.0));
+    while (!stop_.load(std::memory_order_acquire)) {
+      Sweep();
+      std::this_thread::sleep_for(poll);
+    }
+    Sweep();
+  });
+}
+
+StallMonitor::~StallMonitor() {
+  if (!thread_.joinable()) return;
+  stop_.store(true, std::memory_order_release);
+  thread_.join();
+}
+
+void StallMonitor::Sweep() const {
+  for (const StallEvent& event :
+       JoinProgress::Global().CheckStalls(stall_warn_ms_)) {
+    health::SetUnhealthy("stall_watchdog",
+                         "worker " + std::to_string(event.worker) +
+                             " stalled for " +
+                             std::to_string(event.stalled_ms) + " ms");
+    SIMJ_LOG(WARN) << "stalled worker " << event.worker << ": pair <q="
+                   << event.q_index << ",g=" << event.g_index
+                   << "> running for " << event.stalled_ms << " ms (budget "
+                   << stall_warn_ms_ << " ms)";
+    if (on_stall_) on_stall_(event);
+  }
 }
 
 }  // namespace simj::core

@@ -23,7 +23,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/sync.h"
@@ -120,8 +122,8 @@ class JoinProgress {
   // pair has been running longer than `stall_warn_ms`. Each stalled
   // heartbeat is reported once (deduped on the heartbeat timestamp) and its
   // worker's stall flag is set, to be consumed by the worker when the pair
-  // finally completes. Single-caller (the JoinPairs monitor thread, or a
-  // test driving the tracker directly).
+  // finally completes. Single-caller (the StallMonitor thread, or a test
+  // driving the tracker directly).
   std::vector<StallEvent> CheckStalls(double stall_warn_ms);
 
   // Worker-side, gated on params.progress_every > 0: counts a completed
@@ -182,6 +184,35 @@ class JoinProgress {
       SIMJ_GUARDED_BY(eta_mu_);
   // joins_started_ the window belongs to
   int64_t eta_window_join_ SIMJ_GUARDED_BY(eta_mu_) = -1;
+};
+
+// The stall watchdog behind SimJParams::stall_warn_ms, shared by the
+// in-process join and the distributed coordinator. While alive, a monitor
+// thread polls JoinProgress::CheckStalls every clamp(stall_warn_ms / 4, 1,
+// 200) ms. For each stalled worker it degrades /healthz ("stall_watchdog",
+// cleared by the next BeginJoin), logs a WARN line, and runs `on_stall`
+// when one is given. The destructor ends the thread after a final sweep,
+// which catches a stall between the last poll and the stop.
+// With stall_warn_ms <= 0 no thread starts. The monitor only reads tracker
+// state, never join state, so results are unaffected.
+class StallMonitor {
+ public:
+  using OnStall = std::function<void(const StallEvent&)>;
+
+  StallMonitor(double stall_warn_ms, const std::string& thread_name,
+               OnStall on_stall = nullptr);
+  ~StallMonitor();
+
+  StallMonitor(const StallMonitor&) = delete;
+  StallMonitor& operator=(const StallMonitor&) = delete;
+
+ private:
+  void Sweep() const;
+
+  const double stall_warn_ms_;
+  const OnStall on_stall_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
 };
 
 }  // namespace simj::core

@@ -1,8 +1,6 @@
 #include "dist/coordinator.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <iterator>
@@ -25,25 +23,6 @@
 namespace simj::dist {
 
 namespace {
-
-// Canonical (q_index, g_index) output order — the same comparators
-// JoinPairs applies, so the merged result is byte-comparable against the
-// serial oracle.
-void SortByPairIdentity(std::vector<core::MatchedPair>* pairs) {
-  std::sort(pairs->begin(), pairs->end(),
-            [](const core::MatchedPair& a, const core::MatchedPair& b) {
-              return a.q_index != b.q_index ? a.q_index < b.q_index
-                                            : a.g_index < b.g_index;
-            });
-}
-
-void SortByPairIdentity(std::vector<core::PairExplain>* explains) {
-  std::sort(explains->begin(), explains->end(),
-            [](const core::PairExplain& a, const core::PairExplain& b) {
-              return a.q_index != b.q_index ? a.q_index < b.q_index
-                                            : a.g_index < b.g_index;
-            });
-}
 
 // Folds a child worker's JoinStats into the registry counters that
 // EvaluatePair would have incremented in-process, so progress/statusz see
@@ -125,61 +104,30 @@ class Coordinator : public ClusterzSource {
     // source registry holds its mutex across LiveJson, so tearing this
     // down before returning is safe even against an in-flight scrape).
     SetClusterzSource(this);
-    core::JoinProgress& progress = core::JoinProgress::Global();
-    const double stall_warn_ms = ctx_.params->stall_warn_ms;
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
-    if (stall_warn_ms > 0.0) {
-      monitor = std::thread([this, &progress, &monitor_stop, stall_warn_ms] {
-        trace::SetThisThreadName("dist-stall-monitor");
-        const auto poll = std::chrono::duration<double, std::milli>(
-            std::clamp(stall_warn_ms / 4.0, 1.0, 200.0));
-        auto report = [&] {
-          for (const core::StallEvent& event :
-               progress.CheckStalls(stall_warn_ms)) {
+    {
+      core::StallMonitor monitor(
+          ctx_.params->stall_warn_ms, "dist-stall-monitor",
+          [this](const core::StallEvent& event) {
             stall_events_.fetch_add(1, std::memory_order_relaxed);
-            health::SetUnhealthy(
-                "stall_watchdog",
-                "dist worker " + std::to_string(event.worker) +
-                    " stalled for " + std::to_string(event.stalled_ms) +
-                    " ms");
             RecordEvent(kEventStall, event.worker, /*shard=*/-1,
                         /*attempt=*/-1,
                         std::to_string(event.stalled_ms) + " ms on pair <q=" +
                             std::to_string(event.q_index) + ",g=" +
                             std::to_string(event.g_index) + ">");
-            SIMJ_LOG(WARN)
-                << "dist: stalled worker " << event.worker << ": pair <q="
-                << event.q_index << ",g=" << event.g_index << "> running for "
-                << event.stalled_ms << " ms (budget " << stall_warn_ms
-                << " ms)";
-          }
-        };
-        while (!monitor_stop.load(std::memory_order_acquire)) {
-          report();
-          std::this_thread::sleep_for(poll);
-        }
-        report();
-      });
-    }
+          });
+      std::vector<std::thread> dispatchers;
+      dispatchers.reserve(static_cast<size_t>(num_workers_));
+      for (int w = 0; w < num_workers_; ++w) {
+        dispatchers.emplace_back([this, w] {
+          trace::SetThisThreadName("dist-dispatch-" + std::to_string(w));
+          DispatchLoop(w);
+        });
+      }
+      for (std::thread& t : dispatchers) t.join();
 
-    std::vector<std::thread> dispatchers;
-    dispatchers.reserve(static_cast<size_t>(num_workers_));
-    for (int w = 0; w < num_workers_; ++w) {
-      dispatchers.emplace_back([this, w] {
-        trace::SetThisThreadName("dist-dispatch-" + std::to_string(w));
-        DispatchLoop(w);
-      });
-    }
-    for (std::thread& t : dispatchers) t.join();
-
-    // Convergence guarantee: whatever the fault schedule left unfinished
-    // runs inline, fault-free, on this thread.
-    RunFallback();
-
-    if (monitor.joinable()) {
-      monitor_stop.store(true, std::memory_order_release);
-      monitor.join();
+      // Convergence guarantee: whatever the fault schedule left unfinished
+      // runs inline, fault-free, on this thread.
+      RunFallback();
     }
 
     Merge(result);
@@ -577,8 +525,7 @@ class Coordinator : public ClusterzSource {
                               std::make_move_iterator(shard.explains.begin()),
                               std::make_move_iterator(shard.explains.end()));
     }
-    SortByPairIdentity(&result->pairs);
-    SortByPairIdentity(&result->explains);
+    core::SortByPairIdentity(result);
   }
 
   const ShardPlan& plan_;

@@ -5,7 +5,6 @@
 
 #include "core/index.h"
 #include "util/check.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace simj::dist {
@@ -15,8 +14,6 @@ ShardPlan PlanShards(const std::vector<graph::LabeledGraph>& d,
                      const core::SimJParams& params,
                      const ShardPlanOptions& options) {
   SIMJ_CHECK_GE(options.max_pairs_per_shard, 1);
-  static metrics::Counter& skipped_total =
-      metrics::Registry::Global().GetCounter("simj_index_skipped_pairs_total");
   trace::ScopedSpan span("shard_planning", "dist");
 
   core::CertainGraphIndex index(&d);
@@ -32,23 +29,8 @@ ShardPlan PlanShards(const std::vector<graph::LabeledGraph>& d,
       if (options.use_index &&
           !core::CertainGraphIndex::SignatureSurvives(
               signature.first, signature.second, u[gi], params.tau)) {
-        // Same accounting as IndexedSimJoin: index-skipped pairs count as
-        // structurally pruned and get kIndexCount explain records when
-        // sampled.
-        const int64_t skipped = static_cast<int64_t>(members.size());
-        plan.pre_stats.total_pairs += skipped;
-        plan.pre_stats.pruned_structural += skipped;
-        skipped_total.Add(skipped);
-        if (params.explain.enabled) {
-          for (int qi : members) {
-            if (!params.explain.ShouldExplain(qi, gi)) continue;
-            core::PairExplain explain;
-            explain.q_index = qi;
-            explain.g_index = gi;
-            explain.pruned_by = core::PruneStage::kIndexCount;
-            plan.pre_explains.push_back(std::move(explain));
-          }
-        }
+        core::AccountIndexSkips(gi, members, params, &plan.pre_stats,
+                                &plan.pre_explains);
         continue;
       }
       for (int qi : members) bucket_pairs.emplace_back(qi, gi);

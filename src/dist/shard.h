@@ -8,12 +8,11 @@
 // coordinator has enough shards to steal.
 //
 // With `use_index` on, bucket/graph combinations failing the count lower
-// bound are dropped at plan time and accounted exactly as IndexedSimJoin
-// accounts them (stats.total_pairs and stats.pruned_structural grow by the
-// skipped count; sampled explain records carry PruneStage::kIndexCount) —
-// the merged distributed result is byte-identical to IndexedSimJoin. With
-// `use_index` off every pair is planned and the merged result is
-// byte-identical to SimJoin.
+// bound are dropped at plan time and accounted by the same
+// core::AccountIndexSkips that IndexedSimJoin uses — the merged
+// distributed result is byte-identical to IndexedSimJoin. With `use_index`
+// off every pair is planned and the merged result is byte-identical to
+// SimJoin.
 
 #ifndef SIMJ_DIST_SHARD_H_
 #define SIMJ_DIST_SHARD_H_
@@ -50,10 +49,9 @@ struct ShardPlan {
   std::vector<Shard> shards;
   // Sum of shard sizes (pairs that will reach EvaluatePair).
   int64_t planned_pairs = 0;
-  // Plan-time accounting for pairs the index skipped, mirroring
-  // IndexedSimJoin: counters to fold into the merged JoinStats and the
-  // sampled explain records for skipped pairs. Both empty when
-  // `use_index` is off.
+  // Plan-time accounting for pairs the index skipped (AccountIndexSkips):
+  // counters to fold into the merged JoinStats and the sampled explain
+  // records for skipped pairs. Both empty when `use_index` is off.
   core::JoinStats pre_stats;
   std::vector<core::PairExplain> pre_explains;
 };

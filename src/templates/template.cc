@@ -1,7 +1,8 @@
 #include "templates/template.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 #include <unordered_map>
 
 #include "util/strings.h"
@@ -141,8 +142,16 @@ void AppendTree(const nlp::DepTree& tree, int node, std::string& out) {
   out += ')';
 }
 
+// Bounds the recursion of ParseTreeNode: far deeper than any question's
+// dependency tree, far shallower than the stack.
+constexpr int kMaxTreeDepth = 256;
+
 StatusOr<int> ParseTreeNode(std::string_view text, size_t& pos,
-                            nlp::DepTree* tree) {
+                            nlp::DepTree* tree, int depth = 1) {
+  if (depth > kMaxTreeDepth) {
+    return InvalidArgumentError("tree nested deeper than " +
+                                std::to_string(kMaxTreeDepth));
+  }
   auto skip_space = [&] {
     while (pos < text.size() && text[pos] == ' ') ++pos;
   };
@@ -167,7 +176,7 @@ StatusOr<int> ParseTreeNode(std::string_view text, size_t& pos,
   tree->nodes.push_back(nlp::DepTree::Node{std::move(label), {}});
   skip_space();
   while (pos < text.size() && text[pos] == '(') {
-    StatusOr<int> child = ParseTreeNode(text, pos, tree);
+    StatusOr<int> child = ParseTreeNode(text, pos, tree, depth + 1);
     if (!child.ok()) return child.status();
     tree->nodes[node].children.push_back(*child);
     skip_space();
@@ -177,6 +186,14 @@ StatusOr<int> ParseTreeNode(std::string_view text, size_t& pos,
   }
   ++pos;
   return node;
+}
+
+// Parses all of `field` as a T; false on anything else.
+template <typename T>
+bool ParseNumber(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -254,8 +271,13 @@ StatusOr<TemplateStore> ParseTemplates(std::string_view text,
       std::vector<std::string> parts = SplitWhitespace(line.substr(5));
       if (parts.size() != 2) return fail("SLOT needs kind and type");
       Slot slot;
-      slot.kind =
-          parts[0] == "entity" ? SlotKind::kEntity : SlotKind::kClass;
+      if (parts[0] == "entity") {
+        slot.kind = SlotKind::kEntity;
+      } else if (parts[0] == "class") {
+        slot.kind = SlotKind::kClass;
+      } else {
+        return fail("unknown SLOT kind '" + parts[0] + "'");
+      }
       slot.expected_type =
           parts[1] == "-" ? graph::kInvalidLabel : dict.Intern(parts[1]);
       current.slots.push_back(slot);
@@ -270,9 +292,11 @@ StatusOr<TemplateStore> ParseTemplates(std::string_view text,
     } else if (StartsWith(line, "SUPPORT ")) {
       std::vector<std::string> parts = SplitWhitespace(line.substr(8));
       if (parts.size() != 3) return fail("SUPPORT needs three fields");
-      current.support_count = std::atoi(parts[0].c_str());
-      current.support_simp = std::atof(parts[1].c_str());
-      current.support_ged = std::atoi(parts[2].c_str());
+      if (!ParseNumber(parts[0], &current.support_count) ||
+          !ParseNumber(parts[1], &current.support_simp) ||
+          !ParseNumber(parts[2], &current.support_ged)) {
+        return fail("SUPPORT fields must be numbers");
+      }
     } else if (StartsWith(line, "SOURCE ")) {
       current.source_question = line.substr(7);
     } else {

@@ -2,6 +2,7 @@
 
 #include <cxxabi.h>
 #include <dlfcn.h>
+#include <pthread.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -27,6 +28,21 @@ NameRegistry& Names() {
   static NameRegistry* names = new NameRegistry();  // simj-lint: allow(new) leaky singleton
   return *names;
 }
+
+// A fork() while another thread holds the registry mutex (a thread naming
+// itself) would leave the child a mutex no thread there can release, and
+// the child's first NoteThisThread would hang. So the forking thread holds
+// it across fork(). Registered at load time, before the CPU profiler
+// registers its own handlers in StartProfiling: prepare handlers run in
+// reverse registration order, so fork() takes the profiler's registry
+// mutex first and this one second, the order DrainRingsLocked nests them.
+[[maybe_unused]] const bool g_fork_safe_names = [] {
+  ::pthread_atfork(
+      []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Lock(); },
+      []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Unlock(); },
+      []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Unlock(); });
+  return true;
+}();
 
 std::atomic<void (*)(int, const std::string&)> g_noted_hook{nullptr};
 

@@ -68,8 +68,8 @@ void SetThisThreadName(const std::string& name) {
 
 Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
   // One buffer per (tracer, thread); the pointer is cached thread-locally
-  // after the first registration. Buffers outlive their threads so events
-  // recorded by pool workers survive the pool's destruction.
+  // after the first registration. Buffers outlive their threads, so events
+  // recorded by short-lived workers survive the workers' exit.
   thread_local ThreadBuffer* cached = nullptr;
   if (cached == nullptr) {
     auto buffer = std::make_unique<ThreadBuffer>();

@@ -3,6 +3,7 @@
 // must produce byte-identical results — same pairs in the same order, same
 // probabilities and mappings, and identical merged prune/verify counters.
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,11 +46,21 @@ void ExpectSameCounters(const JoinStats& got, const JoinStats& want) {
   EXPECT_EQ(got.verify.ged_aborted, want.verify.ged_aborted);
 }
 
+// Sweep inputs 0-5 are 12x12 datasets. Input 6 has fewer pairs (1x3) than
+// the 8-thread run has workers, so some workers claim no chunk at all.
+// Input 7's 17x31 pairs leave a partial last chunk at 2 and 3 threads.
+std::pair<int, int> SweepShape(int input) {
+  if (input == 6) return {1, 3};
+  if (input == 7) return {17, 31};
+  return {12, 12};
+}
+
 class JoinDeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(JoinDeterminismTest, ThreadCountNeverChangesTheResult) {
+  const auto [num_certain, num_uncertain] = SweepShape(GetParam());
   workload::SyntheticDataset data = simj::testing::MakeTinySyntheticDataset(
-      5000 + GetParam(), /*num_certain=*/12, /*num_uncertain=*/12);
+      5000 + GetParam(), num_certain, num_uncertain);
 
   SimJParams params;
   params.tau = 1 + GetParam() % 2;
@@ -61,7 +72,8 @@ TEST_P(JoinDeterminismTest, ThreadCountNeverChangesTheResult) {
   JoinResult serial_indexed =
       IndexedSimJoin(data.certain, data.uncertain, params, data.dict);
 
-  for (int threads : {2, 8}) {
+  // 3 is an odd worker count next to the powers of two.
+  for (int threads : {2, 3, 8}) {
     params.num_threads = threads;
     JoinResult parallel =
         SimJoin(data.certain, data.uncertain, params, data.dict);
@@ -83,7 +95,7 @@ TEST_P(JoinDeterminismTest, ThreadCountNeverChangesTheResult) {
   ExpectSameCounters(hw.stats, serial.stats);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, JoinDeterminismTest, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Sweep, JoinDeterminismTest, ::testing::Range(0, 8));
 
 TEST(JoinDeterminismTest, FrozenDictionaryRejectsNewLabels) {
   graph::LabelDictionary dict;

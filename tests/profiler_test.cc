@@ -2,14 +2,18 @@
 // emission (JSON schema golden + folded text from a hand-built Profile),
 // live-capture attribution of CPU burn to named threads, exact
 // drop-counter accounting when a 1 kHz burst overflows the undrained
-// ring, batch merge/normalize semantics, and the remote-section merge
-// path the cluster coordinator uses.
+// ring, batch merge/normalize semantics, the remote-section merge path
+// the cluster coordinator uses, and the fork safety of the thread-name
+// registry both profilers label stacks from.
 //
 // Live-capture tests arm the real SIGPROF machinery; under TSan
 // StartProfiling refuses by design (the handler's stack walk races the
 // sanitizer runtime), so those tests skip when arming fails.
 
 #include "util/profiler.h"
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <csignal>
 
@@ -20,6 +24,14 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__SANITIZE_THREAD__)
+#define SIMJ_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SIMJ_TSAN 1
+#endif
+#endif
 
 namespace simj::prof {
 namespace {
@@ -247,6 +259,58 @@ TEST(ProfilerCaptureTest, CaptureProfileIsSelfContained) {
   EXPECT_GE(profile->duration_seconds, 0.3);
   EXPECT_GT(profile->TotalSamples(), 0);
   EXPECT_FALSE(ProfilingActive());
+}
+
+// A fork() while another thread is inside NoteThisThread must not hand the
+// child a locked name registry, or the child's own NoteThisThread hangs.
+// Skipped under TSan, whose runtime does not support fork() from a
+// threaded parent.
+TEST(ThreadNameRegistryTest, ForkWhileAnotherThreadRenamesItself) {
+#ifdef SIMJ_TSAN
+  GTEST_SKIP() << "fork() from a threaded parent is unsupported under TSan";
+#endif
+  std::atomic<bool> stop{false};
+  std::thread renamer([&] {
+    for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      NoteThisThread("prof-test-renamer-" + std::to_string(i % 8));
+    }
+  });
+  int hung_round = -1;
+  int failed_round = -1;
+  for (int round = 0; round < 200 && hung_round < 0 && failed_round < 0;
+       ++round) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      NoteThisThread("prof-test-child");
+      ::_exit(0);
+    }
+    if (pid < 0) {
+      failed_round = round;
+      break;
+    }
+    // Poll with a deadline: a child stuck on an inherited locked mutex
+    // never exits on its own.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (reaped == 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      hung_round = round;
+    } else if (reaped != pid || !WIFEXITED(status) ||
+               WEXITSTATUS(status) != 0) {
+      failed_round = round;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  renamer.join();
+  EXPECT_EQ(hung_round, -1) << "child hung in NoteThisThread";
+  EXPECT_EQ(failed_round, -1) << "fork or child exit failed";
 }
 
 }  // namespace

@@ -302,6 +302,45 @@ TEST(TemplateParseTest, RejectsMalformedInput) {
   EXPECT_EQ(empty->size(), 0);
 }
 
+TEST(TemplateParseTest, RejectsDeeplyNestedTree) {
+  graph::LabelDictionary dict;
+  std::string tree;
+  for (int i = 0; i < 100000; ++i) tree += "(\"x\" ";
+  tree += std::string(100000, ')');
+  StatusOr<TemplateStore> parsed =
+      ParseTemplates("TEMPLATE\nTREE " + tree + "\nEND\n", dict);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("nested deeper"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(TemplateParseTest, RejectsUnknownSlotKind) {
+  graph::LabelDictionary dict;
+  StatusOr<TemplateStore> parsed =
+      ParseTemplates("TEMPLATE\nSLOT literal -\nEND\n", dict);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("unknown SLOT kind 'literal'"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(TemplateParseTest, RejectsNonNumericSupport) {
+  graph::LabelDictionary dict;
+  for (const char* support : {"x 0.5 1", "2 high 1", "2 0.5 1.5", "2 0.5 1x",
+                              "99999999999 0.5 1"}) {
+    StatusOr<TemplateStore> parsed = ParseTemplates(
+        std::string("TEMPLATE\nSUPPORT ") + support + "\nEND\n", dict);
+    ASSERT_FALSE(parsed.ok()) << support;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << support;
+    EXPECT_NE(parsed.status().message().find("SUPPORT fields"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(ScoreAnswerTest, Cases) {
   std::vector<std::vector<rdf::TermId>> gold = {{1}, {2}};
   PrfScore perfect = ScoreAnswer(gold, {{1}, {2}});

@@ -44,8 +44,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXCLUDE_FILES = {os.path.join("src", "util", "sync.h")}
 
 # Call names never treated as user-defined callees. The sync primitives
-# would otherwise alias unrelated methods (cv_.Wait(mu_) is NOT a call to
-# ThreadPool::Wait), and the std names are pure noise.
+# would otherwise alias unrelated methods (cv_.Wait(mu_) is NOT a call to a
+# user-defined Wait), and the std names are pure noise.
 SKIP_CALL_NAMES = {
     "Wait", "NotifyOne", "NotifyAll", "Lock", "Unlock", "TryLock",
     "lock", "unlock", "try_lock", "wait", "notify_one", "notify_all",
