@@ -18,20 +18,34 @@ using graph::LabeledGraph;
 using graph::LabelDictionary;
 using graph::UncertainGraph;
 
-ScoredGroup Score(const LabeledGraph& q, UncertainGraph group, int tau,
+ScoredGroup Score(const LabeledGraph& q, const ged::GraphSummary& q_summary,
+                  UncertainGraph group, ged::GraphSummary summary, int tau,
                   int structural_constant, const LabelDictionary& dict) {
   ScoredGroup scored;
   scored.mass = group.TotalMass();
   scored.lower_bound =
       std::max(0, structural_constant -
-                      ged::MaxCommonVertexLabels(q, group, dict));
+                      ged::MaxCommonVertexLabels(q_summary, summary));
   scored.upper_bound =
       scored.lower_bound > tau
           ? 0.0
           : UpperBoundSimPWithConstant(q, group, tau, structural_constant,
                                        dict);
   scored.graph = std::move(group);
+  scored.summary = std::move(summary);
   return scored;
+}
+
+// One child of a split: `parent` with `vertex` restricted to `keep`.
+ScoredGroup ScoreChild(const LabeledGraph& q,
+                       const ged::GraphSummary& q_summary,
+                       const ScoredGroup& parent, int vertex,
+                       const std::vector<int>& keep, int tau,
+                       int structural_constant, const LabelDictionary& dict) {
+  UncertainGraph child = parent.graph.RestrictVertex(vertex, keep);
+  ged::GraphSummary summary = ged::SummarizeGroup(parent.summary, child, dict);
+  return Score(q, q_summary, std::move(child), std::move(summary), tau,
+               structural_constant, dict);
 }
 
 // Candidate vertex-split: restrict vertex v to `first` in one child and to
@@ -111,6 +125,16 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
                                        const UncertainGraph& g, int tau,
                                        const LabelDictionary& dict,
                                        const GroupingOptions& options) {
+  return PartitionPossibleWorlds(q, ged::Summarize(q, dict), g,
+                                 ged::Summarize(g, dict), tau, dict, options);
+}
+
+GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
+                                       const ged::GraphSummary& q_summary,
+                                       const UncertainGraph& g,
+                                       const ged::GraphSummary& g_summary,
+                                       int tau, const LabelDictionary& dict,
+                                       const GroupingOptions& options) {
   SIMJ_CHECK_GE(options.group_count, 1);
   static metrics::Histogram& partition_seconds =
       metrics::Registry::Global().GetHistogram(
@@ -119,10 +143,12 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
       metrics::Registry::Global().GetCounter("simj_groups_scored_total");
   metrics::ScopedLatency latency(partition_seconds);
   trace::ScopedSpan span("group_partition", "prune");
-  const int structural_constant = ged::CssStructuralConstant(q, g, dict);
+  const int structural_constant =
+      ged::CssStructuralConstant(q_summary, g_summary);
 
   std::vector<ScoredGroup> groups;
-  groups.push_back(Score(q, g, tau, structural_constant, dict));
+  groups.push_back(
+      Score(q, q_summary, g, g_summary, tau, structural_constant, dict));
 
   while (static_cast<int>(groups.size()) < options.group_count) {
     // Split the live group with the weakest pruning power: smallest lower
@@ -150,15 +176,11 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
     bool have_best = false;
     for (const SplitCandidate& candidate : candidates) {
       ScoredGroup first =
-          Score(q,
-                groups[target].graph.RestrictVertex(candidate.vertex,
-                                                    candidate.first),
-                tau, structural_constant, dict);
+          ScoreChild(q, q_summary, groups[target], candidate.vertex,
+                     candidate.first, tau, structural_constant, dict);
       ScoredGroup second =
-          Score(q,
-                groups[target].graph.RestrictVertex(candidate.vertex,
-                                                    candidate.second),
-                tau, structural_constant, dict);
+          ScoreChild(q, q_summary, groups[target], candidate.vertex,
+                     candidate.second, tau, structural_constant, dict);
       double cost = 0.0;
       if (first.lower_bound <= tau) cost += first.upper_bound;
       if (second.lower_bound <= tau) cost += second.upper_bound;

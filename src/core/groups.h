@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "ged/lower_bounds.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
@@ -42,6 +43,7 @@ struct GroupingOptions {
 // One possible-world group plus its cached bounds against a query.
 struct ScoredGroup {
   graph::UncertainGraph graph;
+  ged::GraphSummary summary;  // of `graph`
   int lower_bound = 0;      // CSS bound, valid for all worlds in the group
   double upper_bound = 0.0; // Markov bound on the group's SimP contribution
   double mass = 0.0;
@@ -62,6 +64,17 @@ struct GroupingResult {
 // Thm. 4 bounds.
 GroupingResult PartitionPossibleWorlds(const graph::LabeledGraph& q,
                                        const graph::UncertainGraph& g,
+                                       int tau,
+                                       const graph::LabelDictionary& dict,
+                                       const GroupingOptions& options);
+
+// Same, reading the CSS quantities from summaries of q and g built by the
+// caller (ged::Summarize, once per join); a group's summary is derived from
+// its parent's with ged::SummarizeGroup.
+GroupingResult PartitionPossibleWorlds(const graph::LabeledGraph& q,
+                                       const ged::GraphSummary& q_summary,
+                                       const graph::UncertainGraph& g,
+                                       const ged::GraphSummary& g_summary,
                                        int tau,
                                        const graph::LabelDictionary& dict,
                                        const GroupingOptions& options);

@@ -105,10 +105,33 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into) {
   // around the whole join, not a per-worker quantity.
 }
 
-bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
-                  const SimJParams& params,
-                  const graph::LabelDictionary& dict, JoinStats* stats,
-                  MatchedPair* pair, PairExplain* explain) {
+JoinSummaries SummarizeJoinInputs(const std::vector<LabeledGraph>& d,
+                                  const std::vector<UncertainGraph>& u,
+                                  const graph::LabelDictionary& dict) {
+  trace::ScopedSpan span("summarize_inputs", "join");
+  JoinSummaries summaries;
+  summaries.d.reserve(d.size());
+  for (const LabeledGraph& q : d) {
+    summaries.d.push_back(ged::Summarize(q, dict));
+  }
+  summaries.u.reserve(u.size());
+  for (const UncertainGraph& g : u) {
+    summaries.u.push_back(ged::Summarize(g, dict));
+  }
+  return summaries;
+}
+
+namespace {
+
+// EvaluatePair on summaries of q and g.
+bool EvaluateSummarizedPair(const LabeledGraph& q,
+                            const ged::GraphSummary& q_summary,
+                            const UncertainGraph& g,
+                            const ged::GraphSummary& g_summary,
+                            const SimJParams& params,
+                            const graph::LabelDictionary& dict,
+                            JoinStats* stats, MatchedPair* pair,
+                            PairExplain* explain) {
   const JoinMetrics& jm = JoinMetrics::Get();
   ++stats->total_pairs;
   jm.pairs_total.Increment();
@@ -117,7 +140,7 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
   // --- Pruning phase ---
   if (params.structural_pruning) {
     trace::ScopedSpan span("css_filter", "prune");
-    int lower_bound = ged::CssLowerBoundUncertain(q, g, dict);
+    int lower_bound = ged::CssLowerBoundUncertain(q_summary, g_summary);
     double seconds = timer.ElapsedSeconds();
     jm.structural_seconds.Observe(seconds);
     if (explain != nullptr) explain->css_lower_bound = lower_bound;
@@ -138,7 +161,8 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
     GroupingOptions group_options;
     group_options.group_count = params.group_count;
     group_options.heuristic = params.split_heuristic;
-    grouping = PartitionPossibleWorlds(q, g, params.tau, dict, group_options);
+    grouping = PartitionPossibleWorlds(q, q_summary, g, g_summary, params.tau,
+                                       dict, group_options);
     grouped = true;
     jm.probabilistic_seconds.Observe(filter_timer.ElapsedSeconds());
     if (explain != nullptr) {
@@ -183,14 +207,18 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
   }
   jm.group_fanout_peak.UpdateMax(static_cast<double>(groups.size()));
 
+  // C(q, g) once per pair: every group shares g's structure.
+  ged::WorldBound world_bound(
+      q_summary, ged::CssStructuralConstant(q_summary, g_summary));
   SimPResult simp;
   if (params.early_exit_verification) {
-    simp = VerifySimP(q, groups, live_mass, params.tau, params.alpha, dict,
-                      params.ged_options, &stats->verify);
+    simp = VerifySimP(q, world_bound, groups, live_mass, params.tau,
+                      params.alpha, dict, params.ged_options, &stats->verify);
   } else {
     for (const UncertainGraph& group : groups) {
-      SimPResult partial = ComputeSimP(q, group, params.tau, dict,
-                                       params.ged_options, &stats->verify);
+      SimPResult partial =
+          ComputeSimP(q, world_bound, group, params.tau, dict,
+                      params.ged_options, &stats->verify);
       simp.probability += partial.probability;
       if (partial.best_world_prob > simp.best_world_prob) {
         simp.best_world_prob = partial.best_world_prob;
@@ -230,6 +258,17 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
     pair->best_world_ged = simp.best_world_ged;
   }
   return true;
+}
+
+}  // namespace
+
+bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
+                  const SimJParams& params,
+                  const graph::LabelDictionary& dict, JoinStats* stats,
+                  MatchedPair* pair, PairExplain* explain) {
+  return EvaluateSummarizedPair(q, ged::Summarize(q, dict), g,
+                                ged::Summarize(g, dict), params, dict, stats,
+                                pair, explain);
 }
 
 std::string FormatExplain(const PairExplain& explain,
@@ -312,6 +351,7 @@ void LogSlowPair(double elapsed_ms, const SimJParams& params,
 struct PairEvaluator {
   const std::vector<LabeledGraph>& d;
   const std::vector<UncertainGraph>& u;
+  const JoinSummaries& summaries;
   const SimJParams& params;
   const graph::LabelDictionary& dict;
   JoinProgress& progress;
@@ -323,10 +363,12 @@ struct PairEvaluator {
 
   PairEvaluator(const std::vector<LabeledGraph>& d_in,
                 const std::vector<UncertainGraph>& u_in,
+                const JoinSummaries& summaries_in,
                 const SimJParams& params_in,
                 const graph::LabelDictionary& dict_in, bool heartbeats)
       : d(d_in),
         u(u_in),
+        summaries(summaries_in),
         params(params_in),
         dict(dict_in),
         progress(JoinProgress::Global()),
@@ -346,8 +388,9 @@ struct PairEvaluator {
         sampled || watchdog_on || stall_on ? &explain : nullptr;
     if (heartbeats_on) progress.Heartbeat(worker, qi, gi);
     WallTimer pair_timer;
-    if (EvaluatePair(d[qi], u[gi], params, dict, stats, &pair,
-                     explain_slot)) {
+    if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
+                               summaries.u[gi], params, dict, stats, &pair,
+                               explain_slot)) {
       pair.q_index = qi;
       pair.g_index = gi;
       pairs_out->push_back(std::move(pair));
@@ -398,8 +441,9 @@ void RunWorkers(const PairEvaluator& evaluator, int workers,
                 const std::function<std::pair<int, int>(int64_t)>& pair_at,
                 JoinResult* result) {
   // Workers may only read the dictionary (EvaluatePair never interns, but
-  // the freeze makes that a hard guarantee rather than a convention).
-  evaluator.dict.Freeze();
+  // the freeze makes that a hard guarantee rather than a convention). The
+  // freeze ends with the join, so the caller may intern again afterwards.
+  const graph::ScopedFreeze freeze(evaluator.dict);
   metrics::Registry::Global()
       .GetGauge("simj_join_workers")
       .Set(static_cast<double>(workers));
@@ -452,11 +496,12 @@ void SortByPairIdentity(JoinResult* result) {
 
 void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       const std::vector<UncertainGraph>& u,
+                      const JoinSummaries& summaries,
                       const SimJParams& params,
                       const graph::LabelDictionary& dict,
                       const std::vector<std::pair<int, int>>& pairs,
                       int worker, JoinResult* result) {
-  PairEvaluator evaluator(d, u, params, dict,
+  PairEvaluator evaluator(d, u, summaries, params, dict,
                           JoinProgress::Global().heartbeats_armed());
   for (const auto& [qi, gi] : pairs) {
     evaluator.Evaluate(worker, qi, gi, &result->stats, &result->pairs,
@@ -476,8 +521,9 @@ void JoinPairs(const std::vector<LabeledGraph>& d,
       params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
   const int workers =
       params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
+  const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
   progress.BeginJoin(num_pairs, workers, heartbeats_on);
-  const PairEvaluator evaluator(d, u, params, dict, heartbeats_on);
+  const PairEvaluator evaluator(d, u, summaries, params, dict, heartbeats_on);
   {
     StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
     if (params.num_threads == 1) {

@@ -26,6 +26,7 @@
 #include "core/groups.h"
 #include "core/similarity.h"
 #include "ged/edit_distance.h"
+#include "ged/lower_bounds.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
@@ -98,7 +99,7 @@ struct SimJParams {
   // Worker threads for the join loop. 1 = the exact legacy serial path
   // (no worker threads, no freeze); 0 = one per hardware thread; >1 =
   // that many workers. Any value other than 1 freezes the label dictionary
-  // for the duration of the join (see LabelDictionary::Freeze) and splits
+  // for the duration of the join (see graph::ScopedFreeze) and splits
   // the candidate pairs into chunks that worker threads claim from a
   // shared cursor. Results are sorted by (q_index, g_index), so output is
   // byte-identical at every thread count.
@@ -182,10 +183,24 @@ struct JoinResult {
 // around the whole join.
 void MergeJoinStats(const JoinStats& from, JoinStats* into);
 
+// The ged::GraphSummary of every input graph of a join, indexed like D and
+// U. Every join entry point builds them once, before any pair is evaluated,
+// in O(|D| + |U|); the pair evaluations only read them.
+struct JoinSummaries {
+  std::vector<ged::GraphSummary> d;
+  std::vector<ged::GraphSummary> u;
+};
+
+[[nodiscard]] JoinSummaries SummarizeJoinInputs(
+    const std::vector<graph::LabeledGraph>& d,
+    const std::vector<graph::UncertainGraph>& u,
+    const graph::LabelDictionary& dict);
+
 // Evaluates a single pair through the full filter-and-refine pipeline.
 // Returns true (and fills *pair) when SimP_tau(q, g) >= alpha. When
 // `explain` is non-null, the pair's audit trail is recorded into it
-// (q_index / g_index are left for the caller to fill).
+// (q_index / g_index are left for the caller to fill). Summarizes both
+// graphs; the join evaluates its pairs on summaries built once per join.
 [[nodiscard]] bool EvaluatePair(const graph::LabeledGraph& q,
                   const graph::UncertainGraph& g, const SimJParams& params,
                   const graph::LabelDictionary& dict, JoinStats* stats,
@@ -232,7 +247,7 @@ void JoinPairs(const std::vector<graph::LabeledGraph>& d,
 
 // Shard-aware entry point for the distributed join (src/dist): evaluates an
 // explicit candidate list in order on the calling thread as logical worker
-// `worker`. Per-pair behavior — explain sampling, the slow-pair watchdog,
+// `worker`, reading the summaries the caller built once for the whole join. Per-pair behavior — explain sampling, the slow-pair watchdog,
 // stall-flag consumption, heartbeats (gated on
 // JoinProgress::heartbeats_armed(), armed by the caller's BeginJoin) — is
 // bit-for-bit the same work JoinPairs does for those pairs. Stats
@@ -241,6 +256,7 @@ void JoinPairs(const std::vector<graph::LabeledGraph>& d,
 // and the final SortByPairIdentity.
 void EvaluatePairList(const std::vector<graph::LabeledGraph>& d,
                       const std::vector<graph::UncertainGraph>& u,
+                      const JoinSummaries& summaries,
                       const SimJParams& params,
                       const graph::LabelDictionary& dict,
                       const std::vector<std::pair<int, int>>& pairs,

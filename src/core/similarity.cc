@@ -1,6 +1,7 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ged/lower_bounds.h"
 #include "util/check.h"
@@ -17,53 +18,98 @@ using graph::LabelDictionary;
 using graph::PossibleWorldIterator;
 using graph::UncertainGraph;
 
-// Evaluates one possible world: bound check, then bounded A*. Updates the
-// accumulator and best-world tracking in `result`.
-void EvaluateWorld(const LabeledGraph& q, const UncertainGraph& g,
-                   const std::vector<int>& choice, double world_prob, int tau,
-                   const LabelDictionary& dict, const ged::GedOptions& options,
-                   VerifyStats* stats, SimPResult* result) {
-  static metrics::Counter& worlds_total =
-      metrics::Registry::Global().GetCounter("simj_verify_worlds_total");
-  static metrics::Counter& worlds_pruned =
-      metrics::Registry::Global().GetCounter(
-          "simj_verify_worlds_pruned_total");
-  static metrics::Histogram& ged_seconds =
-      metrics::Registry::Global().GetHistogram("simj_verify_ged_seconds");
-  ++stats->worlds_enumerated;
-  worlds_total.Increment();
-  LabeledGraph world = g.Materialize(choice);
-  if (ged::CssLowerBound(q, world, dict) > tau) {
-    ++stats->worlds_pruned_by_bound;
-    worlds_pruned.Increment();
-    return;
+// Evaluates the possible worlds of one pair: bound check, then bounded A*,
+// accumulating into `result`.
+class WorldEvaluator {
+ public:
+  WorldEvaluator(const LabeledGraph& q, ged::WorldBound& bound, int tau,
+                 const LabelDictionary& dict, const ged::GedOptions& options,
+                 VerifyStats* stats, SimPResult* result)
+      : q_(q),
+        bound_(bound),
+        tau_(tau),
+        dict_(dict),
+        options_(options),
+        stats_(stats),
+        result_(result) {}
+
+  // Called before the first world of each group.
+  void StartGroup() { world_ready_ = false; }
+
+  // Evaluates the world of `group` selected by `choice`.
+  void Evaluate(const UncertainGraph& group, const std::vector<int>& choice,
+                double world_prob) {
+    static metrics::Counter& worlds_total =
+        metrics::Registry::Global().GetCounter("simj_verify_worlds_total");
+    static metrics::Counter& worlds_pruned =
+        metrics::Registry::Global().GetCounter(
+            "simj_verify_worlds_pruned_total");
+    static metrics::Histogram& ged_seconds =
+        metrics::Registry::Global().GetHistogram("simj_verify_ged_seconds");
+    ++stats_->worlds_enumerated;
+    worlds_total.Increment();
+    if (bound_.Bound(group, choice, dict_) > tau_) {
+      ++stats_->worlds_pruned_by_bound;
+      worlds_pruned.Increment();
+      return;
+    }
+    // The world overlay: the group's structure, copied once, with this
+    // world's labels written in. Equal to group.Materialize(choice).
+    if (!world_ready_) {
+      world_ = group.structure();
+      world_ready_ = true;
+    }
+    for (int v = 0; v < group.num_vertices(); ++v) {
+      world_.set_vertex_label(v, group.alternatives(v)[choice[v]].label);
+    }
+    // Cheap accept: when the greedy upper bound already fits within tau and
+    // this world cannot improve the best mapping, skip the exact search.
+    // The exact A* still runs for would-be-best worlds so template
+    // generation sees an optimal mapping.
+    if (world_prob <= result_->best_world_prob &&
+        ged::GreedyGedUpperBound(q_, world_, dict_) <= tau_) {
+      ++stats_->worlds_accepted_by_upper_bound;
+      result_->probability += world_prob;
+      return;
+    }
+    ++stats_->ged_calls;
+    bool aborted = false;
+    std::optional<ged::GedResult> ged_result;
+    {
+      metrics::ScopedLatency latency(ged_seconds);
+      trace::ScopedSpan span("ged_astar", "verify");
+      ged_result = ged::BoundedGed(q_, world_, tau_, dict_, options_, &aborted);
+    }
+    if (aborted) ++stats_->ged_aborted;
+    if (!ged_result.has_value()) return;
+    result_->probability += world_prob;
+    if (world_prob > result_->best_world_prob) {
+      result_->best_world_prob = world_prob;
+      result_->best_world_ged = ged_result->distance;
+      result_->best_mapping = ged_result->mapping;
+    }
   }
-  // Cheap accept: when the greedy upper bound already fits within tau and
-  // this world cannot improve the best mapping, skip the exact search. The
-  // exact A* still runs for would-be-best worlds so template generation
-  // sees an optimal mapping.
-  if (world_prob <= result->best_world_prob &&
-      ged::GreedyGedUpperBound(q, world, dict) <= tau) {
-    ++stats->worlds_accepted_by_upper_bound;
-    result->probability += world_prob;
-    return;
-  }
-  ++stats->ged_calls;
-  bool aborted = false;
-  std::optional<ged::GedResult> ged_result;
-  {
-    metrics::ScopedLatency latency(ged_seconds);
-    trace::ScopedSpan span("ged_astar", "verify");
-    ged_result = ged::BoundedGed(q, world, tau, dict, options, &aborted);
-  }
-  if (aborted) ++stats->ged_aborted;
-  if (!ged_result.has_value()) return;
-  result->probability += world_prob;
-  if (world_prob > result->best_world_prob) {
-    result->best_world_prob = world_prob;
-    result->best_world_ged = ged_result->distance;
-    result->best_mapping = ged_result->mapping;
-  }
+
+ private:
+  const LabeledGraph& q_;
+  ged::WorldBound& bound_;
+  const int tau_;
+  const LabelDictionary& dict_;
+  const ged::GedOptions& options_;
+  VerifyStats* stats_;
+  SimPResult* result_;
+  LabeledGraph world_;
+  bool world_ready_ = false;
+};
+
+// The per-world bound of q against the worlds of g, for the graph-level
+// entry points.
+ged::WorldBound MakeWorldBound(const LabeledGraph& q, const UncertainGraph& g,
+                               const LabelDictionary& dict) {
+  const ged::GraphSummary q_summary = ged::Summarize(q, dict);
+  return ged::WorldBound(
+      q_summary,
+      ged::CssStructuralConstant(q_summary, ged::Summarize(g, dict)));
 }
 
 }  // namespace
@@ -71,12 +117,20 @@ void EvaluateWorld(const LabeledGraph& q, const UncertainGraph& g,
 SimPResult ComputeSimP(const LabeledGraph& q, const UncertainGraph& g,
                        int tau, const LabelDictionary& dict,
                        const ged::GedOptions& options, VerifyStats* stats) {
+  ged::WorldBound world_bound = MakeWorldBound(q, g, dict);
+  return ComputeSimP(q, world_bound, g, tau, dict, options, stats);
+}
+
+SimPResult ComputeSimP(const LabeledGraph& q, ged::WorldBound& world_bound,
+                       const UncertainGraph& g, int tau,
+                       const LabelDictionary& dict,
+                       const ged::GedOptions& options, VerifyStats* stats) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
+  WorldEvaluator evaluator(q, world_bound, tau, dict, options, stats, &result);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
-    EvaluateWorld(q, g, it.choice(), it.probability(), tau, dict, options,
-                  stats, &result);
+    evaluator.Evaluate(g, it.choice(), it.probability());
   }
   return result;
 }
@@ -90,23 +144,36 @@ namespace {
 // a huge list.
 constexpr int64_t kMaxSortedWorlds = 4096;
 
-struct OrderedWorld {
-  std::vector<int> choice;
-  double probability;
-};
+// The worlds of one group, most probable first. A world is kept as its
+// index w in PossibleWorldIterator order, from which Choice() decodes it:
+// the iterator counts with vertex 0 as the fastest-moving digit. The
+// buffers are reused from group to group.
+struct SortedWorlds {
+  std::vector<double> probability;  // of world w
+  std::vector<int> order;           // world indexes by descending probability
 
-std::vector<OrderedWorld> SortedWorlds(const UncertainGraph& g) {
-  std::vector<OrderedWorld> worlds;
-  worlds.reserve(static_cast<size_t>(g.NumPossibleWorlds()));
-  for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
-    worlds.push_back(OrderedWorld{it.choice(), it.probability()});
+  void List(const UncertainGraph& g) {
+    probability.clear();
+    probability.reserve(static_cast<size_t>(g.NumPossibleWorlds()));
+    for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
+      probability.push_back(it.probability());
+    }
+    order.resize(probability.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [this](int a, int b) {
+      return probability[a] > probability[b];
+    });
   }
-  std::sort(worlds.begin(), worlds.end(),
-            [](const OrderedWorld& a, const OrderedWorld& b) {
-              return a.probability > b.probability;
-            });
-  return worlds;
-}
+
+  static void Choice(const UncertainGraph& g, int w, std::vector<int>* choice) {
+    choice->resize(static_cast<size_t>(g.num_vertices()));
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      const int alternatives = static_cast<int>(g.alternatives(v).size());
+      (*choice)[v] = w % alternatives;
+      w /= alternatives;
+    }
+  }
+};
 
 }  // namespace
 
@@ -115,16 +182,27 @@ SimPResult VerifySimP(const LabeledGraph& q,
                       double total_mass, int tau, double alpha,
                       const LabelDictionary& dict,
                       const ged::GedOptions& options, VerifyStats* stats) {
+  if (groups.empty()) return SimPResult();
+  ged::WorldBound world_bound = MakeWorldBound(q, groups.front(), dict);
+  return VerifySimP(q, world_bound, groups, total_mass, tau, alpha, dict,
+                    options, stats);
+}
+
+SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
+                      const std::vector<UncertainGraph>& groups,
+                      double total_mass, int tau, double alpha,
+                      const LabelDictionary& dict,
+                      const ged::GedOptions& options, VerifyStats* stats) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
+  WorldEvaluator evaluator(q, world_bound, tau, dict, options, stats, &result);
   double remaining = total_mass;
 
   auto process = [&](const UncertainGraph& group,
                      const std::vector<int>& choice,
                      double world_prob) -> bool {
-    EvaluateWorld(q, group, choice, world_prob, tau, dict, options, stats,
-                  &result);
+    evaluator.Evaluate(group, choice, world_prob);
     remaining -= world_prob;
     if (result.probability >= alpha - kSimPEpsilon) {
       result.early_accept = true;
@@ -137,10 +215,15 @@ SimPResult VerifySimP(const LabeledGraph& q,
     return false;
   };
 
+  SortedWorlds worlds;
+  std::vector<int> choice;
   for (const UncertainGraph& group : groups) {
+    evaluator.StartGroup();
     if (group.NumPossibleWorlds() <= kMaxSortedWorlds) {
-      for (const OrderedWorld& world : SortedWorlds(group)) {
-        if (process(group, world.choice, world.probability)) return result;
+      worlds.List(group);
+      for (int w : worlds.order) {
+        SortedWorlds::Choice(group, w, &choice);
+        if (process(group, choice, worlds.probability[w])) return result;
       }
     } else {
       for (PossibleWorldIterator it(group); !it.Done(); it.Next()) {

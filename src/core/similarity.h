@@ -5,7 +5,11 @@
 //                    with ged(q, pw(g)) <= tau.
 //
 // ComputeSimP enumerates the possible worlds exactly (skipping worlds whose
-// certain CSS bound already exceeds tau). VerifySimP adds the two early
+// certain CSS bound already exceeds tau). All worlds share the uncertain
+// graph's structure, so a world is never materialized as a graph of its
+// own: its CSS bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and
+// only a world within the bound has its labels written into the one world
+// graph each group keeps for the GED search. VerifySimP adds the two early
 // exits used by the join's refinement phase: stop as soon as the
 // accumulated probability reaches alpha, or as soon as the remaining mass
 // cannot reach alpha.
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "ged/edit_distance.h"
+#include "ged/lower_bounds.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
@@ -61,6 +66,14 @@ struct SimPResult {
                        const ged::GedOptions& options = ged::GedOptions(),
                        VerifyStats* stats = nullptr);
 
+// Same, with the per-world CSS bound of the pair already set up (the join
+// builds it once per pair from its summaries).
+[[nodiscard]] SimPResult ComputeSimP(const graph::LabeledGraph& q,
+                       ged::WorldBound& world_bound,
+                       const graph::UncertainGraph& g, int tau,
+                       const graph::LabelDictionary& dict,
+                       const ged::GedOptions& options, VerifyStats* stats);
+
 // SimP evaluation with early accept/reject against `alpha`, over a list of
 // possible-world groups (pass {g} for the ungrouped case). Groups must be
 // disjoint restrictions of one uncertain graph; `total_mass` is the sum of
@@ -71,6 +84,14 @@ struct SimPResult {
                       const graph::LabelDictionary& dict,
                       const ged::GedOptions& options = ged::GedOptions(),
                       VerifyStats* stats = nullptr);
+
+// Same, with the pair's per-world CSS bound already set up.
+[[nodiscard]] SimPResult VerifySimP(const graph::LabeledGraph& q,
+                      ged::WorldBound& world_bound,
+                      const std::vector<graph::UncertainGraph>& groups,
+                      double total_mass, int tau, double alpha,
+                      const graph::LabelDictionary& dict,
+                      const ged::GedOptions& options, VerifyStats* stats);
 
 // Probabilistic upper bound on the contribution of (a restriction of) g to
 // SimP_tau(q, g) (Thm. 4, generalized to possible-world groups):

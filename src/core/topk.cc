@@ -28,6 +28,7 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
                     const graph::LabelDictionary& dict) {
   TopKResult result;
   result.matches.resize(u.size());
+  const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
 
   for (int gi = 0; gi < static_cast<int>(u.size()); ++gi) {
     const UncertainGraph& g = u[gi];
@@ -40,22 +41,26 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
     for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
       ++result.stats.total_pairs;
       const LabeledGraph& q = d[qi];
-      if (ged::CssLowerBoundUncertain(q, g, dict) > params.tau) {
+      const ged::GraphSummary& q_summary = summaries.d[qi];
+      const ged::GraphSummary& g_summary = summaries.u[gi];
+      if (ged::CssLowerBoundUncertain(q_summary, g_summary) > params.tau) {
         ++result.stats.pruned_structural;
         continue;
       }
       if (threshold > 0.0) {
         GroupingOptions options;
         options.group_count = params.group_count;
-        GroupingResult grouping =
-            PartitionPossibleWorlds(q, g, params.tau, dict, options);
+        GroupingResult grouping = PartitionPossibleWorlds(
+            q, q_summary, g, g_summary, params.tau, dict, options);
         if (grouping.simp_upper_bound <= threshold + kSimPEpsilon) {
           ++result.stats.pruned_by_threshold;
           continue;
         }
       }
       ++result.stats.evaluated;
-      SimPResult simp = ComputeSimP(q, g, params.tau, dict,
+      ged::WorldBound world_bound(
+          q_summary, ged::CssStructuralConstant(q_summary, g_summary));
+      SimPResult simp = ComputeSimP(q, world_bound, g, params.tau, dict,
                                     params.ged_options, &result.stats.verify);
       if (simp.probability <= kSimPEpsilon) continue;
 

@@ -603,10 +603,12 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   // Workers share the dictionary concurrently (and process workers fork a
   // snapshot of it); freeze for the duration, like the parallel JoinPairs
   // path does.
-  dict.Freeze();
+  const graph::ScopedFreeze freeze(dict);
+  const core::JoinSummaries summaries = core::SummarizeJoinInputs(d, u, dict);
   WorkerContext ctx;
   ctx.d = &d;
   ctx.u = &u;
+  ctx.summaries = &summaries;
   ctx.params = &params;
   ctx.dict = &dict;
 

@@ -116,9 +116,9 @@ struct DistJoinResult {
 };
 
 // Plans, executes, and merges the full distributed join. Freezes `dict`
-// for the duration (workers share it concurrently; process workers fork a
-// frozen snapshot). params.num_threads is ignored — parallelism is
-// dist_params.num_workers, each worker evaluating serially.
+// for the duration of the call (workers share it concurrently; process
+// workers fork a frozen snapshot). params.num_threads is ignored —
+// parallelism is dist_params.num_workers, each worker evaluating serially.
 [[nodiscard]] DistJoinResult ShardedSimJoin(
     const std::vector<graph::LabeledGraph>& d,
     const std::vector<graph::UncertainGraph>& u,

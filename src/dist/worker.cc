@@ -360,8 +360,8 @@ ShardResult EvaluateShardPairs(const WorkerContext& ctx,
                                const std::vector<std::pair<int, int>>& pairs,
                                int worker_index) {
   core::JoinResult r;
-  core::EvaluatePairList(*ctx.d, *ctx.u, params, *ctx.dict, pairs,
-                         worker_index, &r);
+  core::EvaluatePairList(*ctx.d, *ctx.u, *ctx.summaries, params, *ctx.dict,
+                         pairs, worker_index, &r);
   ShardResult out;
   out.shard_id = shard_id;
   out.stats = r.stats;

@@ -87,10 +87,13 @@ struct SpanContext {
 };
 
 // Immutable view of the join workload shared by every worker. The caller
-// owns the pointees and keeps them alive for the workers' lifetime.
+// owns the pointees and keeps them alive for the workers' lifetime. The
+// summaries are built once by the coordinator before any worker starts, so
+// forked workers inherit them rather than rebuilding them per shard.
 struct WorkerContext {
   const std::vector<graph::LabeledGraph>* d = nullptr;
   const std::vector<graph::UncertainGraph>* u = nullptr;
+  const core::JoinSummaries* summaries = nullptr;
   const core::SimJParams* params = nullptr;
   const graph::LabelDictionary* dict = nullptr;
 };

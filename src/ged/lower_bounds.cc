@@ -7,6 +7,7 @@
 
 #include "matching/bipartite.h"
 #include "matching/hungarian.h"
+#include "util/check.h"
 #include "util/metrics.h"
 
 namespace simj::ged {
@@ -131,53 +132,175 @@ int CssLowerBound(const LabeledGraph& a, const LabeledGraph& b,
   return std::max(CssOriented(a, b, dict), CssOriented(b, a, dict));
 }
 
-int MaxCommonVertexLabels(const LabeledGraph& q, const UncertainGraph& g,
-                          const LabelDictionary& dict) {
-  matching::BipartiteGraph bipartite(g.num_vertices(), q.num_vertices());
+namespace {
+
+// Sorts `labels` and folds equal labels into runs, sized exactly.
+void FoldIntoRuns(std::vector<graph::LabelId>* labels,
+                  std::vector<graph::LabelRun>* runs) {
+  std::sort(labels->begin(), labels->end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < labels->size(); ++i) {
+    if (i == 0 || (*labels)[i] != (*labels)[i - 1]) ++distinct;
+  }
+  runs->clear();
+  runs->reserve(distinct);
+  for (graph::LabelId label : *labels) {
+    if (!runs->empty() && runs->back().label == label) {
+      ++runs->back().count;
+    } else {
+      runs->push_back(graph::LabelRun{label, 1});
+    }
+  }
+}
+
+// Counts, degrees and edge labels: everything but the vertex labels.
+void SummarizeStructure(const LabeledGraph& structure,
+                        const LabelDictionary& dict, GraphSummary* s) {
+  s->num_vertices = structure.num_vertices();
+  s->num_edges = structure.num_edges();
+  s->sorted_degrees = structure.SortedDegrees();
+  std::vector<graph::LabelId> labels;
+  labels.reserve(structure.edges().size());
+  for (const graph::Edge& e : structure.edges()) {
+    if (dict.IsWildcard(e.label)) {
+      ++s->wildcard_edges;
+    } else {
+      labels.push_back(e.label);
+    }
+  }
+  FoldIntoRuns(&labels, &s->edge_labels);
+}
+
+// The vertex part of an uncertain graph's summary.
+void SummarizeVertices(const UncertainGraph& g, const LabelDictionary& dict,
+                       GraphSummary* s) {
+  size_t alternatives = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    for (int u = 0; u < q.num_vertices(); ++u) {
-      bool linkable = false;
-      for (const graph::LabelAlternative& alt : g.alternatives(v)) {
-        if (dict.Matches(alt.label, q.vertex_label(u))) {
-          linkable = true;
-          break;
+    alternatives += g.alternatives(v).size();
+  }
+  s->vertex_wildcard.assign(static_cast<size_t>(g.num_vertices()), 0);
+  s->labeled_vertices.reserve(alternatives);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (const graph::LabelAlternative& alt : g.alternatives(v)) {
+      if (dict.IsWildcard(alt.label)) {
+        s->vertex_wildcard[v] = 1;
+      } else {
+        s->labeled_vertices.emplace_back(alt.label, v);
+      }
+    }
+  }
+  std::sort(s->labeled_vertices.begin(), s->labeled_vertices.end());
+}
+
+}  // namespace
+
+GraphSummary Summarize(const LabeledGraph& g, const LabelDictionary& dict) {
+  GraphSummary s;
+  SummarizeStructure(g, dict, &s);
+  s.vertex_wildcard.assign(static_cast<size_t>(g.num_vertices()), 0);
+  s.labeled_vertices.reserve(static_cast<size_t>(g.num_vertices()));
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (dict.IsWildcard(g.vertex_label(v))) {
+      s.vertex_wildcard[v] = 1;
+    } else {
+      s.labeled_vertices.emplace_back(g.vertex_label(v), v);
+    }
+  }
+  std::sort(s.labeled_vertices.begin(), s.labeled_vertices.end());
+  return s;
+}
+
+GraphSummary Summarize(const UncertainGraph& g, const LabelDictionary& dict) {
+  GraphSummary s;
+  SummarizeStructure(g.structure(), dict, &s);
+  SummarizeVertices(g, dict, &s);
+  return s;
+}
+
+GraphSummary SummarizeGroup(const GraphSummary& whole,
+                            const UncertainGraph& group,
+                            const LabelDictionary& dict) {
+  SIMJ_CHECK_EQ(whole.num_vertices, group.num_vertices());
+  GraphSummary s;
+  s.num_vertices = whole.num_vertices;
+  s.num_edges = whole.num_edges;
+  s.sorted_degrees = whole.sorted_degrees;
+  s.edge_labels = whole.edge_labels;
+  s.wildcard_edges = whole.wildcard_edges;
+  SummarizeVertices(group, dict, &s);
+  return s;
+}
+
+int MaxCommonVertexLabels(const GraphSummary& q, const GraphSummary& g) {
+  // One graph per thread, reused: a warm call allocates nothing.
+  thread_local matching::BipartiteGraph bipartite;
+  bipartite.Reset(g.num_vertices, q.num_vertices);
+  // g-vertex v and q-vertex u link when some label of one matches some
+  // label of the other. A wildcard vertex matches everything.
+  for (int v = 0; v < g.num_vertices; ++v) {
+    if (g.vertex_wildcard[v] == 0) continue;
+    for (int u = 0; u < q.num_vertices; ++u) bipartite.AddEdge(v, u);
+  }
+  for (int u = 0; u < q.num_vertices; ++u) {
+    if (q.vertex_wildcard[u] == 0) continue;
+    for (int v = 0; v < g.num_vertices; ++v) {
+      if (g.vertex_wildcard[v] == 0) bipartite.AddEdge(v, u);
+    }
+  }
+  // The remaining links share a label: one merge of the two sorted
+  // (label, vertex) indexes.
+  const auto& gl = g.labeled_vertices;
+  const auto& ql = q.labeled_vertices;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < gl.size() && j < ql.size()) {
+    if (gl[i].first < ql[j].first) {
+      ++i;
+    } else if (ql[j].first < gl[i].first) {
+      ++j;
+    } else {
+      const graph::LabelId label = gl[i].first;
+      size_t j_end = j;
+      while (j_end < ql.size() && ql[j_end].first == label) ++j_end;
+      for (; i < gl.size() && gl[i].first == label; ++i) {
+        const int v = gl[i].second;
+        if (g.vertex_wildcard[v] != 0) continue;
+        for (size_t k = j; k < j_end; ++k) {
+          const int u = ql[k].second;
+          if (q.vertex_wildcard[u] == 0) bipartite.AddEdge(v, u);
         }
       }
-      if (linkable) bipartite.AddEdge(v, u);
+      j = j_end;
     }
   }
   return bipartite.MaxMatching();
 }
 
-int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
+int MaxCommonVertexLabels(const LabeledGraph& q, const UncertainGraph& g,
                           const LabelDictionary& dict) {
-  LabelCounts q_edges = q.EdgeLabelCounts();
-  LabelCounts g_edges = g.EdgeLabelCounts();
-  int lambda_e = MatchableLabelCount(q_edges, g_edges, dict);
-
-  std::vector<int> q_degrees = q.SortedDegrees();
-  std::vector<int> g_degrees = g.SortedDegrees();
-
-  auto oriented = [&](const std::vector<int>& small_deg, int big_v,
-                      int big_e) {
-    const std::vector<int>& big_deg =
-        (&small_deg == &q_degrees) ? g_degrees : q_degrees;
-    int dif = graph::DegreeDistanceFromSorted(small_deg, big_deg);
-    return big_v + big_e - lambda_e + HalfRoundedUp(dif);
-  };
-
-  if (q.num_vertices() < g.num_vertices()) {
-    return oriented(q_degrees, g.num_vertices(), g.num_edges());
-  }
-  if (g.num_vertices() < q.num_vertices()) {
-    return oriented(g_degrees, q.num_vertices(), q.num_edges());
-  }
-  return std::max(oriented(q_degrees, g.num_vertices(), g.num_edges()),
-                  oriented(g_degrees, q.num_vertices(), q.num_edges()));
+  return MaxCommonVertexLabels(Summarize(q, dict), Summarize(g, dict));
 }
 
-int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
-                           const LabelDictionary& dict) {
+int CssStructuralConstant(const GraphSummary& q, const GraphSummary& g) {
+  const int lambda_e = graph::MatchableLabelCount(
+      q.edge_labels, q.wildcard_edges, g.edge_labels, g.wildcard_edges);
+  auto oriented = [lambda_e](const GraphSummary& small,
+                             const GraphSummary& big) {
+    int dif = graph::DegreeDistanceFromSorted(small.sorted_degrees,
+                                              big.sorted_degrees);
+    return big.num_vertices + big.num_edges - lambda_e + HalfRoundedUp(dif);
+  };
+  if (q.num_vertices < g.num_vertices) return oriented(q, g);
+  if (g.num_vertices < q.num_vertices) return oriented(g, q);
+  return std::max(oriented(q, g), oriented(g, q));
+}
+
+int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
+                          const LabelDictionary& dict) {
+  return CssStructuralConstant(Summarize(q, dict), Summarize(g, dict));
+}
+
+int CssLowerBoundUncertain(const GraphSummary& q, const GraphSummary& g) {
   static metrics::Counter& calls = metrics::Registry::Global().GetCounter(
       "simj_bound_css_uncertain_total");
   static metrics::Histogram& seconds =
@@ -185,8 +308,43 @@ int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
           "simj_bound_css_uncertain_seconds");
   calls.Increment();
   metrics::ScopedLatency latency(seconds);
-  return std::max(0, CssStructuralConstant(q, g, dict) -
-                         MaxCommonVertexLabels(q, g, dict));
+  return std::max(0, CssStructuralConstant(q, g) - MaxCommonVertexLabels(q, g));
+}
+
+int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
+                           const LabelDictionary& dict) {
+  return CssLowerBoundUncertain(Summarize(q, dict), Summarize(g, dict));
+}
+
+WorldBound::WorldBound(const GraphSummary& q, int structural_constant)
+    : structural_constant_(structural_constant) {
+  // q is certain: each vertex is a wildcard or has one labeled entry.
+  for (char wildcard : q.vertex_wildcard) q_wildcards_ += wildcard;
+  SIMJ_DCHECK_EQ(q_wildcards_ + static_cast<int>(q.labeled_vertices.size()),
+                 q.num_vertices);
+  // world_labels_ doubles as the scratch for q's labels here.
+  for (const auto& [label, vertex] : q.labeled_vertices) {
+    world_labels_.push_back(label);
+  }
+  FoldIntoRuns(&world_labels_, &q_runs_);
+}
+
+int WorldBound::Bound(const UncertainGraph& g, const std::vector<int>& choice,
+                      const LabelDictionary& dict) {
+  world_labels_.clear();
+  int wildcards = 0;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const graph::LabelId label = g.alternatives(v)[choice[v]].label;
+    if (dict.IsWildcard(label)) {
+      ++wildcards;
+    } else {
+      world_labels_.push_back(label);
+    }
+  }
+  FoldIntoRuns(&world_labels_, &world_runs_);
+  const int lambda_v = graph::MatchableLabelCount(q_runs_, q_wildcards_,
+                                                  world_runs_, wildcards);
+  return std::max(0, structural_constant_ - lambda_v);
 }
 
 }  // namespace simj::ged

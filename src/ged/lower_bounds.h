@@ -15,6 +15,9 @@
 #ifndef SIMJ_GED_LOWER_BOUNDS_H_
 #define SIMJ_GED_LOWER_BOUNDS_H_
 
+#include <utility>
+#include <vector>
+
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
@@ -46,9 +49,52 @@ namespace simj::ged {
 [[nodiscard]] int CssLowerBound(const graph::LabeledGraph& a, const graph::LabeledGraph& b,
                   const graph::LabelDictionary& dict);
 
+// What the CSS filter needs to know about one graph, built once per graph
+// by Summarize so that no pair evaluation re-derives it (DESIGN.md §5):
+// the counts, the sorted degrees, the edge-label multiset as sorted runs,
+// and every vertex's label alternatives in one flat array sorted by label.
+// Graphs are mutable and shared read-only across join workers, so summaries
+// are explicit values built at join setup, not caches inside the graph.
+// The arrays are reserved to their final size up front, since a join keeps
+// one summary per input graph.
+struct GraphSummary {
+  int num_vertices = 0;
+  int num_edges = 0;
+  // Total degrees, non-increasing.
+  std::vector<int> sorted_degrees;
+  // Non-wildcard edge labels, ascending by label, one run per label.
+  std::vector<graph::LabelRun> edge_labels;
+  int wildcard_edges = 0;
+  // Whether some alternative of vertex v is a wildcard (v then matches
+  // every label).
+  std::vector<char> vertex_wildcard;
+  // Every non-wildcard alternative as a (label, vertex) pair, sorted: the
+  // index that pairs up equal labels of two graphs in one merge. A certain
+  // graph has one entry per vertex whose label is not a wildcard.
+  std::vector<std::pair<graph::LabelId, int>> labeled_vertices;
+};
+
+[[nodiscard]] GraphSummary Summarize(const graph::LabeledGraph& g,
+                                     const graph::LabelDictionary& dict);
+[[nodiscard]] GraphSummary Summarize(const graph::UncertainGraph& g,
+                                     const graph::LabelDictionary& dict);
+
+// The summary of `group`, a possible-world group (a restriction, Section
+// 6.2) of the graph that `whole` summarizes: the structure part is copied
+// from `whole`, only the vertex labels are read from `group`.
+[[nodiscard]] GraphSummary SummarizeGroup(const GraphSummary& whole,
+                                          const graph::UncertainGraph& group,
+                                          const graph::LabelDictionary& dict);
+
+// The filter kernels below read only summaries. Each overload taking graphs
+// is a thin wrapper that summarizes both graphs and calls the kernel.
+
 // Number of common vertex labels lambda_V(q, g) maximized over all possible
 // worlds of g: maximum matching of the vertex-label bipartite graph
-// (Def. 10). Exposed for tests and for the probabilistic bound.
+// (Def. 10), on a per-thread BipartiteGraph that is reused across calls.
+// Exposed for tests and for the probabilistic bound.
+[[nodiscard]] int MaxCommonVertexLabels(const GraphSummary& q,
+                                        const GraphSummary& g);
 [[nodiscard]] int MaxCommonVertexLabels(const graph::LabeledGraph& q,
                           const graph::UncertainGraph& g,
                           const graph::LabelDictionary& dict);
@@ -57,15 +103,44 @@ namespace simj::ged {
 //   C(q, g) = |V| + |E| - lambda_E + ceil(dif/2)
 // with |V| = max vertex count and |E| the edge count of the graph with more
 // vertices (Thm. 3/4). The uncertain CSS bound is C(q, g) - lambda_V(q, g).
+// C is the same in every possible world of g.
+[[nodiscard]] int CssStructuralConstant(const GraphSummary& q,
+                                        const GraphSummary& g);
 [[nodiscard]] int CssStructuralConstant(const graph::LabeledGraph& q,
                           const graph::UncertainGraph& g,
                           const graph::LabelDictionary& dict);
 
 // The CSS bound for an uncertain graph (Thm. 3): valid lower bound on
 // ged(q, pw(g)) for every possible world pw(g).
+[[nodiscard]] int CssLowerBoundUncertain(const GraphSummary& q,
+                                         const GraphSummary& g);
 [[nodiscard]] int CssLowerBoundUncertain(const graph::LabeledGraph& q,
                            const graph::UncertainGraph& g,
                            const graph::LabelDictionary& dict);
+
+// The certain CSS bound (Thm. 1) of a certain graph q against possible
+// worlds of one uncertain graph g. The worlds share g's structure, so the
+// bound of a world is max(0, C(q, g) - lambda_V(q, world)): C is fixed at
+// construction and a world only recounts its vertex labels, in scratch
+// buffers reused from world to world.
+class WorldBound {
+ public:
+  // `q` is the certain graph's summary; `structural_constant` is C(q, g).
+  WorldBound(const GraphSummary& q, int structural_constant);
+
+  // Equals CssLowerBound(q, g.Materialize(choice), dict) for any g with the
+  // structure C was computed for, in particular every group of it.
+  [[nodiscard]] int Bound(const graph::UncertainGraph& g,
+                          const std::vector<int>& choice,
+                          const graph::LabelDictionary& dict);
+
+ private:
+  int structural_constant_;
+  std::vector<graph::LabelRun> q_runs_;
+  int q_wildcards_ = 0;
+  std::vector<graph::LabelId> world_labels_;
+  std::vector<graph::LabelRun> world_runs_;
+};
 
 }  // namespace simj::ged
 

@@ -63,7 +63,6 @@ class UncertainGraph {
 
   const std::vector<Edge>& edges() const { return structure_.edges(); }
   int degree(int v) const { return structure_.degree(v); }
-  std::vector<int> SortedDegrees() const { return structure_.SortedDegrees(); }
   LabelCounts EdgeLabelCounts() const { return structure_.EdgeLabelCounts(); }
 
   // The label structure with vertex labels left invalid; used where only

@@ -1,8 +1,7 @@
 #include "matching/bipartite.h"
 
-#include <functional>
+#include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "util/check.h"
 
@@ -12,79 +11,101 @@ namespace {
 constexpr int kInfinity = std::numeric_limits<int>::max();
 }  // namespace
 
-BipartiteGraph::BipartiteGraph(int num_left, int num_right)
-    : adj_(num_left), num_right_(num_right) {
+BipartiteGraph::BipartiteGraph(int num_left, int num_right) {
+  Reset(num_left, num_right);
+}
+
+void BipartiteGraph::Reset(int num_left, int num_right) {
   SIMJ_CHECK_GE(num_left, 0);
   SIMJ_CHECK_GE(num_right, 0);
+  if (adj_.size() < static_cast<size_t>(num_left)) {
+    adj_.resize(static_cast<size_t>(num_left));
+  }
+  for (int l = 0; l < num_left; ++l) adj_[l].clear();
+  num_left_ = num_left;
+  num_right_ = num_right;
 }
 
 void BipartiteGraph::AddEdge(int left, int right) {
-  SIMJ_CHECK(left >= 0 && left < num_left());
+  SIMJ_CHECK(left >= 0 && left < num_left_);
   SIMJ_CHECK(right >= 0 && right < num_right_);
   adj_[left].push_back(right);
 }
 
-int BipartiteGraph::MaxMatching() const {
-  std::vector<int> unused;
-  return MaxMatching(&unused);
-}
-
-int BipartiteGraph::MaxMatching(std::vector<int>* match_of_left) const {
-  const int n = num_left();
-  const int m = num_right_;
-  std::vector<int>& match_l = *match_of_left;
-  match_l.assign(n, -1);
-  std::vector<int> match_r(m, -1);
-  std::vector<int> dist(n, 0);
-
-  // Hopcroft-Karp: repeatedly find a maximal set of shortest augmenting
-  // paths via BFS layering + DFS augmentation.
-  auto bfs = [&]() -> bool {
-    std::queue<int> queue;
-    for (int l = 0; l < n; ++l) {
-      if (match_l[l] == -1) {
-        dist[l] = 0;
-        queue.push(l);
-      } else {
-        dist[l] = kInfinity;
-      }
-    }
-    bool found_free = false;
-    while (!queue.empty()) {
-      int l = queue.front();
-      queue.pop();
-      for (int r : adj_[l]) {
-        int next = match_r[r];
-        if (next == -1) {
-          found_free = true;
-        } else if (dist[next] == kInfinity) {
-          dist[next] = dist[l] + 1;
-          queue.push(next);
-        }
-      }
-    }
-    return found_free;
-  };
-
-  std::function<bool(int)> dfs = [&](int l) -> bool {
-    for (int r : adj_[l]) {
-      int next = match_r[r];
-      if (next == -1 || (dist[next] == dist[l] + 1 && dfs(next))) {
-        match_l[l] = r;
-        match_r[r] = l;
-        return true;
-      }
-    }
-    dist[l] = kInfinity;
-    return false;
-  };
-
-  int matching = 0;
-  while (bfs()) {
-    for (int l = 0; l < n; ++l) {
-      if (match_l[l] == -1 && dfs(l)) ++matching;
+bool BipartiteGraph::BuildLayers() {
+  queue_.clear();
+  for (int l = 0; l < num_left_; ++l) {
+    if (match_left_[l] == -1) {
+      dist_[l] = 0;
+      queue_.push_back(l);
+    } else {
+      dist_[l] = kInfinity;
     }
   }
+  bool found_free = false;
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const int l = queue_[head];
+    for (int r : adj_[l]) {
+      const int next = match_right_[r];
+      if (next == -1) {
+        found_free = true;
+      } else if (dist_[next] == kInfinity) {
+        dist_[next] = dist_[l] + 1;
+        queue_.push_back(next);
+      }
+    }
+  }
+  return found_free;
+}
+
+bool BipartiteGraph::Augment(int l) {
+  for (int r : adj_[l]) {
+    const int next = match_right_[r];
+    if (next == -1 || (dist_[next] == dist_[l] + 1 && Augment(next))) {
+      match_left_[l] = r;
+      match_right_[r] = l;
+      return true;
+    }
+  }
+  dist_[l] = kInfinity;
+  return false;
+}
+
+int BipartiteGraph::MaxMatching() {
+  match_left_.assign(static_cast<size_t>(num_left_), -1);
+  match_right_.assign(static_cast<size_t>(num_right_), -1);
+  dist_.assign(static_cast<size_t>(num_left_), 0);
+  // Greedy start: match each left vertex to its first free neighbor. On the
+  // small, sparse label graphs of the CSS filter this is often already
+  // maximum, and it saves Hopcroft-Karp phases otherwise.
+  int matching = 0;
+  int linked_left = 0;  // left vertices with at least one edge
+  for (int l = 0; l < num_left_; ++l) {
+    if (!adj_[l].empty()) ++linked_left;
+    for (int r : adj_[l]) {
+      if (match_right_[r] == -1) {
+        match_left_[l] = r;
+        match_right_[r] = l;
+        ++matching;
+        break;
+      }
+    }
+  }
+  // Hopcroft-Karp: repeatedly find a maximal set of shortest augmenting
+  // paths via BFS layering + DFS augmentation. No augmenting path exists
+  // once every linked left vertex (or every right vertex) is matched.
+  const int most = std::min(linked_left, num_right_);
+  while (matching < most && BuildLayers()) {
+    for (int l = 0; l < num_left_; ++l) {
+      if (match_left_[l] == -1 && Augment(l)) ++matching;
+    }
+  }
+  return matching;
+}
+
+int BipartiteGraph::MaxMatching(std::vector<int>* match_of_left) {
+  const int matching = MaxMatching();
+  match_of_left->assign(match_left_.begin(), match_left_.end());
   return matching;
 }
 

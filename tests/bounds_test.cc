@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ged/edit_distance.h"
@@ -177,6 +180,133 @@ TEST(UncertainBoundTest, WildcardInQueryMatchesEverything) {
   g.AddVertex({{a, 0.5}, {b, 0.5}});
   EXPECT_EQ(MaxCommonVertexLabels(q, g, dict), 1);
 }
+
+// ---------------------------------------------------------------------------
+// Independent oracles for the summary kernels, on seeded graphs of at most 6
+// vertices with wildcard vertex and edge labels, parallel edges and the
+// empty graph.
+
+struct KernelCase {
+  LabelDictionary dict;
+  LabeledGraph q;
+  UncertainGraph g;
+};
+
+void MakeKernelCase(int seed, KernelCase* c) {
+  Rng rng(7000 + seed);
+  std::vector<graph::LabelId> vertex_labels =
+      simj::testing::TestLabels(c->dict, 4);
+  vertex_labels.push_back(c->dict.Intern("?x"));
+  std::vector<graph::LabelId> edge_labels = {
+      c->dict.Intern("r1"), c->dict.Intern("r2"), c->dict.Intern("?p")};
+  // Seeds 0 and 1 pair an empty graph with a random one.
+  const int q_vertices = seed == 0 ? 0 : static_cast<int>(rng.Uniform(1, 6));
+  const int g_vertices = seed == 1 ? 0 : static_cast<int>(rng.Uniform(1, 6));
+  c->q = simj::testing::RandomCertainGraph(
+      rng, vertex_labels, edge_labels, q_vertices,
+      static_cast<int>(rng.Uniform(0, 8)));
+  c->g = simj::testing::RandomUncertainGraph(
+      rng, vertex_labels, edge_labels, g_vertices,
+      static_cast<int>(rng.Uniform(0, 8)), /*max_alts=*/3);
+}
+
+class SummaryKernelTest : public ::testing::TestWithParam<int> {};
+
+// Def. 10, checked without a bipartite graph: lambda_V(q, g) is the best
+// common vertex label count of any single possible world.
+TEST_P(SummaryKernelTest, MaxCommonVertexLabelsIsTheBestWorld) {
+  KernelCase c;
+  MakeKernelCase(GetParam(), &c);
+  int best = 0;
+  for (PossibleWorldIterator it(c.g); !it.Done(); it.Next()) {
+    LabeledGraph world = c.g.Materialize(it.choice());
+    best = std::max(best, graph::MatchableLabelCount(
+                              c.q.VertexLabelCounts(),
+                              world.VertexLabelCounts(), c.dict));
+  }
+  EXPECT_EQ(MaxCommonVertexLabels(Summarize(c.q, c.dict),
+                                  Summarize(c.g, c.dict)),
+            best);
+  EXPECT_EQ(MaxCommonVertexLabels(c.q, c.g, c.dict), best);
+}
+
+// lambda_E and C(q, g) from sorted runs equal their LabelCounts forms.
+TEST_P(SummaryKernelTest, StructuralConstantMatchesLabelCounts) {
+  KernelCase c;
+  MakeKernelCase(GetParam(), &c);
+  const GraphSummary q = Summarize(c.q, c.dict);
+  const GraphSummary g = Summarize(c.g, c.dict);
+  const int lambda_e = graph::MatchableLabelCount(
+      c.q.EdgeLabelCounts(), c.g.EdgeLabelCounts(), c.dict);
+  EXPECT_EQ(graph::MatchableLabelCount(q.edge_labels, q.wildcard_edges,
+                                       g.edge_labels, g.wildcard_edges),
+            lambda_e);
+
+  // Thm. 3's constant spelled out from the graphs themselves.
+  auto oriented = [&](const LabeledGraph& small, const LabeledGraph& big) {
+    const int dif = graph::DegreeDistanceFromSorted(small.SortedDegrees(),
+                                                    big.SortedDegrees());
+    return big.num_vertices() + big.num_edges() - lambda_e + (dif + 1) / 2;
+  };
+  const LabeledGraph& gs = c.g.structure();
+  int expected = 0;
+  if (c.q.num_vertices() < gs.num_vertices()) {
+    expected = oriented(c.q, gs);
+  } else if (gs.num_vertices() < c.q.num_vertices()) {
+    expected = oriented(gs, c.q);
+  } else {
+    expected = std::max(oriented(c.q, gs), oriented(gs, c.q));
+  }
+  EXPECT_EQ(CssStructuralConstant(q, g), expected);
+  EXPECT_EQ(CssStructuralConstant(c.q, c.g, c.dict), expected);
+  EXPECT_EQ(CssLowerBoundUncertain(q, g),
+            std::max(0, expected - MaxCommonVertexLabels(q, g)));
+}
+
+// The world overlay bound equals the certain CSS bound of the materialized
+// world, for every world of g and of a group (restriction) of g.
+TEST_P(SummaryKernelTest, WorldBoundEqualsMaterializedCssBound) {
+  KernelCase c;
+  MakeKernelCase(GetParam(), &c);
+  const GraphSummary q = Summarize(c.q, c.dict);
+  const GraphSummary g = Summarize(c.g, c.dict);
+  WorldBound bound(q, CssStructuralConstant(q, g));
+  for (PossibleWorldIterator it(c.g); !it.Done(); it.Next()) {
+    EXPECT_EQ(bound.Bound(c.g, it.choice(), c.dict),
+              CssLowerBound(c.q, c.g.Materialize(it.choice()), c.dict));
+  }
+  for (int v = 0; v < c.g.num_vertices(); ++v) {
+    if (c.g.alternatives(v).size() < 2) continue;
+    UncertainGraph group = c.g.RestrictVertex(v, {1});
+    for (PossibleWorldIterator it(group); !it.Done(); it.Next()) {
+      EXPECT_EQ(bound.Bound(group, it.choice(), c.dict),
+                CssLowerBound(c.q, group.Materialize(it.choice()), c.dict));
+    }
+    break;
+  }
+}
+
+// A group's summary derived from its parent's equals summarizing the group.
+TEST_P(SummaryKernelTest, GroupSummaryMatchesSummarize) {
+  KernelCase c;
+  MakeKernelCase(GetParam(), &c);
+  const GraphSummary g = Summarize(c.g, c.dict);
+  for (int v = 0; v < c.g.num_vertices(); ++v) {
+    const int alts = static_cast<int>(c.g.alternatives(v).size());
+    if (alts < 2) continue;
+    const UncertainGraph group = c.g.RestrictVertex(v, {alts - 1, 0});
+    const GraphSummary derived = SummarizeGroup(g, group, c.dict);
+    const GraphSummary direct = Summarize(group, c.dict);
+    EXPECT_EQ(derived.num_vertices, direct.num_vertices);
+    EXPECT_EQ(derived.num_edges, direct.num_edges);
+    EXPECT_EQ(derived.sorted_degrees, direct.sorted_degrees);
+    EXPECT_EQ(derived.wildcard_edges, direct.wildcard_edges);
+    EXPECT_EQ(derived.vertex_wildcard, direct.vertex_wildcard);
+    EXPECT_EQ(derived.labeled_vertices, direct.labeled_vertices);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SummaryKernelTest, ::testing::Range(0, 60));
 
 }  // namespace
 }  // namespace simj::ged

@@ -3,6 +3,12 @@
 // must produce byte-identical results — same pairs in the same order, same
 // probabilities and mappings, and identical merged prune/verify counters.
 
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,7 +16,12 @@
 
 #include "core/index.h"
 #include "core/join.h"
+#include "dist/coordinator.h"
 #include "test_util.h"
+
+#ifndef SIMJ_TEST_GOLDEN_DIR
+#define SIMJ_TEST_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace simj::core {
 namespace {
@@ -109,17 +120,242 @@ TEST(JoinDeterminismTest, FrozenDictionaryRejectsNewLabels) {
   EXPECT_DEATH(dict.Intern("Fresh"), "frozen");
 }
 
-TEST(JoinDeterminismTest, ParallelJoinFreezesTheDictionary) {
+TEST(JoinDeterminismTest, ScopedFreezesNest) {
+  graph::LabelDictionary dict;
+  {
+    graph::ScopedFreeze outer(dict);
+    {
+      graph::ScopedFreeze inner(dict);
+      EXPECT_TRUE(dict.frozen());
+    }
+    // An overlapping join still runs: the dictionary stays frozen.
+    EXPECT_TRUE(dict.frozen());
+  }
+  EXPECT_FALSE(dict.frozen());
+  EXPECT_GE(dict.Intern("Fresh"), 0);
+}
+
+TEST(JoinDeterminismTest, ParallelJoinsUnfreezeTheDictionaryWhenDone) {
   workload::SyntheticDataset data =
       simj::testing::MakeTinySyntheticDataset(99, /*num_certain=*/3,
                                               /*num_uncertain=*/3);
   SimJParams params;
   params.num_threads = 2;
-  // Only the freeze side effect matters here; the join output is discarded.
-  JoinResult ignored = SimJoin(data.certain, data.uncertain, params, data.dict);
-  (void)ignored;
+  JoinResult parallel = SimJoin(data.certain, data.uncertain, params, data.dict);
+  EXPECT_EQ(parallel.stats.total_pairs, 9);
+  EXPECT_FALSE(data.dict.frozen());
+
+  dist::DistJoinParams dist_params;
+  dist_params.num_workers = 2;
+  dist::DistJoinResult sharded = dist::ShardedSimJoin(
+      data.certain, data.uncertain, params, data.dict, dist_params);
+  EXPECT_EQ(sharded.join.stats.total_pairs, 9);
+  EXPECT_FALSE(data.dict.frozen());
+  // Writable again: a later caller may intern new labels.
+  EXPECT_GE(data.dict.Intern("AfterTheJoin"), 0);
+}
+
+TEST(JoinDeterminismTest, DictionaryFrozenBeforeTheJoinStaysFrozen) {
+  workload::SyntheticDataset data =
+      simj::testing::MakeTinySyntheticDataset(99, /*num_certain=*/3,
+                                              /*num_uncertain=*/3);
+  data.dict.Freeze();
+  SimJParams params;
+  params.num_threads = 2;
+  JoinResult parallel = SimJoin(data.certain, data.uncertain, params, data.dict);
+  (void)parallel;
+  EXPECT_TRUE(data.dict.frozen());
+
+  dist::DistJoinParams dist_params;
+  dist_params.num_workers = 2;
+  dist::DistJoinResult sharded = dist::ShardedSimJoin(
+      data.certain, data.uncertain, params, data.dict, dist_params);
+  (void)sharded;
   EXPECT_TRUE(data.dict.frozen());
 }
+
+// ---------------------------------------------------------------------------
+// Golden join digest: an FNV-1a hash over everything a join reports (pairs,
+// mappings, SimP bit patterns, every JoinStats counter and the explain
+// lines), checked against tests/golden/join_digest_v1.txt. The brute-force
+// oracle of join_property_test shares the per-world bound with the join, so
+// only a digest recorded from an earlier build catches drift in both at once.
+
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void I64(int64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      const unsigned char byte = static_cast<unsigned char>(
+          static_cast<uint64_t>(value) >> shift);
+      Bytes(&byte, 1);
+    }
+  }
+  void F64(double value) {
+    I64(static_cast<int64_t>(std::bit_cast<uint64_t>(value)));
+  }
+  void Str(const std::string& value) {
+    I64(static_cast<int64_t>(value.size()));
+    Bytes(value.data(), value.size());
+  }
+  std::string Hex() const {
+    std::ostringstream out;
+    out << std::hex << hash_;
+    return out.str();
+  }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+std::string JoinDigest(const JoinResult& result, const SimJParams& params) {
+  Fnv1a h;
+  h.I64(static_cast<int64_t>(result.pairs.size()));
+  for (const MatchedPair& pair : result.pairs) {
+    h.I64(pair.q_index);
+    h.I64(pair.g_index);
+    h.F64(pair.similarity_probability);
+    h.I64(pair.best_world_ged);
+    h.I64(static_cast<int64_t>(pair.mapping.size()));
+    for (int m : pair.mapping) h.I64(m);
+  }
+  const JoinStats& s = result.stats;
+  for (int64_t counter :
+       {s.total_pairs, s.pruned_structural, s.pruned_probabilistic,
+        s.candidates, s.results, s.verify.worlds_enumerated,
+        s.verify.worlds_pruned_by_bound,
+        s.verify.worlds_accepted_by_upper_bound, s.verify.ged_calls,
+        s.verify.ged_aborted}) {
+    h.I64(counter);
+  }
+  h.Str(FormatExplains(result, params));
+  return h.Hex();
+}
+
+// A seeded join input plus the parameters it is digested under.
+struct DigestInput {
+  graph::LabelDictionary dict;
+  std::vector<graph::LabeledGraph> d;
+  std::vector<graph::UncertainGraph> u;
+  SimJParams params;
+};
+
+SimJParams DigestParams(int tau, double alpha, int group_count) {
+  SimJParams params;
+  params.tau = tau;
+  params.alpha = alpha;
+  params.group_count = group_count;
+  params.slow_pair_log_ms = 0.0;
+  params.explain.enabled = true;
+  return params;
+}
+
+void FromDataset(workload::SyntheticDataset data, DigestInput* input) {
+  input->dict = std::move(data.dict);
+  input->d = std::move(data.certain);
+  input->u = std::move(data.uncertain);
+}
+
+// "er_tau1_simj": ER graphs at tau = 1, SimJ (one group).
+// "er_tau4_opt8": ER graphs at tau = 4, SimJ+opt with 8 groups.
+// "wildcards": wildcard vertex labels on both sides and wildcard edge
+// labels, parallel edges allowed.
+void MakeDigestInput(const std::string& name, DigestInput* input) {
+  if (name == "er_tau1_simj") {
+    workload::SyntheticConfig config;
+    config.seed = 41;
+    config.num_certain = 30;
+    config.num_uncertain = 30;
+    config.num_vertices = 7;
+    config.num_edges = 10;
+    config.vertex_label_pool = 6;
+    config.edge_label_pool = 3;
+    config.labels_per_vertex = 3;
+    FromDataset(workload::MakeErDataset(config), input);
+    input->params = DigestParams(/*tau=*/1, /*alpha=*/0.1, /*group_count=*/1);
+  } else if (name == "er_tau4_opt8") {
+    FromDataset(simj::testing::MakeTinySyntheticDataset(42, 14, 14), input);
+    input->params = DigestParams(/*tau=*/4, /*alpha=*/0.4, /*group_count=*/8);
+  } else {
+    Rng rng(43);
+    std::vector<graph::LabelId> vertex_labels =
+        simj::testing::TestLabels(input->dict, 4);
+    vertex_labels.push_back(input->dict.Intern("?x"));
+    vertex_labels.push_back(input->dict.Intern("?y"));
+    std::vector<graph::LabelId> edge_labels = {input->dict.Intern("r1"),
+                                               input->dict.Intern("r2"),
+                                               input->dict.Intern("?p")};
+    for (int i = 0; i < 14; ++i) {
+      input->d.push_back(simj::testing::RandomCertainGraph(
+          rng, vertex_labels, edge_labels,
+          static_cast<int>(rng.Uniform(1, 5)),
+          static_cast<int>(rng.Uniform(0, 6))));
+    }
+    for (int i = 0; i < 14; ++i) {
+      input->u.push_back(simj::testing::RandomUncertainGraph(
+          rng, vertex_labels, edge_labels,
+          static_cast<int>(rng.Uniform(1, 5)),
+          static_cast<int>(rng.Uniform(0, 6)), /*max_alts=*/3));
+    }
+    input->params = DigestParams(/*tau=*/2, /*alpha=*/0.3, /*group_count=*/2);
+  }
+}
+
+std::map<std::string, std::string> ReadGoldenDigests() {
+  std::map<std::string, std::string> digests;
+  std::ifstream in(std::string(SIMJ_TEST_GOLDEN_DIR) + "/join_digest_v1.txt");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::string digest;
+    fields >> name >> digest;
+    digests[name] = digest;
+  }
+  return digests;
+}
+
+class GoldenJoinDigestTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenJoinDigestTest, MatchesTheRecordedDigest) {
+  const std::string name = GetParam();
+  const std::map<std::string, std::string> golden = ReadGoldenDigests();
+  ASSERT_TRUE(golden.count(name) == 1)
+      << "no digest for " << name << " in join_digest_v1.txt";
+  DigestInput input;
+  MakeDigestInput(name, &input);
+
+  for (int threads : {1, 4}) {
+    input.params.num_threads = threads;
+    JoinResult result = SimJoin(input.d, input.u, input.params, input.dict);
+    EXPECT_EQ(JoinDigest(result, input.params), golden.at(name))
+        << name << " at " << threads << " threads";
+  }
+
+  // The sharded join without the index plans the full cross product, so it
+  // must reproduce SimJoin byte for byte.
+  dist::DistJoinParams dist_params;
+  dist_params.num_workers = 3;
+  dist_params.transport = dist::Transport::kThread;
+  dist_params.max_pairs_per_shard = 16;
+  dist_params.use_index = false;
+  input.params.num_threads = 1;
+  dist::DistJoinResult sharded = dist::ShardedSimJoin(
+      input.d, input.u, input.params, input.dict, dist_params);
+  EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
+      << name << " through ShardedSimJoin";
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, GoldenJoinDigestTest,
+                         ::testing::Values("er_tau1_simj", "er_tau4_opt8",
+                                           "wildcards"));
 
 }  // namespace
 }  // namespace simj::core

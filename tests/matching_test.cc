@@ -92,6 +92,30 @@ TEST_P(BipartiteRandomTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Sweep, BipartiteRandomTest,
                          ::testing::Range(0, 40));
 
+// One graph reused through Reset() across differently sized inputs answers
+// exactly like a fresh graph per input.
+TEST(BipartiteTest, ResetReusesTheGraph) {
+  Rng rng(2000);
+  BipartiteGraph reused;
+  for (int round = 0; round < 60; ++round) {
+    int n = static_cast<int>(rng.Uniform(0, 7));
+    int m = static_cast<int>(rng.Uniform(0, 7));
+    reused.Reset(n, m);
+    BipartiteGraph fresh(n, m);
+    for (int l = 0; l < n; ++l) {
+      for (int r = 0; r < m; ++r) {
+        if (rng.Bernoulli(0.4)) {
+          reused.AddEdge(l, r);
+          fresh.AddEdge(l, r);
+        }
+      }
+    }
+    EXPECT_EQ(reused.num_left(), n);
+    EXPECT_EQ(reused.num_right(), m);
+    EXPECT_EQ(reused.MaxMatching(), fresh.MaxMatching()) << "round " << round;
+  }
+}
+
 double BruteForceAssignment(const std::vector<std::vector<double>>& cost) {
   int n = static_cast<int>(cost.size());
   int m = static_cast<int>(cost[0].size());

@@ -70,10 +70,11 @@ class TemplateFixture : public ::testing::Test {
   }
 
   // Runs the join on the single pair and returns the mapping.
-  std::vector<int> JoinMapping() {
+  std::vector<int> JoinMapping(int num_threads = 1) {
     core::SimJParams params;
     params.tau = 1;
     params.alpha = 0.7;
+    params.num_threads = num_threads;
     core::JoinResult joined = core::SimJoin({query_graph.graph},
                                             {question_graph.graph}, params,
                                             dict);
@@ -109,6 +110,18 @@ TEST_F(TemplateFixture, GeneratesPaperStyleTemplate) {
   EXPECT_EQ(t->slots[0].kind, SlotKind::kClass);
   EXPECT_EQ(t->slots[1].kind, SlotKind::kEntity);
   EXPECT_EQ(t->slots[1].expected_type, university);
+}
+
+// A parallel join freezes the dictionary only while it runs: template
+// generation afterwards interns its slot labels (__slotK) as usual.
+TEST_F(TemplateFixture, GeneratesTemplateAfterParallelJoin) {
+  std::vector<int> mapping = JoinMapping(/*num_threads=*/2);
+  ASSERT_FALSE(mapping.empty());
+  EXPECT_FALSE(dict.frozen());
+  StatusOr<Template> t = GenerateTemplate(query, query_graph, question,
+                                          question_graph, mapping, dict);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->NlPattern(), "which <slot0> graduated from <slot1>");
 }
 
 TEST_F(TemplateFixture, StoreDeduplicates) {
