@@ -1,7 +1,12 @@
 // simj-lint: allow-file(io) -- benchmark/example harness prints results to stdout.
 // Microbenchmarks (google-benchmark) for the computational kernels: exact
 // GED, the lower bounds, the probabilistic bound, bipartite matching,
-// assignment, tree edit distance and BGP evaluation.
+// assignment, tree edit distance, token alignment and BGP evaluation.
+
+#include <functional>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -177,6 +182,58 @@ void BM_TreeEditDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeEditDistance)->Arg(6)->Arg(12)->Arg(24);
+
+// A template "which <slot0> v1 v2 <slot1>" against a question of
+// range(0) tokens whose spans a hash-set lexicon links about one time in
+// three: the shape TemplateQa aligns for every template and question.
+struct AlignInput {
+  std::vector<std::string> tmpl = {"which", "<slot0>", "v1", "v2", "<slot1>"};
+  std::vector<std::string> question;
+  std::unordered_set<std::string> lexicon;
+  std::function<bool(const std::string&)> linkable = [this](
+      const std::string& span) { return lexicon.contains(span); };
+
+  explicit AlignInput(int tokens) {
+    Rng rng(505);
+    const char* words[] = {"which", "v1", "v2", "w0", "w1", "w2", "w3"};
+    question.push_back("which");
+    for (int i = 1; i < tokens; ++i) {
+      question.push_back(words[rng.Uniform(0, std::size(words) - 1)]);
+    }
+    for (int j = 0; j < tokens; ++j) {
+      std::string span;
+      for (int len = 1; len <= 3 && j + len <= tokens; ++len) {
+        if (!span.empty()) span += ' ';
+        span += question[j + len - 1];
+        if (rng.Uniform(0, 2) == 0) lexicon.insert(span);
+      }
+    }
+  }
+};
+
+// The one-shot overload: builds the slot indices and the span table (one
+// validator call per span) on every call.
+void BM_AlignTokens(benchmark::State& state) {
+  AlignInput in(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nlp::AlignTokens(in.tmpl, 2, in.question, &in.linkable));
+  }
+}
+BENCHMARK(BM_AlignTokens)->Arg(6)->Arg(12)->Arg(24);
+
+// TemplateQa's path: slot indices and span table built once, outside the
+// loop, so only the DP and its backtrack are timed.
+void BM_AlignTokensSharedSpans(benchmark::State& state) {
+  AlignInput in(static_cast<int>(state.range(0)));
+  std::vector<int> slot_of_token = nlp::SlotIndexPerToken(in.tmpl, 2);
+  nlp::SlotSpanTable spans(in.question, &in.linkable);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nlp::AlignTokens(in.tmpl, slot_of_token, 2, in.question, spans));
+  }
+}
+BENCHMARK(BM_AlignTokensSharedSpans)->Arg(6)->Arg(12)->Arg(24);
 
 void BM_BgpEvaluate(benchmark::State& state) {
   graph::LabelDictionary dict;

@@ -571,13 +571,15 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 # parent deadlocks the TSan runtime, and the child shares no memory anyway).
 # profiler_test and shard_test race-check the shared sampled-stack core's
 # merge/accumulate paths and the shard frame codec (the CPU capture tests
-# skip themselves: StartProfiling refuses under TSan).
+# skip themselves: StartProfiling refuses under TSan). templates_test
+# race-checks TemplateQa::Answer's thread-local alignment and tree-distance
+# scratch with four threads sharing one TemplateQa.
 if [[ "${1:-}" != "--skip-tsan" ]]; then
   build_and_test build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSIMJ_SANITIZE=thread -DSIMJ_WERROR=ON
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure \
-    -R 'join_property_test|join_determinism_test|join_test|metrics_test|trace_test|explain_test|log_test|statusz_test|progress_test|cluster_sim_test|flight_recorder_test|heap_profiler_test|profiler_test|shard_test'
+    -R 'join_property_test|join_determinism_test|join_test|metrics_test|trace_test|explain_test|log_test|statusz_test|progress_test|cluster_sim_test|flight_recorder_test|heap_profiler_test|profiler_test|shard_test|templates_test'
 fi
 
 echo "CI OK"

@@ -1,8 +1,9 @@
 #include "nlp/dependency.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <limits>
+#include <system_error>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -25,8 +26,8 @@ int RenameCost(const std::string& a, const std::string& b) {
 // Zhang-Shasha preprocessing: postorder labels, leftmost-leaf indices and
 // keyroots (all 1-based).
 struct ZsTree {
-  std::vector<std::string> labels;  // [1..n]
-  std::vector<int> lml;             // [1..n]
+  std::vector<const std::string*> labels;  // [1..n], into the DepTree
+  std::vector<int> lml;                    // [1..n]
   std::vector<int> keyroots;
 };
 
@@ -39,7 +40,7 @@ void ZsDfs(const DepTree& tree, int node, ZsTree& out, int& counter,
   }
   ++counter;
   lml_of_node[node] = leftmost == -1 ? counter : leftmost;
-  out.labels[counter] = tree.nodes[node].label;
+  out.labels[counter] = &tree.nodes[node].label;
   out.lml[counter] = lml_of_node[node];
 }
 
@@ -108,7 +109,13 @@ int TreeEditDistance(const DepTree& a, const DepTree& b) {
   ZsTree ta = BuildZsTree(a);
   ZsTree tb = BuildZsTree(b);
 
-  std::vector<std::vector<int>> td(n + 1, std::vector<int>(m + 1, 0));
+  // td is (n+1) x (m+1); fd is at most that large for every keyroot pair.
+  // Both live in per-thread scratch that keeps its capacity across calls.
+  thread_local std::vector<int> td;
+  thread_local std::vector<int> fd;
+  const int td_cols = m + 1;
+  td.assign(static_cast<size_t>(n + 1) * td_cols, 0);
+  fd.resize(td.size());
 
   for (int k1 : ta.keyroots) {
     for (int k2 : tb.keyroots) {
@@ -116,36 +123,83 @@ int TreeEditDistance(const DepTree& a, const DepTree& b) {
       int l2 = tb.lml[k2];
       int rows = k1 - l1 + 2;
       int cols = k2 - l2 + 2;
-      std::vector<std::vector<int>> fd(rows, std::vector<int>(cols, 0));
-      for (int di = 1; di < rows; ++di) fd[di][0] = fd[di - 1][0] + 1;
-      for (int dj = 1; dj < cols; ++dj) fd[0][dj] = fd[0][dj - 1] + 1;
+      auto f = [cols](int di, int dj) -> int& { return fd[di * cols + dj]; };
+      f(0, 0) = 0;
+      for (int di = 1; di < rows; ++di) f(di, 0) = f(di - 1, 0) + 1;
+      for (int dj = 1; dj < cols; ++dj) f(0, dj) = f(0, dj - 1) + 1;
       for (int di = 1; di < rows; ++di) {
         int i = l1 + di - 1;
         for (int dj = 1; dj < cols; ++dj) {
           int j = l2 + dj - 1;
+          int& tree_dist = td[i * td_cols + j];
           if (ta.lml[i] == l1 && tb.lml[j] == l2) {
-            fd[di][dj] = std::min(
-                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
-                 fd[di - 1][dj - 1] + RenameCost(ta.labels[i], tb.labels[j])});
-            td[i][j] = fd[di][dj];
+            f(di, dj) = std::min(
+                {f(di - 1, dj) + 1, f(di, dj - 1) + 1,
+                 f(di - 1, dj - 1) +
+                     RenameCost(*ta.labels[i], *tb.labels[j])});
+            tree_dist = f(di, dj);
           } else {
             int pi = ta.lml[i] - l1;  // forest prefix before subtree of i
             int pj = tb.lml[j] - l2;
-            fd[di][dj] = std::min(
-                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
-                 fd[pi][pj] + td[i][j]});
+            f(di, dj) = std::min(
+                {f(di - 1, dj) + 1, f(di, dj - 1) + 1, f(pi, pj) + tree_dist});
           }
         }
       }
     }
   }
-  return td[n][m];
+  return td[n * td_cols + m];
+}
+
+int SlotIndexOf(std::string_view token, std::string_view prefix,
+                std::string_view suffix, int num_slots) {
+  if (token.size() <= prefix.size() + suffix.size() ||
+      !token.starts_with(prefix) || !token.ends_with(suffix)) {
+    return -1;
+  }
+  std::string_view digits = token.substr(
+      prefix.size(), token.size() - prefix.size() - suffix.size());
+  if (digits.front() < '0' || digits.front() > '9') return -1;
+  int index = -1;
+  auto [ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), index);
+  if (ec != std::errc() || ptr != digits.data() + digits.size()) return -1;
+  return index < num_slots ? index : -1;
+}
+
+SlotSpanTable::SlotSpanTable(
+    const std::vector<std::string>& question_tokens,
+    const std::function<bool(const std::string&)>* accepts)
+    : mask_(question_tokens.size(), 0) {
+  const int q = static_cast<int>(question_tokens.size());
+  for (int j = 0; j < q; ++j) {
+    std::string span;
+    for (int len = 1; len <= kMaxSlotTokens && j + len <= q; ++len) {
+      if (!span.empty()) span += ' ';
+      span += question_tokens[j + len - 1];
+      if (accepts == nullptr || (*accepts)(span)) {
+        mask_[j] |= static_cast<uint8_t>(1u << (len - 1));
+      }
+    }
+  }
+}
+
+std::vector<int> SlotIndexPerToken(
+    const std::vector<std::string>& template_tokens, int num_slots) {
+  std::vector<int> slot_of_token;
+  slot_of_token.reserve(template_tokens.size());
+  for (const std::string& token : template_tokens) {
+    slot_of_token.push_back(SlotIndexOf(token, "<slot", ">", num_slots));
+  }
+  return slot_of_token;
 }
 
 std::optional<TokenAlignment> AlignTokens(
-    const std::vector<std::string>& template_tokens, int num_slots,
+    const std::vector<std::string>& template_tokens,
+    const std::vector<int>& slot_of_token, int num_slots,
     const std::vector<std::string>& question_tokens,
-    const std::function<bool(const std::string&)>* slot_validator) {
+    const SlotSpanTable& spans) {
+  SIMJ_CHECK_EQ(slot_of_token.size(), template_tokens.size());
   const int t = static_cast<int>(template_tokens.size());
   const int q = static_cast<int>(question_tokens.size());
   constexpr int kInf = std::numeric_limits<int>::max() / 4;
@@ -156,11 +210,16 @@ std::optional<TokenAlignment> AlignTokens(
     int cost = kInf;
     int matches = -1;  // exact token matches along the best path
     Move move = kNone;
-    int consumed = 0;  // for kSlot: question tokens consumed
+    uint8_t consumed = 0;  // for kSlot: question tokens consumed
   };
-  std::vector<std::vector<Cell>> dp(t + 1, std::vector<Cell>(q + 1));
-  dp[0][0].cost = 0;
-  dp[0][0].matches = 0;
+  // Row-major (t+1) x (q+1) table in per-thread scratch that keeps its
+  // capacity across calls.
+  thread_local std::vector<Cell> dp;
+  const int width = q + 1;
+  dp.assign(static_cast<size_t>(t + 1) * width, Cell());
+  auto at = [width](int i, int j) -> Cell& { return dp[i * width + j]; };
+  at(0, 0).cost = 0;
+  at(0, 0).matches = 0;
 
   // Lower cost wins; on ties, more exact matches (tighter slot spans and
   // better phi); on full ties, the earlier move in the enum.
@@ -172,56 +231,49 @@ std::optional<TokenAlignment> AlignTokens(
       cell.cost = cost;
       cell.matches = matches;
       cell.move = move;
-      cell.consumed = consumed;
+      cell.consumed = static_cast<uint8_t>(consumed);
     }
   };
 
   for (int i = 0; i <= t; ++i) {
+    const bool is_slot = i < t && slot_of_token[i] >= 0;
     for (int j = 0; j <= q; ++j) {
-      if (dp[i][j].cost >= kInf) continue;
-      int cost = dp[i][j].cost;
-      int matches = dp[i][j].matches;
+      const Cell& here = at(i, j);
+      if (here.cost >= kInf) continue;
+      const int cost = here.cost;
+      const int matches = here.matches;
       if (i < t) {
-        if (IsSlotToken(template_tokens[i])) {
-          // A slot captures a short phrase (entity phrases are at most a
-          // few tokens); longer spans must pay as insertions, so partial
-          // matches genuinely lower phi. With a validator, only linkable
-          // spans qualify.
-          constexpr int kMaxSlotTokens = 3;
-          std::string span;
+        if (is_slot) {
           for (int consume = 1;
                consume <= kMaxSlotTokens && j + consume <= q; ++consume) {
-            if (!span.empty()) span += ' ';
-            span += question_tokens[j + consume - 1];
-            if (slot_validator != nullptr && !(*slot_validator)(span)) {
-              continue;
+            if (spans.Capturable(j, consume)) {
+              relax(at(i + 1, j + consume), cost, matches, kSlot, consume);
             }
-            relax(dp[i + 1][j + consume], cost, matches, kSlot, consume);
           }
         } else if (j < q) {
           if (template_tokens[i] == question_tokens[j]) {
-            relax(dp[i + 1][j + 1], cost, matches + 1, kMatch, 0);
+            relax(at(i + 1, j + 1), cost, matches + 1, kMatch, 0);
           } else {
-            relax(dp[i + 1][j + 1], cost + 1, matches, kSubst, 0);
+            relax(at(i + 1, j + 1), cost + 1, matches, kSubst, 0);
           }
         }
-        relax(dp[i + 1][j], cost + 1, matches, kDelete, 0);
+        relax(at(i + 1, j), cost + 1, matches, kDelete, 0);
       }
-      if (j < q) relax(dp[i][j + 1], cost + 1, matches, kInsert, 0);
+      if (j < q) relax(at(i, j + 1), cost + 1, matches, kInsert, 0);
     }
   }
 
-  if (dp[t][q].cost >= kInf) return std::nullopt;
+  if (at(t, q).cost >= kInf) return std::nullopt;
 
   // Backtrack: collect slot phrases and coverage.
   TokenAlignment result;
-  result.cost = dp[t][q].cost;
+  result.cost = at(t, q).cost;
   result.slot_phrases.assign(num_slots, "");
   int covered = 0;
   int i = t;
   int j = q;
   while (i > 0 || j > 0) {
-    const Cell& cell = dp[i][j];
+    const Cell& cell = at(i, j);
     switch (cell.move) {
       case kMatch:
         ++covered;
@@ -233,19 +285,13 @@ std::optional<TokenAlignment> AlignTokens(
         --j;
         break;
       case kSlot: {
-        std::string phrase;
+        std::string& phrase = result.slot_phrases[slot_of_token[i - 1]];
+        phrase.clear();
         for (int k = j - cell.consumed; k < j; ++k) {
           if (!phrase.empty()) phrase += ' ';
           phrase += question_tokens[k];
         }
         covered += cell.consumed;
-        // Slot index from the marker "<slotK>".
-        const std::string& marker = template_tokens[i - 1];
-        int slot_index =
-            std::atoi(marker.substr(5, marker.size() - 6).c_str());
-        if (slot_index >= 0 && slot_index < num_slots) {
-          result.slot_phrases[slot_index] = phrase;
-        }
         j -= cell.consumed;
         --i;
         break;
@@ -266,6 +312,16 @@ std::optional<TokenAlignment> AlignTokens(
   result.matching_proportion =
       q == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(q);
   return result;
+}
+
+std::optional<TokenAlignment> AlignTokens(
+    const std::vector<std::string>& template_tokens, int num_slots,
+    const std::vector<std::string>& question_tokens,
+    const std::function<bool(const std::string&)>* slot_validator) {
+  return AlignTokens(template_tokens,
+                     SlotIndexPerToken(template_tokens, num_slots), num_slots,
+                     question_tokens,
+                     SlotSpanTable(question_tokens, slot_validator));
 }
 
 }  // namespace simj::nlp

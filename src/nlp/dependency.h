@@ -11,9 +11,11 @@
 #ifndef SIMJ_NLP_DEPENDENCY_H_
 #define SIMJ_NLP_DEPENDENCY_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nlp/semantic_graph.h"
@@ -58,13 +60,60 @@ struct TokenAlignment {
   std::vector<std::string> slot_phrases;
 };
 
-// Aligns template tokens (containing "<slot0>", "<slot1>", ... markers;
-// each slot consumes one to three question tokens at zero cost) against
-// question tokens. Ties in edit cost are broken toward more exact token
-// matches, which keeps slot spans tight. When `slot_validator` is provided,
-// a slot may only capture a span the validator accepts (TemplateQa passes a
-// lexicon lookup, so slots only capture linkable phrases). Returns
-// std::nullopt when no valid alignment exists.
+// A slot captures a short phrase (entity phrases are at most a few tokens);
+// longer spans must pay as insertions, so partial matches genuinely lower
+// phi.
+inline constexpr int kMaxSlotTokens = 3;
+
+// The question side of the alignment, computed once per question: which
+// spans of 1..kMaxSlotTokens question tokens a slot may capture.
+class SlotSpanTable {
+ public:
+  // Every span is capturable when `accepts` is null; otherwise a span is
+  // capturable when `accepts` returns true for its tokens joined by ' '.
+  SlotSpanTable(const std::vector<std::string>& question_tokens,
+                const std::function<bool(const std::string&)>* accepts);
+
+  // Whether the `len` tokens starting at token `j` form a capturable span
+  // (1 <= len <= kMaxSlotTokens, j + len <= number of tokens).
+  bool Capturable(int j, int len) const {
+    return (mask_[j] >> (len - 1)) & 1u;
+  }
+
+ private:
+  std::vector<uint8_t> mask_;  // bit len-1 of mask_[j]
+};
+
+// K when `token` is `prefix` + K + `suffix` with K a whole decimal number
+// below `num_slots`, else -1. Templates spell slot K as "<slotK>" in their
+// NL tokens and as "__slotK" in their SPARQL pattern.
+int SlotIndexOf(std::string_view token, std::string_view prefix,
+                std::string_view suffix, int num_slots);
+
+// The template side: for each template token its slot index K when the
+// token is a marker "<slotK>" with 0 <= K < num_slots, else -1 (a literal
+// token).
+std::vector<int> SlotIndexPerToken(
+    const std::vector<std::string>& template_tokens, int num_slots);
+
+// Aligns template tokens against question tokens. A token with a slot index
+// in `slot_of_token` is a slot: it consumes one to kMaxSlotTokens question
+// tokens at zero cost, and only spans `spans` marks capturable. Every other
+// token is matched, substituted, deleted or inserted at unit cost. Ties in
+// edit cost are broken toward more exact token matches, which keeps slot
+// spans tight. Returns std::nullopt when no valid alignment exists or some
+// slot captures nothing.
+std::optional<TokenAlignment> AlignTokens(
+    const std::vector<std::string>& template_tokens,
+    const std::vector<int>& slot_of_token, int num_slots,
+    const std::vector<std::string>& question_tokens,
+    const SlotSpanTable& spans);
+
+// One-shot form of the above: builds the slot indices from the "<slotK>"
+// markers and the span table from `slot_validator` (null accepts every
+// span). TemplateQa passes a lexicon lookup, so slots only capture linkable
+// phrases; callers aligning many templates against one question should
+// build the table once and use the overload above.
 std::optional<TokenAlignment> AlignTokens(
     const std::vector<std::string>& template_tokens, int num_slots,
     const std::vector<std::string>& question_tokens,

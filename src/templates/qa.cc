@@ -1,12 +1,16 @@
 #include "templates/qa.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
 
 #include "nlp/dependency.h"
 #include "nlp/semantic_graph.h"
+#include "util/metrics.h"
 
 namespace simj::tmpl {
 
@@ -34,6 +38,25 @@ struct Candidate {
   }
 };
 
+// Per-question counts of the template loop, added once per Answer call.
+struct QaMetrics {
+  metrics::Counter& templates_aligned;
+  metrics::Counter& templates_ted_skipped;
+  metrics::Counter& ted_calls;
+
+  static const QaMetrics& Get() {
+    static QaMetrics* m = [] {
+      metrics::Registry& r = metrics::Registry::Global();
+      return new QaMetrics{  // simj-lint: allow(new) leaky singleton
+          r.GetCounter("simj_qa_templates_aligned_total"),
+          r.GetCounter("simj_qa_templates_ted_skipped_total"),
+          r.GetCounter("simj_qa_ted_calls_total"),
+      };
+    }();
+    return *m;
+  }
+};
+
 }  // namespace
 
 StatusOr<QaAnswer> TemplateQa::Answer(const std::string& question,
@@ -46,18 +69,32 @@ StatusOr<QaAnswer> TemplateQa::Answer(const std::string& question,
   StatusOr<nlp::ParsedQuestion> parsed = nlp::ParseQuestion(question, *lexicon_);
   if (parsed.ok()) question_tree = nlp::BuildQuestionTree(*parsed);
 
-  // Slots may only capture phrases the lexicon can link.
-  std::function<bool(const std::string&)> slot_validator =
+  // Slots may only capture phrases the lexicon can link. One lexicon pass
+  // over the question's short spans serves every template.
+  std::function<bool(const std::string&)> linkable =
       [this](const std::string& span) {
         return lexicon_->FindEntity(span) != nullptr ||
                lexicon_->FindClass(span) != nullptr;
       };
+  const nlp::SlotSpanTable spans(tokens, &linkable);
 
+  int64_t aligned = 0;
+  int64_t ted_skipped = 0;
+  int64_t ted_calls = 0;
   std::optional<Candidate> best;
   for (int i = 0; i < templates_->size(); ++i) {
     const Template& t = templates_->templates()[i];
+    // Unit insert/delete costs make the tree distance at least the size
+    // difference, and a larger distance never beats `best` (BetterThan
+    // compares it first), so this template cannot be chosen.
+    if (question_tree.has_value() && best.has_value() &&
+        std::abs(question_tree->size() - t.tree.size()) > best->ted) {
+      ++ted_skipped;
+      continue;
+    }
+    ++aligned;
     std::optional<nlp::TokenAlignment> alignment = nlp::AlignTokens(
-        t.nl_tokens, t.num_slots(), tokens, &slot_validator);
+        t.nl_tokens, t.slot_of_token, t.num_slots(), tokens, spans);
     if (!alignment.has_value()) continue;
     if (alignment->matching_proportion <
         options.min_matching_proportion - 1e-9) {
@@ -68,12 +105,17 @@ StatusOr<QaAnswer> TemplateQa::Answer(const std::string& question,
     candidate.alignment = *std::move(alignment);
     candidate.support = t.support_count;
     if (question_tree.has_value()) {
+      ++ted_calls;
       candidate.ted = nlp::TreeEditDistance(*question_tree, t.tree);
     }
     if (!best.has_value() || candidate.BetterThan(*best)) {
       best = std::move(candidate);
     }
   }
+  const QaMetrics& metrics = QaMetrics::Get();
+  metrics.templates_aligned.Add(aligned);
+  metrics.templates_ted_skipped.Add(ted_skipped);
+  metrics.ted_calls.Add(ted_calls);
   if (!best.has_value()) {
     return NotFoundError("no template matches the question");
   }
@@ -117,13 +159,9 @@ StatusOr<QaAnswer> TemplateQa::Answer(const std::string& question,
   for (rdf::TriplePattern& pattern : answer.executed.patterns) {
     for (rdf::TermId* field : {&pattern.subject, &pattern.predicate,
                                &pattern.object}) {
-      const std::string& name = dict_->Name(*field);
-      if (name.size() > 6 && name.rfind("__slot", 0) == 0) {
-        int slot_index = std::atoi(name.substr(6).c_str());
-        if (slot_index >= 0 && slot_index < chosen.num_slots()) {
-          *field = slot_terms[slot_index];
-        }
-      }
+      int slot_index = nlp::SlotIndexOf(dict_->Name(*field), "__slot", "",
+                                        chosen.num_slots());
+      if (slot_index >= 0) *field = slot_terms[slot_index];
     }
   }
   answer.template_index = best->index;

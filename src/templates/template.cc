@@ -120,6 +120,7 @@ bool TemplateStore::Add(Template t, const graph::LabelDictionary& dict) {
   }
   index_by_key_.emplace(std::move(key),
                         static_cast<int>(templates_.size()));
+  t.slot_of_token = nlp::SlotIndexPerToken(t.nl_tokens, t.num_slots());
   templates_.push_back(std::move(t));
   return true;
 }
@@ -186,6 +187,35 @@ StatusOr<int> ParseTreeNode(std::string_view text, size_t& pos,
   }
   ++pos;
   return node;
+}
+
+// Checks that every slot marker in `t` names one of its slots: NL tokens
+// starting "<slot" must be "<slotK>" and SPARQL terms starting "__slot"
+// must be "__slotK", with K a whole number below t.num_slots().
+Status CheckSlotMarkers(const Template& t,
+                        const graph::LabelDictionary& dict) {
+  auto bad = [&](const std::string& marker) {
+    return InvalidArgumentError("slot marker '" + marker +
+                                "' does not name one of the " +
+                                std::to_string(t.num_slots()) + " SLOT lines");
+  };
+  for (const std::string& token : t.nl_tokens) {
+    if (StartsWith(token, "<slot") &&
+        nlp::SlotIndexOf(token, "<slot", ">", t.num_slots()) < 0) {
+      return bad(token);
+    }
+  }
+  for (const rdf::TriplePattern& pattern : t.pattern.patterns) {
+    for (rdf::TermId term :
+         {pattern.subject, pattern.predicate, pattern.object}) {
+      const std::string& name = dict.Name(term);
+      if (StartsWith(name, "__slot") &&
+          nlp::SlotIndexOf(name, "__slot", "", t.num_slots()) < 0) {
+        return bad(name);
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 // Parses all of `field` as a T; false on anything else.
@@ -257,6 +287,9 @@ StatusOr<TemplateStore> ParseTemplates(std::string_view text,
       if (!in_template) return fail("END without TEMPLATE");
       if (current.nl_tokens.empty() || current.pattern.patterns.empty()) {
         return fail("template missing NL or SPARQL");
+      }
+      if (Status markers = CheckSlotMarkers(current, dict); !markers.ok()) {
+        return fail(markers.message());
       }
       store.Add(std::move(current), dict);
       in_template = false;

@@ -3,7 +3,7 @@
 //
 // A template pairs a natural-language pattern (question tokens with
 // "<slotK>" markers) with a SPARQL pattern (a ParsedQuery whose slotted
-// terms are "<slotK>") plus the slot mapping between them. It is built from
+// terms are "__slotK") plus the slot mapping between them. It is built from
 // a SimJ result pair: the GED vertex mapping aligns concrete
 // entities/classes on the SPARQL side with phrases on the question side;
 // each aligned concrete pair becomes a slot.
@@ -40,7 +40,10 @@ struct Slot {
 struct Template {
   // Natural-language pattern, normalized tokens with "<slotK>" markers.
   std::vector<std::string> nl_tokens;
-  // SPARQL pattern with "<slotK>" placeholder terms.
+  // Slot index of each NL token (-1 for a literal token), filled in by
+  // TemplateStore::Add so answering never re-parses the markers.
+  std::vector<int> slot_of_token;
+  // SPARQL pattern with "__slotK" placeholder terms.
   sparql::ParsedQuery pattern;
   std::vector<Slot> slots;
   // Dependency tree of the NL pattern (slot nodes carry nlp::kSlotMarker).
@@ -75,7 +78,7 @@ StatusOr<Template> GenerateTemplate(
 // its support count (and keeps the strongest SimP evidence).
 class TemplateStore {
  public:
-  // Returns true when the template was new.
+  // Returns true when the template was new. Fills in t.slot_of_token.
   bool Add(Template t, const graph::LabelDictionary& dict);
 
   const std::vector<Template>& templates() const { return templates_; }
@@ -89,7 +92,9 @@ class TemplateStore {
 // Text persistence for template stores: a readable line-oriented format
 // that round-trips through ParseTemplates (the dependency tree included),
 // so template libraries can be shipped separately from the workloads that
-// produced them.
+// produced them. ParseTemplates rejects a template whose NL markers or
+// SPARQL placeholders are not "<slotK>" / "__slotK" with K below its number
+// of SLOT lines.
 std::string SerializeTemplates(const TemplateStore& store,
                                const graph::LabelDictionary& dict);
 StatusOr<TemplateStore> ParseTemplates(std::string_view text,

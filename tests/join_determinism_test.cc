@@ -3,11 +3,8 @@
 // must produce byte-identical results — same pairs in the same order, same
 // probabilities and mappings, and identical merged prune/verify counters.
 
-#include <bit>
 #include <cstdint>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,41 +178,8 @@ TEST(JoinDeterminismTest, DictionaryFrozenBeforeTheJoinStaysFrozen) {
 // oracle of join_property_test shares the per-world bound with the join, so
 // only a digest recorded from an earlier build catches drift in both at once.
 
-class Fnv1a {
- public:
-  void Bytes(const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void I64(int64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      const unsigned char byte = static_cast<unsigned char>(
-          static_cast<uint64_t>(value) >> shift);
-      Bytes(&byte, 1);
-    }
-  }
-  void F64(double value) {
-    I64(static_cast<int64_t>(std::bit_cast<uint64_t>(value)));
-  }
-  void Str(const std::string& value) {
-    I64(static_cast<int64_t>(value.size()));
-    Bytes(value.data(), value.size());
-  }
-  std::string Hex() const {
-    std::ostringstream out;
-    out << std::hex << hash_;
-    return out.str();
-  }
-
- private:
-  uint64_t hash_ = 14695981039346656037ULL;
-};
-
 std::string JoinDigest(const JoinResult& result, const SimJParams& params) {
-  Fnv1a h;
+  simj::testing::Fnv1a h;
   h.I64(static_cast<int64_t>(result.pairs.size()));
   for (const MatchedPair& pair : result.pairs) {
     h.I64(pair.q_index);
@@ -307,26 +271,13 @@ void MakeDigestInput(const std::string& name, DigestInput* input) {
   }
 }
 
-std::map<std::string, std::string> ReadGoldenDigests() {
-  std::map<std::string, std::string> digests;
-  std::ifstream in(std::string(SIMJ_TEST_GOLDEN_DIR) + "/join_digest_v1.txt");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream fields(line);
-    std::string name;
-    std::string digest;
-    fields >> name >> digest;
-    digests[name] = digest;
-  }
-  return digests;
-}
-
 class GoldenJoinDigestTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenJoinDigestTest, MatchesTheRecordedDigest) {
   const std::string name = GetParam();
-  const std::map<std::string, std::string> golden = ReadGoldenDigests();
+  const std::map<std::string, std::string> golden =
+      simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
+                                       "/join_digest_v1.txt");
   ASSERT_TRUE(golden.count(name) == 1)
       << "no digest for " << name << " in join_digest_v1.txt";
   DigestInput input;

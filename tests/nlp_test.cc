@@ -1,3 +1,13 @@
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/label.h"
@@ -286,6 +296,21 @@ TEST(TreeEditDistanceTest, MetricPropertiesOnRandomTrees) {
     EXPECT_LE(std::abs(x.size() - y.size()), xy);
     EXPECT_LE(xy, x.size() + y.size());
   }
+  // TemplateQa skips a template when the tree sizes alone differ by more
+  // than the best distance so far; that needs the size-difference bound to
+  // hold with free slot relabels too, on trees large enough to reuse and
+  // regrow the distance tables.
+  for (int trial = 0; trial < 200; ++trial) {
+    DepTree x = random_tree(static_cast<int>(rng.Uniform(1, 14)));
+    DepTree y = random_tree(static_cast<int>(rng.Uniform(1, 14)));
+    for (DepTree::Node& node : y.nodes) {
+      if (rng.Bernoulli(0.3)) node.label = kSlotMarker;
+    }
+    int xy = TreeEditDistance(x, y);
+    EXPECT_EQ(xy, TreeEditDistance(y, x));
+    EXPECT_GE(xy, std::abs(x.size() - y.size()));
+    EXPECT_LE(xy, x.size() + y.size());
+  }
 }
 
 TEST_F(NlpFixture, FuzzedQuestionsNeverCrash) {
@@ -376,6 +401,231 @@ TEST(AlignTokensTest, SubstitutionCost) {
   auto alignment = AlignTokens({"which", "actor"}, 0, {"which", "singer"});
   ASSERT_TRUE(alignment.has_value());
   EXPECT_EQ(alignment->cost, 1);
+}
+
+// The alignment DP as it was before it read per-question span tables: it
+// rebuilds every slot span as a string and asks the validator per DP cell.
+// Kept here as the reference the table-driven AlignTokens must reproduce.
+namespace reference {
+
+bool IsSlotToken(const std::string& token) {
+  return token.starts_with("<slot") && token.ends_with(">");
+}
+
+std::optional<TokenAlignment> AlignTokens(
+    const std::vector<std::string>& template_tokens, int num_slots,
+    const std::vector<std::string>& question_tokens,
+    const std::function<bool(const std::string&)>* slot_validator) {
+  const int t = static_cast<int>(template_tokens.size());
+  const int q = static_cast<int>(question_tokens.size());
+  constexpr int kInf = std::numeric_limits<int>::max() / 4;
+
+  enum Move : uint8_t { kNone, kMatch, kSlot, kSubst, kDelete, kInsert };
+  struct Cell {
+    int cost = kInf;
+    int matches = -1;
+    Move move = kNone;
+    int consumed = 0;
+  };
+  std::vector<std::vector<Cell>> dp(t + 1, std::vector<Cell>(q + 1));
+  dp[0][0].cost = 0;
+  dp[0][0].matches = 0;
+
+  auto relax = [](Cell& cell, int cost, int matches, Move move,
+                  int consumed) {
+    if (cost < cell.cost ||
+        (cost == cell.cost && matches > cell.matches) ||
+        (cost == cell.cost && matches == cell.matches && move < cell.move)) {
+      cell.cost = cost;
+      cell.matches = matches;
+      cell.move = move;
+      cell.consumed = consumed;
+    }
+  };
+
+  for (int i = 0; i <= t; ++i) {
+    for (int j = 0; j <= q; ++j) {
+      if (dp[i][j].cost >= kInf) continue;
+      int cost = dp[i][j].cost;
+      int matches = dp[i][j].matches;
+      if (i < t) {
+        if (IsSlotToken(template_tokens[i])) {
+          constexpr int kMaxSlotTokens = 3;
+          std::string span;
+          for (int consume = 1;
+               consume <= kMaxSlotTokens && j + consume <= q; ++consume) {
+            if (!span.empty()) span += ' ';
+            span += question_tokens[j + consume - 1];
+            if (slot_validator != nullptr && !(*slot_validator)(span)) {
+              continue;
+            }
+            relax(dp[i + 1][j + consume], cost, matches, kSlot, consume);
+          }
+        } else if (j < q) {
+          if (template_tokens[i] == question_tokens[j]) {
+            relax(dp[i + 1][j + 1], cost, matches + 1, kMatch, 0);
+          } else {
+            relax(dp[i + 1][j + 1], cost + 1, matches, kSubst, 0);
+          }
+        }
+        relax(dp[i + 1][j], cost + 1, matches, kDelete, 0);
+      }
+      if (j < q) relax(dp[i][j + 1], cost + 1, matches, kInsert, 0);
+    }
+  }
+
+  if (dp[t][q].cost >= kInf) return std::nullopt;
+
+  TokenAlignment result;
+  result.cost = dp[t][q].cost;
+  result.slot_phrases.assign(num_slots, "");
+  int covered = 0;
+  int i = t;
+  int j = q;
+  while (i > 0 || j > 0) {
+    const Cell& cell = dp[i][j];
+    switch (cell.move) {
+      case kMatch:
+        ++covered;
+        --i;
+        --j;
+        break;
+      case kSubst:
+        --i;
+        --j;
+        break;
+      case kSlot: {
+        std::string phrase;
+        for (int k = j - cell.consumed; k < j; ++k) {
+          if (!phrase.empty()) phrase += ' ';
+          phrase += question_tokens[k];
+        }
+        covered += cell.consumed;
+        const std::string& marker = template_tokens[i - 1];
+        int slot_index =
+            std::atoi(marker.substr(5, marker.size() - 6).c_str());
+        if (slot_index >= 0 && slot_index < num_slots) {
+          result.slot_phrases[slot_index] = phrase;
+        }
+        j -= cell.consumed;
+        --i;
+        break;
+      }
+      case kDelete:
+        --i;
+        break;
+      case kInsert:
+        --j;
+        break;
+      case kNone:
+        ADD_FAILURE() << "reference backtrack reached an unset cell";
+        return std::nullopt;
+    }
+  }
+  for (const std::string& phrase : result.slot_phrases) {
+    if (phrase.empty()) return std::nullopt;
+  }
+  result.matching_proportion =
+      q == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(q);
+  return result;
+}
+
+}  // namespace reference
+
+void ExpectSameAlignment(const std::optional<TokenAlignment>& got,
+                         const std::optional<TokenAlignment>& want,
+                         const std::string& context) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << context;
+  if (!want.has_value()) return;
+  EXPECT_EQ(got->cost, want->cost) << context;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->matching_proportion),
+            std::bit_cast<uint64_t>(want->matching_proportion))
+      << context;
+  EXPECT_EQ(got->slot_phrases, want->slot_phrases) << context;
+}
+
+TEST(AlignTokensTest, MatchesStringSpanReferenceOnRandomInputs) {
+  Rng rng(2024);
+  // A four-word vocabulary makes repeated tokens and accidental matches
+  // common; questions up to 9 tokens leave spans longer than a slot takes.
+  const std::vector<std::string> words = {"a", "b", "c", "d"};
+  int compared = 0;
+  int aligned = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::string> question;
+    int q = trial == 0 ? 0 : static_cast<int>(rng.Uniform(0, 9));
+    for (int k = 0; k < q; ++k) {
+      question.push_back(words[rng.Uniform(0, words.size() - 1)]);
+    }
+
+    // Validators: everything, nothing, or a random subset of the spans.
+    std::set<std::string> accepted;
+    for (int j = 0; j < q; ++j) {
+      std::string span;
+      for (int len = 1; len <= kMaxSlotTokens && j + len <= q; ++len) {
+        if (!span.empty()) span += ' ';
+        span += question[j + len - 1];
+        if (rng.Bernoulli(0.5)) accepted.insert(span);
+      }
+    }
+    std::function<bool(const std::string&)> nothing =
+        [](const std::string&) { return false; };
+    std::function<bool(const std::string&)> subset =
+        [&accepted](const std::string& span) {
+          return accepted.contains(span);
+        };
+    const std::function<bool(const std::string&)>* validators[] = {
+        nullptr, &nothing, &subset};
+
+    for (const auto* validator : validators) {
+      // One table per question serves every template, as in TemplateQa.
+      SlotSpanTable spans(question, validator);
+      for (int rep = 0; rep < 4; ++rep) {
+        int num_slots = static_cast<int>(rng.Uniform(0, 3));
+        std::vector<std::string> tmpl;
+        int literals = static_cast<int>(rng.Uniform(0, 6));
+        for (int k = 0; k < literals; ++k) {
+          tmpl.push_back(words[rng.Uniform(0, words.size() - 1)]);
+        }
+        std::vector<int> order;
+        for (int k = 0; k < num_slots; ++k) order.push_back(k);
+        rng.Shuffle(order);
+        for (int k : order) {
+          tmpl.insert(tmpl.begin() + rng.Uniform(0, tmpl.size()),
+                      "<slot" + std::to_string(k) + ">");
+        }
+        std::string context = "trial " + std::to_string(trial) +
+                              " template '" + testing::PrintToString(tmpl) +
+                              "' question '" +
+                              testing::PrintToString(question) + "'";
+        std::optional<TokenAlignment> want =
+            reference::AlignTokens(tmpl, num_slots, question, validator);
+        ExpectSameAlignment(
+            AlignTokens(tmpl, SlotIndexPerToken(tmpl, num_slots), num_slots,
+                        question, spans),
+            want, context + " (table)");
+        ExpectSameAlignment(AlignTokens(tmpl, num_slots, question, validator),
+                            want, context + " (validator)");
+        ++compared;
+        if (want.has_value()) ++aligned;
+      }
+    }
+  }
+  // Both outcomes must be well represented for the comparison to mean much.
+  EXPECT_GT(aligned, compared / 4);
+  EXPECT_LT(aligned, compared);
+}
+
+TEST(SlotIndexOfTest, AcceptsOnlyWholeNumbersBelowTheSlotCount) {
+  EXPECT_EQ(SlotIndexOf("<slot0>", "<slot", ">", 2), 0);
+  EXPECT_EQ(SlotIndexOf("<slot1>", "<slot", ">", 2), 1);
+  EXPECT_EQ(SlotIndexOf("__slot1", "__slot", "", 2), 1);
+  for (const char* bad : {"<slot2>", "<slot>", "<slot-1>", "<slot+1>",
+                          "<slotx>", "<slot1x>", "<slot 1>", "slot1",
+                          "<slot99999999999999999999>"}) {
+    EXPECT_EQ(SlotIndexOf(bad, "<slot", ">", 2), -1) << bad;
+  }
+  EXPECT_EQ(SlotIndexOf("__slot", "__slot", "", 2), -1);
 }
 
 }  // namespace

@@ -1,3 +1,9 @@
+#include <algorithm>
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/join.h"
@@ -7,6 +13,14 @@
 #include "templates/baselines.h"
 #include "templates/qa.h"
 #include "templates/template.h"
+#include "test_util.h"
+#include "util/metrics.h"
+#include "workload/knowledge_base.h"
+#include "workload/question_gen.h"
+
+#ifndef SIMJ_TEST_GOLDEN_DIR
+#define SIMJ_TEST_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace simj::tmpl {
 namespace {
@@ -354,6 +368,69 @@ TEST(TemplateParseTest, RejectsNonNumericSupport) {
   }
 }
 
+// A template whose slot markers are exercised by the decoder: two SLOT
+// lines, so markers 0 and 1 are valid.
+std::string TemplateText(const std::string& nl, const std::string& object) {
+  return "TEMPLATE\nNL " + nl + "\nSPARQL SELECT ?x WHERE { ?x type __slot0 . ?x "
+         "graduatedFrom " + object + " . }\nSLOT class -\nSLOT entity -\nEND\n";
+}
+
+void ExpectRejectedMarker(const std::string& text, const std::string& marker) {
+  graph::LabelDictionary dict;
+  StatusOr<TemplateStore> parsed = ParseTemplates(text, dict);
+  ASSERT_FALSE(parsed.ok()) << marker;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << marker;
+  EXPECT_NE(parsed.status().message().find("slot marker '" + marker + "'"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(TemplateParseTest, AcceptsWellFormedSlotMarkers) {
+  graph::LabelDictionary dict;
+  StatusOr<TemplateStore> parsed = ParseTemplates(
+      TemplateText("which <slot0> graduated from <slot1>", "__slot1"), dict);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1);
+  EXPECT_EQ(parsed->templates()[0].slot_of_token,
+            (std::vector<int>{-1, 0, -1, -1, 1}));
+}
+
+TEST(TemplateParseTest, RejectsOutOfRangeSlotMarker) {
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot2>", "__slot1"),
+      "<slot2>");
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot1>", "__slot2"),
+      "__slot2");
+  // Far past int: std::atoi on this was undefined behaviour.
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot99999999999999999999>",
+                   "__slot1"),
+      "<slot99999999999999999999>");
+}
+
+TEST(TemplateParseTest, RejectsNonNumericSlotMarker) {
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slotx>", "__slot1"),
+      "<slotx>");
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot-1>", "__slot1"),
+      "<slot-1>");
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot1>", "__slot1b"),
+      "__slot1b");
+}
+
+TEST(TemplateParseTest, RejectsBareSlotMarker) {
+  // A bare marker used to bind slot 0 silently.
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot>", "__slot1"),
+      "<slot>");
+  ExpectRejectedMarker(
+      TemplateText("which <slot0> graduated from <slot1>", "__slot"),
+      "__slot");
+}
+
 TEST(ScoreAnswerTest, Cases) {
   std::vector<std::vector<rdf::TermId>> gold = {{1}, {2}};
   PrfScore perfect = ScoreAnswer(gold, {{1}, {2}});
@@ -372,6 +449,179 @@ TEST(ScoreAnswerTest, Cases) {
   PrfScore dup = ScoreAnswer(gold, {{1}, {1}, {2}});
   EXPECT_DOUBLE_EQ(dup.precision, 1.0);  // duplicates collapse
   EXPECT_DOUBLE_EQ(dup.recall, 1.0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden Q/A digest: templates built by a serial join over a seeded KB-42
+// workload answer held-out questions, and every answer is hashed (status
+// code, chosen template, phi bit pattern, tree edit distance, executed
+// pattern, sorted answer rows). The digest in tests/golden/qa_digest_v1.txt
+// was recorded before the answering path was optimized; a change here means
+// some question is answered differently.
+
+class QaWorld {
+ public:
+  QaWorld() : kb_(workload::KbConfig{.seed = 42}) {
+    workload::Workload train = simj::testing::MakeSeededWorkload(
+        kb_, /*seed=*/7, /*num_questions=*/200, /*distractor_queries=*/60);
+    workload::JoinSides sides = workload::BuildJoinSides(kb_, train);
+    core::SimJParams params;
+    params.tau = 1;
+    params.alpha = 0.6;
+    core::JoinResult joined =
+        core::SimJoin(sides.d, sides.u, params, kb_.dict());
+    for (const core::MatchedPair& pair : joined.pairs) {
+      StatusOr<Template> t = GenerateTemplate(
+          train.sparql_queries[pair.q_index], sides.d_graphs[pair.q_index],
+          sides.u_parsed[pair.g_index], sides.u_graphs[pair.g_index],
+          pair.mapping, kb_.dict());
+      if (t.ok()) store_.Add(*std::move(t), kb_.dict());
+    }
+    workload::Workload test = simj::testing::MakeSeededWorkload(
+        kb_, /*seed=*/8, /*num_questions=*/200);
+    for (const workload::QuestionInstance& question : test.questions) {
+      questions_.push_back(question.text);
+    }
+    // Odd inputs: empty, punctuation only, and two questions run together.
+    questions_.push_back("");
+    questions_.push_back("?");
+    questions_.push_back(test.questions.front().text + " " +
+                         test.questions.back().text);
+  }
+
+  workload::KnowledgeBase& kb() { return kb_; }
+  const TemplateStore& store() const { return store_; }
+  const std::vector<std::string>& questions() const { return questions_; }
+
+ private:
+  workload::KnowledgeBase kb_;
+  TemplateStore store_;
+  std::vector<std::string> questions_;
+};
+
+// Built once: the join dominates the cost of every test below.
+QaWorld& SharedQaWorld() {
+  static QaWorld world;
+  return world;
+}
+
+void HashAnswer(const StatusOr<QaAnswer>& answer,
+                const graph::LabelDictionary& dict,
+                simj::testing::Fnv1a* h) {
+  h->I64(static_cast<int64_t>(answer.status().code()));
+  if (!answer.ok()) return;
+  h->I64(answer->template_index);
+  h->F64(answer->matching_proportion);
+  h->I64(answer->tree_edit_distance);
+  h->Str(sparql::ToSparqlText(answer->executed, dict));
+  std::vector<std::vector<std::string>> rows;
+  for (const std::vector<rdf::TermId>& row : answer->rows) {
+    std::vector<std::string>& names = rows.emplace_back();
+    for (rdf::TermId term : row) names.push_back(dict.Name(term));
+  }
+  std::sort(rows.begin(), rows.end());
+  h->I64(static_cast<int64_t>(rows.size()));
+  for (const std::vector<std::string>& row : rows) {
+    h->I64(static_cast<int64_t>(row.size()));
+    for (const std::string& name : row) h->Str(name);
+  }
+}
+
+std::string QaDigest(const TemplateQa& qa, QaWorld& world) {
+  simj::testing::Fnv1a h;
+  h.I64(static_cast<int64_t>(world.questions().size()));
+  for (const std::string& question : world.questions()) {
+    HashAnswer(qa.Answer(question), world.kb().dict(), &h);
+  }
+  return h.Hex();
+}
+
+TEST(QaDigestTest, MatchesTheRecordedDigest) {
+  const std::map<std::string, std::string> golden =
+      simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
+                                       "/qa_digest_v1.txt");
+  ASSERT_TRUE(golden.count("kb42") == 1)
+      << "no digest for kb42 in qa_digest_v1.txt";
+  QaWorld& world = SharedQaWorld();
+  ASSERT_GT(world.store().size(), 10);
+  workload::KnowledgeBase& kb = world.kb();
+
+  TemplateQa built(&world.store(), &kb.lexicon(), &kb.store(), &kb.dict());
+  EXPECT_EQ(QaDigest(built, world), golden.at("kb42")) << "built store";
+
+  StatusOr<TemplateStore> reloaded =
+      ParseTemplates(SerializeTemplates(world.store(), kb.dict()), kb.dict());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_EQ(reloaded->size(), world.store().size());
+  TemplateQa round(&*reloaded, &kb.lexicon(), &kb.store(), &kb.dict());
+  EXPECT_EQ(QaDigest(round, world), golden.at("kb42"))
+      << "after a serialize/parse round trip";
+}
+
+// Every question that tokenizes either aligns a template or skips it on
+// tree size, and computes a tree distance only for aligned templates.
+TEST(TemplateQaTest, CountersAccountForEveryTemplate) {
+  QaWorld& world = SharedQaWorld();
+  workload::KnowledgeBase& kb = world.kb();
+  TemplateQa qa(&world.store(), &kb.lexicon(), &kb.store(), &kb.dict());
+  metrics::Registry& registry = metrics::Registry::Global();
+  metrics::Counter& aligned =
+      registry.GetCounter("simj_qa_templates_aligned_total");
+  metrics::Counter& skipped =
+      registry.GetCounter("simj_qa_templates_ted_skipped_total");
+  metrics::Counter& ted_calls = registry.GetCounter("simj_qa_ted_calls_total");
+  const int64_t aligned_before = aligned.Value();
+  const int64_t skipped_before = skipped.Value();
+  const int64_t ted_before = ted_calls.Value();
+  int64_t tokenized = 0;
+  for (const std::string& question : world.questions()) {
+    StatusOr<QaAnswer> answer = qa.Answer(question);
+    if (answer.status().message() != "empty question") ++tokenized;
+  }
+  const int64_t aligned_delta = aligned.Value() - aligned_before;
+  const int64_t skipped_delta = skipped.Value() - skipped_before;
+  EXPECT_EQ(aligned_delta + skipped_delta, tokenized * world.store().size());
+  EXPECT_GT(skipped_delta, 0);
+  EXPECT_LE(ted_calls.Value() - ted_before, aligned_delta);
+}
+
+// Answer keeps its alignment and tree-distance tables in thread-local
+// scratch; threads sharing one TemplateQa must not see each other's.
+TEST(TemplateQaTest, ConcurrentAnswersMatchSerial) {
+  QaWorld& world = SharedQaWorld();
+  workload::KnowledgeBase& kb = world.kb();
+  TemplateQa qa(&world.store(), &kb.lexicon(), &kb.store(), &kb.dict());
+  const std::vector<std::string>& questions = world.questions();
+  auto digest_of = [&](size_t k) {
+    simj::testing::Fnv1a h;
+    HashAnswer(qa.Answer(questions[k]), kb.dict(), &h);
+    return h.Hex();
+  };
+  std::vector<std::string> serial;
+  for (size_t k = 0; k < questions.size(); ++k) serial.push_back(digest_of(k));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> got(
+      kThreads, std::vector<std::string>(questions.size()));
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Each thread starts at a different question, so the threads hold
+      // tables of different sizes at any moment.
+      const size_t n = questions.size();
+      for (size_t step = 0; step < n; ++step) {
+        size_t k = (step + static_cast<size_t>(w) * n / kThreads) % n;
+        got[w][k] = digest_of(k);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int w = 0; w < kThreads; ++w) {
+    for (size_t k = 0; k < questions.size(); ++k) {
+      EXPECT_EQ(got[w][k], serial[k]) << "thread " << w << " question " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 #ifndef SIMJ_TESTS_TEST_UTIL_H_
 #define SIMJ_TESTS_TEST_UTIL_H_
 
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,59 @@
 #include "workload/synthetic.h"
 
 namespace simj::testing {
+
+// FNV-1a over the bytes a golden digest covers. Integers hash as eight
+// little-endian bytes, doubles as their bit pattern, strings as their
+// length then their bytes.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void I64(int64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      const unsigned char byte = static_cast<unsigned char>(
+          static_cast<uint64_t>(value) >> shift);
+      Bytes(&byte, 1);
+    }
+  }
+  void F64(double value) {
+    I64(static_cast<int64_t>(std::bit_cast<uint64_t>(value)));
+  }
+  void Str(const std::string& value) {
+    I64(static_cast<int64_t>(value.size()));
+    Bytes(value.data(), value.size());
+  }
+  std::string Hex() const {
+    std::ostringstream out;
+    out << std::hex << hash_;
+    return out.str();
+  }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+// Reads a golden digest file: "name digest" lines, '#' comments.
+inline std::map<std::string, std::string> ReadGoldenDigests(
+    const std::string& path) {
+  std::map<std::string, std::string> digests;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::string digest;
+    fields >> name >> digest;
+    digests[name] = digest;
+  }
+  return digests;
+}
 
 // Interns labels "L0".."L{n-1}" plus wildcards "?a".."?c".
 inline std::vector<graph::LabelId> TestLabels(graph::LabelDictionary& dict,
