@@ -1,8 +1,8 @@
 // simj-lint: allow-file(io) -- benchmark/example harness prints results to stdout.
 // Sharded join scaling: wall-clock speedup of ShardedSimJoin at 1/2/4/8
 // workers on both transports (in-process threads and forked child
-// processes), plus a result-identity check against the serial
-// IndexedSimJoin oracle — the distributed path must be a pure
+// processes), plus a result-identity check against the serial SimJoin
+// oracle — the distributed path must be a pure
 // reorganization of the same work.
 //
 // Flags: --num_certain / --num_uncertain / --num_vertices / --tau /
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/index.h"
+#include "core/join.h"
 #include "dist/coordinator.h"
 #include "dist/simulator.h"
 
@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
 
   // Serial oracle: the sharded join must reproduce this byte-for-byte.
   core::JoinResult baseline =
-      core::IndexedSimJoin(data.certain, data.uncertain, params, data.dict);
+      core::SimJoin(data.certain, data.uncertain, params, data.dict);
   const double baseline_seconds = baseline.stats.wall_seconds;
-  std::printf("serial IndexedSimJoin: %.3fs, %zu results\n\n",
+  std::printf("serial SimJoin: %.3fs, %zu results\n\n",
               baseline_seconds, baseline.pairs.size());
   std::printf("%10s %8s %12s %10s %10s %10s\n", "transport", "workers",
               "seconds", "speedup", "steals", "identical");

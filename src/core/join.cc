@@ -26,6 +26,8 @@ using graph::UncertainGraph;
 struct JoinMetrics {
   metrics::Counter& pairs_total;
   metrics::Counter& pruned_structural;
+  // The subset of pruned_structural decided by the count bound alone.
+  metrics::Counter& pruned_count_bound;
   metrics::Counter& pruned_probabilistic;
   metrics::Counter& candidates;
   metrics::Counter& results;
@@ -43,6 +45,7 @@ struct JoinMetrics {
       return new JoinMetrics{  // simj-lint: allow(new) leaky singleton
           r.GetCounter("simj_join_pairs_total"),
           r.GetCounter("simj_join_pruned_structural_total"),
+          r.GetCounter(kPrunedCountBoundMetric),
           r.GetCounter("simj_join_pruned_probabilistic_total"),
           r.GetCounter("simj_join_candidates_total"),
           r.GetCounter("simj_join_results_total"),
@@ -64,8 +67,6 @@ const char* PruneStageName(PruneStage stage) {
   switch (stage) {
     case PruneStage::kNone:
       return "none";
-    case PruneStage::kIndexCount:
-      return "index-count";
     case PruneStage::kStructural:
       return "structural";
     case PruneStage::kProbabilistic:
@@ -279,11 +280,6 @@ std::string FormatExplain(const PairExplain& explain,
                 explain.g_index);
   out += buffer;
   switch (explain.pruned_by) {
-    case PruneStage::kIndexCount:
-      std::snprintf(buffer, sizeof(buffer),
-                    "PRUNED index-count: |dV|+|dE| > tau=%d", params.tau);
-      out += buffer;
-      return out;
     case PruneStage::kStructural:
       std::snprintf(buffer, sizeof(buffer),
                     "PRUNED structural: css_lb=%d > tau=%d",
@@ -344,10 +340,32 @@ void LogSlowPair(double elapsed_ms, const SimJParams& params,
                  << FormatExplain(*explain, params);
 }
 
+// The registry side of the pairs the count bound decides, added once per
+// batch of pairs (a row of the serial loop, a chunk, a shard's pair list):
+// three counter adds per pair would cost more than the check itself.
+class CountPrunedTally {
+ public:
+  CountPrunedTally() = default;
+  CountPrunedTally(const CountPrunedTally&) = delete;
+  CountPrunedTally& operator=(const CountPrunedTally&) = delete;
+  ~CountPrunedTally() {
+    if (pairs_ == 0) return;
+    const JoinMetrics& jm = JoinMetrics::Get();
+    jm.pairs_total.Add(pairs_);
+    jm.pruned_structural.Add(pairs_);
+    jm.pruned_count_bound.Add(pairs_);
+  }
+  void Add() { ++pairs_; }
+
+ private:
+  int64_t pairs_ = 0;
+};
+
 // Per-pair execution shared by the serial loop, the parallel workers,
-// and the shard-list entry point (EvaluatePairList): heartbeat, evaluate,
-// watchdog epilogue, explain capture. Gates are captured once at
-// construction so the per-pair path never re-reads tracker atomics.
+// and the shard-list entry point (EvaluatePairList): count-bound check,
+// heartbeat, evaluate, watchdog epilogue, explain capture. Gates are
+// captured once at construction so the per-pair path never re-reads
+// tracker atomics.
 struct PairEvaluator {
   const std::vector<LabeledGraph>& d;
   const std::vector<UncertainGraph>& u;
@@ -378,22 +396,33 @@ struct PairEvaluator {
         heartbeats_on(heartbeats),
         progress_every(params_in.progress_every) {}
 
-  void Evaluate(int worker, int qi, int gi, JoinStats* stats,
-                std::vector<MatchedPair>* pairs_out,
-                std::vector<PairExplain>* explains_out) const {
+  void Evaluate(int worker, int qi, int gi, JoinResult* out,
+                CountPrunedTally* tally) const {
+    const bool sampled = explain_on && params.explain.ShouldExplain(qi, gi);
+    // Thm. 2: the count bound never exceeds the CSS bound, so a pair it
+    // decides is a CSS prune and is counted as one, without the CSS
+    // kernel. A sampled pair takes the full filter instead, so that its
+    // explain line carries the exact css_lb.
+    if (params.structural_pruning && !sampled &&
+        ged::CountLowerBound(summaries.d[qi], summaries.u[gi]) > params.tau) {
+      ++out->stats.total_pairs;
+      ++out->stats.pruned_structural;
+      tally->Add();
+      if (progress_every > 0) progress.NotePairCompleted(progress_every);
+      return;
+    }
     MatchedPair pair;
     PairExplain explain;
-    const bool sampled = explain_on && params.explain.ShouldExplain(qi, gi);
     PairExplain* explain_slot =
         sampled || watchdog_on || stall_on ? &explain : nullptr;
     if (heartbeats_on) progress.Heartbeat(worker, qi, gi);
     WallTimer pair_timer;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
-                               summaries.u[gi], params, dict, stats, &pair,
-                               explain_slot)) {
+                               summaries.u[gi], params, dict, &out->stats,
+                               &pair, explain_slot)) {
       pair.q_index = qi;
       pair.g_index = gi;
-      pairs_out->push_back(std::move(pair));
+      out->pairs.push_back(std::move(pair));
     }
     // Epilogue: logging only — results, stats and explain output are
     // byte-identical whether any of it fires.
@@ -415,7 +444,7 @@ struct PairEvaluator {
     if (sampled) {
       explain.q_index = qi;
       explain.g_index = gi;
-      explains_out->push_back(std::move(explain));
+      out->explains.push_back(std::move(explain));
     }
   }
 };
@@ -437,9 +466,7 @@ constexpr int64_t kChunksPerWorker = 64;
 // ids from one shared cursor and evaluate them into per-worker partial
 // results, merged into *result once every thread has joined.
 void RunWorkers(const PairEvaluator& evaluator, int workers,
-                int64_t num_pairs,
-                const std::function<std::pair<int, int>(int64_t)>& pair_at,
-                JoinResult* result) {
+                int64_t num_pairs, int64_t num_u, JoinResult* result) {
   // Workers may only read the dictionary (EvaluatePair never interns, but
   // the freeze makes that a hard guarantee rather than a convention). The
   // freeze ends with the join, so the caller may intern again afterwards.
@@ -464,10 +491,15 @@ void RunWorkers(const PairEvaluator& evaluator, int workers,
             cursor.fetch_add(chunk, std::memory_order_relaxed);
         if (begin >= num_pairs) break;
         const int64_t end = std::min(num_pairs, begin + chunk);
+        CountPrunedTally tally;
+        int qi = static_cast<int>(begin / num_u);
+        int gi = static_cast<int>(begin % num_u);
         for (int64_t p = begin; p < end; ++p) {
-          auto [qi, gi] = pair_at(p);
-          evaluator.Evaluate(w, qi, gi, &mine.stats, &mine.pairs,
-                             &mine.explains);
+          evaluator.Evaluate(w, qi, gi, &mine, &tally);
+          if (++gi == num_u) {
+            gi = 0;
+            ++qi;
+          }
         }
       }
     });
@@ -503,57 +535,10 @@ void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       int worker, JoinResult* result) {
   PairEvaluator evaluator(d, u, summaries, params, dict,
                           JoinProgress::Global().heartbeats_armed());
+  CountPrunedTally tally;
   for (const auto& [qi, gi] : pairs) {
-    evaluator.Evaluate(worker, qi, gi, &result->stats, &result->pairs,
-                       &result->explains);
+    evaluator.Evaluate(worker, qi, gi, result, &tally);
   }
-}
-
-void JoinPairs(const std::vector<LabeledGraph>& d,
-               const std::vector<UncertainGraph>& u, const SimJParams& params,
-               const graph::LabelDictionary& dict, int64_t num_pairs,
-               const std::function<std::pair<int, int>(int64_t)>& pair_at,
-               JoinResult* result) {
-  JoinProgress& progress = JoinProgress::Global();
-  // Sticky per-join gates: captured once here so the per-pair path never
-  // reads the tracker's atomics.
-  const bool heartbeats_on =
-      params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
-  const int workers =
-      params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
-  const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
-  progress.BeginJoin(num_pairs, workers, heartbeats_on);
-  const PairEvaluator evaluator(d, u, summaries, params, dict, heartbeats_on);
-  {
-    StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
-    if (params.num_threads == 1) {
-      // Legacy serial path: accumulate directly into result->stats.
-      for (int64_t p = 0; p < num_pairs; ++p) {
-        auto [qi, gi] = pair_at(p);
-        evaluator.Evaluate(0, qi, gi, &result->stats, &result->pairs,
-                           &result->explains);
-      }
-    } else {
-      RunWorkers(evaluator, workers, num_pairs, pair_at, result);
-    }
-  }
-  progress.EndJoin();
-  // Debug-mode join postcondition: every pair was either pruned by exactly
-  // one stage or verified, never both — a pair that was pruned and then
-  // re-verified (or double-counted by a worker) breaks this identity.
-  SIMJ_DCHECK_EQ(result->stats.total_pairs,
-                 result->stats.pruned_structural +
-                     result->stats.pruned_probabilistic +
-                     result->stats.candidates);
-  SIMJ_DCHECK_LE(result->stats.results, result->stats.candidates);
-  // Memory observability: one high-water update and one /proc read per
-  // join (never per pair).
-  JoinMetrics::Get().candidate_set_peak.UpdateMax(
-      static_cast<double>(result->stats.candidates));
-  mem::SampleRssToMetrics();
-  // Pair evaluation is deterministic per pair, so after this sort the
-  // result is identical at every thread count.
-  SortByPairIdentity(result);
 }
 
 JoinResult SimJoin(const std::vector<LabeledGraph>& d,
@@ -571,12 +556,47 @@ JoinResult SimJoin(const std::vector<LabeledGraph>& d,
 #endif
   const int64_t num_u = static_cast<int64_t>(u.size());
   const int64_t num_pairs = static_cast<int64_t>(d.size()) * num_u;
-  JoinPairs(d, u, params, dict, num_pairs,
-            [num_u](int64_t p) {
-              return std::pair<int, int>{static_cast<int>(p / num_u),
-                                         static_cast<int>(p % num_u)};
-            },
-            &result);
+  JoinProgress& progress = JoinProgress::Global();
+  // Sticky per-join gates: captured once here so the per-pair path never
+  // reads the tracker's atomics.
+  const bool heartbeats_on =
+      params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
+  const int workers =
+      params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
+  const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
+  progress.BeginJoin(num_pairs, workers, heartbeats_on);
+  const PairEvaluator evaluator(d, u, summaries, params, dict, heartbeats_on);
+  {
+    StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
+    if (params.num_threads == 1) {
+      // Legacy serial path: accumulate directly into result.stats.
+      for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
+        CountPrunedTally tally;
+        for (int gi = 0; gi < static_cast<int>(u.size()); ++gi) {
+          evaluator.Evaluate(0, qi, gi, &result, &tally);
+        }
+      }
+    } else {
+      RunWorkers(evaluator, workers, num_pairs, num_u, &result);
+    }
+  }
+  progress.EndJoin();
+  // Debug-mode join postcondition: every pair was either pruned by exactly
+  // one stage or verified, never both — a pair that was pruned and then
+  // re-verified (or double-counted by a worker) breaks this identity.
+  SIMJ_DCHECK_EQ(result.stats.total_pairs,
+                 result.stats.pruned_structural +
+                     result.stats.pruned_probabilistic +
+                     result.stats.candidates);
+  SIMJ_DCHECK_LE(result.stats.results, result.stats.candidates);
+  // Memory observability: one high-water update and one /proc read per
+  // join (never per pair).
+  JoinMetrics::Get().candidate_set_peak.UpdateMax(
+      static_cast<double>(result.stats.candidates));
+  mem::SampleRssToMetrics();
+  // Pair evaluation is deterministic per pair, so after this sort the
+  // result is identical at every thread count.
+  SortByPairIdentity(&result);
   result.stats.wall_seconds = wall.ElapsedSeconds();
   return result;
 }

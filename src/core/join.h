@@ -4,7 +4,9 @@
 // (natural-language question graphs), returns every pair <q, g> with
 // SimP_tau(q, g) >= alpha using filter-and-refine:
 //
-//   1. structural pruning   : CSS lower bound (Thm. 3) > tau  => prune
+//   1. structural pruning   : CSS lower bound (Thm. 3) > tau  => prune,
+//      first trying the vertex/edge-count bound of [29], which Thm. 2
+//      puts below CSS
 //   2. probabilistic pruning: Markov upper bound (Thm. 4) < alpha => prune
 //      (optionally over possible-world groups, Section 6.2)
 //   3. verification         : possible-world enumeration with per-world
@@ -18,7 +20,6 @@
 #define SIMJ_CORE_JOIN_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +38,6 @@ namespace simj::core {
 // verification decision). Stages are listed in pipeline order.
 enum class PruneStage {
   kNone = 0,       // survived every filter; verification decided the pair
-  kIndexCount,     // skipped by the size-signature index (count bound)
   kStructural,     // CSS uncertain bound > tau (Thm. 3)
   kProbabilistic,  // Markov / group upper bound < alpha (Thm. 4)
 };
@@ -107,7 +107,7 @@ struct SimJParams {
   // Explain mode: record per-pair prune/bound audit trails into
   // JoinResult::explains (off by default; costs nothing when disabled).
   ExplainOptions explain;
-  // Slow-pair watchdog: when > 0, JoinPairs logs (SIMJ_LOG(WARN), with the
+  // Slow-pair watchdog: when > 0, SimJoin logs (SIMJ_LOG(WARN), with the
   // pair's explain record) every pair whose full filter+verify evaluation
   // exceeds this many milliseconds. Logging only — results, stats, and
   // explain output are byte-identical whether it fires or not, at every
@@ -115,7 +115,7 @@ struct SimJParams {
   // shares with explain capture is one steady_clock call, below noise).
   double slow_pair_log_ms = 1000.0;
   // Stall watchdog (complements slow_pair_log_ms, which cannot see a pair
-  // that never finishes): when > 0, JoinPairs runs a monitor thread that
+  // that never finishes): when > 0, SimJoin runs a monitor thread that
   // samples per-worker heartbeats and logs SIMJ_LOG(WARN) as soon as a
   // worker has been inside one pair longer than this many milliseconds; the
   // stalled pair's full explain record is logged when it eventually
@@ -130,6 +130,12 @@ struct SimJParams {
   ged::GedOptions ged_options;
 };
 
+// Registry counter of the pairs decided by the count bound alone: in
+// SimJoin's structural filter, and in a shard plan that skips them (they are
+// part of simj_join_pruned_structural_total / JoinStats::pruned_structural).
+inline constexpr char kPrunedCountBoundMetric[] =
+    "simj_join_pruned_count_bound_total";
+
 struct JoinStats {
   int64_t total_pairs = 0;
   int64_t pruned_structural = 0;
@@ -142,9 +148,9 @@ struct JoinStats {
   // busy workers reports ~8x the wall clock here.
   double pruning_cpu_seconds = 0.0;
   double verification_cpu_seconds = 0.0;
-  // Elapsed time of the whole join, measured once around it by SimJoin /
-  // IndexedSimJoin (never summed across workers; MergeJoinStats leaves it
-  // alone). This is the number to report as response time.
+  // Elapsed time of the whole join, measured once around it by SimJoin
+  // (never summed across workers; MergeJoinStats leaves it alone). This is
+  // the number to report as response time.
   double wall_seconds = 0.0;
 
   double TotalCpuSeconds() const {
@@ -221,36 +227,26 @@ std::string FormatExplains(const JoinResult& result,
 // byte-comparable whatever thread count, shard plan or transport made it.
 void SortByPairIdentity(JoinResult* result);
 
-// Algorithm 1: nested-loop join of D with U under the configured prunings.
-// With params.num_threads != 1 the |D| x |U| pairs are split across worker
-// threads (see SimJParams::num_threads).
+// Algorithm 1: nested-loop join of D with U under the configured prunings,
+// the one join entry point. Pair ids p in [0, |D| x |U|) map to
+// <p / |U|, p % |U|>; they are evaluated serially when params.num_threads
+// == 1 and otherwise on worker threads that claim chunks of ids from a
+// shared cursor (see SimJParams::num_threads). A pair whose count bound
+// exceeds tau is counted as a structural prune without computing CSS,
+// unless explain samples it: results, every JoinStats counter and every
+// explain line are those of the full CSS filter.
 [[nodiscard]] JoinResult SimJoin(const std::vector<graph::LabeledGraph>& d,
                    const std::vector<graph::UncertainGraph>& u,
                    const SimJParams& params,
                    const graph::LabelDictionary& dict);
 
-// Shared join engine behind SimJoin and IndexedSimJoin: evaluates the
-// `num_pairs` candidate pairs enumerated by `pair_at` (flat id -> (q_index,
-// g_index)), serially when params.num_threads == 1 and otherwise on worker
-// threads that claim chunks of pair ids from a shared cursor. Qualifying
-// pairs are appended to result->pairs and the result is put in
-// SortByPairIdentity order;
-// per-thread stats are merged into result->stats (which may already carry
-// counts from index-level pruning). `pair_at` must be pure: it is called
-// concurrently from workers.
-void JoinPairs(const std::vector<graph::LabeledGraph>& d,
-               const std::vector<graph::UncertainGraph>& u,
-               const SimJParams& params, const graph::LabelDictionary& dict,
-               int64_t num_pairs,
-               const std::function<std::pair<int, int>(int64_t)>& pair_at,
-               JoinResult* result);
-
 // Shard-aware entry point for the distributed join (src/dist): evaluates an
 // explicit candidate list in order on the calling thread as logical worker
-// `worker`, reading the summaries the caller built once for the whole join. Per-pair behavior — explain sampling, the slow-pair watchdog,
-// stall-flag consumption, heartbeats (gated on
+// `worker`, reading the summaries the caller built once for the whole join.
+// Per-pair behavior — the count-bound check, explain sampling, the
+// slow-pair watchdog, stall-flag consumption, heartbeats (gated on
 // JoinProgress::heartbeats_armed(), armed by the caller's BeginJoin) — is
-// bit-for-bit the same work JoinPairs does for those pairs. Stats
+// bit-for-bit the same work SimJoin does for those pairs. Stats
 // accumulate into result->stats; qualifying pairs and explain records are
 // appended UNSORTED: the caller owns BeginJoin/EndJoin, the StallMonitor,
 // and the final SortByPairIdentity.

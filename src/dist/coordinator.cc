@@ -594,14 +594,13 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
 
   DistJoinResult out;
   out.join.stats = plan.pre_stats;
-  out.join.explains = std::move(plan.pre_explains);
-  // Index-pruned pairs never reach a shard, so the per-`worker`-label
+  // Pairs skipped at plan time never reach a shard, so the per-`worker`-label
   // accounting attributes plan-level pruning to the coordinator itself —
   // keeping the sum across all `worker` labels equal to an unsharded run.
   AddLabeledShardStats(plan.pre_stats, "coordinator");
 
   // Workers share the dictionary concurrently (and process workers fork a
-  // snapshot of it); freeze for the duration, like the parallel JoinPairs
+  // snapshot of it); freeze for the duration, like the parallel SimJoin
   // path does.
   const graph::ScopedFreeze freeze(dict);
   const core::JoinSummaries summaries = core::SummarizeJoinInputs(d, u, dict);
@@ -653,7 +652,7 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
     health::SetHealthy("dist_worker_" + std::to_string(w));
   }
 
-  // The same join postcondition JoinPairs enforces, across the merge.
+  // The same join postcondition SimJoin enforces, across the merge.
   SIMJ_DCHECK_EQ(out.join.stats.total_pairs,
                  out.join.stats.pruned_structural +
                      out.join.stats.pruned_probabilistic +

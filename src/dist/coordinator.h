@@ -3,9 +3,9 @@
 // The coordinator deals the planned shards round-robin onto per-worker
 // queues, runs one dispatch loop per worker, and merges the per-shard
 // results into a JoinResult that is byte-identical (pairs, mappings,
-// counters — never wall/CPU timing) to SimJoin (use_index off) or
-// IndexedSimJoin (use_index on), at any worker count, either transport,
-// and under any fault schedule:
+// counters, explain lines — never wall/CPU timing) to SimJoin, with or
+// without use_index, at any worker count, either transport, and under any
+// fault schedule:
 //
 //   * work stealing — a worker whose own queue drains steals from the back
 //     of the longest remaining queue, so stragglers shed load;

@@ -1,18 +1,17 @@
 // Shard planning for the distributed join (DESIGN.md §9).
 //
-// The candidate space |D| x |U| is partitioned along the size-signature
-// buckets of CertainGraphIndex: every shard holds pairs whose certain
-// graphs share one (|V|, |E|) signature, so a shard probes a contiguous
-// slice of the index and its cost profile is homogeneous. Buckets larger
+// The candidate space |D| x |U| is partitioned along size-signature
+// buckets: every shard holds pairs whose certain graphs share one
+// (|V|, |E|) signature, so its cost profile is homogeneous. Buckets larger
 // than `max_pairs_per_shard` are split into consecutive chunks so the
 // coordinator has enough shards to steal.
 //
-// With `use_index` on, bucket/graph combinations failing the count lower
-// bound are dropped at plan time and accounted by the same
-// core::AccountIndexSkips that IndexedSimJoin uses — the merged
-// distributed result is byte-identical to IndexedSimJoin. With `use_index`
-// off every pair is planned and the merged result is byte-identical to
-// SimJoin.
+// With `use_index` and structural pruning on, the pairs of a bucket whose
+// count lower bound against an uncertain graph exceeds tau are counted as
+// structural prunes at plan time instead of being shipped, except the
+// pairs that explain samples. SimJoin prunes exactly those pairs with the
+// same count check, so the merged distributed result is byte-identical to
+// SimJoin under either setting; the skip only keeps frames small.
 
 #ifndef SIMJ_DIST_SHARD_H_
 #define SIMJ_DIST_SHARD_H_
@@ -31,8 +30,8 @@ struct ShardPlanOptions {
   // Upper bound on pairs per shard; buckets above it are split. Must be
   // >= 1 (checked).
   int max_pairs_per_shard = 64;
-  // Apply the signature-index count bound at plan time (IndexedSimJoin
-  // semantics). Off = plan the full cross product (SimJoin semantics).
+  // Count-bound skips at plan time (see above). Off = plan the full cross
+  // product. Either way the result equals SimJoin's.
   bool use_index = true;
 };
 
@@ -49,15 +48,15 @@ struct ShardPlan {
   std::vector<Shard> shards;
   // Sum of shard sizes (pairs that will reach EvaluatePair).
   int64_t planned_pairs = 0;
-  // Plan-time accounting for pairs the index skipped (AccountIndexSkips):
-  // counters to fold into the merged JoinStats and the sampled explain
-  // records for skipped pairs. Both empty when `use_index` is off.
+  // The pairs skipped at plan time, counted as SimJoin counts them
+  // (total_pairs and pruned_structural), to fold into the merged JoinStats.
+  // Zero when nothing is skipped.
   core::JoinStats pre_stats;
-  std::vector<core::PairExplain> pre_explains;
 };
 
 // Deterministic: shard ids, shard contents, and plan order depend only on
-// (d, u, params.tau, params.explain, options) — never on thread timing.
+// (d, u, params.tau, params.structural_pruning, params.explain, options) —
+// never on thread timing.
 [[nodiscard]] ShardPlan PlanShards(const std::vector<graph::LabeledGraph>& d,
                                    const std::vector<graph::UncertainGraph>& u,
                                    const core::SimJParams& params,

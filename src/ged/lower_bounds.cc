@@ -44,6 +44,11 @@ int CountLowerBound(const LabeledGraph& a, const LabeledGraph& b) {
          std::abs(a.num_edges() - b.num_edges());
 }
 
+int CountLowerBound(const GraphSummary& a, const GraphSummary& b) {
+  return std::abs(a.num_vertices - b.num_vertices) +
+         std::abs(a.num_edges - b.num_edges);
+}
+
 int LabelMultisetLowerBound(const LabeledGraph& a, const LabeledGraph& b,
                             const LabelDictionary& dict) {
   int lambda_v =

@@ -86,6 +86,12 @@ struct GraphSummary {
                                           const graph::UncertainGraph& group,
                                           const graph::LabelDictionary& dict);
 
+// CountLowerBound on summaries. Every possible world of an uncertain graph
+// has its counts, and Thm. 2 puts the bound at or below CssLowerBound and
+// CssLowerBoundUncertain, so the join uses it as a free first structural
+// filter.
+[[nodiscard]] int CountLowerBound(const GraphSummary& a, const GraphSummary& b);
+
 // The filter kernels below read only summaries. Each overload taking graphs
 // is a thin wrapper that summarizes both graphs and calls the kernel.
 

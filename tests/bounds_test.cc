@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,8 +94,9 @@ TEST_P(CertainBoundsPropertyTest, BoundsAreValidAndOrdered) {
   EXPECT_LE(cstar_lb, exact);
   EXPECT_GE(cstar_lb, 0);
   // Thm. 2: CSS dominates the label-multiset bound (which dominates the
-  // count bound by [31]).
+  // count bound by [31]), and so the count bound.
   EXPECT_GE(css_lb, lm_lb);
+  EXPECT_LE(count_lb, css_lb);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CertainBoundsPropertyTest,
@@ -116,6 +118,9 @@ TEST_P(UncertainBoundPropertyTest, UniformBoundHoldsForEveryWorld) {
       static_cast<int>(rng.Uniform(0, 5)), /*max_alts=*/3);
 
   int uniform_bound = CssLowerBoundUncertain(q, g, dict);
+  // Every world has g's counts, so the count bound sits below the uniform
+  // bound too: the join's first structural check rests on this.
+  EXPECT_LE(CountLowerBound(q, g.structure()), uniform_bound);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
     graph::LabeledGraph world = g.Materialize(it.choice());
     int exact = ExactGed(q, world, dict).distance;
@@ -261,6 +266,20 @@ TEST_P(SummaryKernelTest, StructuralConstantMatchesLabelCounts) {
   EXPECT_EQ(CssStructuralConstant(c.q, c.g, c.dict), expected);
   EXPECT_EQ(CssLowerBoundUncertain(q, g),
             std::max(0, expected - MaxCommonVertexLabels(q, g)));
+}
+
+// The join prunes on the count bound before computing CSS; that is exact
+// only because the count bound never exceeds the uncertain CSS bound, also
+// with wildcards, parallel edges and empty graphs.
+TEST_P(SummaryKernelTest, CountBoundNeverExceedsUncertainCss) {
+  KernelCase c;
+  MakeKernelCase(GetParam(), &c);
+  const GraphSummary q = Summarize(c.q, c.dict);
+  const GraphSummary g = Summarize(c.g, c.dict);
+  const int count = std::abs(c.q.num_vertices() - c.g.num_vertices()) +
+                    std::abs(c.q.num_edges() - c.g.num_edges());
+  EXPECT_EQ(CountLowerBound(q, g), count);
+  EXPECT_LE(count, CssLowerBoundUncertain(q, g));
 }
 
 // The world overlay bound equals the certain CSS bound of the materialized

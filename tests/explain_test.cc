@@ -1,5 +1,5 @@
 // Tests for the per-pair explain mode: handcrafted workloads force each
-// pruning stage (index count bound, CSS structural, probabilistic Markov)
+// pruning stage (CSS structural, probabilistic Markov)
 // and each verification outcome for a known pair, and the recorded
 // PairExplain must name the right stage with the right evidence. Explain
 // output must also be byte-identical at 1/2/8 threads.
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
 #include "core/join.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
@@ -45,13 +44,6 @@ SimJParams ExplainAllParams(int tau, double alpha) {
   params.alpha = alpha;
   params.explain.enabled = true;
   return params;
-}
-
-const PairExplain* FindExplain(const JoinResult& result, int q, int g) {
-  for (const PairExplain& explain : result.explains) {
-    if (explain.q_index == q && explain.g_index == g) return &explain;
-  }
-  return nullptr;
 }
 
 TEST(ExplainTest, StructuralPruneRecordsCssBound) {
@@ -153,35 +145,6 @@ TEST(ExplainTest, RejectedPairRecordsVerificationEvidence) {
   EXPECT_TRUE(explain.early_reject);
   EXPECT_GT(explain.worlds_enumerated, 0);
   EXPECT_NE(FormatExplain(explain, params).find("REJECT"), std::string::npos);
-}
-
-TEST(ExplainTest, IndexSkipRecordsIndexCountStage) {
-  LabelDictionary dict;
-  graph::LabelId a = dict.Intern("A");
-  graph::LabelId b = dict.Intern("B");
-  graph::LabelId r = dict.Intern("r");
-  // D holds a matching singleton and a 5-vertex chain; with tau = 0 the
-  // index's count bound skips the chain before any per-pair filter runs.
-  LabeledGraph chain;
-  for (int i = 0; i < 5; ++i) chain.AddVertex(b);
-  for (int i = 0; i + 1 < 5; ++i) chain.AddEdge(i, i + 1, r);
-  std::vector<LabeledGraph> d = {SingleVertex(a), chain};
-  std::vector<UncertainGraph> u = {SingleUncertainVertex({{a, 1.0}})};
-
-  SimJParams params = ExplainAllParams(/*tau=*/0, /*alpha=*/0.5);
-  JoinResult result = IndexedSimJoin(d, u, params, dict);
-  ASSERT_EQ(result.pairs.size(), 1u);
-  ASSERT_EQ(result.explains.size(), 2u);
-  const PairExplain* skipped = FindExplain(result, 1, 0);
-  ASSERT_NE(skipped, nullptr);
-  EXPECT_EQ(skipped->pruned_by, PruneStage::kIndexCount);
-  // The skipped pair never reached the filters.
-  EXPECT_EQ(skipped->css_lower_bound, -1);
-  const PairExplain* kept = FindExplain(result, 0, 0);
-  ASSERT_NE(kept, nullptr);
-  EXPECT_TRUE(kept->accepted);
-  EXPECT_NE(FormatExplain(*skipped, params).find("PRUNED index-count"),
-            std::string::npos);
 }
 
 TEST(ExplainTest, SampleEveryAndPairListSelectDeterministically) {

@@ -304,6 +304,76 @@ TEST_P(GoldenJoinDigestTest, MatchesTheRecordedDigest) {
       << name << " through ShardedSimJoin";
 }
 
+// Explain-all samples every pair, so the digests above never see the
+// count-bound check that SimJoin runs on unsampled pairs. Without explain,
+// and with every third pair sampled, pairs and every counter must equal the
+// explain-all run at 1 and 4 threads, and the index-planned sharded join
+// must print SimJoin's sampled explain lines.
+TEST_P(GoldenJoinDigestTest, UnsampledPairsCountLikeTheExplainAllRun) {
+  DigestInput input;
+  MakeDigestInput(GetParam(), &input);
+  const JoinResult all = SimJoin(input.d, input.u, input.params, input.dict);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    SimJParams params = input.params;
+    params.num_threads = threads;
+    params.explain.enabled = false;
+    JoinResult off = SimJoin(input.d, input.u, params, input.dict);
+    ExpectSamePairs(off, all);
+    ExpectSameCounters(off.stats, all.stats);
+    EXPECT_TRUE(off.explains.empty());
+
+    params.explain.enabled = true;
+    params.explain.sample_every = 3;
+    JoinResult sampled = SimJoin(input.d, input.u, params, input.dict);
+    ExpectSamePairs(sampled, all);
+    ExpectSameCounters(sampled.stats, all.stats);
+    EXPECT_FALSE(sampled.explains.empty());
+    EXPECT_LT(sampled.explains.size(), all.explains.size());
+  }
+
+  SimJParams params = input.params;
+  params.explain.sample_every = 3;
+  const JoinResult sampled = SimJoin(input.d, input.u, params, input.dict);
+  dist::DistJoinParams dist_params;
+  dist_params.num_workers = 3;
+  dist_params.transport = dist::Transport::kThread;
+  dist_params.max_pairs_per_shard = 16;
+  dist_params.use_index = true;
+  for (bool explain : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "sharded, explain=" << explain);
+    params.explain.enabled = explain;
+    dist::DistJoinResult sharded = dist::ShardedSimJoin(
+        input.d, input.u, params, input.dict, dist_params);
+    ExpectSamePairs(sharded.join, all);
+    ExpectSameCounters(sharded.join.stats, all.stats);
+    EXPECT_EQ(FormatExplains(sharded.join, params),
+              explain ? FormatExplains(sampled, params) : "");
+  }
+}
+
+// The sharded join with the index plan reproduces SimJoin byte for byte.
+TEST_P(GoldenJoinDigestTest, IndexPlannedShardedJoinMatchesTheRecordedDigest) {
+  const std::string name = GetParam();
+  const std::map<std::string, std::string> golden =
+      simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
+                                       "/join_digest_v1.txt");
+  ASSERT_TRUE(golden.count(name) == 1)
+      << "no digest for " << name << " in join_digest_v1.txt";
+  DigestInput input;
+  MakeDigestInput(name, &input);
+  dist::DistJoinParams dist_params;
+  dist_params.num_workers = 3;
+  dist_params.transport = dist::Transport::kThread;
+  dist_params.max_pairs_per_shard = 16;
+  dist_params.use_index = true;
+  dist::DistJoinResult sharded = dist::ShardedSimJoin(
+      input.d, input.u, input.params, input.dict, dist_params);
+  EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
+      << name << " through the index-planned ShardedSimJoin";
+}
+
 INSTANTIATE_TEST_SUITE_P(Inputs, GoldenJoinDigestTest,
                          ::testing::Values("er_tau1_simj", "er_tau4_opt8",
                                            "wildcards"));

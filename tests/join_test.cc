@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
 #include "core/join.h"
 #include "core/similarity.h"
 #include "core/topk.h"
@@ -169,9 +168,11 @@ TEST(JoinTest, ResultsAreMonotoneInAlpha) {
   }
 }
 
-class IndexedJoinTest : public ::testing::TestWithParam<int> {};
+// Explain-all samples every pair, so no pair takes the count-bound check:
+// the run without explain must count exactly the same prunes.
+class CountCheckTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(IndexedJoinTest, IndexedJoinMatchesNestedLoop) {
+TEST_P(CountCheckTest, CountsLikeTheFullCssFilter) {
   simj::testing::RandomJoinWorkloadOptions options;
   options.num_certain = 8;
   options.num_uncertain = 8;
@@ -191,41 +192,18 @@ TEST_P(IndexedJoinTest, IndexedJoinMatchesNestedLoop) {
   params.tau = static_cast<int>(rng.Uniform(0, 3));
   params.alpha = 0.2 + 0.6 * rng.UniformDouble();
 
-  JoinResult nested = SimJoin(d, u, params, dict);
-  JoinResult indexed = IndexedSimJoin(d, u, params, dict);
-  EXPECT_EQ(PairSet(indexed), PairSet(nested));
-  EXPECT_EQ(indexed.stats.total_pairs, nested.stats.total_pairs);
-  // The index only ever *adds* pruning.
-  EXPECT_GE(indexed.stats.pruned_structural,
-            nested.stats.pruned_structural);
+  JoinResult checked = SimJoin(d, u, params, dict);
+  params.explain.enabled = true;
+  JoinResult full = SimJoin(d, u, params, dict);
+  EXPECT_EQ(PairSet(checked), PairSet(full));
+  EXPECT_EQ(checked.stats.total_pairs, full.stats.total_pairs);
+  EXPECT_EQ(checked.stats.pruned_structural, full.stats.pruned_structural);
+  EXPECT_EQ(checked.stats.pruned_probabilistic,
+            full.stats.pruned_probabilistic);
+  EXPECT_EQ(checked.stats.candidates, full.stats.candidates);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, IndexedJoinTest, ::testing::Range(0, 25));
-
-TEST(IndexTest, CandidatesRespectCountBound) {
-  LabelDictionary dict;
-  graph::LabelId l = dict.Intern("L");
-  std::vector<LabeledGraph> d;
-  for (int vertices : {1, 2, 3, 5}) {
-    LabeledGraph g;
-    for (int v = 0; v < vertices; ++v) g.AddVertex(l);
-    for (int v = 1; v < vertices; ++v) g.AddEdge(v - 1, v, l);
-    d.push_back(std::move(g));
-  }
-  CertainGraphIndex index(&d);
-  UncertainGraph g;
-  g.AddCertainVertex(l);
-  g.AddCertainVertex(l);
-  g.AddCertainVertex(l);
-  g.AddEdge(0, 1, l);
-  g.AddEdge(1, 2, l);
-  // |V|=3, |E|=2. tau=0: only the exact size bucket.
-  EXPECT_EQ(index.Candidates(g, 0), (std::vector<int>{2}));
-  // tau=2: sizes within combined distance 2: (2,1) and (3,2).
-  EXPECT_EQ(index.Candidates(g, 2), (std::vector<int>{1, 2}));
-  // Large tau: everything.
-  EXPECT_EQ(index.Candidates(g, 10), (std::vector<int>{0, 1, 2, 3}));
-}
+INSTANTIATE_TEST_SUITE_P(Sweep, CountCheckTest, ::testing::Range(0, 25));
 
 class TopKJoinTest : public ::testing::TestWithParam<int> {};
 

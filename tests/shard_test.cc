@@ -1,6 +1,6 @@
 // Tests for the shard planner (dist/shard.h): bucket homogeneity, size
-// bounds, exact cross-product coverage, determinism, and index-skip
-// accounting that mirrors IndexedSimJoin. Also the process transport's
+// bounds, exact cross-product coverage, determinism, and count-bound skips
+// that SimJoin counts the same way. Also the process transport's
 // response frame codec (dist/worker.h): a full round trip, and rejection
 // of truncated frames and of counts the frame cannot hold.
 
@@ -15,9 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
 #include "core/join.h"
+#include "dist/coordinator.h"
 #include "dist/worker.h"
+#include "ged/lower_bounds.h"
 #include "test_util.h"
 
 namespace simj::dist {
@@ -44,7 +45,6 @@ TEST(ShardPlanTest, NoIndexPlanCoversCrossProductExactlyOnce) {
   ShardPlan plan = PlanShards(w.d, w.u, BaseParams(), options);
 
   EXPECT_EQ(plan.pre_stats.total_pairs, 0);
-  EXPECT_TRUE(plan.pre_explains.empty());
   std::set<std::pair<int, int>> seen;
   for (const Shard& shard : plan.shards) {
     for (const auto& pair : shard.pairs) {
@@ -78,7 +78,16 @@ TEST(ShardPlanTest, ShardsAreSignatureHomogeneousAndSizeBounded) {
   }
 }
 
-TEST(ShardPlanTest, IndexPlanAccountsSkipsLikeIndexedSimJoin) {
+// The planned pair set under use_index.
+std::set<std::pair<int, int>> PlannedPairs(const ShardPlan& plan) {
+  std::set<std::pair<int, int>> planned;
+  for (const Shard& shard : plan.shards) {
+    planned.insert(shard.pairs.begin(), shard.pairs.end());
+  }
+  return planned;
+}
+
+TEST(ShardPlanTest, IndexPlanSkipsExactlyTheCountPrunedPairs) {
   RandomJoinWorkload w =
       MakeRandomJoinWorkload(23, {.num_certain = 8, .num_uncertain = 6});
   core::SimJParams params = BaseParams();
@@ -94,35 +103,137 @@ TEST(ShardPlanTest, IndexPlanAccountsSkipsLikeIndexedSimJoin) {
   EXPECT_EQ(plan.planned_pairs + plan.pre_stats.total_pairs, cross);
   EXPECT_EQ(plan.pre_stats.pruned_structural, plan.pre_stats.total_pairs);
   EXPECT_EQ(plan.pre_stats.candidates, 0);
+  EXPECT_GT(plan.pre_stats.total_pairs, 0);
 
-  // The planned pair set is exactly the index's candidate set.
-  core::CertainGraphIndex index(&w.d);
   std::set<std::pair<int, int>> expected;
-  for (int gi = 0; gi < static_cast<int>(w.u.size()); ++gi) {
-    for (int qi : index.Candidates(w.u[static_cast<size_t>(gi)], params.tau)) {
-      expected.emplace(qi, gi);
+  for (int qi = 0; qi < static_cast<int>(w.d.size()); ++qi) {
+    for (int gi = 0; gi < static_cast<int>(w.u.size()); ++gi) {
+      if (ged::CountLowerBound(w.d[qi], w.u[gi].structure()) <= params.tau) {
+        expected.emplace(qi, gi);
+      }
     }
   }
-  std::set<std::pair<int, int>> planned;
-  for (const Shard& shard : plan.shards) {
-    planned.insert(shard.pairs.begin(), shard.pairs.end());
-  }
-  EXPECT_EQ(planned, expected);
+  EXPECT_EQ(PlannedPairs(plan), expected);
 }
 
-TEST(ShardPlanTest, ExplainModeRecordsEverySkippedPairWhenUnsampled) {
+TEST(ShardPlanTest, ExplainSampledPairsAreAlwaysPlanned) {
   RandomJoinWorkload w =
       MakeRandomJoinWorkload(24, {.num_certain = 6, .num_uncertain = 6});
   core::SimJParams params = BaseParams();
   params.explain.enabled = true;
   params.explain.sample_every = 1;
   ShardPlanOptions options;
-  ShardPlan plan = PlanShards(w.d, w.u, params, options);
-  EXPECT_EQ(static_cast<int64_t>(plan.pre_explains.size()),
-            plan.pre_stats.total_pairs);
-  for (const core::PairExplain& explain : plan.pre_explains) {
-    EXPECT_EQ(explain.pruned_by, core::PruneStage::kIndexCount);
+  ShardPlan all = PlanShards(w.d, w.u, params, options);
+  EXPECT_EQ(all.pre_stats.total_pairs, 0);
+  EXPECT_EQ(all.planned_pairs,
+            static_cast<int64_t>(w.d.size() * w.u.size()));
+
+  params.explain.sample_every = 3;
+  ShardPlan sampled = PlanShards(w.d, w.u, params, options);
+  const std::set<std::pair<int, int>> planned = PlannedPairs(sampled);
+  int64_t count_pruned = 0;
+  for (int qi = 0; qi < static_cast<int>(w.d.size()); ++qi) {
+    for (int gi = 0; gi < static_cast<int>(w.u.size()); ++gi) {
+      const bool pruned =
+          ged::CountLowerBound(w.d[qi], w.u[gi].structure()) > params.tau;
+      if (pruned) ++count_pruned;
+      EXPECT_EQ(planned.count({qi, gi}) == 1,
+                !pruned || params.explain.ShouldExplain(qi, gi))
+          << "pair <" << qi << "," << gi << ">";
+    }
   }
+  EXPECT_GT(sampled.pre_stats.total_pairs, 0);
+  EXPECT_LT(sampled.pre_stats.total_pairs, count_pruned);
+}
+
+DistJoinResult IndexPlannedJoin(const RandomJoinWorkload& w,
+                                      const core::SimJParams& params) {
+  DistJoinParams dist_params;
+  dist_params.num_workers = 2;
+  dist_params.transport = Transport::kThread;
+  dist_params.max_pairs_per_shard = 4;
+  dist_params.use_index = true;
+  return ShardedSimJoin(w.d, w.u, params, w.dict, dist_params);
+}
+
+// With structural pruning off, the plan skips nothing, so the sharded join
+// reports no structural prune, like SimJoin.
+TEST(ShardPlanTest, NoStructuralPruningPlansEveryPair) {
+  RandomJoinWorkload w =
+      MakeRandomJoinWorkload(27, {.num_certain = 6, .num_uncertain = 5});
+  core::SimJParams params = BaseParams();
+  params.structural_pruning = false;
+  ShardPlan plan = PlanShards(w.d, w.u, params, ShardPlanOptions{});
+  EXPECT_EQ(plan.pre_stats.total_pairs, 0);
+  EXPECT_EQ(plan.planned_pairs,
+            static_cast<int64_t>(w.d.size() * w.u.size()));
+
+  core::JoinResult serial = core::SimJoin(w.d, w.u, params, w.dict);
+  core::JoinResult sharded = IndexPlannedJoin(w, params).join;
+  EXPECT_EQ(sharded.stats.pruned_structural, 0);
+  EXPECT_EQ(serial.stats.pruned_structural, 0);
+  EXPECT_EQ(sharded.stats.total_pairs, serial.stats.total_pairs);
+  EXPECT_EQ(sharded.stats.pruned_probabilistic,
+            serial.stats.pruned_probabilistic);
+  EXPECT_EQ(sharded.stats.candidates, serial.stats.candidates);
+  EXPECT_EQ(sharded.stats.results, serial.stats.results);
+  ASSERT_EQ(sharded.pairs.size(), serial.pairs.size());
+  for (size_t i = 0; i < serial.pairs.size(); ++i) {
+    EXPECT_EQ(sharded.pairs[i].q_index, serial.pairs[i].q_index);
+    EXPECT_EQ(sharded.pairs[i].g_index, serial.pairs[i].g_index);
+    EXPECT_EQ(sharded.pairs[i].similarity_probability,
+              serial.pairs[i].similarity_probability);
+    EXPECT_EQ(sharded.pairs[i].mapping, serial.pairs[i].mapping);
+  }
+}
+
+// A sampled pair that fails the count bound is explained by the CSS filter
+// with its exact bound, through SimJoin and through the index plan.
+TEST(ShardPlanTest, SampledCountPrunedPairPrintsItsExactCssBound) {
+  RandomJoinWorkload w;
+  const graph::LabelId a = w.dict.Intern("A");
+  const graph::LabelId b = w.dict.Intern("B");
+  const graph::LabelId r = w.dict.Intern("r");
+  // D holds a matching singleton and a 5-vertex chain; at tau = 0 the count
+  // bound (|dV| + |dE| = 8) prunes the chain against the singleton.
+  graph::LabeledGraph single;
+  single.AddVertex(a);
+  graph::LabeledGraph chain;
+  for (int i = 0; i < 5; ++i) chain.AddVertex(b);
+  for (int i = 0; i + 1 < 5; ++i) chain.AddEdge(i, i + 1, r);
+  w.d = {single, chain};
+  graph::UncertainGraph g;
+  g.AddVertex({{a, 1.0}});
+  w.u = {g};
+  ASSERT_GT(ged::CountLowerBound(w.d[1], w.u[0].structure()), 0);
+
+  core::SimJParams params = BaseParams();
+  params.tau = 0;
+  params.alpha = 0.5;
+  params.explain.enabled = true;
+  params.explain.pairs = {{1, 0}};
+  const int css = ged::CssLowerBoundUncertain(w.d[1], w.u[0], w.dict);
+  const std::string want = "<q=1,g=0> PRUNED structural: css_lb=" +
+                           std::to_string(css) + " > tau=0\n";
+
+  core::JoinResult serial = core::SimJoin(w.d, w.u, params, w.dict);
+  EXPECT_EQ(core::FormatExplains(serial, params), want);
+
+  ShardPlan plan = PlanShards(w.d, w.u, params, ShardPlanOptions{});
+  EXPECT_EQ(PlannedPairs(plan),
+            (std::set<std::pair<int, int>>{{0, 0}, {1, 0}}));
+  core::JoinResult sharded = IndexPlannedJoin(w, params).join;
+  EXPECT_EQ(core::FormatExplains(sharded, params), want);
+  EXPECT_EQ(sharded.stats.pruned_structural, 1);
+  EXPECT_EQ(sharded.stats.results, 1);
+
+  // Unsampled, the plan skips the pair and the counts stay the same.
+  params.explain.enabled = false;
+  EXPECT_EQ(PlanShards(w.d, w.u, params, ShardPlanOptions{}).planned_pairs, 1);
+  sharded = IndexPlannedJoin(w, params).join;
+  EXPECT_EQ(sharded.stats.total_pairs, 2);
+  EXPECT_EQ(sharded.stats.pruned_structural, 1);
+  EXPECT_EQ(sharded.stats.results, 1);
 }
 
 TEST(ShardPlanTest, PlanIsDeterministic) {
