@@ -30,6 +30,9 @@ build_and_test() {
 echo "=== lint ==="
 python3 tools/simj_lint.py --self-test
 python3 tools/simj_lint.py
+# statusz_poll parses with flame.py's folded-stack parser: test the parser
+# first, before any build.
+python3 tools/flame.py --self-test
 python3 tools/statusz_poll.py --self-test
 if command -v clang-format >/dev/null 2>&1; then
   clang-format --dry-run --Werror src/*/*.h src/*/*.cc tests/*.cc \
@@ -238,7 +241,6 @@ python3 tools/bench_compare.py bench/baselines/BENCH_smoke.json \
 # sub-millisecond shards would legitimately never deliver a sample and
 # the per-worker-section assertion would be testing luck, not plumbing.
 echo "=== profiler smoke ==="
-python3 tools/flame.py --self-test
 ./build-release/bench/bench_shard_scaling \
   --workers=4 --transport=process --max_pairs_per_shard=64 \
   --sim_seed=5 --death_probability=0.1 --slow_probability=0.1 \

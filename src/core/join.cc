@@ -106,6 +106,16 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into) {
   // around the whole join, not a per-worker quantity.
 }
 
+void AppendJoinResult(JoinResult part, JoinResult* into) {
+  MergeJoinStats(part.stats, &into->stats);
+  into->pairs.insert(into->pairs.end(),
+                     std::make_move_iterator(part.pairs.begin()),
+                     std::make_move_iterator(part.pairs.end()));
+  into->explains.insert(into->explains.end(),
+                        std::make_move_iterator(part.explains.begin()),
+                        std::make_move_iterator(part.explains.end()));
+}
+
 JoinSummaries SummarizeJoinInputs(const std::vector<LabeledGraph>& d,
                                   const std::vector<UncertainGraph>& u,
                                   const graph::LabelDictionary& dict) {
@@ -182,7 +192,7 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   stats->pruning_cpu_seconds += timer.ElapsedSeconds();
 
   // --- Refinement phase ---
-  timer.Restart();
+  timer.Restart();  // simj-lint: allow(discard) WallTimer::Restart is void
   trace::ScopedSpan verify_span("verify", "verify");
   ++stats->candidates;
   jm.candidates.Increment();
@@ -505,15 +515,7 @@ void RunWorkers(const PairEvaluator& evaluator, int workers,
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (JoinResult& part : partial) {
-    MergeJoinStats(part.stats, &result->stats);
-    result->pairs.insert(result->pairs.end(),
-                         std::make_move_iterator(part.pairs.begin()),
-                         std::make_move_iterator(part.pairs.end()));
-    result->explains.insert(result->explains.end(),
-                            std::make_move_iterator(part.explains.begin()),
-                            std::make_move_iterator(part.explains.end()));
-  }
+  for (JoinResult& part : partial) AppendJoinResult(std::move(part), result);
 }
 
 }  // namespace

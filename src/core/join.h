@@ -189,6 +189,11 @@ struct JoinResult {
 // around the whole join.
 void MergeJoinStats(const JoinStats& from, JoinStats* into);
 
+// Appends a partial result (one join worker's or one shard's) to *into:
+// merges its stats and moves its pairs and explain records to the end,
+// unsorted — the caller ends with SortByPairIdentity.
+void AppendJoinResult(JoinResult part, JoinResult* into);
+
 // The ged::GraphSummary of every input graph of a join, indexed like D and
 // U. Every join entry point builds them once, before any pair is evaluated,
 // in O(|D| + |U|); the pair evaluations only read them.

@@ -131,13 +131,6 @@ StatusOr<std::vector<int>> ReplayFinalAssignment(
         return bad(e, "shard completed twice");
       }
       assignment[static_cast<size_t>(e.shard)] = e.worker;
-    } else if (e.type == kEventDuplicate) {
-      // A discarded duplicate completion: the shard must already be done.
-      if (e.shard < 0 || e.shard >= num_shards ||
-          assignment[static_cast<size_t>(e.shard)] == -2) {
-        return bad(e, "duplicate discard for a shard not yet completed");
-      }
-      running.erase(e.shard);
     } else if (e.type == kEventFallback) {
       if (e.shard < 0 || e.shard >= num_shards) {
         return bad(e, "fallback shard out of range");

@@ -13,8 +13,10 @@
 // deal/dispatch/steal/requeue/complete/fallback events alone reconstruct
 // the exact final shard-to-worker assignment by simulating the queues, and
 // the simulation cross-checks every transition (a dispatch must pop the
-// worker's own queue front, a steal the victim's back). Tests replay a
-// faulted run's dump against DistStats::shard_completed_by.
+// worker's own queue front, a steal the victim's back, and a shard
+// completes exactly once — the coordinator requeues failed attempts only,
+// so there is no duplicate-completion event). Tests replay a faulted run's
+// dump against DistStats::shard_completed_by.
 
 #ifndef SIMJ_DIST_CLUSTERZ_H_
 #define SIMJ_DIST_CLUSTERZ_H_
@@ -32,7 +34,6 @@ inline constexpr const char* kEventDeal = "deal";          // initial round-robi
 inline constexpr const char* kEventDispatch = "dispatch";  // own-queue front pop
 inline constexpr const char* kEventSteal = "steal";        // victim's back pop (detail "victim=N")
 inline constexpr const char* kEventComplete = "complete";  // shard finished on worker
-inline constexpr const char* kEventDuplicate = "duplicate";  // completion discarded
 inline constexpr const char* kEventRequeue = "requeue";    // failed execution, shard back on queue
 inline constexpr const char* kEventRestart = "restart";    // worker restarted
 inline constexpr const char* kEventWorkerDead = "worker_dead";  // restart budget exhausted

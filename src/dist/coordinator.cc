@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <deque>
-#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -24,45 +23,30 @@ namespace simj::dist {
 
 namespace {
 
-// Folds a child worker's JoinStats into the registry counters that
-// EvaluatePair would have incremented in-process, so progress/statusz see
-// process-transport work at shard granularity.
-void ReplayStatsIntoRegistry(const core::JoinStats& stats) {
-  metrics::Registry& r = metrics::Registry::Global();
-  static metrics::Counter& pairs = r.GetCounter("simj_join_pairs_total");
-  static metrics::Counter& pruned_structural =
-      r.GetCounter("simj_join_pruned_structural_total");
-  static metrics::Counter& pruned_probabilistic =
-      r.GetCounter("simj_join_pruned_probabilistic_total");
-  static metrics::Counter& candidates =
-      r.GetCounter("simj_join_candidates_total");
-  static metrics::Counter& results = r.GetCounter("simj_join_results_total");
-  pairs.Add(stats.total_pairs);
-  pruned_structural.Add(stats.pruned_structural);
-  pruned_probabilistic.Add(stats.pruned_probabilistic);
-  candidates.Add(stats.candidates);
-  results.Add(stats.results);
-}
-
-// Folds one completed shard's counters into the `worker="<label>"`-labeled
-// series of the same families, for BOTH transports. Only non-duplicate
-// completions reach here, and a dying worker's partial evaluation never
-// does, so the per-label sums across every `worker` value equal the totals
-// an unsharded run would produce. Per shard, not per pair — the labeled
-// lookup's registry mutex is off the hot path.
-void AddLabeledShardStats(const core::JoinStats& stats,
-                          const std::string& worker_label) {
-  metrics::Registry& r = metrics::Registry::Global();
-  const std::vector<std::pair<std::string, std::string>> labels = {
-      {"worker", worker_label}};
-  auto add = [&](const char* family, int64_t value) {
-    r.GetCounter(metrics::LabeledName(family, labels)).Add(value);
-  };
-  add("simj_join_pairs_total", stats.total_pairs);
-  add("simj_join_pruned_structural_total", stats.pruned_structural);
-  add("simj_join_pruned_probabilistic_total", stats.pruned_probabilistic);
-  add("simj_join_candidates_total", stats.candidates);
-  add("simj_join_results_total", stats.results);
+// Adds one shard's join counters to the series of every entry of `workers`:
+// "" is the unlabeled family (replayed for work done in a forked child,
+// whose own increments died with it, so progress/statusz see it at shard
+// granularity), anything else a `worker="<label>"` series. Only completed
+// shards reach here, each once, and a dying worker's partial evaluation
+// never does, so the per-label sums across every `worker` value equal the
+// totals an unsharded run would produce. Per shard, not per pair — the
+// registry mutex is off the hot path.
+void AddJoinCounters(const core::JoinStats& stats,
+                     const std::vector<std::string>& workers) {
+  const std::pair<const char*, int64_t> counters[] = {
+      {"simj_join_pairs_total", stats.total_pairs},
+      {"simj_join_pruned_structural_total", stats.pruned_structural},
+      {"simj_join_pruned_probabilistic_total", stats.pruned_probabilistic},
+      {"simj_join_candidates_total", stats.candidates},
+      {"simj_join_results_total", stats.results}};
+  metrics::Registry& registry = metrics::Registry::Global();
+  for (const std::string& worker : workers) {
+    std::vector<std::pair<std::string, std::string>> labels;
+    if (!worker.empty()) labels.emplace_back("worker", worker);
+    for (const auto& [family, value] : counters) {
+      registry.GetCounter(metrics::LabeledName(family, labels)).Add(value);
+    }
+  }
 }
 
 // The Chrome-trace pid of worker `w`'s process lane (pid 1 is the
@@ -72,7 +56,7 @@ int WorkerLanePid(int w) { return w + 2; }
 class Coordinator : public ClusterzSource {
  public:
   Coordinator(const ShardPlan& plan,
-              std::vector<std::unique_ptr<ShardWorker>>* workers,
+              std::vector<ShardWorker>* workers,
               const WorkerContext& ctx, const DistJoinParams& dist_params,
               uint64_t trace_id)
       : plan_(plan),
@@ -213,7 +197,7 @@ class Coordinator : public ClusterzSource {
   }
 
   void DispatchLoop(int w) {
-    ShardWorker& worker = *(*workers_)[w];
+    ShardWorker& worker = (*workers_)[static_cast<size_t>(w)];
     core::JoinProgress& progress = core::JoinProgress::Global();
     const bool heartbeats = progress.heartbeats_armed();
     for (;;) {
@@ -240,60 +224,70 @@ class Coordinator : public ClusterzSource {
         progress.Heartbeat(w, shard.pairs.front().first,
                            shard.pairs.front().second);
       }
-      // Trace context for this attempt: the coordinator owns the attempt
-      // span (synthesized below even when the worker dies and ships
-      // nothing — failed attempts must appear in the trace); the worker's
-      // own spans parent to it through span_ctx.parent_span_id.
-      trace::Tracer& tracer = trace::Tracer::Global();
-      SpanContext span_ctx;
-      if (tracer.enabled()) {
-        span_ctx.collect = true;
-        span_ctx.trace_id = trace_id_;
-        span_ctx.parent_span_id =
-            next_span_id_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // While a CPU capture is armed (bench flag or a mid-join /profilez),
-      // ask the worker to ship its pending samples with the response; one
-      // pid-checked atomic load when no capture is armed.
-      span_ctx.profile_hz = prof::ActiveHz();
-      // Same contract for an armed heap capture (bench flag or a mid-join
-      // /heapz): 0 when disarmed, so the field ships nothing.
-      span_ctx.heap_sample_bytes = heapprof::ActiveSampleBytes();
-      const double begin_us = tracer.NowUs();
       WallTimer timer;
-      StatusOr<ShardResult> result = worker.RunShard(shard, fault, span_ctx);
+      StatusOr<ShardResult> result = RunAttempt(
+          worker, shard, fault, WorkerLanePid(w),
+          "shard-" + std::to_string(shard_id) + "/attempt-" +
+              std::to_string(attempt),
+          /*ship_profiles=*/true);
       if (heartbeats) progress.PairDone(w);
-      if (span_ctx.collect) {
-        std::vector<trace::TraceEvent> batch;
-        trace::TraceEvent attempt_span;
-        attempt_span.name = "shard-" + std::to_string(shard_id) +
-                            "/attempt-" + std::to_string(attempt);
-        attempt_span.category = fault.none() ? "shard" : "shard_fault";
-        attempt_span.pid = WorkerLanePid(w);
-        attempt_span.ts_us = begin_us;
-        attempt_span.dur_us = tracer.NowUs() - begin_us;
-        attempt_span.trace_id = trace_id_;
-        attempt_span.span_id = span_ctx.parent_span_id;
-        batch.push_back(std::move(attempt_span));
-        if (result.ok()) {
-          // Re-file the worker-captured spans under this worker's process
-          // lane (tid collapses to 0: one execution row per worker).
-          for (trace::TraceEvent& span : result.value().spans) {
-            span.pid = WorkerLanePid(w);
-            span.tid = 0;
-            batch.push_back(std::move(span));
-          }
-          result.value().spans.clear();
-        }
-        tracer.InjectEvents(std::move(batch));
-      }
       if (result.ok()) {
-        CompleteShard(w, shard_id, std::move(result).value(),
-                      timer.ElapsedSeconds(), worker.counts_in_process());
+        CompleteShard(w, shard_id, worker, std::move(result).value(),
+                      timer.ElapsedSeconds());
       } else if (!HandleFailure(w, shard_id, attempt, result.status())) {
         return;  // worker is permanently dead; its queue remains stealable
       }
     }
+  }
+
+  // One shard attempt on `worker`. The coordinator owns the attempt span:
+  // when tracing, it is filed under lane `lane_pid` even when the worker
+  // dies and ships nothing (failed attempts must appear in the trace), and
+  // the worker's own spans parent to it through span_ctx.parent_span_id
+  // and are re-filed under the same lane (tid collapses to 0: one
+  // execution row per lane). With `ship_profiles`, the worker ships its
+  // pending profiler samples while a capture is armed (bench flag or a
+  // mid-join /profilez or /heapz; one pid-checked atomic load each when
+  // none is).
+  StatusOr<ShardResult> RunAttempt(ShardWorker& worker, const Shard& shard,
+                                   const FaultSpec& fault, int lane_pid,
+                                   std::string span_name, bool ship_profiles) {
+    trace::Tracer& tracer = trace::Tracer::Global();
+    SpanContext span_ctx;
+    if (tracer.enabled()) {
+      span_ctx.collect = true;
+      span_ctx.trace_id = trace_id_;
+      span_ctx.parent_span_id =
+          next_span_id_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (ship_profiles) {
+      span_ctx.profile_hz = prof::ActiveHz();
+      span_ctx.heap_sample_bytes = heapprof::ActiveSampleBytes();
+    }
+    const double begin_us = tracer.NowUs();
+    StatusOr<ShardResult> result = worker.RunShard(shard, fault, span_ctx);
+    if (span_ctx.collect) {
+      std::vector<trace::TraceEvent> batch;
+      trace::TraceEvent attempt_span;
+      attempt_span.name = std::move(span_name);
+      attempt_span.category = fault.none() ? "shard" : "shard_fault";
+      attempt_span.pid = lane_pid;
+      attempt_span.ts_us = begin_us;
+      attempt_span.dur_us = tracer.NowUs() - begin_us;
+      attempt_span.trace_id = trace_id_;
+      attempt_span.span_id = span_ctx.parent_span_id;
+      batch.push_back(std::move(attempt_span));
+      if (result.ok()) {
+        for (trace::TraceEvent& span : result.value().spans) {
+          span.pid = lane_pid;
+          span.tid = 0;
+          batch.push_back(std::move(span));
+        }
+        result.value().spans.clear();
+      }
+      tracer.InjectEvents(std::move(batch));
+    }
+    return result;
   }
 
   // Blocks until a shard is available (own queue, then stealing from the
@@ -343,47 +337,39 @@ class Coordinator : public ClusterzSource {
     }
   }
 
-  void CompleteShard(int w, int shard_id, ShardResult result,
-                     double elapsed_seconds, bool counts_in_process) {
-    bool duplicate = false;
-    core::JoinStats shard_stats;
-    const prof::SampleBatch profile = std::exchange(result.profile, {});
-    const heapprof::HeapBatch heap = std::exchange(result.heap, {});
+  // Marks a shard done and stores its result. A shard is requeued only
+  // when its attempt fails, so each shard completes exactly once: a worker
+  // completes a shard it is still running, the fallback one left queued.
+  void StoreResult(int shard_id, ShardState expected, ShardResult* result)
+      SIMJ_REQUIRES(mu_) {
+    const auto id = static_cast<size_t>(shard_id);
+    SIMJ_CHECK(state_[id] == expected);
+    state_[id] = ShardState::kDone;
+    results_[id] = core::JoinResult{std::move(result->pairs), result->stats,
+                                    std::move(result->explains)};
+    ++done_count_;
+    cv_.NotifyAll();
+  }
+
+  void CompleteShard(int w, int shard_id, const ShardWorker& worker,
+                     ShardResult result, double elapsed_seconds) {
+    const core::JoinStats shard_stats = result.stats;
     {
       MutexLock lock(mu_);
-      const auto id = static_cast<size_t>(shard_id);
-      if (state_[id] == ShardState::kDone) {
-        duplicate = true;
-        ++stats_.duplicate_results_discarded;
-        RecordEvent(kEventDuplicate, w, shard_id, /*attempt=*/-1);
-      } else {
-        state_[id] = ShardState::kDone;
-        results_[id] = std::move(result);
-        ++done_count_;
-        stats_.shard_completed_by[id] = w;
-        WorkerReport& report = stats_.workers[static_cast<size_t>(w)];
-        ++report.shards_completed;
-        report.busy_seconds += elapsed_seconds;
-        RecordEvent(kEventComplete, w, shard_id, /*attempt=*/-1);
-        // Copied out under the lock: the registry folds below must not
-        // touch results_ once mu_ is released (another thread could be
-        // merging by then).
-        shard_stats = results_[id].stats;
-      }
-      cv_.NotifyAll();
+      StoreResult(shard_id, ShardState::kRunning, &result);
+      stats_.shard_completed_by[static_cast<size_t>(shard_id)] = w;
+      WorkerReport& report = stats_.workers[static_cast<size_t>(w)];
+      ++report.shards_completed;
+      report.busy_seconds += elapsed_seconds;
+      RecordEvent(kEventComplete, w, shard_id, /*attempt=*/-1);
     }
-    if (!duplicate) {
-      if (!counts_in_process) ReplayStatsIntoRegistry(shard_stats);
-      AddLabeledShardStats(shard_stats, std::to_string(w));
-      // Outside mu_ (lock order: never hold mu_ into another module's
-      // lock). Duplicate completions were dropped above, so a worker's
-      // batches are added exactly once: the first completion already
-      // drained its samples, and double-adding heap deltas would inflate
-      // the merged levels.
-      const std::string label = "worker-" + std::to_string(w);
-      prof::AccumulateRemoteSection(label, profile);
-      heapprof::AccumulateRemoteSection(label, heap);
-    }
+    // Outside mu_ (lock order: never hold mu_ into another module's lock).
+    const std::string label = std::to_string(w);
+    AddJoinCounters(shard_stats, worker.counts_in_process()
+                                     ? std::vector<std::string>{label}
+                                     : std::vector<std::string>{"", label});
+    prof::AccumulateRemoteSection("worker-" + label, result.profile);
+    heapprof::AccumulateRemoteSection("worker-" + label, result.heap);
   }
 
   // Requeues the failed shard and restarts the worker. Returns false when
@@ -413,7 +399,7 @@ class Coordinator : public ClusterzSource {
                    << " (" << status.ToString() << "); shard requeued";
     if (!exhausted) {
       // Restart outside the lock: the process transport forks here.
-      Status restarted = (*workers_)[static_cast<size_t>(w)]->Restart();
+      Status restarted = (*workers_)[static_cast<size_t>(w)].Restart();
       MutexLock lock(mu_);
       ++stats_.workers[static_cast<size_t>(w)].restarts;
       if (restarted.ok()) {
@@ -458,55 +444,25 @@ class Coordinator : public ClusterzSource {
     if (remaining.empty()) return;
     SIMJ_LOG(WARN) << "dist: all workers dead with " << remaining.size()
                    << " shard(s) unfinished; running them inline";
-    std::unique_ptr<ShardWorker> inline_worker =
-        MakeThreadWorker(ctx_, /*worker_index=*/0);
-    trace::Tracer& tracer = trace::Tracer::Global();
+    // A fault-free thread-transport shard cannot fail. Its attempt span
+    // goes to the coordinator's own lane (pid 1), and it ships no profile
+    // batch: its samples stay in the "coordinator" section.
+    ShardWorker inline_worker(ctx_, /*worker_index=*/0, Transport::kThread);
     for (int shard_id : remaining) {
-      const auto id = static_cast<size_t>(shard_id);
-      // Collect even inline so the fallback attempt shows up as a span in
-      // the coordinator's own lane, consistent with worker attempts.
-      SpanContext span_ctx;
-      if (tracer.enabled()) {
-        span_ctx.collect = true;
-        span_ctx.trace_id = trace_id_;
-        span_ctx.parent_span_id =
-            next_span_id_.fetch_add(1, std::memory_order_relaxed);
-      }
-      const double begin_us = tracer.NowUs();
-      StatusOr<ShardResult> result =
-          inline_worker->RunShard(plan_.shards[id], FaultSpec{}, span_ctx);
-      // A fault-free thread-transport shard cannot fail.
+      StatusOr<ShardResult> result = RunAttempt(
+          inline_worker, plan_.shards[static_cast<size_t>(shard_id)],
+          FaultSpec{}, /*lane_pid=*/1,
+          "shard-" + std::to_string(shard_id) + "/fallback",
+          /*ship_profiles=*/false);
       SIMJ_CHECK_OK(result.status());
-      if (span_ctx.collect) {
-        std::vector<trace::TraceEvent> batch;
-        trace::TraceEvent attempt_span;
-        attempt_span.name = "shard-" + std::to_string(shard_id) + "/fallback";
-        attempt_span.category = "shard";
-        attempt_span.pid = 1;  // the coordinator's own lane
-        attempt_span.ts_us = begin_us;
-        attempt_span.dur_us = tracer.NowUs() - begin_us;
-        attempt_span.trace_id = trace_id_;
-        attempt_span.span_id = span_ctx.parent_span_id;
-        batch.push_back(std::move(attempt_span));
-        for (trace::TraceEvent& span : result.value().spans) {
-          span.pid = 1;
-          span.tid = 0;
-          batch.push_back(std::move(span));
-        }
-        result.value().spans.clear();
-        tracer.InjectEvents(std::move(batch));
-      }
-      core::JoinStats shard_stats;
+      const core::JoinStats shard_stats = result.value().stats;
       {
         MutexLock lock(mu_);
-        state_[id] = ShardState::kDone;
-        results_[id] = std::move(result).value();
-        ++done_count_;
+        StoreResult(shard_id, ShardState::kQueued, &result.value());
         ++stats_.fallback_shards;
         RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
-        shard_stats = results_[id].stats;
       }
-      AddLabeledShardStats(shard_stats, "inline");
+      AddJoinCounters(shard_stats, {"inline"});
     }
   }
 
@@ -515,21 +471,15 @@ class Coordinator : public ClusterzSource {
   void Merge(core::JoinResult* result) {
     MutexLock lock(mu_);
     for (int s = 0; s < num_shards_; ++s) {
-      ShardResult& shard = results_[static_cast<size_t>(s)];
       SIMJ_CHECK(state_[static_cast<size_t>(s)] == ShardState::kDone);
-      core::MergeJoinStats(shard.stats, &result->stats);
-      result->pairs.insert(result->pairs.end(),
-                           std::make_move_iterator(shard.pairs.begin()),
-                           std::make_move_iterator(shard.pairs.end()));
-      result->explains.insert(result->explains.end(),
-                              std::make_move_iterator(shard.explains.begin()),
-                              std::make_move_iterator(shard.explains.end()));
+      core::AppendJoinResult(std::move(results_[static_cast<size_t>(s)]),
+                             result);
     }
     core::SortByPairIdentity(result);
   }
 
   const ShardPlan& plan_;
-  std::vector<std::unique_ptr<ShardWorker>>* workers_;
+  std::vector<ShardWorker>* workers_;
   const WorkerContext ctx_;
   const DistJoinParams& dist_params_;
   const int num_workers_;
@@ -544,7 +494,7 @@ class Coordinator : public ClusterzSource {
   CondVar cv_;
   std::vector<ShardState> state_ SIMJ_GUARDED_BY(mu_);
   std::vector<int> attempts_ SIMJ_GUARDED_BY(mu_);
-  std::vector<ShardResult> results_ SIMJ_GUARDED_BY(mu_);
+  std::vector<core::JoinResult> results_ SIMJ_GUARDED_BY(mu_);
   std::vector<std::deque<int>> queues_ SIMJ_GUARDED_BY(mu_);
   int done_count_ SIMJ_GUARDED_BY(mu_) = 0;
   DistStats stats_ SIMJ_GUARDED_BY(mu_);
@@ -597,7 +547,7 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   // Pairs skipped at plan time never reach a shard, so the per-`worker`-label
   // accounting attributes plan-level pruning to the coordinator itself —
   // keeping the sum across all `worker` labels equal to an unsharded run.
-  AddLabeledShardStats(plan.pre_stats, "coordinator");
+  AddJoinCounters(plan.pre_stats, {"coordinator"});
 
   // Workers share the dictionary concurrently (and process workers fork a
   // snapshot of it); freeze for the duration, like the parallel SimJoin
@@ -613,20 +563,10 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
 
   // Spawn workers before any dispatch thread exists: the first fork of
   // each process worker happens while this process is single-threaded.
-  std::vector<std::unique_ptr<ShardWorker>> workers;
+  std::vector<ShardWorker> workers;
   workers.reserve(static_cast<size_t>(dist_params.num_workers));
   for (int w = 0; w < dist_params.num_workers; ++w) {
-    if (dist_params.transport == Transport::kProcess) {
-      StatusOr<std::unique_ptr<ShardWorker>> worker = MakeProcessWorker(ctx, w);
-      if (worker.ok()) {
-        workers.push_back(std::move(worker).value());
-        continue;
-      }
-      SIMJ_LOG(ERROR) << "dist: spawning process worker " << w
-                      << " failed (" << worker.status().ToString()
-                      << "); degrading this slot to the thread transport";
-    }
-    workers.push_back(MakeThreadWorker(ctx, w));
+    workers.emplace_back(ctx, w, dist_params.transport);
   }
 
   core::JoinProgress& progress = core::JoinProgress::Global();

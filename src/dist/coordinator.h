@@ -11,9 +11,12 @@
 //     of the longest remaining queue, so stragglers shed load;
 //   * requeue — a shard whose execution fails (dead child, injected fault)
 //     goes back to the queues and the worker is restarted, up to
-//     max_worker_restarts times before it is declared permanently dead;
+//     max_worker_restarts times before it is declared permanently dead.
+//     Only a failed attempt is requeued, so every shard completes exactly
+//     once (checked): there is no duplicate-completion path;
 //   * inline fallback — shards still unfinished after every worker died
-//     run on the coordinator thread itself, so the join always converges;
+//     run on the coordinator thread itself, through a thread-transport
+//     ShardWorker, so the join always converges;
 //   * deterministic merge — per-shard stats fold in ascending shard_id
 //     order and matched pairs / explain records are globally sorted by
 //     (q_index, g_index), erasing scheduling nondeterminism.
@@ -31,13 +34,15 @@
 //     final shard-to-worker assignment from it;
 //   * when tracing is enabled, synthesizes one attempt span per shard
 //     execution (including failed/requeued attempts) under the worker's
-//     Chrome-trace process lane and merges the worker-captured spans
-//     shipped back in ShardResult::spans, so one --trace_out file shows
-//     the whole cluster timeline;
+//     Chrome-trace process lane — fallback attempts under the coordinator's
+//     own lane — and merges the worker-captured spans shipped back in
+//     ShardResult::spans, so one --trace_out file shows the whole cluster
+//     timeline. Dispatch and fallback share one attempt routine;
 //   * folds each completed shard's counters into `worker="N"`-labeled
 //     registry metrics (both transports; fallback shards get
-//     worker="inline"), so per-label sums always equal the unsharded run's
-//     totals — partial work by dying workers is deliberately excluded;
+//     worker="inline", plan-time skips worker="coordinator"), so per-label
+//     sums always equal the unsharded run's totals — partial work by dying
+//     workers is deliberately excluded;
 //   * serves live queue depths / worker states through GET /clusterz and
 //     reports dead-worker and stall degradation to util/health (/healthz).
 // All of it is observational: join results stay byte-identical with every
@@ -93,10 +98,6 @@ struct WorkerReport {
 struct DistStats {
   int shards_planned = 0;
   int shards_requeued = 0;
-  // Completions discarded because the shard was already done (defensive;
-  // the current requeue-on-error-only policy never double-runs a shard to
-  // completion, but the merge must stay correct if a future policy does).
-  int duplicate_results_discarded = 0;
   // Shards the coordinator ran inline after every worker died.
   int fallback_shards = 0;
   // Stall observations the watchdog reported during the run.

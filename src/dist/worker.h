@@ -1,21 +1,27 @@
-// Shard workers for the distributed join: one abstraction, two transports.
+// Shard workers for the distributed join: one executor, one worker class,
+// two transports.
 //
-//   * kThread  — the shard is evaluated on the coordinator's dispatch
-//     thread via core::EvaluatePairList; zero copies, counters land in the
-//     process registry directly.
-//   * kProcess — a fork()ed child (util/subprocess) inherits the workload
-//     memory and serves shards over a length-prefixed pipe protocol; the
-//     request carries only pair indices, the response only stats, matched
-//     pairs, and explain records. Child-side counter increments die with
-//     the child, so the coordinator replays the returned JoinStats into the
-//     registry (see counts_in_process()).
+// One in-place executor (worker.cc) runs every shard: it honors the
+// FaultSpec, evaluates the pairs via core::EvaluatePairList, tags the
+// captured spans and drains the profiler batches. A ShardWorker runs it
+//   * kThread  — on the calling dispatch thread; zero copies, counters land
+//     in the process registry directly;
+//   * kProcess — in a fork()ed child (util/subprocess) that inherits the
+//     workload memory and serves shards over a length-prefixed pipe
+//     protocol; the request carries only pair indices, the response only
+//     stats, matched pairs, explain records, spans and profiler batches.
+//     Child-side counter increments die with the child, so the coordinator
+//     replays the returned JoinStats into the registry (see
+//     counts_in_process()).
+// Each frame type's fields are listed once, in a field visitor shared by
+// the encoder and the decoder.
 //
 // RunShard takes a FaultSpec so the deterministic cluster simulator
 // (dist/simulator.h) can inject stragglers and mid-shard deaths through the
 // exact production code path; production callers pass FaultSpec{}.
 //
 // RunShard also takes a SpanContext (DESIGN.md §10): when collect is set,
-// the worker records the spans of this one shard execution via
+// the executor records the spans of this one shard execution via
 // trace::BeginThreadCapture/EndThreadCapture, tags them with the given
 // trace/parent-span ids, and returns them in ShardResult::spans — shipped
 // inside the response frame for the process transport — so the coordinator
@@ -24,7 +30,7 @@
 #ifndef SIMJ_DIST_WORKER_H_
 #define SIMJ_DIST_WORKER_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +42,7 @@
 #include "util/heap_profiler.h"
 #include "util/profiler.h"
 #include "util/status.h"
+#include "util/subprocess.h"
 #include "util/trace.h"
 
 namespace simj::dist {
@@ -70,19 +77,14 @@ struct SpanContext {
   bool collect = false;        // capture + ship this execution's spans
   uint64_t trace_id = 0;       // one id per sharded run
   uint64_t parent_span_id = 0; // the coordinator's attempt span
-  // > 0 while the coordinator has a CPU capture armed (util/profiler):
-  // workers ship their pending profile samples with the response — the
-  // thread transport drains its own ring, a forked child arms its own
-  // profiler at this frequency on first sight and drains every ring.
-  // 0 (the default and the fallback path's value) ships nothing.
+  // > 0 while the coordinator has a CPU (util/profiler) or heap
+  // (util/heap_profiler) capture armed: the worker ships its pending
+  // entries with the response. A dispatch thread drains its own; a forked
+  // child arms its own profiler at these settings on first sight and
+  // drains every thread's. Heap counters are deltas since the worker's
+  // previous drain. 0 (the default and the fallback's value) ships
+  // nothing. heap_sample_bytes is the request frame's last field.
   int profile_hz = 0;
-  // > 0 while the coordinator has a heap capture armed
-  // (util/heap_profiler): same shipping contract as profile_hz — the
-  // thread transport drains its own thread's heap entries per response, a
-  // forked child arms its own heap profiler at this rate on first sight
-  // and drains every thread's. Shipped counters are deltas since the
-  // worker's previous drain. 0 ships nothing. Additive protocol field:
-  // appended at the end of the request frame.
   int64_t heap_sample_bytes = 0;
 };
 
@@ -110,60 +112,56 @@ struct ShardResult {
   // trace_id/parent_span_id are tagged from the request's SpanContext; the
   // coordinator re-files them under the worker's process lane.
   std::vector<trace::TraceEvent> spans;
-  // CPU samples drained since this worker's previous response (empty
-  // unless SpanContext.profile_hz > 0). The coordinator folds these into
-  // the capture's "worker-N" section via prof::AccumulateRemoteSection.
+  // CPU samples and heap stack deltas drained since this worker's previous
+  // response (empty unless the SpanContext asked for them); the
+  // coordinator folds them into the captures' "worker-N" sections. The
+  // heap batch is the result frame's last section.
   prof::SampleBatch profile;
-  // Heap stack deltas drained since this worker's previous response
-  // (empty unless SpanContext.heap_sample_bytes > 0); folded into the
-  // heap capture's "worker-N" section via
-  // heapprof::AccumulateRemoteSection. Appended at the end of the result
-  // frame.
   heapprof::HeapBatch heap;
 };
 
 // The process transport's response frame (DESIGN.md §9): fixed-width
 // little-endian fields, encoded by the child and decoded by the parent.
-// DecodeResult rejects a torn, truncated or trailing-garbage frame, and any
-// element count the frame's remaining bytes cannot hold, with an
-// InternalError "shard response corrupt (...)".
+// DecodeResult rejects a torn, truncated or trailing-garbage frame, any
+// element count the frame's remaining bytes cannot hold, and any enum or
+// bool byte the encoder never writes, with an InternalError
+// "shard response corrupt (...)".
 std::string EncodeResult(const ShardResult& result);
 [[nodiscard]] StatusOr<ShardResult> DecodeResult(const std::string& frame);
 
 class ShardWorker {
  public:
-  virtual ~ShardWorker() = default;
+  // `worker_index` is the logical worker slot used for heartbeats and stall
+  // attribution. kProcess forks the serving child here: construct every
+  // worker before starting dispatch threads, so the first fork happens
+  // while the process is single-threaded. If the fork fails, the worker
+  // logs an error and runs on the thread transport instead.
+  ShardWorker(const WorkerContext& ctx, int worker_index, Transport transport);
 
   // Blocking: evaluates `shard` and returns its result. A non-OK status
   // means the worker is broken (dead child, torn pipe, injected death) and
   // produced nothing usable — the coordinator requeues the shard and
   // decides whether to Restart() the worker.
-  [[nodiscard]] virtual StatusOr<ShardResult> RunShard(
-      const Shard& shard, const FaultSpec& fault, const SpanContext& ctx) = 0;
+  [[nodiscard]] StatusOr<ShardResult> RunShard(const Shard& shard,
+                                               const FaultSpec& fault,
+                                               const SpanContext& ctx);
 
   // Brings a dead worker back (respawns the child for the process
   // transport; a no-op for the thread transport). Non-OK when the worker
   // cannot be revived.
-  [[nodiscard]] virtual Status Restart() = 0;
+  [[nodiscard]] Status Restart();
 
   // True when this worker's EvaluatePair calls increment THIS process's
-  // metrics registry (thread transport). False when the work happened in a
-  // child whose counters died with it — the coordinator then replays the
+  // metrics registry (thread transport). False when the work happens in a
+  // child whose counters die with it — the coordinator then replays the
   // returned JoinStats into the registry so progress/statusz stay live.
-  virtual bool counts_in_process() const = 0;
+  bool counts_in_process() const { return !child_.has_value(); }
 
-  virtual Transport transport() const = 0;
+ private:
+  WorkerContext ctx_;
+  int worker_index_;
+  std::optional<subprocess::ChildProcess> child_;  // set for kProcess
 };
-
-// The dispatch-thread worker. `worker_index` is the logical worker slot
-// used for heartbeats and stall attribution.
-[[nodiscard]] std::unique_ptr<ShardWorker> MakeThreadWorker(
-    const WorkerContext& ctx, int worker_index);
-
-// Forks the serving child immediately (call before starting dispatch
-// threads so the first fork happens while the process is single-threaded).
-[[nodiscard]] StatusOr<std::unique_ptr<ShardWorker>> MakeProcessWorker(
-    const WorkerContext& ctx, int worker_index);
 
 }  // namespace simj::dist
 

@@ -36,7 +36,8 @@
 // carry symbolized frames and *delta* counters since the previous drain
 // (inuse deltas may be negative mid-stream — they sum to the live level),
 // so the coordinator merges them under worker-N labels by plain addition,
-// exactly like /profilez. Duplicate shard completions drop their batch.
+// exactly like /profilez. Every shard completes exactly once, so each
+// batch is folded once.
 //
 // The profiler is observational: unarmed, every allocation costs one
 // relaxed atomic load; armed captures never touch join state — results

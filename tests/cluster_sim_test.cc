@@ -539,6 +539,81 @@ TEST(ClusterObservabilityTest, FaultedRunWithAllSinksMeetsAcceptance) {
   }
 }
 
+// The inline fallback under tracing: every shard the coordinator ran
+// itself after all workers died appears as exactly one
+// `shard-N/fallback` span in the coordinator's own lane (pid 1), and its
+// counters land under worker="inline", so the per-label sums still equal
+// the unsharded oracle's totals.
+TEST(ClusterObservabilityTest, TracedFallbackFilesOneSpanPerShardInline) {
+  RandomJoinWorkload w = MakeRandomJoinWorkload(34);
+  core::SimJParams params = BaseParams();
+  const core::JoinResult oracle =
+      core::IndexedSimJoin(w.d, w.u, params, w.dict);
+
+  for (Transport transport : TransportsUnderTest()) {
+    SCOPED_TRACE(std::string("transport=") + TransportName(transport));
+    SimOptions sim_options;
+    sim_options.seed = 34;
+    sim_options.death_probability = 1.0;
+    ClusterSim sim(sim_options);
+
+    DistJoinParams dist_params;
+    dist_params.num_workers = 2;
+    dist_params.transport = transport;
+    dist_params.max_pairs_per_shard = 3;
+    dist_params.max_worker_restarts = 1;
+    dist_params.fault_hook = sim.Hook();
+
+    trace::Tracer::Global().Start();
+    const metrics::MetricsSnapshot before =
+        metrics::Registry::Global().Snapshot();
+    const DistJoinResult dist =
+        ShardedSimJoin(w.d, w.u, params, w.dict, dist_params);
+    const metrics::MetricsSnapshot after =
+        metrics::Registry::Global().Snapshot();
+    const std::vector<trace::TraceEvent> spans =
+        trace::Tracer::Global().SnapshotEvents();
+    trace::Tracer::Global().Stop();
+
+    ExpectIdenticalJoin(oracle, dist.join);
+    int fallbacks = 0;
+    for (const flight::Event& e : dist.dist.events) {
+      if (e.type != kEventFallback) continue;
+      ++fallbacks;
+      const std::string name = "shard-" + std::to_string(e.shard) + "/fallback";
+      int matching = 0;
+      for (const trace::TraceEvent& span : spans) {
+        if (span.name != name) continue;
+        ++matching;
+        EXPECT_EQ(span.pid, 1) << name;
+        EXPECT_GT(span.trace_id, 0u) << name;
+      }
+      EXPECT_EQ(matching, 1) << name;
+    }
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_EQ(fallbacks, dist.dist.fallback_shards);
+
+    EXPECT_EQ(LabeledWorkerSum(before, after, "simj_join_pairs_total"),
+              oracle.stats.total_pairs);
+    EXPECT_EQ(
+        LabeledWorkerSum(before, after, "simj_join_pruned_structural_total"),
+        oracle.stats.pruned_structural);
+    EXPECT_EQ(
+        LabeledWorkerSum(before, after, "simj_join_pruned_probabilistic_total"),
+        oracle.stats.pruned_probabilistic);
+    EXPECT_EQ(LabeledWorkerSum(before, after, "simj_join_candidates_total"),
+              oracle.stats.candidates);
+    EXPECT_EQ(LabeledWorkerSum(before, after, "simj_join_results_total"),
+              oracle.stats.results);
+    const std::string inline_pairs =
+        metrics::LabeledName("simj_join_pairs_total", {{"worker", "inline"}});
+    auto it = before.counters.find(inline_pairs);
+    EXPECT_GT(after.counters.at(inline_pairs) -
+                  (it == before.counters.end() ? 0 : it->second),
+              0);
+  }
+}
+
 // After ShardedSimJoin returns, /clusterz must report inactive (the
 // coordinator unregisters itself) and every per-worker health component
 // must be healthy again — a finished run never leaves /healthz degraded.

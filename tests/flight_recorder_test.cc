@@ -190,20 +190,5 @@ TEST(ReplayTest, RejectsUnfinishedShard) {
   EXPECT_FALSE(ReplayFinalAssignment(events, 1).ok());
 }
 
-TEST(ReplayTest, DuplicateCompletionIsDiscardedNotDoubleAssigned) {
-  std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("dispatch", 0, 0, 0));
-  // Presumed-lost execution requeued, stolen and completed by worker 1,
-  // then the original completion arrives late and is discarded.
-  events.push_back(MakeEvent("requeue", 0, 0, 0, "stall"));
-  events.push_back(MakeEvent("steal", 1, 0, 1, "victim=0"));
-  events.push_back(MakeEvent("complete", 1, 0, 1));
-  events.push_back(MakeEvent("duplicate", 0, 0, 0));
-  auto assignment = ReplayFinalAssignment(events, 1);
-  ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{1}));
-}
-
 }  // namespace
 }  // namespace simj::flight

@@ -1,11 +1,14 @@
 // Tests for the shard planner (dist/shard.h): bucket homogeneity, size
 // bounds, exact cross-product coverage, determinism, and count-bound skips
 // that SimJoin counts the same way. Also the process transport's
-// response frame codec (dist/worker.h): a full round trip, and rejection
-// of truncated frames and of counts the frame cannot hold.
+// response frame codec (dist/worker.h): a full round trip, a pinned byte
+// layout, and rejection of truncated frames, of counts the frame cannot
+// hold and of enum or bool bytes the encoder never writes. And the shard
+// executor, through ShardWorker on both transports.
 
 #include "dist/shard.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstring>
 #include <map>
@@ -20,6 +23,15 @@
 #include "dist/worker.h"
 #include "ged/lower_bounds.h"
 #include "test_util.h"
+#include "util/metrics.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define SIMJ_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SIMJ_TSAN 1
+#endif
+#endif
 
 namespace simj::dist {
 namespace {
@@ -359,6 +371,24 @@ TEST(ShardFrameTest, RoundTripKeepsEverySection) {
   EXPECT_EQ(EncodeResult(out), EncodeResult(in));
 }
 
+// FNV-1a (64-bit) of a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Pins the response frame's byte layout: field order, widths and the
+// section order. A codec change that moves a single byte fails here.
+TEST(ShardFrameTest, FullFrameLayoutIsPinned) {
+  const std::string frame = EncodeResult(MakeFullResult());
+  EXPECT_EQ(frame.size(), size_t{443});
+  EXPECT_EQ(Fnv1a(frame), uint64_t{92676840760841607});
+}
+
 TEST(ShardFrameTest, TruncatedFrameIsAnError) {
   const std::string frame = EncodeResult(MakeFullResult());
   for (size_t keep = 0; keep < frame.size(); ++keep) {
@@ -389,6 +419,138 @@ TEST(ShardFrameTest, OversizedCountIsCorruptionNotAnAbort) {
     std::string patched = full;
     std::memcpy(&patched[offset], &huge, sizeof(huge));
     (void)DecodeResult(patched).ok();
+  }
+}
+
+// An explain record's enum and bool fields accept only the values the
+// encoder writes: an out-of-range PruneStage, or a bool byte other than 0
+// or 1, is corruption.
+TEST(ShardFrameTest, OutOfRangeStageOrBoolIsCorruption) {
+  ShardResult result;
+  core::PairExplain explain;
+  explain.q_index = 1;
+  explain.g_index = 2;
+  explain.pruned_by = core::PruneStage::kProbabilistic;
+  result.explains = {explain};
+  const std::string frame = EncodeResult(result);
+  ASSERT_TRUE(DecodeResult(frame).ok());
+
+  // shard_id, the stats, an empty pair list and the explain count, then
+  // q_index and g_index.
+  const size_t stage_offset = 4 + 10 * 8 + 2 * 8 + 4 + 4 + 2 * 4;
+  const size_t accepted_offset = stage_offset + 4;
+  // accepted, css_lower_bound, simp_upper_bound, live_groups, live_mass,
+  // simp_probability.
+  const size_t early_accept_offset = accepted_offset + 1 + 4 + 8 + 4 + 8 + 8;
+  const size_t early_reject_offset = early_accept_offset + 1;
+  auto expect_corrupt = [&](size_t offset, const void* bytes, size_t size) {
+    std::string patched = frame;
+    std::memcpy(&patched[offset], bytes, size);
+    StatusOr<ShardResult> decoded = DecodeResult(patched);
+    ASSERT_FALSE(decoded.ok()) << "patched offset " << offset;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInternal);
+    EXPECT_NE(decoded.status().message().find(
+                  "shard response corrupt (explain)"),
+              std::string::npos)
+        << decoded.status().ToString();
+  };
+  const int32_t past_last =
+      static_cast<int32_t>(core::PruneStage::kProbabilistic) + 1;
+  for (const int32_t stage : {int32_t{-1}, past_last, INT32_MAX}) {
+    expect_corrupt(stage_offset, &stage, sizeof(stage));
+  }
+  for (const size_t offset :
+       {accepted_offset, early_accept_offset, early_reject_offset}) {
+    for (const uint8_t byte : {uint8_t{2}, uint8_t{255}}) {
+      expect_corrupt(offset, &byte, sizeof(byte));
+    }
+  }
+}
+
+std::vector<Transport> TransportsUnderTest() {
+#ifdef SIMJ_TSAN
+  return {Transport::kThread};  // fork() under TSan can deadlock the child
+#else
+  return {Transport::kThread, Transport::kProcess};
+#endif
+}
+
+// The frame bytes of a result with its CPU timings cleared: equal bytes
+// mean equal stats, pairs (mappings included) and explain records.
+std::string DeterministicBytes(ShardResult result) {
+  result.stats.pruning_cpu_seconds = 0.0;
+  result.stats.verification_cpu_seconds = 0.0;
+  return EncodeResult(result);
+}
+
+// The one shard executor, through the public ShardWorker on each
+// transport: a clean run equals core::EvaluatePairList on the same pairs,
+// an injected death fails after evaluating exactly the prefix, and a
+// restarted worker runs clean again.
+TEST(ShardWorkerTest, RunShardMatchesEvaluatePairListAndDiesOnCue) {
+  RandomJoinWorkload w =
+      MakeRandomJoinWorkload(28, {.num_certain = 5, .num_uncertain = 4});
+  core::SimJParams params = BaseParams();
+  params.explain.enabled = true;
+  params.explain.sample_every = 2;
+  const graph::ScopedFreeze freeze(w.dict);
+  const core::JoinSummaries summaries =
+      core::SummarizeJoinInputs(w.d, w.u, w.dict);
+  WorkerContext ctx;
+  ctx.d = &w.d;
+  ctx.u = &w.u;
+  ctx.summaries = &summaries;
+  ctx.params = &params;
+  ctx.dict = &w.dict;
+
+  Shard shard;
+  shard.shard_id = 3;
+  for (int qi = 0; qi < static_cast<int>(w.d.size()); ++qi) {
+    for (int gi = 0; gi < static_cast<int>(w.u.size()); ++gi) {
+      shard.pairs.emplace_back(qi, gi);
+    }
+  }
+  core::JoinResult evaluated;
+  core::EvaluatePairList(w.d, w.u, summaries, params, w.dict, shard.pairs,
+                         /*worker=*/0, &evaluated);
+  ShardResult expected;
+  expected.shard_id = shard.shard_id;
+  expected.stats = evaluated.stats;
+  expected.pairs = evaluated.pairs;
+  expected.explains = evaluated.explains;
+  ASSERT_GT(expected.pairs.size(), 0u);
+  ASSERT_GT(expected.explains.size(), 0u);
+
+  metrics::Counter& pairs_total =
+      metrics::Registry::Global().GetCounter("simj_join_pairs_total");
+  const int size = static_cast<int>(shard.pairs.size());
+  for (Transport transport : TransportsUnderTest()) {
+    SCOPED_TRACE(std::string("transport=") + TransportName(transport));
+    ShardWorker worker(ctx, /*worker_index=*/1, transport);
+    EXPECT_EQ(worker.counts_in_process(), transport == Transport::kThread);
+
+    StatusOr<ShardResult> clean =
+        worker.RunShard(shard, FaultSpec{}, SpanContext{});
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(DeterministicBytes(clean.value()), DeterministicBytes(expected));
+
+    for (const int k : {0, 5, size + 3}) {
+      SCOPED_TRACE("die_after_pairs=" + std::to_string(k));
+      FaultSpec fault;
+      fault.die_after_pairs = k;
+      const int64_t before = pairs_total.Value();
+      StatusOr<ShardResult> dead = worker.RunShard(shard, fault, SpanContext{});
+      EXPECT_FALSE(dead.ok());
+      if (transport == Transport::kThread) {
+        EXPECT_EQ(pairs_total.Value() - before, std::min(k, size));
+      }
+      ASSERT_TRUE(worker.Restart().ok());
+      StatusOr<ShardResult> again =
+          worker.RunShard(shard, FaultSpec{}, SpanContext{});
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(DeterministicBytes(again.value()),
+                DeterministicBytes(expected));
+    }
   }
 }
 

@@ -77,6 +77,32 @@ def _is_int(token):
     return True
 
 
+def parse_folded_line(line, n_counts=1):
+    """One folded line -> (frames_tuple, [count, ...]), None if blank or a
+    #-comment. n_counts is 1 for CPU text and len(HEAP_METRICS) for heap
+    text; every counter is returned, negative ones included. Raises
+    ValueError on a malformed line.
+    """
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    tokens = line.split(" ")
+    if len(tokens) <= n_counts:
+        raise ValueError("no count field")
+    if (n_counts == 1 and len(tokens) > len(HEAP_METRICS)
+            and all(_is_int(t) for t in tokens[-len(HEAP_METRICS):])):
+        raise ValueError(f"four trailing counters look like heap folded "
+                         f"text; pass --metric {'/'.join(HEAP_METRICS)}")
+    try:
+        counts = [int(t) for t in tokens[-n_counts:]]
+    except ValueError as error:
+        raise ValueError(f"bad count in {tokens[-n_counts:]!r}") from error
+    frames = tuple(f for f in " ".join(tokens[:-n_counts]).split(";") if f)
+    if not frames:
+        raise ValueError("empty stack")
+    return frames, counts
+
+
 def parse_folded(text, metric="samples"):
     """Folded text -> list of (frames_tuple, count).
 
@@ -86,31 +112,17 @@ def parse_folded(text, metric="samples"):
     requested column is selected and non-positive stacks are dropped.
     """
     column = HEAP_METRICS.index(metric) if metric in HEAP_METRICS else None
+    n_counts = 1 if column is None else len(HEAP_METRICS)
     stacks = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(" ")
-        n_counts = 1 if column is None else len(HEAP_METRICS)
-        if len(tokens) <= n_counts:
-            raise ValueError(f"line {line_number}: no count field")
-        if (column is None and len(tokens) > len(HEAP_METRICS)
-                and all(_is_int(t) for t in tokens[-len(HEAP_METRICS):])):
-            raise ValueError(
-                f"line {line_number}: four trailing counters look like "
-                f"heap folded text; pass --metric "
-                f"{'/'.join(HEAP_METRICS)}")
-        frames_part = " ".join(tokens[:-n_counts])
         try:
-            counts = [int(t) for t in tokens[-n_counts:]]
+            parsed = parse_folded_line(line, n_counts)
         except ValueError as error:
-            raise ValueError(f"line {line_number}: bad count in "
-                             f"{tokens[-n_counts:]!r}") from error
+            raise ValueError(f"line {line_number}: {error}") from error
+        if parsed is None:
+            continue
+        frames, counts = parsed
         count = counts[0] if column is None else counts[column]
-        frames = tuple(f for f in frames_part.split(";") if f)
-        if not frames:
-            raise ValueError(f"line {line_number}: empty stack")
         if column is not None and count <= 0:
             continue
         stacks.append((frames, count))

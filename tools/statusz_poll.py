@@ -41,11 +41,18 @@ Usage:
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import flame  # noqa: E402  (tools/flame.py: the folded-stack parser)
 
 
 def fetch_status(host: str, port: int, timeout: float = 2.0) -> dict:
@@ -64,106 +71,37 @@ def fetch_clusterz(host: str, port: int, timeout: float = 2.0):
         return None
 
 
-def parse_folded_leaves(text: str):
-    """(leaf-frame self counts, total samples) from folded-stack text.
+def leaf_sums(text: str, n_counts: int = 1):
+    """(leaf -> per-column sums, per-column totals) from folded text.
 
-    Each line is `frame;frame;...;leaf COUNT`; a stack's samples belong to
-    its leaf frame (the function on-CPU), matching flame-graph self time.
-    Blank lines and #-comments are tolerated; malformed lines are skipped
-    rather than failing the whole capture.
+    Each line is read by flame.parse_folded_line and its counters are
+    credited to the stack's leaf frame — the function on-CPU, or the one
+    that called the allocator — as flame.self_shares credits self time.
+    Every column sums through, so drained (negative) in-use heap deltas
+    subtract. Malformed lines are skipped rather than failing the capture.
     """
-    counts = {}
-    total = 0
+    leaves = {}
+    totals = [0] * n_counts
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        stack, _, count_text = line.rpartition(" ")
-        if not stack or not count_text.isdigit():
-            continue
-        count = int(count_text)
-        leaf = stack.split(";")[-1]
-        counts[leaf] = counts.get(leaf, 0) + count
-        total += count
-    return counts, total
-
-
-def top_frames(text: str, n: int = 5):
-    """Top-n (frame, count, share_pct) by self time, hottest first."""
-    counts, total = parse_folded_leaves(text)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        (frame, count, 100.0 * count / total)
-        for frame, count in ranked[:n]
-    ]
-
-
-def run_profile(host: str, port: int, seconds: float, hz: int,
-                out_path: str) -> int:
-    url = (f"http://{host}:{port}/profilez?seconds={seconds:g}&hz={hz}"
-           "&format=folded")
-    print(f"statusz_poll: capturing {seconds:g}s at {hz} Hz via {url}")
-    try:
-        # The server blocks for the whole capture window; give it margin.
-        with urllib.request.urlopen(url, timeout=seconds + 15.0) as response:
-            body = response.read().decode("utf-8", errors="replace")
-    except urllib.error.HTTPError as error:
-        if error.code == 404:
-            print("statusz_poll: /profilez not found (404) — binary built "
-                  "without the profiler; nothing captured")
-            return 0
-        detail = error.read().decode("utf-8", errors="replace").strip()
-        if error.code == 409:
-            print(f"statusz_poll: capture already in flight (409): {detail}",
-                  file=sys.stderr)
-        else:
-            print(f"statusz_poll: /profilez failed ({error.code}): {detail}",
-                  file=sys.stderr)
-        return 2
-    except (urllib.error.URLError, OSError) as error:
-        print(f"statusz_poll: cannot reach {url}: {error}", file=sys.stderr)
-        return 2
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(body)
-    counts, total = parse_folded_leaves(body)
-    print(f"statusz_poll: {total} samples across {len(counts)} leaf frames "
-          f"saved to {out_path} (render: tools/flame.py {out_path})")
-    if total == 0:
-        print("statusz_poll: no samples (idle process or window too short)")
-        return 0
-    print("top frames by self time:")
-    for frame, count, share in top_frames(body):
-        print(f"  {share:5.1f}%  {count:>6}  {frame}")
-    return 0
-
-
-def parse_heap_folded_leaves(text: str):
-    """(leaf -> [inuse_b, inuse_obj, alloc_b, alloc_obj], totals) from
-    /heapz folded text.
-
-    Heap folded lines end in four counters (util/heap_profiler.h's
-    contract); counters aggregate onto the stack's leaf frame — the
-    function that called the allocator. Malformed lines are skipped.
-    """
-    counts = {}
-    totals = [0, 0, 0, 0]
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(" ")
-        if len(tokens) < 5:
-            continue
         try:
-            values = [int(t) for t in tokens[-4:]]
+            parsed = flame.parse_folded_line(line, n_counts)
         except ValueError:
             continue
-        leaf = " ".join(tokens[:-4]).split(";")[-1]
-        slot = counts.setdefault(leaf, [0, 0, 0, 0])
-        for i, v in enumerate(values):
-            slot[i] += v
-            totals[i] += v
-    return counts, totals
+        if parsed is None:
+            continue
+        frames, counts = parsed
+        slot = leaves.setdefault(frames[-1], [0] * n_counts)
+        for i, count in enumerate(counts):
+            slot[i] += count
+            totals[i] += count
+    return leaves, totals
+
+
+def top_leaves(leaves: dict, total: int, n: int = 5):
+    """Top-n (leaf, sums, share_pct) by the first column, ties by name."""
+    ranked = sorted(leaves.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    return [(leaf, sums, 100.0 * sums[0] / total if total > 0 else 0.0)
+            for leaf, sums in ranked[:n]]
 
 
 def format_bytes(n: int) -> str:
@@ -178,63 +116,72 @@ def format_bytes(n: int) -> str:
     return f"{sign}{n} B"  # unreachable
 
 
-def top_heap_frames(text: str, n: int = 5):
-    """Top-n (frame, inuse_bytes, inuse_objects, share_pct) by live bytes."""
-    counts, totals = parse_heap_folded_leaves(text)
-    total_inuse = totals[0]
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return [
-        (frame, vals[0], vals[1],
-         100.0 * vals[0] / total_inuse if total_inuse > 0 else 0.0)
-        for frame, vals in ranked[:n]
-    ]
+def summarize_profile(body: str, out_path: str) -> None:
+    leaves, (total,) = leaf_sums(body)
+    print(f"statusz_poll: {total} samples across {len(leaves)} leaf frames "
+          f"saved to {out_path} (render: tools/flame.py {out_path})")
+    if total == 0:
+        print("statusz_poll: no samples (idle process or window too short)")
+        return
+    print("top frames by self time:")
+    for frame, (count,), share in top_leaves(leaves, total):
+        print(f"  {share:5.1f}%  {count:>6}  {frame}")
 
 
-def run_heap(host: str, port: int, seconds: float, sample_bytes: int,
-             out_path: str) -> int:
-    url = (f"http://{host}:{port}/heapz?seconds={seconds:g}"
-           f"&sample_bytes={sample_bytes}&format=folded")
-    print(f"statusz_poll: capturing heap for {seconds:g}s "
-          f"(1 sample per ~{sample_bytes} bytes) via {url}")
+def summarize_heap(body: str, out_path: str) -> None:
+    leaves, totals = leaf_sums(body, len(flame.HEAP_METRICS))
+    inuse_bytes, inuse_objects, alloc_bytes, alloc_objects = totals
+    print(f"statusz_poll: {format_bytes(inuse_bytes)} live in "
+          f"{inuse_objects} sampled objects ({format_bytes(alloc_bytes)} "
+          f"allocated) across {len(leaves)} leaf frames saved to "
+          f"{out_path} (render: tools/flame.py --metric inuse_bytes "
+          f"{out_path})")
+    if alloc_objects == 0:
+        print("statusz_poll: no sampled allocations (quiet window or "
+              "sample_bytes too large)")
+        return
+    print("top frames by live bytes:")
+    for frame, (live, objects, _, _), share in top_leaves(leaves,
+                                                          inuse_bytes):
+        print(f"  {share:5.1f}%  {format_bytes(live):>10}  "
+              f"{objects:>6} objs  {frame}")
+
+
+def run_capture(url: str, seconds: float, announce: str, out_path: str,
+                summarize, profiler: str, tolerated=(404,)) -> int:
+    """Triggers a /profilez or /heapz capture at url, saves its folded body
+    to out_path and prints summarize's top frames. Exit status 0 on
+    success and on a tolerated status (404: built without the profiler;
+    503: the profiler refused to arm), 2 on 409 and any other error."""
+    endpoint = urllib.parse.urlsplit(url).path
+    print(f"statusz_poll: capturing {announce} via {url}")
     try:
         # The server blocks for the whole capture window; give it margin.
         with urllib.request.urlopen(url, timeout=seconds + 15.0) as response:
             body = response.read().decode("utf-8", errors="replace")
     except urllib.error.HTTPError as error:
         detail = error.read().decode("utf-8", errors="replace").strip()
-        if error.code == 404:
-            print("statusz_poll: /heapz not found (404) — binary built "
-                  "without the heap profiler; nothing captured")
+        if error.code == 404 and 404 in tolerated:
+            print(f"statusz_poll: {endpoint} not found (404) — binary built "
+                  f"without the {profiler}; nothing captured")
             return 0
-        if error.code == 503:
-            print(f"statusz_poll: heap profiler unavailable (503): {detail}")
+        if error.code in tolerated:
+            print(f"statusz_poll: {profiler} unavailable ({error.code}): "
+                  f"{detail}")
             return 0
         if error.code == 409:
             print(f"statusz_poll: capture already in flight (409): {detail}",
                   file=sys.stderr)
         else:
-            print(f"statusz_poll: /heapz failed ({error.code}): {detail}",
-                  file=sys.stderr)
+            print(f"statusz_poll: {endpoint} failed ({error.code}): "
+                  f"{detail}", file=sys.stderr)
         return 2
     except (urllib.error.URLError, OSError) as error:
         print(f"statusz_poll: cannot reach {url}: {error}", file=sys.stderr)
         return 2
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(body)
-    counts, totals = parse_heap_folded_leaves(body)
-    print(f"statusz_poll: {format_bytes(totals[0])} live in "
-          f"{totals[1]} sampled objects ({format_bytes(totals[2])} "
-          f"allocated) across {len(counts)} leaf frames saved to "
-          f"{out_path} (render: tools/flame.py --metric inuse_bytes "
-          f"{out_path})")
-    if totals[3] == 0:
-        print("statusz_poll: no sampled allocations (quiet window or "
-              "sample_bytes too large)")
-        return 0
-    print("top frames by live bytes:")
-    for frame, inuse_b, inuse_obj, share in top_heap_frames(body):
-        print(f"  {share:5.1f}%  {format_bytes(inuse_b):>10}  "
-              f"{inuse_obj:>6} objs  {frame}")
+    summarize(body, out_path)
     return 0
 
 
@@ -359,8 +306,14 @@ def self_test() -> int:
     assert render_clusterz({"active": False, "coordinator": None}) == ""
     assert "cluster" not in render_line({"join": {}}, None)
 
-    # Folded-stack parsing for --profile: self time goes to the leaf
-    # frame, malformed/comment/blank lines are skipped, ties break by name.
+    def printed(function, *args):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            function(*args)
+        return buffer.getvalue()
+
+    # --profile: self time goes to the leaf frame, malformed/comment/blank
+    # lines are skipped, ties break by name.
     folded = (
         "# comment\n"
         "\n"
@@ -370,19 +323,25 @@ def self_test() -> int:
         "not a folded line\n"
         "coordinator;t1;Join;Expand 5\n"
     )
-    counts, total = parse_folded_leaves(folded)
-    assert total == 100, (counts, total)
-    assert counts == {"Verify": 40, "Prune": 55, "Expand": 5}, counts
-    ranked = top_frames(folded, n=2)
-    assert ranked == [("Prune", 55, 55.0), ("Verify", 40, 40.0)], ranked
-    tie = top_frames("a;B 5\na;A 5\n")
-    assert [frame for frame, _, _ in tie] == ["A", "B"], tie
-    empty_counts, empty_total = parse_folded_leaves("# nothing\n\n")
-    assert empty_counts == {} and empty_total == 0
+    leaves, totals = leaf_sums(folded)
+    assert totals == [100], (leaves, totals)
+    assert leaves == {"Verify": [40], "Prune": [55], "Expand": [5]}, leaves
+    tie = top_leaves(leaf_sums("a;B 5\na;A 5\n")[0], 10)
+    assert [frame for frame, *_ in tie] == ["A", "B"], tie
+    assert leaf_sums("# nothing\n\n") == ({}, [0])
+    summary = printed(summarize_profile, folded, "p.folded").splitlines()
+    assert summary[0].startswith(
+        "statusz_poll: 100 samples across 3 leaf frames saved to p.folded"), \
+        summary
+    assert summary[1:] == ["top frames by self time:",
+                           "   55.0%      55  Prune",
+                           "   40.0%      40  Verify",
+                           "    5.0%       5  Expand"], summary
+    assert "no samples" in printed(summarize_profile, "", "p.folded")
 
-    # Heap folded parsing for --heap: four counters aggregate onto the
-    # leaf frame; malformed lines are skipped; negative in-use deltas
-    # (possible in drained remote sections) sum through.
+    # --heap: four counters aggregate onto the leaf frame; malformed lines
+    # are skipped; negative in-use deltas (possible in drained remote
+    # sections) sum through.
     heap_folded = (
         "# comment\n"
         "coordinator;main;Join;BuildIndex 4096 2 8192 4\n"
@@ -392,20 +351,52 @@ def self_test() -> int:
         "not heap folded\n"
         "also;not;heap 12\n"
     )
-    heap_counts, heap_totals = parse_heap_folded_leaves(heap_folded)
+    heap_leaves, heap_totals = leaf_sums(heap_folded, 4)
     assert heap_totals == [5376, 3, 12288, 10], heap_totals
-    assert heap_counts["BuildIndex"] == [5120, 3, 9216, 5], heap_counts
-    assert heap_counts["Verify"] == [256, 0, 3072, 5], heap_counts
-    heap_ranked = top_heap_frames(heap_folded, n=1)
-    assert heap_ranked == [("BuildIndex", 5120, 3,
-                            100.0 * 5120 / 5376)], heap_ranked
-    heap_tie = top_heap_frames("a;B 5 1 5 1\na;A 5 1 5 1\n")
-    assert [f for f, *_ in heap_tie] == ["A", "B"], heap_tie
-    empty_heap = parse_heap_folded_leaves("# nothing\n\n")
-    assert empty_heap == ({}, [0, 0, 0, 0]), empty_heap
+    assert heap_leaves["BuildIndex"] == [5120, 3, 9216, 5], heap_leaves
+    assert heap_leaves["Verify"] == [256, 0, 3072, 5], heap_leaves
+    summary = printed(summarize_heap, heap_folded, "h.folded").splitlines()
+    assert summary[0].startswith(
+        "statusz_poll: 5.2 KB live in 3 sampled objects (12.0 KB allocated) "
+        "across 2 leaf frames saved to h.folded"), summary
+    assert summary[1:] == ["top frames by live bytes:",
+                           "   95.2%      5.0 KB       3 objs  BuildIndex",
+                           "    4.8%       256 B       0 objs  Verify"], \
+        summary
     # Zero-total in-use renders 0% shares rather than dividing by zero.
-    freed = top_heap_frames("a;X 0 0 64 1\n")
-    assert freed == [("X", 0, 0, 0.0)], freed
+    freed = printed(summarize_heap, "a;X 0 0 64 1\n", "h.folded")
+    assert freed.endswith("top frames by live bytes:\n"
+                          "    0.0%         0 B       0 objs  X\n"), freed
+    assert "no sampled allocations" in printed(summarize_heap, "", "h.folded")
+
+    # run_capture's exit statuses, against a stubbed urlopen: 404 and the
+    # heap profiler's 503 are tolerated, 409 and other errors are not.
+    def stub_urlopen(code, body=b""):
+        def urlopen(url, timeout):
+            if code != 200:
+                raise urllib.error.HTTPError(url, code, "stub", {},
+                                             io.BytesIO(b"detail"))
+            return contextlib.nullcontext(io.BytesIO(body))
+        return urlopen
+
+    profile = (summarize_profile, "profiler", (404,))
+    heap = (summarize_heap, "heap profiler", (404, 503))
+    real_urlopen = urllib.request.urlopen
+    try:
+        for capture, code, body, want in (
+                (profile, 404, b"", 0), (heap, 404, b"", 0),
+                (profile, 409, b"", 2), (heap, 409, b"", 2),
+                (profile, 503, b"", 2), (heap, 503, b"", 0),
+                (heap, 500, b"", 2), (profile, 200, b"a;B 5\n", 0),
+                (profile, 200, b"a;B x\n", 0)):
+            urllib.request.urlopen = stub_urlopen(code, body)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                got = run_capture("http://127.0.0.1:1/profilez", 1.0, "stub",
+                                  os.devnull, *capture)
+            assert got == want, (capture, code, body, got)
+    finally:
+        urllib.request.urlopen = real_urlopen
 
     assert format_bytes(512) == "512 B", format_bytes(512)
     assert format_bytes(5376) == "5.2 KB", format_bytes(5376)
@@ -446,11 +437,19 @@ def main() -> int:
     if args.self_test:
         return self_test()
     if args.profile is not None:
-        return run_profile(args.host, args.port, args.profile, args.hz,
-                           args.profile_out)
+        url = (f"http://{args.host}:{args.port}/profilez?seconds="
+               f"{args.profile:g}&hz={args.hz}&format=folded")
+        return run_capture(url, args.profile,
+                           f"{args.profile:g}s at {args.hz} Hz",
+                           args.profile_out, summarize_profile, "profiler")
     if args.heap is not None:
-        return run_heap(args.host, args.port, args.heap, args.sample_bytes,
-                        args.heap_out)
+        url = (f"http://{args.host}:{args.port}/heapz?seconds={args.heap:g}"
+               f"&sample_bytes={args.sample_bytes}&format=folded")
+        return run_capture(url, args.heap,
+                           f"heap for {args.heap:g}s (1 sample per "
+                           f"~{args.sample_bytes} bytes)", args.heap_out,
+                           summarize_heap, "heap profiler",
+                           tolerated=(404, 503))
 
     try:
         while True:
