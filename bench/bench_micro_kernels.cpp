@@ -116,6 +116,35 @@ void BM_CssLowerBoundUncertainSummarized(benchmark::State& state) {
 }
 BENCHMARK(BM_CssLowerBoundUncertainSummarized);
 
+// The join's structural filter on the er_filter shape (10 vertices, 16
+// edges, half the vertices uncertain with 3 labels) at tau = 1, over all
+// 32 x 32 pairs: cascade:0 is the exact kernel the join used to call,
+// cascade:1 the C -> label-count -> matching cascade it calls now.
+void BM_CssFilterErShape(benchmark::State& state) {
+  PairFixture fixture(10, 16);
+  std::vector<ged::GraphSummary> certain;
+  std::vector<ged::GraphSummary> uncertain;
+  for (const auto& q : fixture.certain) {
+    certain.push_back(ged::Summarize(q, fixture.dict));
+  }
+  for (const auto& g : fixture.uncertain) {
+    uncertain.push_back(ged::Summarize(g, fixture.dict));
+  }
+  const bool cascade = state.range(0) == 1;
+  constexpr int kTau = 1;
+  size_t i = 0;
+  for (auto _ : state) {
+    const ged::GraphSummary& q =
+        certain[(i / uncertain.size()) % certain.size()];
+    const ged::GraphSummary& g = uncertain[i % uncertain.size()];
+    benchmark::DoNotOptimize(cascade
+                                 ? ged::CssPruneBound(q, g, kTau).lower_bound
+                                 : ged::CssLowerBoundUncertain(q, g));
+    ++i;
+  }
+}
+BENCHMARK(BM_CssFilterErShape)->ArgName("cascade")->Arg(0)->Arg(1);
+
 void BM_UpperBoundSimP(benchmark::State& state) {
   PairFixture fixture(12, 18);
   size_t i = 0;

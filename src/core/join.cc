@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -22,6 +23,11 @@ namespace {
 
 using graph::LabeledGraph;
 using graph::UncertainGraph;
+using Clock = std::chrono::steady_clock;
+
+double SecondsBetween(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
 
 struct JoinMetrics {
   metrics::Counter& pairs_total;
@@ -32,6 +38,9 @@ struct JoinMetrics {
   metrics::Counter& candidates;
   metrics::Counter& results;
   metrics::Counter& slow_pairs;
+  // The CSS kernel's own instruments, fed by the join's clock reads.
+  metrics::Counter& css_bound_calls;
+  metrics::Histogram& css_bound_seconds;
   metrics::Histogram& structural_seconds;
   metrics::Histogram& probabilistic_seconds;
   metrics::Histogram& verify_seconds;
@@ -50,6 +59,8 @@ struct JoinMetrics {
           r.GetCounter("simj_join_candidates_total"),
           r.GetCounter("simj_join_results_total"),
           r.GetCounter("simj_join_slow_pairs_total"),
+          r.GetCounter(ged::kCssBoundCallsMetric),
+          r.GetHistogram(ged::kCssBoundSecondsMetric),
           r.GetHistogram("simj_filter_structural_seconds"),
           r.GetHistogram("simj_filter_probabilistic_seconds"),
           r.GetHistogram("simj_verify_pair_seconds"),
@@ -134,32 +145,46 @@ JoinSummaries SummarizeJoinInputs(const std::vector<LabeledGraph>& d,
 
 namespace {
 
-// EvaluatePair on summaries of q and g.
+// EvaluatePair on summaries of q and g, for a pair whose evaluation began
+// at the caller's clock read `start`. Each filter that runs ends with one
+// clock read, verification takes two, and *finished receives the last, so
+// the caller's watchdog needs none: a structurally pruned pair costs two
+// reads in all. With `exact_css` the CSS filter computes the exact bound
+// for the explain record; otherwise a pair the cascade prunes early
+// records a bound that exceeds tau but may be below the exact one.
 bool EvaluateSummarizedPair(const LabeledGraph& q,
                             const ged::GraphSummary& q_summary,
                             const UncertainGraph& g,
                             const ged::GraphSummary& g_summary,
                             const SimJParams& params,
                             const graph::LabelDictionary& dict,
-                            JoinStats* stats, MatchedPair* pair,
-                            PairExplain* explain) {
+                            bool exact_css, Clock::time_point start,
+                            Clock::time_point* finished, JoinStats* stats,
+                            MatchedPair* pair, PairExplain* explain) {
   const JoinMetrics& jm = JoinMetrics::Get();
   ++stats->total_pairs;
   jm.pairs_total.Increment();
-  WallTimer timer;
 
   // --- Pruning phase ---
+  Clock::time_point filtered = start;
+  int structural_constant = 0;
   if (params.structural_pruning) {
     trace::ScopedSpan span("css_filter", "prune");
-    int lower_bound = ged::CssLowerBoundUncertain(q_summary, g_summary);
-    double seconds = timer.ElapsedSeconds();
+    const ged::CssPrune css = ged::CssPruneBound(
+        q_summary, g_summary, exact_css ? ged::kExactCss : params.tau);
+    filtered = Clock::now();
+    const double seconds = SecondsBetween(start, filtered);
+    jm.css_bound_calls.Increment();
+    jm.css_bound_seconds.Observe(seconds);
     jm.structural_seconds.Observe(seconds);
-    if (explain != nullptr) explain->css_lower_bound = lower_bound;
-    if (lower_bound > params.tau) {
+    structural_constant = css.structural_constant;
+    if (explain != nullptr) explain->css_lower_bound = css.lower_bound;
+    if (css.lower_bound > params.tau) {
       ++stats->pruned_structural;
       jm.pruned_structural.Increment();
       stats->pruning_cpu_seconds += seconds;
       if (explain != nullptr) explain->pruned_by = PruneStage::kStructural;
+      *finished = filtered;
       return false;
     }
   }
@@ -168,14 +193,15 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   bool grouped = false;
   if (params.probabilistic_pruning) {
     trace::ScopedSpan span("markov_filter", "prune");
-    WallTimer filter_timer;
     GroupingOptions group_options;
     group_options.group_count = params.group_count;
     group_options.heuristic = params.split_heuristic;
     grouping = PartitionPossibleWorlds(q, q_summary, g, g_summary, params.tau,
                                        dict, group_options);
     grouped = true;
-    jm.probabilistic_seconds.Observe(filter_timer.ElapsedSeconds());
+    const Clock::time_point partitioned = Clock::now();
+    jm.probabilistic_seconds.Observe(SecondsBetween(filtered, partitioned));
+    filtered = partitioned;
     if (explain != nullptr) {
       explain->simp_upper_bound = grouping.simp_upper_bound;
       explain->live_groups = static_cast<int>(grouping.live_groups.size());
@@ -184,15 +210,16 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
     if (grouping.simp_upper_bound < params.alpha - kSimPEpsilon) {
       ++stats->pruned_probabilistic;
       jm.pruned_probabilistic.Increment();
-      stats->pruning_cpu_seconds += timer.ElapsedSeconds();
+      stats->pruning_cpu_seconds += SecondsBetween(start, filtered);
       if (explain != nullptr) explain->pruned_by = PruneStage::kProbabilistic;
+      *finished = filtered;
       return false;
     }
   }
-  stats->pruning_cpu_seconds += timer.ElapsedSeconds();
+  stats->pruning_cpu_seconds += SecondsBetween(start, filtered);
 
   // --- Refinement phase ---
-  timer.Restart();  // simj-lint: allow(discard) WallTimer::Restart is void
+  const Clock::time_point verify_start = Clock::now();
   trace::ScopedSpan verify_span("verify", "verify");
   ++stats->candidates;
   jm.candidates.Increment();
@@ -218,9 +245,12 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   }
   jm.group_fanout_peak.UpdateMax(static_cast<double>(groups.size()));
 
-  // C(q, g) once per pair: every group shares g's structure.
+  // C(q, g) once per pair, taken from the CSS filter when it ran: every
+  // group shares g's structure.
   ged::WorldBound world_bound(
-      q_summary, ged::CssStructuralConstant(q_summary, g_summary));
+      q_summary, params.structural_pruning
+                     ? structural_constant
+                     : ged::CssStructuralConstant(q_summary, g_summary));
   SimPResult simp;
   if (params.early_exit_verification) {
     simp = VerifySimP(q, world_bound, groups, live_mass, params.tau,
@@ -238,7 +268,8 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
       }
     }
   }
-  double verify_seconds = timer.ElapsedSeconds();
+  *finished = Clock::now();
+  const double verify_seconds = SecondsBetween(verify_start, *finished);
   stats->verification_cpu_seconds += verify_seconds;
   jm.verify_seconds.Observe(verify_seconds);
 
@@ -277,9 +308,11 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
                   const SimJParams& params,
                   const graph::LabelDictionary& dict, JoinStats* stats,
                   MatchedPair* pair, PairExplain* explain) {
+  Clock::time_point finished;
   return EvaluateSummarizedPair(q, ged::Summarize(q, dict), g,
-                                ged::Summarize(g, dict), params, dict, stats,
-                                pair, explain);
+                                ged::Summarize(g, dict), params, dict,
+                                /*exact_css=*/explain != nullptr,
+                                Clock::now(), &finished, stats, pair, explain);
 }
 
 std::string FormatExplain(const PairExplain& explain,
@@ -334,6 +367,16 @@ std::string FormatExplains(const JoinResult& result,
 }
 
 namespace {
+
+// Log lines print the exact css_lb. A pair the cascade pruned early carries
+// a smaller bound that already exceeds tau; the exact one is recomputed
+// here, for the few pairs that are logged, rather than on every pair.
+void SetExactCssBound(const ged::GraphSummary& q, const ged::GraphSummary& g,
+                      PairExplain* explain) {
+  if (explain->pruned_by != PruneStage::kStructural) return;
+  explain->css_lower_bound =
+      ged::CssPruneBound(q, g, ged::kExactCss).lower_bound;
+}
 
 // Slow-pair watchdog: logs a pair whose evaluation blew the budget, with
 // its full explain record (the record is captured opportunistically for
@@ -426,10 +469,11 @@ struct PairEvaluator {
     PairExplain* explain_slot =
         sampled || watchdog_on || stall_on ? &explain : nullptr;
     if (heartbeats_on) progress.Heartbeat(worker, qi, gi);
-    WallTimer pair_timer;
+    const Clock::time_point start = Clock::now();
+    Clock::time_point finished;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
-                               summaries.u[gi], params, dict, &out->stats,
-                               &pair, explain_slot)) {
+                               summaries.u[gi], params, dict, sampled, start,
+                               &finished, &out->stats, &pair, explain_slot)) {
       pair.q_index = qi;
       pair.g_index = gi;
       out->pairs.push_back(std::move(pair));
@@ -437,16 +481,18 @@ struct PairEvaluator {
     // Epilogue: logging only — results, stats and explain output are
     // byte-identical whether any of it fires.
     if (watchdog_on) {
-      double elapsed_ms = pair_timer.ElapsedMillis();
+      const double elapsed_ms = SecondsBetween(start, finished) * 1e3;
       if (elapsed_ms > params.slow_pair_log_ms) {
+        SetExactCssBound(summaries.d[qi], summaries.u[gi], &explain);
         LogSlowPair(elapsed_ms, params, &explain, qi, gi);
       }
     }
     if (stall_on && progress.ConsumeStallFlag(worker)) {
+      SetExactCssBound(summaries.d[qi], summaries.u[gi], &explain);
       explain.q_index = qi;
       explain.g_index = gi;
       SIMJ_LOG(WARN) << "stalled pair completed after "
-                     << pair_timer.ElapsedMillis() << " ms: "
+                     << SecondsBetween(start, Clock::now()) * 1e3 << " ms: "
                      << FormatExplain(explain, params);
     }
     if (heartbeats_on) progress.PairDone(worker);

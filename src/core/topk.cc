@@ -5,6 +5,7 @@
 #include "core/groups.h"
 #include "core/similarity.h"
 #include "ged/lower_bounds.h"
+#include "util/metrics.h"
 
 namespace simj::core {
 
@@ -26,6 +27,10 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
                     const std::vector<UncertainGraph>& u,
                     const TopKParams& params,
                     const graph::LabelDictionary& dict) {
+  static metrics::Counter& css_calls =
+      metrics::Registry::Global().GetCounter(ged::kCssBoundCallsMetric);
+  static metrics::Histogram& css_seconds =
+      metrics::Registry::Global().GetHistogram(ged::kCssBoundSecondsMetric);
   TopKResult result;
   result.matches.resize(u.size());
   const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
@@ -43,7 +48,13 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
       const LabeledGraph& q = d[qi];
       const ged::GraphSummary& q_summary = summaries.d[qi];
       const ged::GraphSummary& g_summary = summaries.u[gi];
-      if (ged::CssLowerBoundUncertain(q_summary, g_summary) > params.tau) {
+      ged::CssPrune css;
+      {
+        metrics::ScopedLatency latency(css_seconds);
+        css = ged::CssPruneBound(q_summary, g_summary, params.tau);
+      }
+      css_calls.Increment();
+      if (css.lower_bound > params.tau) {
         ++result.stats.pruned_structural;
         continue;
       }
@@ -58,8 +69,7 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
         }
       }
       ++result.stats.evaluated;
-      ged::WorldBound world_bound(
-          q_summary, ged::CssStructuralConstant(q_summary, g_summary));
+      ged::WorldBound world_bound(q_summary, css.structural_constant);
       SimPResult simp = ComputeSimP(q, world_bound, g, params.tau, dict,
                                     params.ged_options, &result.stats.verify);
       if (simp.probability <= kSimPEpsilon) continue;

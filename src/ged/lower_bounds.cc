@@ -193,6 +193,7 @@ void SummarizeVertices(const UncertainGraph& g, const LabelDictionary& dict,
         s->labeled_vertices.emplace_back(alt.label, v);
       }
     }
+    s->wildcard_vertices += s->vertex_wildcard[v];
   }
   std::sort(s->labeled_vertices.begin(), s->labeled_vertices.end());
 }
@@ -207,6 +208,7 @@ GraphSummary Summarize(const LabeledGraph& g, const LabelDictionary& dict) {
   for (int v = 0; v < g.num_vertices(); ++v) {
     if (dict.IsWildcard(g.vertex_label(v))) {
       s.vertex_wildcard[v] = 1;
+      ++s.wildcard_vertices;
     } else {
       s.labeled_vertices.emplace_back(g.vertex_label(v), v);
     }
@@ -306,11 +308,10 @@ int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
 }
 
 int CssLowerBoundUncertain(const GraphSummary& q, const GraphSummary& g) {
-  static metrics::Counter& calls = metrics::Registry::Global().GetCounter(
-      "simj_bound_css_uncertain_total");
+  static metrics::Counter& calls =
+      metrics::Registry::Global().GetCounter(kCssBoundCallsMetric);
   static metrics::Histogram& seconds =
-      metrics::Registry::Global().GetHistogram(
-          "simj_bound_css_uncertain_seconds");
+      metrics::Registry::Global().GetHistogram(kCssBoundSecondsMetric);
   calls.Increment();
   metrics::ScopedLatency latency(seconds);
   return std::max(0, CssStructuralConstant(q, g) - MaxCommonVertexLabels(q, g));
@@ -321,10 +322,45 @@ int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
   return CssLowerBoundUncertain(Summarize(q, dict), Summarize(g, dict));
 }
 
+CssPrune CssPruneBound(const GraphSummary& q, const GraphSummary& g,
+                       int tau) {
+  CssPrune out;
+  const int c = CssStructuralConstant(q, g);
+  out.structural_constant = c;
+  out.lower_bound = c - std::min(q.num_vertices, g.num_vertices);
+  if (out.lower_bound > tau) return out;
+  if (g.wildcard_vertices == 0) {
+    // Step 2 prunes exactly when fewer than c - tau q vertices can link
+    // (step 1 failing puts min(|V|) at or above c - tau, so the cap never
+    // binds): count them by one merge, stopping once there are enough.
+    // With tau = kExactCss, c - tau < 0 and the merge never starts.
+    const int enough = c - tau;
+    int linkable = q.wildcard_vertices;
+    const auto& ql = q.labeled_vertices;
+    const auto& gl = g.labeled_vertices;
+    size_t i = 0;
+    size_t j = 0;
+    while (linkable < enough && i < ql.size() && j < gl.size()) {
+      if (gl[j].first < ql[i].first) {
+        ++j;
+      } else {
+        if (gl[j].first == ql[i].first) ++linkable;
+        ++i;
+      }
+    }
+    if (linkable < enough) {
+      out.lower_bound = c - linkable;
+      return out;
+    }
+  }
+  out.lower_bound = std::max(0, c - MaxCommonVertexLabels(q, g));
+  return out;
+}
+
 WorldBound::WorldBound(const GraphSummary& q, int structural_constant)
-    : structural_constant_(structural_constant) {
+    : structural_constant_(structural_constant),
+      q_wildcards_(q.wildcard_vertices) {
   // q is certain: each vertex is a wildcard or has one labeled entry.
-  for (char wildcard : q.vertex_wildcard) q_wildcards_ += wildcard;
   SIMJ_DCHECK_EQ(q_wildcards_ + static_cast<int>(q.labeled_vertices.size()),
                  q.num_vertices);
   // world_labels_ doubles as the scratch for q's labels here.

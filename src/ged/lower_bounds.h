@@ -15,6 +15,7 @@
 #ifndef SIMJ_GED_LOWER_BOUNDS_H_
 #define SIMJ_GED_LOWER_BOUNDS_H_
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,8 @@ struct GraphSummary {
   // Non-wildcard edge labels, ascending by label, one run per label.
   std::vector<graph::LabelRun> edge_labels;
   int wildcard_edges = 0;
+  // The number of vertices set in vertex_wildcard.
+  int wildcard_vertices = 0;
   // Whether some alternative of vertex v is a wildcard (v then matches
   // every label).
   std::vector<char> vertex_wildcard;
@@ -117,12 +120,39 @@ struct GraphSummary {
                           const graph::LabelDictionary& dict);
 
 // The CSS bound for an uncertain graph (Thm. 3): valid lower bound on
-// ged(q, pw(g)) for every possible world pw(g).
+// ged(q, pw(g)) for every possible world pw(g). Each call counts itself in
+// kCssBoundCallsMetric and times itself into kCssBoundSecondsMetric.
 [[nodiscard]] int CssLowerBoundUncertain(const GraphSummary& q,
                                          const GraphSummary& g);
 [[nodiscard]] int CssLowerBoundUncertain(const graph::LabeledGraph& q,
                            const graph::UncertainGraph& g,
                            const graph::LabelDictionary& dict);
+
+inline constexpr char kCssBoundCallsMetric[] =
+    "simj_bound_css_uncertain_total";
+inline constexpr char kCssBoundSecondsMetric[] =
+    "simj_bound_css_uncertain_seconds";
+
+// The uncertain CSS bound as the structural filter's decision for
+// threshold `tau`. lambda_V <= the number of q vertices that can link to
+// any g vertex <= min(|V(q)|, |V(g)|), so the cascade tries, in order:
+//   1. C(q, g) - min(|V(q)|, |V(g)|);
+//   2. C(q, g) - the q vertices that can link: all of them when g has a
+//      wildcard vertex (then no tighter than step 1, so skipped), else q's
+//      wildcard vertices plus its labeled vertices whose label occurs in g;
+//   3. the exact C(q, g) - MaxCommonVertexLabels(q, g).
+// `lower_bound` never exceeds CssLowerBoundUncertain(q, g), exceeds tau
+// exactly when it does, and equals it whenever it is at most tau; with
+// tau = kExactCss it always equals it. Unlike CssLowerBoundUncertain the
+// call neither counts nor times itself: the join shares one clock read
+// between this bound and its own filter histogram.
+struct CssPrune {
+  int lower_bound = 0;
+  int structural_constant = 0;  // C(q, g), for a WorldBound.
+};
+inline constexpr int kExactCss = std::numeric_limits<int>::max();
+[[nodiscard]] CssPrune CssPruneBound(const GraphSummary& q,
+                                     const GraphSummary& g, int tau);
 
 // The certain CSS bound (Thm. 1) of a certain graph q against possible
 // worlds of one uncertain graph g. The worlds share g's structure, so the

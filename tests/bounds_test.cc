@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,11 +322,104 @@ TEST_P(SummaryKernelTest, GroupSummaryMatchesSummarize) {
     EXPECT_EQ(derived.sorted_degrees, direct.sorted_degrees);
     EXPECT_EQ(derived.wildcard_edges, direct.wildcard_edges);
     EXPECT_EQ(derived.vertex_wildcard, direct.vertex_wildcard);
+    EXPECT_EQ(derived.wildcard_vertices, direct.wildcard_vertices);
     EXPECT_EQ(derived.labeled_vertices, direct.labeled_vertices);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SummaryKernelTest, ::testing::Range(0, 60));
+
+// Pairs for the CSS cascade, up to 10 vertices each so that |V| often
+// differs. By seed: no wildcard vertices (every step runs), wildcards in q
+// only, in g only (the label-count step is skipped), or one side all
+// wildcards (an empty labeled set). q draws its labels from L0..L3 and g
+// from a window of L0..L7 shifted by 0..4, from equal to disjoint pools.
+// Edges draw from r1, r2 and a wildcard, with parallel edges.
+void MakeCascadeCase(int seed, KernelCase* c) {
+  Rng rng(9100 + seed);
+  const std::vector<graph::LabelId> labels =
+      simj::testing::TestLabels(c->dict, 8);
+  const graph::LabelId wildcard = c->dict.Intern("?x");
+  const std::vector<graph::LabelId> edge_labels = {
+      c->dict.Intern("r1"), c->dict.Intern("r2"), c->dict.Intern("?p")};
+  const int shift = static_cast<int>(rng.Uniform(0, 4));
+  std::vector<graph::LabelId> q_labels(labels.begin(), labels.begin() + 4);
+  std::vector<graph::LabelId> g_labels(labels.begin() + shift,
+                                       labels.begin() + shift + 4);
+  switch (seed % 4) {
+    case 1:
+      q_labels.push_back(wildcard);
+      break;
+    case 2:
+      g_labels.push_back(wildcard);
+      break;
+    case 3:
+      (seed % 8 == 3 ? q_labels : g_labels) = {wildcard};
+      break;
+    default:
+      break;
+  }
+  c->q = simj::testing::RandomCertainGraph(
+      rng, q_labels, edge_labels, static_cast<int>(rng.Uniform(0, 10)),
+      static_cast<int>(rng.Uniform(0, 16)));
+  c->g = simj::testing::RandomUncertainGraph(
+      rng, g_labels, edge_labels, static_cast<int>(rng.Uniform(0, 10)),
+      static_cast<int>(rng.Uniform(0, 16)),
+      std::min(3, static_cast<int>(g_labels.size())));
+}
+
+// The cascade against the exact bound at tau = 0..6: it prunes exactly
+// when CssLowerBoundUncertain exceeds tau, never exceeds it, equals it
+// whenever it does not prune, and each step returns its own value.
+TEST(CssPruneTest, CascadeDecidesLikeTheExactBound) {
+  int pruned_by_step[3] = {0, 0, 0};
+  for (int seed = 0; seed < 400; ++seed) {
+    KernelCase c;
+    MakeCascadeCase(seed, &c);
+    const GraphSummary q = Summarize(c.q, c.dict);
+    const GraphSummary g = Summarize(c.g, c.dict);
+    const int exact = CssLowerBoundUncertain(q, g);
+    const int constant = CssStructuralConstant(q, g);
+    const int min_vertices = std::min(c.q.num_vertices(), c.g.num_vertices());
+    // q vertices whose label matches some alternative of some g vertex.
+    int linkable = 0;
+    for (int u = 0; u < c.q.num_vertices(); ++u) {
+      bool links = false;
+      for (int v = 0; v < c.g.num_vertices(); ++v) {
+        for (const graph::LabelAlternative& alt : c.g.alternatives(v)) {
+          links = links || c.dict.Matches(c.q.vertex_label(u), alt.label);
+        }
+      }
+      linkable += links ? 1 : 0;
+    }
+    linkable = std::min(linkable, min_vertices);
+    for (int tau = 0; tau <= 6; ++tau) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", tau " +
+                   std::to_string(tau));
+      const CssPrune prune = CssPruneBound(q, g, tau);
+      EXPECT_EQ(prune.structural_constant, constant);
+      EXPECT_EQ(prune.lower_bound > tau, exact > tau);
+      EXPECT_LE(prune.lower_bound, exact);
+      if (prune.lower_bound <= tau) {
+        EXPECT_EQ(prune.lower_bound, exact);
+      }
+      if (constant - min_vertices > tau) {
+        EXPECT_EQ(prune.lower_bound, constant - min_vertices);
+        ++pruned_by_step[0];
+      } else if (constant - linkable > tau) {
+        EXPECT_EQ(prune.lower_bound, constant - linkable);
+        ++pruned_by_step[1];
+      } else if (exact > tau) {
+        ++pruned_by_step[2];
+      }
+    }
+    EXPECT_EQ(CssPruneBound(q, g, kExactCss).lower_bound, exact);
+  }
+  // Every step decides some of the pairs.
+  EXPECT_GT(pruned_by_step[0], 0);
+  EXPECT_GT(pruned_by_step[1], 0);
+  EXPECT_GT(pruned_by_step[2], 0);
+}
 
 }  // namespace
 }  // namespace simj::ged

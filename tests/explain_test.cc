@@ -4,6 +4,8 @@
 // PairExplain must name the right stage with the right evidence. Explain
 // output must also be byte-identical at 1/2/8 threads.
 
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "core/join.h"
+#include "ged/lower_bounds.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
 #include "test_util.h"
+#include "util/log.h"
 
 namespace simj::core {
 namespace {
@@ -74,6 +78,55 @@ TEST(ExplainTest, StructuralPruneRecordsCssBound) {
   EXPECT_NE(FormatExplain(explain, ExplainAllParams(0, 0.5))
                 .find("PRUNED structural"),
             std::string::npos);
+}
+
+// An unsampled pair that the CSS cascade prunes with a bound below the exact
+// one: its slow-pair line still prints the exact css_lb.
+TEST(ExplainTest, SlowPairLineCarriesTheExactCssBound) {
+  LabelDictionary dict;
+  graph::LabelId a = dict.Intern("A");
+  graph::LabelId b = dict.Intern("B");
+  graph::LabelId r = dict.Intern("r");
+  graph::LabelId s = dict.Intern("s");
+  // Equal counts, so the count bound passes the pair to the CSS filter.
+  // C = |V| + |E| - lambda_E = 3; min(|V|) = 2 prunes at tau = 0 with a
+  // bound of 1, but only one q vertex can take g's B, so the exact bound
+  // is C - lambda_V = 2.
+  LabeledGraph q;
+  q.AddVertex(b);
+  q.AddVertex(b);
+  q.AddEdge(0, 1, r);
+  UncertainGraph g;
+  g.AddVertex({{b, 1.0}});
+  g.AddVertex({{a, 1.0}});
+  g.AddEdge(0, 1, s);
+  const int exact = ged::CssLowerBoundUncertain(q, g, dict);
+  ASSERT_EQ(exact, 2);
+  ASSERT_EQ(ged::CssPruneBound(ged::Summarize(q, dict),
+                               ged::Summarize(g, dict), /*tau=*/0)
+                .lower_bound,
+            1);
+
+  auto previous = log::SetSink(std::make_unique<log::CaptureSink>());
+  SimJParams params;
+  params.tau = 0;
+  params.slow_pair_log_ms = std::numeric_limits<double>::min();
+  const JoinResult result = SimJoin({q}, {g}, params, dict);
+  const std::unique_ptr<log::Sink> capture = log::SetSink(std::move(previous));
+
+  EXPECT_EQ(result.stats.pruned_structural, 1);
+  int lines = 0;
+  for (const log::Entry& entry :
+       static_cast<const log::CaptureSink&>(*capture).Entries()) {
+    if (entry.message.find("slow pair:") == std::string::npos) continue;
+    ++lines;
+    EXPECT_EQ(entry.level, log::Level::kWarn);
+    EXPECT_NE(entry.message.find(
+                  "<q=0,g=0> PRUNED structural: css_lb=2 > tau=0"),
+              std::string::npos)
+        << entry.message;
+  }
+  EXPECT_EQ(lines, 1);
 }
 
 TEST(ExplainTest, ProbabilisticPruneRecordsUpperBound) {

@@ -1,4 +1,6 @@
+#include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "core/topk.h"
 #include "ged/lower_bounds.h"
 #include "test_util.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace simj::core {
@@ -204,6 +207,55 @@ TEST_P(CountCheckTest, CountsLikeTheFullCssFilter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CountCheckTest, ::testing::Range(0, 25));
+
+// The CSS filter counts one kernel call and observes one duration into
+// each of its two histograms per pair that reaches it (every pair but the
+// ones the count bound decides), whichever step of the cascade decides
+// the pair, sampled or not, at one thread or several.
+TEST(JoinTest, CssInstrumentsCountEveryFilteredPair) {
+  simj::testing::RandomJoinWorkloadOptions options;
+  options.num_certain = 12;
+  options.num_uncertain = 12;
+  options.max_vertices = 6;
+  options.max_edges = 8;
+  options.max_uncertain_edges = 7;
+  simj::testing::RandomJoinWorkload w =
+      simj::testing::MakeRandomJoinWorkload(1900, options);
+  for (int threads : {1, 3}) {
+    for (bool sampled : {false, true}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, sampled " +
+                   std::to_string(sampled));
+      SimJParams params;
+      params.tau = 1;
+      params.num_threads = threads;
+      params.explain.enabled = sampled;
+      params.explain.sample_every = 3;
+      const metrics::MetricsSnapshot before =
+          metrics::Registry::Global().Snapshot();
+      const JoinResult result = SimJoin(w.d, w.u, params, w.dict);
+      const metrics::MetricsSnapshot after =
+          metrics::Registry::Global().Snapshot();
+      auto counted = [&](const std::string& name) {
+        auto was = before.counters.find(name);
+        return after.counters.at(name) -
+               (was == before.counters.end() ? 0 : was->second);
+      };
+      auto observed = [&](const std::string& name) {
+        auto was = before.histograms.find(name);
+        return after.histograms.at(name).count -
+               (was == before.histograms.end() ? 0 : was->second.count);
+      };
+      const int64_t filtered = counted("simj_join_pairs_total") -
+                               counted(kPrunedCountBoundMetric);
+      EXPECT_EQ(counted("simj_join_pairs_total"), result.stats.total_pairs);
+      EXPECT_GT(counted(kPrunedCountBoundMetric), 0);
+      EXPECT_GT(filtered, 0);
+      EXPECT_EQ(counted(ged::kCssBoundCallsMetric), filtered);
+      EXPECT_EQ(observed(ged::kCssBoundSecondsMetric), filtered);
+      EXPECT_EQ(observed("simj_filter_structural_seconds"), filtered);
+    }
+  }
+}
 
 class TopKJoinTest : public ::testing::TestWithParam<int> {};
 

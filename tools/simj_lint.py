@@ -474,14 +474,85 @@ STATUS_DECL_RE = re.compile(
     re.MULTILINE,
 )
 
+# Any function declaration: a return type, then the name and '('. Consulted
+# only for names that STATUS_DECL_RE also harvested.
+ANY_DECL_RE = re.compile(
+    r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:inline\s+|static\s+|constexpr\s+|"
+    r"virtual\s+)*((?:const\s+)?[A-Za-z_][A-Za-z0-9_:]*(?:<[^;{}()]*>)?)"
+    r"[\s*&]+([A-Za-z_][A-Za-z0-9_]*)\s*\(",
+    re.MULTILINE,
+)
+STATUS_TYPE_RE = re.compile(r"^(?:simj::)?Status(?:Or<.*>)?$")
+# Words ANY_DECL_RE would take for a return type in a statement.
+NOT_A_TYPE = {"return", "else", "case", "new", "delete", "throw", "co_return"}
+CLASS_OPEN_RE = re.compile(
+    r"\b(?:class|struct)\s+([A-Za-z_][A-Za-z0-9_]*)[^;{}()]*\{")
+
 # Names that return Status/StatusOr but are unconditionally safe to call as
 # statements never (empty), or that the harvest would misfire on.
 HARVEST_SKIP = {"Ok"}
 
 
-def harvest_status_functions(repo):
-    """Collects names of functions returning Status/StatusOr from src headers."""
-    names = set()
+def enclosing_class(code, pos):
+    """The innermost class or struct whose body contains `pos`, or None."""
+    inner = None
+    for match in CLASS_OPEN_RE.finditer(code, 0, pos):
+        body = code[match.end():pos]
+        if body.count("{") >= body.count("}"):
+            inner = match.group(1)
+    return inner
+
+
+class StatusFunctions:
+    """Functions that src/ headers declare to return Status or StatusOr.
+
+    A name some header also declares with another return type (a void
+    WallTimer::Restart beside the Status ShardWorker::Restart) is shared:
+    a call to it is known to return Status only when it is qualified with,
+    or its receiver is declared as, a class that returns Status from it.
+    """
+
+    def __init__(self, header_texts):
+        self.names = set()
+        self.classes = {}  # name -> classes whose member returns Status
+        self.shared = set()
+        codes = [strip_comments_and_strings(text) for text in header_texts]
+        for code in codes:
+            for match in STATUS_DECL_RE.finditer(code):
+                name = match.group(1)
+                if name in HARVEST_SKIP:
+                    continue
+                self.names.add(name)
+                self.classes.setdefault(name, set()).add(
+                    enclosing_class(code, match.start()))
+        for code in codes:
+            for match in ANY_DECL_RE.finditer(code):
+                kind, name = match.group(1), match.group(2)
+                if (name in self.names and kind not in NOT_A_TYPE
+                        and not STATUS_TYPE_RE.match(kind)):
+                    self.shared.add(name)
+
+    def __contains__(self, name):
+        return name in self.names
+
+    def returns_status(self, name, qualifier, receiver, code):
+        """Whether `qualifier::name(` or `receiver.name(` returns Status."""
+        if name not in self.names:
+            return False
+        if name not in self.shared:
+            return True
+        classes = self.classes[name] - {None}
+        if qualifier:
+            return qualifier in classes
+        return receiver is not None and any(
+            re.search(r"\b%s\b[\s>*&]*(?:const\b[\s*&]*)?\b%s\b"
+                      % (re.escape(cls), re.escape(receiver)), code)
+            for cls in classes)
+
+
+def harvest_status_functions(repo, extra_headers=()):
+    """Collects the Status/StatusOr-returning functions of src headers."""
+    texts = list(extra_headers)
     src = os.path.join(repo, "src")
     for dirpath, _, filenames in os.walk(src):
         for filename in filenames:
@@ -489,14 +560,11 @@ def harvest_status_functions(repo):
                 continue
             path = os.path.join(dirpath, filename)
             try:
-                text = open(path, encoding="utf-8", errors="replace").read()
+                texts.append(
+                    open(path, encoding="utf-8", errors="replace").read())
             except OSError:
                 continue
-            for match in STATUS_DECL_RE.finditer(strip_comments_and_strings(text)):
-                name = match.group(1)
-                if name not in HARVEST_SKIP:
-                    names.add(name)
-    return names
+    return StatusFunctions(texts)
 
 
 def lint_file(source, status_functions):
@@ -538,12 +606,14 @@ def lint_file(source, status_functions):
     )
 
     bare_call_re = None
-    if status_functions:
-        joined = "|".join(sorted(status_functions))
+    code = "\n".join(source.code_lines)
+    if status_functions.names:
+        joined = "|".join(sorted(status_functions.names))
         # A statement that *starts* with a harvested call: nothing consumes
-        # the returned status.
+        # the returned status. Group 1 is the qualifier/receiver chain.
         bare_call_re = re.compile(
-            r"^\s*(?:[A-Za-z_][A-Za-z0-9_]*(?:::|\.|->))*(%s)\s*\(" % joined
+            r"^\s*((?:[A-Za-z_][A-Za-z0-9_]*(?:::|\.|->))*)(%s)\s*\("
+            % joined
         )
 
     if in_dir(rel, "src"):
@@ -645,13 +715,23 @@ def lint_file(source, status_functions):
                 or previous.lstrip().startswith("#")
             )
             if match and at_statement_start:
-                emit(
-                    "unconsumed-status", line_number,
-                    f"result of '{match.group(1)}' (returns Status/StatusOr) "
-                    "is discarded — handle it or use SIMJ_IGNORE_STATUS",
-                )
+                last = re.search(r"(\w+)(::|\.|->)$", match.group(1))
+                qualified = last is not None and last.group(2) == "::"
+                qualifier = last.group(1) if qualified else None
+                receiver = last.group(1) if last and not qualified else None
+                if status_functions.returns_status(
+                        match.group(2), qualifier, receiver, code):
+                    emit(
+                        "unconsumed-status", line_number,
+                        f"result of '{match.group(2)}' (returns "
+                        "Status/StatusOr) is discarded — handle it or use "
+                        "SIMJ_IGNORE_STATUS",
+                    )
             match = VOID_DISCARD_RE.search(line)
-            if match and match.group(1).split("::")[-1] in status_functions:
+            parts = match.group(1).split("::") if match else []
+            if match and status_functions.returns_status(
+                    parts[-1], parts[-2] if len(parts) > 1 else None, None,
+                    code):
                 emit(
                     "unconsumed-status", line_number,
                     f"'(void)' discard of '{match.group(1)}' — use "
@@ -757,6 +837,13 @@ SELF_TEST_CASES = [
     ("src/core/bad_void.cc",
      "#include \"sparql/parser.h\"\nvoid F() { (void)ParseSparql(\"\", d); }\n",
      "unconsumed-status"),
+    # Restart is shared (see SELF_TEST_HEADERS): flagged where the receiver
+    # or qualifier is the class whose Restart returns Status.
+    ("src/dist/bad_shared_name.cc",
+     "void F(Worker* worker) {\n  worker->Restart();\n}\n",
+     "unconsumed-status"),
+    ("src/dist/bad_shared_name_void.cc",
+     "void F() { (void)Worker::Restart(); }\n", "unconsumed-status"),
     ("src/util/bad_stderr.cc",
      '#include <cstdio>\nvoid F() { fprintf(stderr, "x\\n"); }\n',
      "no-raw-logging"),
@@ -829,7 +916,18 @@ SELF_TEST_CASES = [
      "explicit-memory-order"),
 ]
 
+# Headers harvested beside src/'s: a void Restart next to a Status one.
+SELF_TEST_HEADERS = [
+    "class Timer {\n public:\n  void Restart();\n};\n",
+    "class Worker {\n public:\n  [[nodiscard]] Status Restart();\n};\n",
+]
+
 SELF_TEST_CLEAN = [
+    # The void Restart, and a receiver whose type is not known.
+    ("src/core/ok_shared_name_void.cc",
+     "void F(Timer& timer) {\n  timer.Restart();\n}\n"),
+    ("src/core/ok_shared_name_unknown.cc",
+     "void F() {\n  auto& w = Pick();\n  w.Restart();\n}\n"),
     ("src/core/ok_pragma_new.cc",
      "int* F() { return new int(3); }  // simj-lint: allow(new)\n"),
     ("src/core/ok_snprintf.cc",
@@ -934,7 +1032,7 @@ SELF_TEST_CLEAN = [
 ]
 
 def self_test(repo):
-    status_functions = harvest_status_functions(repo)
+    status_functions = harvest_status_functions(repo, SELF_TEST_HEADERS)
     if "ParseSparql" not in status_functions:
         print("self-test: FAILED to harvest ParseSparql from src headers")
         return 1
