@@ -22,6 +22,54 @@ build_and_test() {
   cmake --build "${dir}" -j "${JOBS}"
 }
 
+# overhead_gate BASE.json ARMED.json FLOOR_PCT LABEL: the armed run's
+# MEDIAN per-cell wall delta over its back-to-back baseline must stay
+# within max(FLOOR_PCT, 3 x median noise). Real sampling overhead shifts
+# every cell the same way, while per-cell scheduler noise on millisecond
+# workloads (routinely +-20% on shared CI hosts) does not survive a median
+# over 18 cells. When 3 x noise exceeds the floor, the budget cannot be
+# resolved on this host, and the line says UNRESOLVED instead of OK.
+overhead_gate() {
+  python3 - "$@" <<'PY'
+import json, math, statistics, sys
+base_path, armed_path, floor, label = sys.argv[1:5]
+floor = float(floor)
+with open(base_path) as f:
+    off = json.load(f)
+with open(armed_path) as f:
+    armed = json.load(f)
+off_samples = {s["name"]: s for s in off["samples"] if not s.get("skipped")}
+deltas, noises = [], []
+for sample in armed["samples"]:
+    if sample.get("skipped") or sample["name"] not in off_samples:
+        continue
+    base = off_samples[sample["name"]]["wall_seconds"]
+    cur = sample["wall_seconds"]
+    if base["median"] <= 0:
+        continue
+    delta_pct = (cur["median"] - base["median"]) / base["median"] * 100.0
+    noise_pct = (math.hypot(base["stddev"], cur["stddev"])
+                 / base["median"] * 100.0)
+    deltas.append(delta_pct)
+    noises.append(noise_pct)
+    print(f"  {sample['name']}: {delta_pct:+.2f}% (noise {noise_pct:.2f}%)")
+assert deltas, "no comparable cells between sinks-off and armed runs"
+median_delta = statistics.median(deltas)
+median_noise = statistics.median(noises)
+threshold = max(floor, 3.0 * median_noise)
+assert median_delta <= threshold, \
+    f"{label} overhead beyond budget: median {median_delta:+.2f}% " \
+    f"over {len(deltas)} cells (threshold {threshold:.2f}%)"
+if threshold > floor:
+    print(f"{label} overhead UNRESOLVED (threshold {threshold:.2f}% > "
+          f"budget {floor:g}%): median {median_delta:+.2f}% over "
+          f"{len(deltas)} cells; noise hides the budget on this host")
+else:
+    print(f"{label} overhead OK: median {median_delta:+.2f}% over "
+          f"{len(deltas)} cells, threshold {threshold:.2f}% "
+          f"({floor:g}% floor, 3-sigma noise-gated)")
+PY
+}
 # 0. Static analysis. The project linter has no dependencies and always
 # runs (self-test first, so a broken linter cannot pass a broken tree).
 # clang-tidy and clang-format are optional in the CI image: their runners
@@ -293,13 +341,10 @@ assert svg.lstrip().startswith("<svg"), svg[:80]
 assert "coordinator" in svg and "worker-0" in svg, "flamegraph lost sections"
 print(f"flamegraph OK: {len(svg)} bytes of SVG")
 PY
-# Overhead gate: baseline is rerun here, back to back with the armed run,
-# rather than reusing leg 1c's record — minutes of drift (frequency
-# scaling, page cache) between the two would otherwise dominate a 0.5%
-# budget. The assertion is on the MEDIAN per-cell delta: real sampling
-# overhead shifts every cell the same way, while per-cell scheduler noise
-# on millisecond workloads (routinely +-20% on shared CI hosts) does not
-# survive a median over 18 cells.
+# Overhead gate (overhead_gate above): baseline is rerun here, back to
+# back with the armed run, rather than reusing leg 1c's record — minutes
+# of drift (frequency scaling, page cache) between the two would
+# otherwise dominate a 0.5% budget.
 ./build-release/bench/bench_fig12_tau_efficiency \
   --num_certain=30 --num_uncertain=30 \
   --json_out="${SMOKE_DIR}/fig12_base.json" > /dev/null
@@ -307,39 +352,8 @@ PY
   --num_certain=30 --num_uncertain=30 \
   --profile_hz=99 --profile_out="${SMOKE_DIR}/fig12_profile.json" \
   --json_out="${SMOKE_DIR}/fig12_profiled.json" > /dev/null
-python3 - "${SMOKE_DIR}" <<'PY'
-import json, math, statistics, sys
-d = sys.argv[1]
-with open(f"{d}/fig12_base.json") as f:
-    off = json.load(f)
-with open(f"{d}/fig12_profiled.json") as f:
-    armed = json.load(f)
-off_samples = {s["name"]: s for s in off["samples"] if not s.get("skipped")}
-deltas, noises = [], []
-for sample in armed["samples"]:
-    if sample.get("skipped") or sample["name"] not in off_samples:
-        continue
-    base = off_samples[sample["name"]]["wall_seconds"]
-    cur = sample["wall_seconds"]
-    if base["median"] <= 0:
-        continue
-    delta_pct = (cur["median"] - base["median"]) / base["median"] * 100.0
-    noise_pct = (math.hypot(base["stddev"], cur["stddev"])
-                 / base["median"] * 100.0)
-    deltas.append(delta_pct)
-    noises.append(noise_pct)
-    print(f"  {sample['name']}: {delta_pct:+.2f}% (noise {noise_pct:.2f}%)")
-assert deltas, "no comparable cells between sinks-off and armed runs"
-median_delta = statistics.median(deltas)
-median_noise = statistics.median(noises)
-threshold = max(0.5, 3.0 * median_noise)
-assert median_delta <= threshold, \
-    f"profiler overhead beyond budget: median {median_delta:+.2f}% " \
-    f"over {len(deltas)} cells (threshold {threshold:.2f}%)"
-print(f"profiler overhead OK: median {median_delta:+.2f}% over "
-      f"{len(deltas)} cells, threshold {threshold:.2f}% "
-      "(0.5% floor, 3-sigma noise-gated)")
-PY
+overhead_gate "${SMOKE_DIR}/fig12_base.json" \
+  "${SMOKE_DIR}/fig12_profiled.json" 0.5 profiler
 
 # 1cd. Heap smoke (DESIGN.md §13): the memory-axis mirror of leg 1cc. A
 # faulted 4-worker forked-process cluster run with --heap_out must produce
@@ -429,39 +443,8 @@ PY
   --heap_sample_bytes=524288 \
   --heap_out="${SMOKE_DIR}/fig12_heap.json" \
   --json_out="${SMOKE_DIR}/fig12_heaped.json" > /dev/null
-python3 - "${SMOKE_DIR}" <<'PY'
-import json, math, statistics, sys
-d = sys.argv[1]
-with open(f"{d}/fig12_heap_base.json") as f:
-    off = json.load(f)
-with open(f"{d}/fig12_heaped.json") as f:
-    armed = json.load(f)
-off_samples = {s["name"]: s for s in off["samples"] if not s.get("skipped")}
-deltas, noises = [], []
-for sample in armed["samples"]:
-    if sample.get("skipped") or sample["name"] not in off_samples:
-        continue
-    base = off_samples[sample["name"]]["wall_seconds"]
-    cur = sample["wall_seconds"]
-    if base["median"] <= 0:
-        continue
-    delta_pct = (cur["median"] - base["median"]) / base["median"] * 100.0
-    noise_pct = (math.hypot(base["stddev"], cur["stddev"])
-                 / base["median"] * 100.0)
-    deltas.append(delta_pct)
-    noises.append(noise_pct)
-    print(f"  {sample['name']}: {delta_pct:+.2f}% (noise {noise_pct:.2f}%)")
-assert deltas, "no comparable cells between sinks-off and armed runs"
-median_delta = statistics.median(deltas)
-median_noise = statistics.median(noises)
-threshold = max(1.0, 3.0 * median_noise)
-assert median_delta <= threshold, \
-    f"heap profiler overhead beyond budget: median {median_delta:+.2f}% " \
-    f"over {len(deltas)} cells (threshold {threshold:.2f}%)"
-print(f"heap profiler overhead OK: median {median_delta:+.2f}% over "
-      f"{len(deltas)} cells, threshold {threshold:.2f}% "
-      "(1% floor, 3-sigma noise-gated)")
-PY
+overhead_gate "${SMOKE_DIR}/fig12_heap_base.json" \
+  "${SMOKE_DIR}/fig12_heaped.json" 1 "heap profiler"
 
 # 1d. Live-introspection smoke: the same join sweep twice, server-off then
 # with --statusz_port on a fixed loopback port. A concurrent scraper hits

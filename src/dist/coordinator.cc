@@ -246,9 +246,8 @@ class Coordinator : public ClusterzSource {
   // the worker's own spans parent to it through span_ctx.parent_span_id
   // and are re-filed under the same lane (tid collapses to 0: one
   // execution row per lane). With `ship_profiles`, the worker ships its
-  // pending profiler samples while a capture is armed (bench flag or a
-  // mid-join /profilez or /heapz; one pid-checked atomic load each when
-  // none is).
+  // pending profiler samples while a capture is armed (a bench flag or a
+  // mid-join /profilez; one pid-checked atomic load each when none is).
   StatusOr<ShardResult> RunAttempt(ShardWorker& worker, const Shard& shard,
                                    const FaultSpec& fault, int lane_pid,
                                    std::string span_name, bool ship_profiles) {

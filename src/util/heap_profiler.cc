@@ -22,7 +22,7 @@
 // new/delete replacements on top would defeat their checks and backtrace()
 // from inside an interposed allocation path is not sanitizer-safe. The
 // hooks compile out entirely and StartHeapProfiling refuses, mirroring the
-// CPU profiler's TSan refusal — /heapz answers 503, tests skip.
+// CPU profiler's TSan refusal — harnesses run unprofiled, tests skip.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SIMJ_HEAP_PROFILER_UNDER_SANITIZER 1
 #endif
@@ -490,14 +490,6 @@ int64_t ActiveSampleBytes() {
              : 0;
 }
 
-StatusOr<HeapProfile> CaptureHeapProfile(double seconds,
-                                         int64_t sample_bytes) {
-  Status started = StartHeapProfiling(HeapProfileOptions{sample_bytes});
-  if (!started.ok()) return started;
-  stackprof::SleepCaptureWindow(seconds);
-  return StopHeapProfiling();
-}
-
 HeapBatch DrainThisThreadBatch() { return Drain(stackprof::ThisTid()); }
 
 HeapBatch DrainAllThreadsBatch() { return Drain(0); }
@@ -517,10 +509,6 @@ std::string HeapProfileJson(const HeapProfile& profile) {
           ",\"duration_seconds\":" +
           FormatFixed3(profile.duration_seconds),
       profile.sections);
-}
-
-std::string HeapFoldedText(const HeapProfile& profile) {
-  return stackprof::FoldedText<HeapSchema>(profile.sections);
 }
 
 }  // namespace simj::heapprof

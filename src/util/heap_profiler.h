@@ -3,11 +3,10 @@
 // no-raw-allocator-interposition rule keeps them out of the rest of src/)
 // record a deterministic sample of live allocations, attributing bytes to
 // the call stacks that own them. Output is a deterministic `simj_heap_v1`
-// JSON record plus folded-stack text with four counters per stack —
-// inuse_bytes/inuse_objects (live at capture end) and
-// alloc_bytes/alloc_objects (cumulative while armed) — consumed by
-// tools/flame.py (--metric inuse_bytes|alloc_bytes), tools/statusz_poll.py
-// --heap, and tools/bench_compare.py's heap-delta notes.
+// JSON record with four counters per stack — inuse_bytes/inuse_objects
+// (live at capture end) and alloc_bytes/alloc_objects (cumulative while
+// armed) — consumed by tools/flame.py (--metric inuse_bytes|alloc_bytes)
+// and tools/bench_compare.py's heap-delta notes.
 //
 // Sampling is a per-thread byte countdown (DESIGN.md §13): every armed
 // allocation subtracts its size from the thread's countdown, and the
@@ -42,8 +41,8 @@
 // The profiler is observational: unarmed, every allocation costs one
 // relaxed atomic load; armed captures never touch join state — results
 // are byte-identical either way (asserted by statusz_test and ci.sh).
-// Sanitizer builds (ASan/TSan own the allocator) refuse to arm; /heapz
-// answers 503 and everything else proceeds.
+// Sanitizer builds (ASan/TSan own the allocator) refuse to arm;
+// --heap_sample_bytes logs the refusal and everything else proceeds.
 
 #ifndef SIMJ_UTIL_HEAP_PROFILER_H_
 #define SIMJ_UTIL_HEAP_PROFILER_H_
@@ -163,10 +162,6 @@ bool HeapProfilingActive();
 // The armed sampling rate in bytes, or 0 when not armed in this process.
 int64_t ActiveSampleBytes();
 
-// Start + sleep(seconds) + Stop, for on-demand captures (/heapz).
-[[nodiscard]] StatusOr<HeapProfile> CaptureHeapProfile(double seconds,
-                                                       int64_t sample_bytes);
-
 // Registers the calling thread's name for sample attribution (the
 // registry shared with the CPU profiler). Called by
 // trace::SetThisThreadName, so named threads are covered transparently;
@@ -191,13 +186,6 @@ void AccumulateRemoteSection(const std::string& label,
 // newline-terminated. Sections sorted by label, stacks by (thread,
 // frames); fixed float formatting — golden-testable.
 std::string HeapProfileJson(const HeapProfile& profile);
-
-// Folded-stack text with all four counters trailing each line:
-// "label;thread;root;...;leaf inuse_bytes inuse_objects alloc_bytes
-// alloc_objects". tools/flame.py and tools/statusz_poll.py --heap consume
-// this directly (symbols are cleaned so the trailing counters always
-// parse).
-std::string HeapFoldedText(const HeapProfile& profile);
 
 }  // namespace simj::heapprof
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <thread>
 
 #include "util/log.h"
 #include "util/strings.h"
@@ -455,7 +456,8 @@ int ActiveHz() {
 StatusOr<Profile> CaptureProfile(double seconds, int hz) {
   Status started = StartProfiling(ProfileOptions{hz});
   if (!started.ok()) return started;
-  stackprof::SleepCaptureWindow(seconds);
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(std::clamp(seconds, 0.01, 600.0)));
   return StopProfiling();
 }
 

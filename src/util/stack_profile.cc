@@ -7,11 +7,9 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "util/sync.h"
 
@@ -136,11 +134,6 @@ std::vector<std::string> Symbolizer::RootFirst(void* const* leaf_first,
   for (int f = depth - 1; f >= 0; --f) frames.push_back(Name(leaf_first[f]));
   if (frames.empty()) frames.push_back("[truncated]");
   return frames;
-}
-
-void SleepCaptureWindow(double seconds) {
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(std::clamp(seconds, 0.01, 600.0)));
 }
 
 }  // namespace simj::stackprof

@@ -210,9 +210,6 @@ class RemoteSections {
   std::map<std::string, Batch> remote_;
 };
 
-// Sleeps for an on-demand capture window, clamped to [0.01, 600] s.
-void SleepCaptureWindow(double seconds);
-
 // --- Emitters ----------------------------------------------------------------
 
 namespace internal {

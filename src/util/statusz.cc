@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,7 +16,6 @@
 #include <utility>
 
 #include "util/health.h"
-#include "util/heap_profiler.h"
 #include "util/log.h"
 #include "util/mem.h"
 #include "util/metrics.h"
@@ -55,51 +55,13 @@ std::string MethodNotAllowed() {
                       "only GET is supported\n");
 }
 
-// One on-demand capture endpoint. /profilez and /heapz differ only in the
-// name and range of their rate parameter and in which profiler they arm.
-struct CaptureEndpoint {
-  const char* rate_key;  // "hz" or "sample_bytes"
-  int64_t default_rate;
-  int64_t min_rate;
-  int64_t max_rate;
-  const char* name;  // for the 409 "<name> already armed" body
-  bool (*active)();
-  // Arms, waits `seconds`, stops, and renders JSON or folded text.
-  StatusOr<std::string> (*capture)(double seconds, int64_t rate, bool folded);
-};
-
 // /profilez?seconds=N&hz=M&format=json|folded — on-demand CPU capture.
-const CaptureEndpoint kProfilez = {
-    "hz", 99, 1, 1000, "profiler", &prof::ProfilingActive,
-    [](double seconds, int64_t hz, bool folded) -> StatusOr<std::string> {
-      StatusOr<prof::Profile> profile =
-          prof::CaptureProfile(seconds, static_cast<int>(hz));
-      if (!profile.ok()) return profile.status();
-      return folded ? prof::FoldedText(*profile) : prof::ProfileJson(*profile);
-    }};
-
-// /heapz?seconds=N&sample_bytes=B&format=json|folded — on-demand heap
-// capture.
-const CaptureEndpoint kHeapz = {
-    "sample_bytes", heapprof::kDefaultSampleBytes, 1024, int64_t{1} << 32,
-    "heap profiler", &heapprof::HeapProfilingActive,
-    [](double seconds, int64_t sample_bytes,
-       bool folded) -> StatusOr<std::string> {
-      StatusOr<heapprof::HeapProfile> profile =
-          heapprof::CaptureHeapProfile(seconds, sample_bytes);
-      if (!profile.ok()) return profile.status();
-      return folded ? heapprof::HeapFoldedText(*profile)
-                    : heapprof::HeapProfileJson(*profile);
-    }};
-
-// Parses the capture query, then captures synchronously: the single
-// serving thread blocks for the window, which also serializes concurrent
-// capture requests (a second caller while armed gets 409 instead of
-// corrupting the first).
-std::string CaptureResponse(const std::string& query,
-                            const CaptureEndpoint& endpoint) {
+// Parses the query, then captures synchronously: the single serving thread
+// blocks for the window, which also serializes concurrent capture requests
+// (a second caller while armed gets 409 instead of corrupting the first).
+std::string ProfilezResponse(const std::string& query) {
   double seconds = 1.0;
-  int64_t rate = endpoint.default_rate;
+  int64_t hz = 99;
   std::string format = "json";
   for (const std::string& pair : SplitAndTrim(query, '&')) {
     const size_t eq = pair.find('=');
@@ -109,13 +71,14 @@ std::string CaptureResponse(const std::string& query,
     char* end = nullptr;
     if (key == "seconds") {
       seconds = std::strtod(value.c_str(), &end);
-    } else if (key == endpoint.rate_key) {
-      rate = std::strtoll(value.c_str(), &end, 10);
+    } else if (key == "hz") {
+      hz = std::strtoll(value.c_str(), &end, 10);
     } else {
       if (key == "format") format = value;
       continue;
     }
-    if (end == value.c_str() || *end != '\0') {
+    // strtod accepts "nan", which no clamp below can bound ("inf" clamps).
+    if (end == value.c_str() || *end != '\0' || std::isnan(seconds)) {
       return HttpResponse(400, "Bad Request", "text/plain",
                           "unparseable " + key + ": " + value + "\n");
     }
@@ -127,22 +90,24 @@ std::string CaptureResponse(const std::string& query,
   // Well-formed but extreme values are clamped, not rejected: the window
   // bounds protect the serving thread, not the caller's intent.
   seconds = std::min(std::max(seconds, 0.05), 60.0);
-  rate = std::min(std::max(rate, endpoint.min_rate), endpoint.max_rate);
-  if (endpoint.active()) {
+  hz = std::min(std::max(hz, int64_t{1}), int64_t{1000});
+  if (prof::ProfilingActive()) {
     return HttpResponse(409, "Conflict", "text/plain",
-                        std::string(endpoint.name) + " already armed\n");
+                        "profiler already armed\n");
   }
-  StatusOr<std::string> body =
-      endpoint.capture(seconds, rate, format == "folded");
-  if (!body.ok()) {
+  StatusOr<prof::Profile> profile =
+      prof::CaptureProfile(seconds, static_cast<int>(hz));
+  if (!profile.ok()) {
     // E.g. disabled under a sanitizer, or no per-thread timer could be
     // armed, or a capture raced us to arm.
     return HttpResponse(503, "Service Unavailable", "text/plain",
-                        body.status().ToString() + "\n");
+                        profile.status().ToString() + "\n");
   }
-  return HttpResponse(200, "OK",
-                      format == "folded" ? "text/plain" : "application/json",
-                      *body);
+  if (format == "folded") {
+    return HttpResponse(200, "OK", "text/plain", prof::FoldedText(*profile));
+  }
+  return HttpResponse(200, "OK", "application/json",
+                      prof::ProfileJson(*profile));
 }
 
 struct EndpointRegistry {
@@ -303,8 +268,7 @@ std::string Server::HandleRequest(const std::string& method,
   const std::string query = query_start == std::string::npos
                                 ? std::string()
                                 : request_path.substr(query_start + 1);
-  if (path == "/profilez") return CaptureResponse(query, kProfilez);
-  if (path == "/heapz") return CaptureResponse(query, kHeapz);
+  if (path == "/profilez") return ProfilezResponse(query);
   if (path == "/healthz") {
     return HttpResponse(200, "OK", "application/json", health::HealthzBody());
   }

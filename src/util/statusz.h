@@ -6,6 +6,7 @@
 //                  (the stall watchdog and the dist coordinator report
 //                  degradation there)
 //   GET /metricsz  Prometheus text exposition of the metrics registry
+//   GET /profilez  on-demand CPU capture (?seconds=N&hz=M&format=json|folded)
 //   GET /statusz   JSON: build provenance (git SHA, build type, sanitizers),
 //                  uptime, RSS, plus every registered section (the bench
 //                  harnesses register the live join-progress section here)

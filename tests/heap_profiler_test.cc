@@ -1,6 +1,6 @@
 // Tests for the sampling heap profiler (util/heap_profiler.h):
-// deterministic emission (JSON schema golden + folded text from a
-// hand-built HeapProfile, including negative in-stream inuse deltas),
+// deterministic emission (JSON schema golden from a hand-built
+// HeapProfile, including negative in-stream inuse deltas),
 // batch merge/normalize semantics, the remote-section merge path the
 // cluster coordinator uses, and live-capture attribution with exact
 // counts — allocations of at least sample_bytes are always sampled, so a
@@ -106,25 +106,6 @@ TEST(HeapProfileJsonTest, EscapesFrameStrings) {
   EXPECT_NE(json.find("\"t\\\"1\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"Fn\\\\path\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"Line\\nBreak\""), std::string::npos) << json;
-}
-
-TEST(HeapFoldedTextTest, FourTrailingCountersAndSortedSections) {
-  const HeapProfile profile = MakeHandBuiltProfile();
-  EXPECT_EQ(HeapFoldedText(profile),
-            "coordinator;io;ReadGraph 0 0 2048 4\n"
-            "coordinator;main;JoinDriver;BuildCandidates 1024 2 4096 8\n"
-            "worker-1;shard;RunShard -512 -1 1536 3\n");
-}
-
-TEST(HeapFoldedTextTest, CleansSemicolonsAndSpacesOutOfTokens) {
-  HeapProfile profile;
-  HeapSection section;
-  section.label = "coordinator";
-  section.batch.stacks = {
-      {"pool worker", {"Verify(int, long)", "odd;frame"}, 8, 1, 8, 1}};
-  profile.sections.push_back(std::move(section));
-  EXPECT_EQ(HeapFoldedText(profile),
-            "coordinator;poolworker;Verify(int,long);odd:frame 8 1 8 1\n");
 }
 
 TEST(HeapBatchTest, NormalizeMergesDuplicatesAndSorts) {

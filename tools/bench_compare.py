@@ -44,6 +44,9 @@ import math
 import os
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import flame  # noqa: E402  (tools/flame.py: leaf-frame aggregation)
+
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
 # Fields every version-1 record must carry, with their JSON types.
@@ -218,24 +221,18 @@ class Delta:
         )
 
 
-def profile_self_shares(profile):
-    """Per-symbol self-time sample counts and the total across sections.
-
-    A stack's samples are attributed entirely to its leaf frame — the
-    function that was actually on-CPU — matching flame-graph self time.
-    """
-    counts = {}
-    total = 0
-    for section in profile.get("sections", []):
+def record_stacks(record, counter):
+    """(frames, value) for each stack of an embedded profile or heap record
+    that has frames and an integer `counter`; records come from disk, so
+    anything else is skipped rather than trusted."""
+    stacks = []
+    for section in record.get("sections", []):
         for stack in section.get("stacks", []):
-            count = stack.get("count", 0)
             frames = stack.get("frames", [])
-            if not frames or not isinstance(count, int) or count <= 0:
-                continue
-            leaf = frames[-1]
-            counts[leaf] = counts.get(leaf, 0) + count
-            total += count
-    return counts, total
+            value = stack.get(counter, 0)
+            if frames and isinstance(value, int):
+                stacks.append((frames, value))
+    return stacks
 
 
 def compare_profiles(baseline, current, top_n=5):
@@ -253,8 +250,12 @@ def compare_profiles(baseline, current, top_n=5):
         if prof.get("schema") != "simj_profile_v1":
             return [f"embedded {origin} profile has unknown schema "
                     f"{prof.get('schema')!r}; profile diff skipped"]
-    base_counts, base_total = profile_self_shares(base_prof)
-    cur_counts, cur_total = profile_self_shares(cur_prof)
+    # A stack's samples go to its leaf frame, the function on-CPU,
+    # matching flame-graph self time.
+    base_counts, base_total = flame.leaf_totals(
+        s for s in record_stacks(base_prof, "count") if s[1] > 0)
+    cur_counts, cur_total = flame.leaf_totals(
+        s for s in record_stacks(cur_prof, "count") if s[1] > 0)
     if base_total == 0 or cur_total == 0:
         return ["embedded profile has no samples; profile diff skipped"]
     moves = []
@@ -273,22 +274,6 @@ def compare_profiles(baseline, current, top_n=5):
             "warn-only)"
         )
     return notes
-
-
-def heap_inuse_by_leaf(heap):
-    """Per-leaf-frame live bytes summed across every section of a
-    simj_heap_v1 record. The leaf frame is the function that called the
-    allocator, so growth attributes to the allocation site."""
-    counts = {}
-    for section in heap.get("sections", []):
-        for stack in section.get("stacks", []):
-            frames = stack.get("frames", [])
-            value = stack.get("inuse_bytes", 0)
-            if not frames or not isinstance(value, int):
-                continue
-            leaf = frames[-1]
-            counts[leaf] = counts.get(leaf, 0) + value
-    return counts
 
 
 def _mib(n):
@@ -317,8 +302,10 @@ def compare_heaps(baseline, current, top_n=5, noise_sigmas=3.0):
                     f"{heap.get('schema')!r}; heap diff skipped"]
     base_sb = max(int(base_heap.get("sample_bytes", 0)), 1)
     cur_sb = max(int(cur_heap.get("sample_bytes", 0)), 1)
-    base_counts = heap_inuse_by_leaf(base_heap)
-    cur_counts = heap_inuse_by_leaf(cur_heap)
+    # Live bytes per leaf frame, the function that called the allocator,
+    # so growth attributes to the allocation site.
+    base_counts, _ = flame.leaf_totals(record_stacks(base_heap, "inuse_bytes"))
+    cur_counts, _ = flame.leaf_totals(record_stacks(cur_heap, "inuse_bytes"))
     moves = []
     for leaf in set(base_counts) | set(cur_counts):
         base_bytes = base_counts.get(leaf, 0)

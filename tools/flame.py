@@ -10,7 +10,7 @@ is a static icicle layout — frames widen with their inclusive sample
 count, nested by call depth, with <title> tooltips carrying exact counts
 and percentages — and needs no JavaScript or external assets.
 
-Heap profiles (`simj_heap_v1`, from /heapz and --heap_out) carry four
+Heap profiles (`simj_heap_v1`, from --heap_out) carry four
 counters per stack — inuse_bytes inuse_objects alloc_bytes alloc_objects
 — instead of one sample count. Select the rendered counter with
 --metric; heap folded text has the four counters as trailing columns and
@@ -55,7 +55,7 @@ PALETTE = [
 
 
 # Heap folded lines carry these four counters, in this column order,
-# after the semicolon-joined stack (heapprof::HeapFoldedText's contract).
+# after the semicolon-joined stack (the simj_heap_v1 stack fields).
 HEAP_METRICS = ("inuse_bytes", "inuse_objects", "alloc_bytes",
                 "alloc_objects")
 
@@ -284,14 +284,25 @@ def _fit_label(name, width):
     return name[: max_chars - 2] + ".."
 
 
-def self_shares(stacks):
-    """symbol -> fraction of all samples where it is the leaf frame."""
+def leaf_totals(stacks):
+    """(leaf -> summed count, grand total) over (frames, count) stacks.
+
+    Each stack's count is credited to its leaf frame: the function on-CPU
+    (self time) or the one that called the allocator. Counts sum as they
+    are, so negative in-use heap deltas subtract.
+    """
     totals = {}
     grand_total = 0
     for frames, count in stacks:
         grand_total += count
         leaf = frames[-1]
         totals[leaf] = totals.get(leaf, 0) + count
+    return totals, grand_total
+
+
+def self_shares(stacks):
+    """symbol -> fraction of all samples where it is the leaf frame."""
+    totals, grand_total = leaf_totals(stacks)
     if grand_total == 0:
         return {}
     return {name: count / grand_total for name, count in totals.items()}

@@ -38,6 +38,9 @@ import re
 import sys
 import tempfile
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import simj_lint  # noqa: E402  (tools/simj_lint.py: the C++ scanner)
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # The annotation vocabulary itself declares no program state worth walking.
@@ -76,54 +79,17 @@ _CALL_RE = re.compile(
 _FUNC_NAME_RE = re.compile(r"((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)\s*\(")
 
 
-def strip_comments_and_strings(text):
-    """Blanks comments, string and char literals, and preprocessor lines,
-    preserving every newline so line numbers survive."""
-    out = []
-    i, n = 0, len(text)
-    # Raw strings first would complicate the single pass; handle inline.
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            i = j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j < 0 else j
-            out.append("\n" * text.count("\n", i, j + 2))
-            i = j + 2
-        elif c == "R" and text[i:i + 2] == 'R"':
-            m = re.match(r'R"([^(]*)\(', text[i:])
-            if m:
-                close = ")" + m.group(1) + '"'
-                j = text.find(close, i)
-                j = n - len(close) if j < 0 else j
-                out.append("\n" * text.count("\n", i, j + len(close)))
-                i = j + len(close)
-            else:
-                out.append(c)
-                i += 1
-        elif c == '"' or c == "'":
-            j = i + 1
-            while j < n and text[j] != c:
-                j += 2 if text[j] == "\\" else 1
-            out.append(c + c)  # keep an empty literal so `("")` stays balanced
-            i = j + 1
-        elif c == "#" and (not out or out[-1].endswith("\n") or not out[-1]):
-            # Preprocessor line (only when at start of line).
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            while text[j - 1] == "\\" and j < n:  # line continuations
-                j2 = text.find("\n", j + 1)
-                j = n if j2 < 0 else j2
-            out.append("\n" * text.count("\n", i, j))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+def code_text(raw):
+    """simj_lint's comment and literal blanking, then every preprocessor
+    line (with its continuations) blanked too, so macro bodies never count
+    as braces or statements. Newlines are kept, so line numbers survive."""
+    lines = simj_lint.strip_comments_and_strings(raw).split("\n")
+    continued = False
+    for i, line in enumerate(lines):
+        if continued or line.startswith("#"):
+            continued = line.endswith("\\")
+            lines[i] = ""
+    return "\n".join(lines)
 
 
 class Ctx:
@@ -249,7 +215,7 @@ def scan_file(analysis, path, rel):
         m = DECLARED_EDGE_RE.search(line)
         if m:
             analysis.declared_edges.append((m.group(1), m.group(2), rel, i))
-    text = strip_comments_and_strings(raw)
+    text = code_text(raw)
 
     stack = []           # [Ctx]
     depth = 0
@@ -487,7 +453,7 @@ def analyze(root, repo_root=REPO_ROOT):
     for full, rel in sorted(paths):
         with open(full, encoding="utf-8") as f:
             raw = f.read()
-        text = strip_comments_and_strings(raw)
+        text = code_text(raw)
         _collect_capabilities(analysis, text, rel)
     for full, rel in sorted(paths):
         scan_file(analysis, full, rel)

@@ -23,20 +23,11 @@ hottest frames by self time. A 404 means the binary serves /statusz but
 was built without the profiler — reported and exited 0, not an error; a
 409 means another capture is already in flight.
 
-With --heap=SECONDS it triggers an on-demand heap capture via /heapz (see
-util/heap_profiler.h), saves the four-counter folded output to
---heap_out (render with tools/flame.py --metric inuse_bytes), and prints
-the top-5 allocation sites by live (in-use) bytes. 404 (built without
-the heap profiler, e.g. under a sanitizer) and 503 (profiler refused to
-arm) are tolerated and exit 0; 409 means a capture is already running.
-
 Usage:
   tools/statusz_poll.py [--port PORT] [--host HOST]
       [--watch] [--interval SECONDS]
   tools/statusz_poll.py --profile SECONDS [--hz HZ]
       [--profile_out FILE.folded]
-  tools/statusz_poll.py --heap SECONDS [--sample_bytes N]
-      [--heap_out FILE.folded]
   tools/statusz_poll.py --self-test
 """
 
@@ -48,7 +39,6 @@ import os
 import sys
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -71,89 +61,49 @@ def fetch_clusterz(host: str, port: int, timeout: float = 2.0):
         return None
 
 
-def leaf_sums(text: str, n_counts: int = 1):
-    """(leaf -> per-column sums, per-column totals) from folded text.
+def leaf_sums(text: str):
+    """(leaf -> self samples, total samples) from folded text.
 
-    Each line is read by flame.parse_folded_line and its counters are
-    credited to the stack's leaf frame — the function on-CPU, or the one
-    that called the allocator — as flame.self_shares credits self time.
-    Every column sums through, so drained (negative) in-use heap deltas
-    subtract. Malformed lines are skipped rather than failing the capture.
+    Each line is read by flame.parse_folded_line and credited to its leaf
+    frame by flame.leaf_totals. Malformed lines are skipped rather than
+    failing the capture.
     """
-    leaves = {}
-    totals = [0] * n_counts
+    stacks = []
     for line in text.splitlines():
         try:
-            parsed = flame.parse_folded_line(line, n_counts)
+            parsed = flame.parse_folded_line(line)
         except ValueError:
             continue
-        if parsed is None:
-            continue
-        frames, counts = parsed
-        slot = leaves.setdefault(frames[-1], [0] * n_counts)
-        for i, count in enumerate(counts):
-            slot[i] += count
-            totals[i] += count
-    return leaves, totals
+        if parsed is not None:
+            frames, (count,) = parsed
+            stacks.append((frames, count))
+    return flame.leaf_totals(stacks)
 
 
 def top_leaves(leaves: dict, total: int, n: int = 5):
-    """Top-n (leaf, sums, share_pct) by the first column, ties by name."""
-    ranked = sorted(leaves.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return [(leaf, sums, 100.0 * sums[0] / total if total > 0 else 0.0)
-            for leaf, sums in ranked[:n]]
-
-
-def format_bytes(n: int) -> str:
-    """1234567 -> '1.2 MB'; negatives keep their sign (drained deltas)."""
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    if n < 1024:
-        return f"{sign}{n} B"
-    for unit, scale in (("KB", 1024), ("MB", 1024 ** 2), ("GB", 1024 ** 3)):
-        if n < scale * 1024 or unit == "GB":
-            return f"{sign}{n / scale:.1f} {unit}"
-    return f"{sign}{n} B"  # unreachable
+    """Top-n (leaf, count, share_pct) by count, ties by name."""
+    ranked = sorted(leaves.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(leaf, count, 100.0 * count / total if total > 0 else 0.0)
+            for leaf, count in ranked[:n]]
 
 
 def summarize_profile(body: str, out_path: str) -> None:
-    leaves, (total,) = leaf_sums(body)
+    leaves, total = leaf_sums(body)
     print(f"statusz_poll: {total} samples across {len(leaves)} leaf frames "
           f"saved to {out_path} (render: tools/flame.py {out_path})")
     if total == 0:
         print("statusz_poll: no samples (idle process or window too short)")
         return
     print("top frames by self time:")
-    for frame, (count,), share in top_leaves(leaves, total):
+    for frame, count, share in top_leaves(leaves, total):
         print(f"  {share:5.1f}%  {count:>6}  {frame}")
 
 
-def summarize_heap(body: str, out_path: str) -> None:
-    leaves, totals = leaf_sums(body, len(flame.HEAP_METRICS))
-    inuse_bytes, inuse_objects, alloc_bytes, alloc_objects = totals
-    print(f"statusz_poll: {format_bytes(inuse_bytes)} live in "
-          f"{inuse_objects} sampled objects ({format_bytes(alloc_bytes)} "
-          f"allocated) across {len(leaves)} leaf frames saved to "
-          f"{out_path} (render: tools/flame.py --metric inuse_bytes "
-          f"{out_path})")
-    if alloc_objects == 0:
-        print("statusz_poll: no sampled allocations (quiet window or "
-              "sample_bytes too large)")
-        return
-    print("top frames by live bytes:")
-    for frame, (live, objects, _, _), share in top_leaves(leaves,
-                                                          inuse_bytes):
-        print(f"  {share:5.1f}%  {format_bytes(live):>10}  "
-              f"{objects:>6} objs  {frame}")
-
-
-def run_capture(url: str, seconds: float, announce: str, out_path: str,
-                summarize, profiler: str, tolerated=(404,)) -> int:
-    """Triggers a /profilez or /heapz capture at url, saves its folded body
-    to out_path and prints summarize's top frames. Exit status 0 on
-    success and on a tolerated status (404: built without the profiler;
-    503: the profiler refused to arm), 2 on 409 and any other error."""
-    endpoint = urllib.parse.urlsplit(url).path
+def run_capture(url: str, seconds: float, announce: str,
+                out_path: str) -> int:
+    """Triggers a /profilez capture at url, saves its folded body to
+    out_path and prints the top frames. Exit status 0 on success and on
+    404 (built without the profiler), 2 on 409, 503 and any other error."""
     print(f"statusz_poll: capturing {announce} via {url}")
     try:
         # The server blocks for the whole capture window; give it margin.
@@ -161,19 +111,15 @@ def run_capture(url: str, seconds: float, announce: str, out_path: str,
             body = response.read().decode("utf-8", errors="replace")
     except urllib.error.HTTPError as error:
         detail = error.read().decode("utf-8", errors="replace").strip()
-        if error.code == 404 and 404 in tolerated:
-            print(f"statusz_poll: {endpoint} not found (404) — binary built "
-                  f"without the {profiler}; nothing captured")
-            return 0
-        if error.code in tolerated:
-            print(f"statusz_poll: {profiler} unavailable ({error.code}): "
-                  f"{detail}")
+        if error.code == 404:
+            print("statusz_poll: /profilez not found (404) — binary built "
+                  "without the profiler; nothing captured")
             return 0
         if error.code == 409:
             print(f"statusz_poll: capture already in flight (409): {detail}",
                   file=sys.stderr)
         else:
-            print(f"statusz_poll: {endpoint} failed ({error.code}): "
+            print(f"statusz_poll: /profilez failed ({error.code}): "
                   f"{detail}", file=sys.stderr)
         return 2
     except (urllib.error.URLError, OSError) as error:
@@ -181,7 +127,7 @@ def run_capture(url: str, seconds: float, announce: str, out_path: str,
         return 2
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(body)
-    summarize(body, out_path)
+    summarize_profile(body, out_path)
     return 0
 
 
@@ -323,12 +269,12 @@ def self_test() -> int:
         "not a folded line\n"
         "coordinator;t1;Join;Expand 5\n"
     )
-    leaves, totals = leaf_sums(folded)
-    assert totals == [100], (leaves, totals)
-    assert leaves == {"Verify": [40], "Prune": [55], "Expand": [5]}, leaves
+    leaves, total = leaf_sums(folded)
+    assert total == 100, (leaves, total)
+    assert leaves == {"Verify": 40, "Prune": 55, "Expand": 5}, leaves
     tie = top_leaves(leaf_sums("a;B 5\na;A 5\n")[0], 10)
     assert [frame for frame, *_ in tie] == ["A", "B"], tie
-    assert leaf_sums("# nothing\n\n") == ({}, [0])
+    assert leaf_sums("# nothing\n\n") == ({}, 0)
     summary = printed(summarize_profile, folded, "p.folded").splitlines()
     assert summary[0].startswith(
         "statusz_poll: 100 samples across 3 leaf frames saved to p.folded"), \
@@ -339,38 +285,8 @@ def self_test() -> int:
                            "    5.0%       5  Expand"], summary
     assert "no samples" in printed(summarize_profile, "", "p.folded")
 
-    # --heap: four counters aggregate onto the leaf frame; malformed lines
-    # are skipped; negative in-use deltas (possible in drained remote
-    # sections) sum through.
-    heap_folded = (
-        "# comment\n"
-        "coordinator;main;Join;BuildIndex 4096 2 8192 4\n"
-        "coordinator;t1;Join;BuildIndex 1024 1 1024 1\n"
-        "coordinator;main;Join;Verify 512 1 2048 3\n"
-        "worker-1;serve;Verify -256 -1 1024 2\n"
-        "not heap folded\n"
-        "also;not;heap 12\n"
-    )
-    heap_leaves, heap_totals = leaf_sums(heap_folded, 4)
-    assert heap_totals == [5376, 3, 12288, 10], heap_totals
-    assert heap_leaves["BuildIndex"] == [5120, 3, 9216, 5], heap_leaves
-    assert heap_leaves["Verify"] == [256, 0, 3072, 5], heap_leaves
-    summary = printed(summarize_heap, heap_folded, "h.folded").splitlines()
-    assert summary[0].startswith(
-        "statusz_poll: 5.2 KB live in 3 sampled objects (12.0 KB allocated) "
-        "across 2 leaf frames saved to h.folded"), summary
-    assert summary[1:] == ["top frames by live bytes:",
-                           "   95.2%      5.0 KB       3 objs  BuildIndex",
-                           "    4.8%       256 B       0 objs  Verify"], \
-        summary
-    # Zero-total in-use renders 0% shares rather than dividing by zero.
-    freed = printed(summarize_heap, "a;X 0 0 64 1\n", "h.folded")
-    assert freed.endswith("top frames by live bytes:\n"
-                          "    0.0%         0 B       0 objs  X\n"), freed
-    assert "no sampled allocations" in printed(summarize_heap, "", "h.folded")
-
-    # run_capture's exit statuses, against a stubbed urlopen: 404 and the
-    # heap profiler's 503 are tolerated, 409 and other errors are not.
+    # run_capture's exit statuses, against a stubbed urlopen: 404 is
+    # tolerated, 409 and other errors are not.
     def stub_urlopen(code, body=b""):
         def urlopen(url, timeout):
             if code != 200:
@@ -379,30 +295,19 @@ def self_test() -> int:
             return contextlib.nullcontext(io.BytesIO(body))
         return urlopen
 
-    profile = (summarize_profile, "profiler", (404,))
-    heap = (summarize_heap, "heap profiler", (404, 503))
     real_urlopen = urllib.request.urlopen
     try:
-        for capture, code, body, want in (
-                (profile, 404, b"", 0), (heap, 404, b"", 0),
-                (profile, 409, b"", 2), (heap, 409, b"", 2),
-                (profile, 503, b"", 2), (heap, 503, b"", 0),
-                (heap, 500, b"", 2), (profile, 200, b"a;B 5\n", 0),
-                (profile, 200, b"a;B x\n", 0)):
+        for code, body, want in (
+                (404, b"", 0), (409, b"", 2), (503, b"", 2),
+                (200, b"a;B 5\n", 0), (200, b"a;B x\n", 0)):
             urllib.request.urlopen = stub_urlopen(code, body)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 got = run_capture("http://127.0.0.1:1/profilez", 1.0, "stub",
-                                  os.devnull, *capture)
-            assert got == want, (capture, code, body, got)
+                                  os.devnull)
+            assert got == want, (code, body, got)
     finally:
         urllib.request.urlopen = real_urlopen
-
-    assert format_bytes(512) == "512 B", format_bytes(512)
-    assert format_bytes(5376) == "5.2 KB", format_bytes(5376)
-    assert format_bytes(3 * 1024 * 1024) == "3.0 MB"
-    assert format_bytes(-2048) == "-2.0 KB", format_bytes(-2048)
-    assert format_bytes(5 * 1024 ** 3) == "5.0 GB"
 
     print("statusz_poll.py self-test: OK")
     return 0
@@ -423,14 +328,6 @@ def main() -> int:
                         help="sampling frequency for --profile")
     parser.add_argument("--profile_out", default="statusz_profile.folded",
                         help="where --profile saves the folded stacks")
-    parser.add_argument("--heap", type=float, metavar="SECONDS",
-                        help="trigger a /heapz capture of this many "
-                             "seconds instead of polling /statusz")
-    parser.add_argument("--sample_bytes", type=int, default=512 * 1024,
-                        help="heap sampling interval for --heap "
-                             "(bytes per sample, default 512 KiB)")
-    parser.add_argument("--heap_out", default="statusz_heap.folded",
-                        help="where --heap saves the folded stacks")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
 
@@ -441,15 +338,7 @@ def main() -> int:
                f"{args.profile:g}&hz={args.hz}&format=folded")
         return run_capture(url, args.profile,
                            f"{args.profile:g}s at {args.hz} Hz",
-                           args.profile_out, summarize_profile, "profiler")
-    if args.heap is not None:
-        url = (f"http://{args.host}:{args.port}/heapz?seconds={args.heap:g}"
-               f"&sample_bytes={args.sample_bytes}&format=folded")
-        return run_capture(url, args.heap,
-                           f"heap for {args.heap:g}s (1 sample per "
-                           f"~{args.sample_bytes} bytes)", args.heap_out,
-                           summarize_heap, "heap profiler",
-                           tolerated=(404, 503))
+                           args.profile_out)
 
     try:
         while True:
