@@ -451,8 +451,10 @@ overhead_gate "${SMOKE_DIR}/fig12_heap_base.json" \
 # all four endpoints mid-run and checks that /metricsz parses as Prometheus
 # exposition, /statusz join progress is monotone in (joins_started,
 # completed_pairs), and at least one sample shows nonzero progress with a
-# finite ETA. The explain dumps from both runs must be byte-identical: the
-# server observes the join, it never steers it.
+# finite ETA. The server-on run also arms the stall watchdog, so the
+# monitor thread, heartbeats and /statusz run together at 8 threads. The
+# explain dumps from both runs must be byte-identical: the server and the
+# watchdog observe the join, they never steer it.
 echo "=== live introspection smoke ==="
 STATUSZ_PORT=18573
 ./build-release/bench/bench_fig13_group_number \
@@ -462,7 +464,7 @@ STATUSZ_PORT=18573
   --json_out="${SMOKE_DIR}/live_off.json" > /dev/null
 ./build-release/bench/bench_fig13_group_number \
   --num_certain=16 --num_uncertain=16 --threads=8 \
-  --statusz_port="${STATUSZ_PORT}" --progress_every=64 \
+  --statusz_port="${STATUSZ_PORT}" --progress_every=64 --stall_warn_ms=1000 \
   --explain=1 --explain_every=1 \
   --explain_out="${SMOKE_DIR}/explains_on.txt" \
   --json_out="${SMOKE_DIR}/live_on.json" > /dev/null &

@@ -1,6 +1,7 @@
 #include "core/join.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,21 +30,16 @@ double SecondsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
+// The per-pair and per-join instruments. The pair counts are not here:
+// PublishJoinCounters adds them once per batch.
 struct JoinMetrics {
-  metrics::Counter& pairs_total;
-  metrics::Counter& pruned_structural;
-  // The subset of pruned_structural decided by the count bound alone.
-  metrics::Counter& pruned_count_bound;
-  metrics::Counter& pruned_probabilistic;
-  metrics::Counter& candidates;
-  metrics::Counter& results;
   metrics::Counter& slow_pairs;
-  // The CSS kernel's own instruments, fed by the join's clock reads.
-  metrics::Counter& css_bound_calls;
+  // The CSS kernel's own latency, fed by the join's clock reads.
   metrics::Histogram& css_bound_seconds;
   metrics::Histogram& structural_seconds;
   metrics::Histogram& probabilistic_seconds;
   metrics::Histogram& verify_seconds;
+  metrics::Gauge& workers;
   // Pipeline high-water marks (process lifetime, monotonic via UpdateMax).
   metrics::Gauge& candidate_set_peak;
   metrics::Gauge& group_fanout_peak;
@@ -52,18 +48,12 @@ struct JoinMetrics {
     static JoinMetrics* m = [] {
       metrics::Registry& r = metrics::Registry::Global();
       return new JoinMetrics{  // simj-lint: allow(new) leaky singleton
-          r.GetCounter("simj_join_pairs_total"),
-          r.GetCounter("simj_join_pruned_structural_total"),
-          r.GetCounter(kPrunedCountBoundMetric),
-          r.GetCounter("simj_join_pruned_probabilistic_total"),
-          r.GetCounter("simj_join_candidates_total"),
-          r.GetCounter("simj_join_results_total"),
           r.GetCounter("simj_join_slow_pairs_total"),
-          r.GetCounter(ged::kCssBoundCallsMetric),
           r.GetHistogram(ged::kCssBoundSecondsMetric),
           r.GetHistogram("simj_filter_structural_seconds"),
           r.GetHistogram("simj_filter_probabilistic_seconds"),
           r.GetHistogram("simj_verify_pair_seconds"),
+          r.GetGauge("simj_join_workers"),
           r.GetGauge("simj_join_candidate_set_peak"),
           r.GetGauge("simj_join_group_fanout_peak"),
       };
@@ -72,18 +62,65 @@ struct JoinMetrics {
   }
 };
 
+// The one list of the join's registry counters, in publishing order.
+enum JoinCount {
+  kPairs,
+  kPrunedStructural,
+  kPrunedCountBound,
+  kPrunedProbabilistic,
+  kCandidates,
+  kResults,
+  kCssFiltered,
+  kNumJoinCounts,
+};
+constexpr const char* kJoinCountFamilies[kNumJoinCounts] = {
+    "simj_join_pairs_total",
+    "simj_join_pruned_structural_total",
+    kPrunedCountBoundMetric,
+    "simj_join_pruned_probabilistic_total",
+    "simj_join_candidates_total",
+    "simj_join_results_total",
+    ged::kCssBoundCallsMetric,
+};
+
+// Series `count` of the list: unlabeled (looked up once) or, looked up per
+// call, worker="<worker>".
+metrics::Counter& JoinCounter(JoinCount count, const std::string& worker) {
+  static const auto unlabeled = [] {
+    std::array<metrics::Counter*, kNumJoinCounts> out;
+    for (int i = 0; i < kNumJoinCounts; ++i) {
+      out[i] = &metrics::Registry::Global().GetCounter(kJoinCountFamilies[i]);
+    }
+    return out;
+  }();
+  if (worker.empty()) return *unlabeled[count];
+  return metrics::Registry::Global().GetCounter(
+      metrics::LabeledName(kJoinCountFamilies[count], {{"worker", worker}}));
+}
+
 }  // namespace
 
-const char* PruneStageName(PruneStage stage) {
-  switch (stage) {
-    case PruneStage::kNone:
-      return "none";
-    case PruneStage::kStructural:
-      return "structural";
-    case PruneStage::kProbabilistic:
-      return "probabilistic";
+void PublishJoinCounters(const JoinStats& batch, int64_t count_decided,
+                         int64_t css_filtered, const std::string& worker) {
+  const int64_t counts[kNumJoinCounts] = {
+      batch.total_pairs,          batch.pruned_structural, count_decided,
+      batch.pruned_probabilistic, batch.candidates,        batch.results,
+      css_filtered};
+  for (int i = 0; i < kNumJoinCounts; ++i) {
+    if (counts[i] != 0) {
+      JoinCounter(static_cast<JoinCount>(i), worker).Add(counts[i]);
+    }
   }
-  return "?";
+}
+
+JoinStats ReadJoinCounters() {
+  JoinStats stats;
+  stats.pruned_structural = JoinCounter(kPrunedStructural, "").Value();
+  stats.pruned_probabilistic = JoinCounter(kPrunedProbabilistic, "").Value();
+  stats.candidates = JoinCounter(kCandidates, "").Value();
+  stats.results = JoinCounter(kResults, "").Value();
+  stats.total_pairs = JoinCounter(kPairs, "").Value();
+  return stats;
 }
 
 bool ExplainOptions::ShouldExplain(int q_index, int g_index) const {
@@ -145,6 +182,22 @@ JoinSummaries SummarizeJoinInputs(const std::vector<LabeledGraph>& d,
 
 namespace {
 
+// One batch of pair evaluations: its JoinStats and the pairs the count
+// bound decided.
+struct PairBatch {
+  JoinStats stats;
+  int64_t count_decided = 0;
+
+  // Publishes the batch and folds its stats into *into. Every pair the
+  // count bound left to a structural filter took the CSS kernel.
+  void End(bool structural_pruning, JoinStats* into) const {
+    PublishJoinCounters(
+        stats, count_decided,
+        structural_pruning ? stats.total_pairs - count_decided : 0);
+    MergeJoinStats(stats, into);
+  }
+};
+
 // EvaluatePair on summaries of q and g, for a pair whose evaluation began
 // at the caller's clock read `start`. Each filter that runs ends with one
 // clock read, verification takes two, and *finished receives the last, so
@@ -163,7 +216,6 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
                             MatchedPair* pair, PairExplain* explain) {
   const JoinMetrics& jm = JoinMetrics::Get();
   ++stats->total_pairs;
-  jm.pairs_total.Increment();
 
   // --- Pruning phase ---
   Clock::time_point filtered = start;
@@ -174,14 +226,12 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
         q_summary, g_summary, exact_css ? ged::kExactCss : params.tau);
     filtered = Clock::now();
     const double seconds = SecondsBetween(start, filtered);
-    jm.css_bound_calls.Increment();
     jm.css_bound_seconds.Observe(seconds);
     jm.structural_seconds.Observe(seconds);
     structural_constant = css.structural_constant;
     if (explain != nullptr) explain->css_lower_bound = css.lower_bound;
     if (css.lower_bound > params.tau) {
       ++stats->pruned_structural;
-      jm.pruned_structural.Increment();
       stats->pruning_cpu_seconds += seconds;
       if (explain != nullptr) explain->pruned_by = PruneStage::kStructural;
       *finished = filtered;
@@ -209,7 +259,6 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
     }
     if (grouping.simp_upper_bound < params.alpha - kSimPEpsilon) {
       ++stats->pruned_probabilistic;
-      jm.pruned_probabilistic.Increment();
       stats->pruning_cpu_seconds += SecondsBetween(start, filtered);
       if (explain != nullptr) explain->pruned_by = PruneStage::kProbabilistic;
       *finished = filtered;
@@ -222,7 +271,6 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   const Clock::time_point verify_start = Clock::now();
   trace::ScopedSpan verify_span("verify", "verify");
   ++stats->candidates;
-  jm.candidates.Increment();
   const VerifyStats verify_before = stats->verify;
 
   std::vector<UncertainGraph> groups;
@@ -293,7 +341,6 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   }
   if (!accepted) return false;
   ++stats->results;
-  jm.results.Increment();
   if (pair != nullptr) {
     pair->similarity_probability = simp.probability;
     pair->mapping = simp.best_mapping;
@@ -309,10 +356,13 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
                   const graph::LabelDictionary& dict, JoinStats* stats,
                   MatchedPair* pair, PairExplain* explain) {
   Clock::time_point finished;
-  return EvaluateSummarizedPair(q, ged::Summarize(q, dict), g,
-                                ged::Summarize(g, dict), params, dict,
-                                /*exact_css=*/explain != nullptr,
-                                Clock::now(), &finished, stats, pair, explain);
+  PairBatch batch;
+  const bool matched = EvaluateSummarizedPair(
+      q, ged::Summarize(q, dict), g, ged::Summarize(g, dict), params, dict,
+      /*exact_css=*/explain != nullptr, Clock::now(), &finished, &batch.stats,
+      pair, explain);
+  batch.End(params.structural_pruning, stats);
+  return matched;
 }
 
 std::string FormatExplain(const PairExplain& explain,
@@ -384,41 +434,17 @@ void SetExactCssBound(const ged::GraphSummary& q, const ged::GraphSummary& g,
 // results stay byte-identical). Called from workers; the log sink
 // serializes concurrent writers.
 void LogSlowPair(double elapsed_ms, const SimJParams& params,
-                 PairExplain* explain, int q_index, int g_index) {
-  explain->q_index = q_index;
-  explain->g_index = g_index;
+                 const PairExplain* explain) {
   JoinMetrics::Get().slow_pairs.Increment();
   SIMJ_LOG(WARN) << "slow pair: " << elapsed_ms << " ms (budget "
                  << params.slow_pair_log_ms << " ms) "
                  << FormatExplain(*explain, params);
 }
 
-// The registry side of the pairs the count bound decides, added once per
-// batch of pairs (a row of the serial loop, a chunk, a shard's pair list):
-// three counter adds per pair would cost more than the check itself.
-class CountPrunedTally {
- public:
-  CountPrunedTally() = default;
-  CountPrunedTally(const CountPrunedTally&) = delete;
-  CountPrunedTally& operator=(const CountPrunedTally&) = delete;
-  ~CountPrunedTally() {
-    if (pairs_ == 0) return;
-    const JoinMetrics& jm = JoinMetrics::Get();
-    jm.pairs_total.Add(pairs_);
-    jm.pruned_structural.Add(pairs_);
-    jm.pruned_count_bound.Add(pairs_);
-  }
-  void Add() { ++pairs_; }
-
- private:
-  int64_t pairs_ = 0;
-};
-
-// Per-pair execution shared by the serial loop, the parallel workers,
-// and the shard-list entry point (EvaluatePairList): count-bound check,
-// heartbeat, evaluate, watchdog epilogue, explain capture. Gates are
-// captured once at construction so the per-pair path never re-reads
-// tracker atomics.
+// Per-pair execution shared by the join's chunk loop and the shard-list
+// entry point (EvaluatePairList): count-bound check, heartbeat, evaluate,
+// watchdog epilogue, explain capture. Gates are captured once at
+// construction so the per-pair path never re-reads tracker atomics.
 struct PairEvaluator {
   const std::vector<LabeledGraph>& d;
   const std::vector<UncertainGraph>& u;
@@ -449,8 +475,10 @@ struct PairEvaluator {
         heartbeats_on(heartbeats),
         progress_every(params_in.progress_every) {}
 
+  // Counts the pair into *batch; a qualifying pair and a sampled explain
+  // record go to *out.
   void Evaluate(int worker, int qi, int gi, JoinResult* out,
-                CountPrunedTally* tally) const {
+                PairBatch* batch) const {
     const bool sampled = explain_on && params.explain.ShouldExplain(qi, gi);
     // Thm. 2: the count bound never exceeds the CSS bound, so a pair it
     // decides is a CSS prune and is counted as one, without the CSS
@@ -458,14 +486,14 @@ struct PairEvaluator {
     // explain line carries the exact css_lb.
     if (params.structural_pruning && !sampled &&
         ged::CountLowerBound(summaries.d[qi], summaries.u[gi]) > params.tau) {
-      ++out->stats.total_pairs;
-      ++out->stats.pruned_structural;
-      tally->Add();
+      ++batch->stats.total_pairs;
+      ++batch->stats.pruned_structural;
+      ++batch->count_decided;
       if (progress_every > 0) progress.NotePairCompleted(progress_every);
       return;
     }
     MatchedPair pair;
-    PairExplain explain;
+    PairExplain explain{qi, gi};
     PairExplain* explain_slot =
         sampled || watchdog_on || stall_on ? &explain : nullptr;
     if (heartbeats_on) progress.Heartbeat(worker, qi, gi);
@@ -473,7 +501,8 @@ struct PairEvaluator {
     Clock::time_point finished;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
                                summaries.u[gi], params, dict, sampled, start,
-                               &finished, &out->stats, &pair, explain_slot)) {
+                               &finished, &batch->stats, &pair,
+                               explain_slot)) {
       pair.q_index = qi;
       pair.g_index = gi;
       out->pairs.push_back(std::move(pair));
@@ -484,24 +513,18 @@ struct PairEvaluator {
       const double elapsed_ms = SecondsBetween(start, finished) * 1e3;
       if (elapsed_ms > params.slow_pair_log_ms) {
         SetExactCssBound(summaries.d[qi], summaries.u[gi], &explain);
-        LogSlowPair(elapsed_ms, params, &explain, qi, gi);
+        LogSlowPair(elapsed_ms, params, &explain);
       }
     }
     if (stall_on && progress.ConsumeStallFlag(worker)) {
       SetExactCssBound(summaries.d[qi], summaries.u[gi], &explain);
-      explain.q_index = qi;
-      explain.g_index = gi;
       SIMJ_LOG(WARN) << "stalled pair completed after "
                      << SecondsBetween(start, Clock::now()) * 1e3 << " ms: "
                      << FormatExplain(explain, params);
     }
     if (heartbeats_on) progress.PairDone(worker);
     if (progress_every > 0) progress.NotePairCompleted(progress_every);
-    if (sampled) {
-      explain.q_index = qi;
-      explain.g_index = gi;
-      out->explains.push_back(std::move(explain));
-    }
+    if (sampled) out->explains.push_back(std::move(explain));
   }
 };
 
@@ -518,46 +541,50 @@ int ResolveThreadCount(int num_threads) {
 // that the shared cursor is rarely contended.
 constexpr int64_t kChunksPerWorker = 64;
 
-// The parallel join: `workers` threads claim [begin, end) chunks of pair
-// ids from one shared cursor and evaluate them into per-worker partial
-// results, merged into *result once every thread has joined.
-void RunWorkers(const PairEvaluator& evaluator, int workers,
-                int64_t num_pairs, int64_t num_u, JoinResult* result) {
+// The join's one pair loop: workers claim [begin, end) chunks of pair ids
+// from a shared cursor, each chunk one PairBatch. With `on_caller` the one
+// worker is the calling thread; otherwise `workers` threads evaluate into
+// partial results, merged into *result once every thread has joined.
+void RunChunks(const PairEvaluator& evaluator, int workers, bool on_caller,
+               int64_t num_pairs, int64_t num_u, JoinResult* result) {
+  const int64_t chunk = std::max<int64_t>(
+      1, num_pairs / (static_cast<int64_t>(workers) * kChunksPerWorker));
+  std::atomic<int64_t> cursor{0};
+  const auto run = [&](int w, JoinResult* out) {
+    while (true) {
+      // Relaxed: the cursor only hands out disjoint id ranges; the
+      // partial results reach the merge through join().
+      const int64_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= num_pairs) return;
+      const int64_t end = std::min(num_pairs, begin + chunk);
+      PairBatch batch;
+      int qi = static_cast<int>(begin / num_u);
+      int gi = static_cast<int>(begin % num_u);
+      for (int64_t p = begin; p < end; ++p) {
+        evaluator.Evaluate(w, qi, gi, out, &batch);
+        if (++gi == num_u) {
+          gi = 0;
+          ++qi;
+        }
+      }
+      batch.End(evaluator.params.structural_pruning, &out->stats);
+    }
+  };
+  if (on_caller) {
+    run(0, result);
+    return;
+  }
   // Workers may only read the dictionary (EvaluatePair never interns, but
   // the freeze makes that a hard guarantee rather than a convention). The
   // freeze ends with the join, so the caller may intern again afterwards.
   const graph::ScopedFreeze freeze(evaluator.dict);
-  metrics::Registry::Global()
-      .GetGauge("simj_join_workers")
-      .Set(static_cast<double>(workers));
-  const int64_t chunk = std::max<int64_t>(
-      1, num_pairs / (static_cast<int64_t>(workers) * kChunksPerWorker));
-  std::atomic<int64_t> cursor{0};
   std::vector<JoinResult> partial(static_cast<size_t>(workers));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       trace::SetThisThreadName("join-worker-" + std::to_string(w));
-      JoinResult& mine = partial[static_cast<size_t>(w)];
-      while (true) {
-        // Relaxed: the cursor only hands out disjoint id ranges; the
-        // partial results reach the merge through join().
-        const int64_t begin =
-            cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= num_pairs) break;
-        const int64_t end = std::min(num_pairs, begin + chunk);
-        CountPrunedTally tally;
-        int qi = static_cast<int>(begin / num_u);
-        int gi = static_cast<int>(begin % num_u);
-        for (int64_t p = begin; p < end; ++p) {
-          evaluator.Evaluate(w, qi, gi, &mine, &tally);
-          if (++gi == num_u) {
-            gi = 0;
-            ++qi;
-          }
-        }
-      }
+      run(w, &partial[static_cast<size_t>(w)]);
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -583,10 +610,11 @@ void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       int worker, JoinResult* result) {
   PairEvaluator evaluator(d, u, summaries, params, dict,
                           JoinProgress::Global().heartbeats_armed());
-  CountPrunedTally tally;
+  PairBatch batch;
   for (const auto& [qi, gi] : pairs) {
-    evaluator.Evaluate(worker, qi, gi, result, &tally);
+    evaluator.Evaluate(worker, qi, gi, result, &batch);
   }
+  batch.End(params.structural_pruning, &result->stats);
 }
 
 JoinResult SimJoin(const std::vector<LabeledGraph>& d,
@@ -611,22 +639,15 @@ JoinResult SimJoin(const std::vector<LabeledGraph>& d,
       params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
   const int workers =
       params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
+  const JoinMetrics& jm = JoinMetrics::Get();
+  jm.workers.Set(static_cast<double>(workers));
   const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
   progress.BeginJoin(num_pairs, workers, heartbeats_on);
   const PairEvaluator evaluator(d, u, summaries, params, dict, heartbeats_on);
   {
     StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
-    if (params.num_threads == 1) {
-      // Legacy serial path: accumulate directly into result.stats.
-      for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
-        CountPrunedTally tally;
-        for (int gi = 0; gi < static_cast<int>(u.size()); ++gi) {
-          evaluator.Evaluate(0, qi, gi, &result, &tally);
-        }
-      }
-    } else {
-      RunWorkers(evaluator, workers, num_pairs, num_u, &result);
-    }
+    RunChunks(evaluator, workers, /*on_caller=*/params.num_threads == 1,
+              num_pairs, num_u, &result);
   }
   progress.EndJoin();
   // Debug-mode join postcondition: every pair was either pruned by exactly
@@ -639,7 +660,7 @@ JoinResult SimJoin(const std::vector<LabeledGraph>& d,
   SIMJ_DCHECK_LE(result.stats.results, result.stats.candidates);
   // Memory observability: one high-water update and one /proc read per
   // join (never per pair).
-  JoinMetrics::Get().candidate_set_peak.UpdateMax(
+  jm.candidate_set_peak.UpdateMax(
       static_cast<double>(result.stats.candidates));
   mem::SampleRssToMetrics();
   // Pair evaluation is deterministic per pair, so after this sort the

@@ -42,8 +42,6 @@ enum class PruneStage {
   kProbabilistic,  // Markov / group upper bound < alpha (Thm. 4)
 };
 
-const char* PruneStageName(PruneStage stage);
-
 // Per-pair audit trail for explain mode: which stage pruned the pair, or
 // the bound values that let it through to verification and the
 // verification outcome. Fields are -1 / false when their stage never ran.
@@ -96,13 +94,11 @@ struct SimJParams {
   SplitHeuristic split_heuristic = SplitHeuristic::kCostModel;
   // Stop verification as soon as alpha is provably reached/unreachable.
   bool early_exit_verification = true;
-  // Worker threads for the join loop. 1 = the exact legacy serial path
-  // (no worker threads, no freeze); 0 = one per hardware thread; >1 =
-  // that many workers. Any value other than 1 freezes the label dictionary
-  // for the duration of the join (see graph::ScopedFreeze) and splits
-  // the candidate pairs into chunks that worker threads claim from a
-  // shared cursor. Results are sorted by (q_index, g_index), so output is
-  // byte-identical at every thread count.
+  // Workers claiming chunks of pair ids from a shared cursor. 1 = the
+  // calling thread alone (no thread, no freeze); 0 = one thread per
+  // hardware thread; >1 = that many threads, with the label dictionary
+  // frozen for the join (see graph::ScopedFreeze). Results are sorted by
+  // (q_index, g_index), so output is byte-identical at every thread count.
   int num_threads = 1;
   // Explain mode: record per-pair prune/bound audit trails into
   // JoinResult::explains (off by default; costs nothing when disabled).
@@ -194,6 +190,23 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into);
 // unsorted — the caller ends with SortByPairIdentity.
 void AppendJoinResult(JoinResult part, JoinResult* into);
 
+// The one publisher of the join's registry counters; JoinStats is the
+// join's only per-pair tally. Adds a batch's five JoinStats pair counts,
+// `count_decided` (kPrunedCountBoundMetric) and `css_filtered`
+// (ged::kCssBoundCallsMetric) to the unlabeled series, or to the
+// worker="<worker>" ones. A batch is a chunk of SimJoin's pair-id cursor,
+// an EvaluatePairList or EvaluatePair call, a shard the distributed
+// coordinator folds, or a plan's skipped pairs. Pairs are added first; a
+// zero count adds nothing.
+void PublishJoinCounters(const JoinStats& batch, int64_t count_decided,
+                         int64_t css_filtered,
+                         const std::string& worker = std::string());
+
+// The unlabeled series of the five JoinStats pair counts, read into a
+// JoinStats (every other field zero). Pairs are read last, so a reader
+// running beside publishers never sees more stage counts than pairs.
+[[nodiscard]] JoinStats ReadJoinCounters();
+
 // The ged::GraphSummary of every input graph of a join, indexed like D and
 // U. Every join entry point builds them once, before any pair is evaluated,
 // in O(|D| + |U|); the pair evaluations only read them.
@@ -234,12 +247,12 @@ void SortByPairIdentity(JoinResult* result);
 
 // Algorithm 1: nested-loop join of D with U under the configured prunings,
 // the one join entry point. Pair ids p in [0, |D| x |U|) map to
-// <p / |U|, p % |U|>; they are evaluated serially when params.num_threads
-// == 1 and otherwise on worker threads that claim chunks of ids from a
-// shared cursor (see SimJParams::num_threads). A pair whose count bound
-// exceeds tau is counted as a structural prune without computing CSS,
-// unless explain samples it: results, every JoinStats counter and every
-// explain line are those of the full CSS filter.
+// <p / |U|, p % |U|>; workers claim chunks of ids from a shared cursor
+// (see SimJParams::num_threads), and each chunk is one batch for
+// PublishJoinCounters. Sets the simj_join_workers gauge. A pair whose
+// count bound exceeds tau is counted as a structural prune without
+// computing CSS, unless explain samples it: results, every JoinStats
+// counter and every explain line are those of the full CSS filter.
 [[nodiscard]] JoinResult SimJoin(const std::vector<graph::LabeledGraph>& d,
                    const std::vector<graph::UncertainGraph>& u,
                    const SimJParams& params,
@@ -251,10 +264,11 @@ void SortByPairIdentity(JoinResult* result);
 // Per-pair behavior — the count-bound check, explain sampling, the
 // slow-pair watchdog, stall-flag consumption, heartbeats (gated on
 // JoinProgress::heartbeats_armed(), armed by the caller's BeginJoin) — is
-// bit-for-bit the same work SimJoin does for those pairs. Stats
-// accumulate into result->stats; qualifying pairs and explain records are
-// appended UNSORTED: the caller owns BeginJoin/EndJoin, the StallMonitor,
-// and the final SortByPairIdentity.
+// bit-for-bit the same work SimJoin does for those pairs. The list is one
+// batch: its counts reach this process's registry, unlabeled, when it
+// ends. Stats accumulate into result->stats; qualifying pairs and explain
+// records are appended UNSORTED: the caller owns BeginJoin/EndJoin, the
+// StallMonitor, and the final SortByPairIdentity.
 void EvaluatePairList(const std::vector<graph::LabeledGraph>& d,
                       const std::vector<graph::UncertainGraph>& u,
                       const JoinSummaries& summaries,

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/join.h"
 #include "util/health.h"
 #include "util/log.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace simj::core {
@@ -19,30 +19,6 @@ int64_t SteadyNowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// The join counters whose deltas are the progress counts. Same instances
-// JoinMetrics in join.cc increments; cached references are process-lifetime.
-struct ProgressCounters {
-  metrics::Counter& pairs;
-  metrics::Counter& pruned_structural;
-  metrics::Counter& pruned_probabilistic;
-  metrics::Counter& candidates;
-  metrics::Counter& results;
-
-  static const ProgressCounters& Get() {
-    static ProgressCounters* c = [] {
-      metrics::Registry& r = metrics::Registry::Global();
-      return new ProgressCounters{  // simj-lint: allow(new) leaky singleton
-          r.GetCounter("simj_join_pairs_total"),
-          r.GetCounter("simj_join_pruned_structural_total"),
-          r.GetCounter("simj_join_pruned_probabilistic_total"),
-          r.GetCounter("simj_join_candidates_total"),
-          r.GetCounter("simj_join_results_total"),
-      };
-    }();
-    return *c;
-  }
-};
 
 // Minimum spacing between --progress_every lines, across all workers.
 constexpr int64_t kProgressLogMinIntervalNs = 100'000'000;  // 100 ms
@@ -60,14 +36,11 @@ void JoinProgress::BeginJoin(int64_t total_pairs, int workers,
   // A stall belongs to one join; a new join starting cleanly un-degrades
   // /healthz (the watchdog re-reports if this join stalls too).
   health::SetHealthy("stall_watchdog");
-  const ProgressCounters& c = ProgressCounters::Get();
-  base_pairs_.store(c.pairs.Value(), std::memory_order_relaxed);
-  base_pruned_structural_.store(c.pruned_structural.Value(),
-                                std::memory_order_relaxed);
-  base_pruned_probabilistic_.store(c.pruned_probabilistic.Value(),
-                                   std::memory_order_relaxed);
-  base_candidates_.store(c.candidates.Value(), std::memory_order_relaxed);
-  base_results_.store(c.results.Value(), std::memory_order_relaxed);
+  const JoinStats base = ReadJoinCounters();  // outside mu_: a leaf lock
+  {
+    MutexLock lock(mu_);
+    base_ = base;
+  }
   total_pairs_.store(total_pairs, std::memory_order_relaxed);
   workers_.store(workers, std::memory_order_relaxed);
   join_start_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
@@ -148,24 +121,24 @@ void JoinProgress::NotePairCompleted(int64_t progress_every) {
           last_ns, now_ns, std::memory_order_relaxed)) {
     return;
   }
-  ProgressSnapshot snapshot = Snapshot();
+  const ProgressSnapshot snapshot = Snapshot();
+  // This tracker's own count is exact at this pair; the registry behind
+  // snapshot.completed_pairs lags by the unpublished batches. A requeued
+  // shard counts its pairs again, hence the clamp.
+  const int64_t total = snapshot.total_pairs;
+  const int64_t completed = std::min(done, total);
+  const double eta = EtaSeconds(total - completed, snapshot.pairs_per_second);
   char line[192];
-  if (snapshot.eta_seconds >= 0.0) {
-    std::snprintf(line, sizeof(line),
-                  "join progress: %lld/%lld pairs (%.1f%%), %.1f pairs/s, "
-                  "eta %.1fs",
-                  static_cast<long long>(snapshot.completed_pairs),
-                  static_cast<long long>(snapshot.total_pairs),
-                  snapshot.total_pairs > 0
-                      ? 100.0 * static_cast<double>(snapshot.completed_pairs) /
-                            static_cast<double>(snapshot.total_pairs)
-                      : 0.0,
-                  snapshot.pairs_per_second, snapshot.eta_seconds);
-  } else {
-    std::snprintf(line, sizeof(line),
-                  "join progress: %lld/%lld pairs",
-                  static_cast<long long>(snapshot.completed_pairs),
-                  static_cast<long long>(snapshot.total_pairs));
+  const int n = std::snprintf(line, sizeof(line),
+                              "join progress: %lld/%lld pairs",
+                              static_cast<long long>(completed),
+                              static_cast<long long>(total));
+  if (eta >= 0.0) {
+    std::snprintf(line + n, sizeof(line) - static_cast<size_t>(n),
+                  " (%.1f%%), %.1f pairs/s, eta %.1fs",
+                  100.0 * static_cast<double>(completed) /
+                      static_cast<double>(std::max<int64_t>(total, 1)),
+                  snapshot.pairs_per_second, eta);
   }
   SIMJ_LOG(INFO) << line;
 }
@@ -177,13 +150,14 @@ double JoinProgress::EtaSeconds(int64_t remaining, double rate) {
 }
 
 ProgressSnapshot JoinProgress::Snapshot() {
-  const ProgressCounters& c = ProgressCounters::Get();
+  const JoinStats counted = ReadJoinCounters();
+  const int64_t now_ns = SteadyNowNs();
+  MutexLock lock(mu_);
   ProgressSnapshot snapshot;
   snapshot.active = active();
   snapshot.joins_started = joins_started_.load(std::memory_order_relaxed);
   snapshot.total_pairs = total_pairs_.load(std::memory_order_relaxed);
-  snapshot.completed_pairs =
-      c.pairs.Value() - base_pairs_.load(std::memory_order_relaxed);
+  snapshot.completed_pairs = counted.total_pairs - base_.total_pairs;
   // The distributed join re-evaluates pairs from shards abandoned by dead
   // workers, so the registry delta can overshoot the planned total. Clamp:
   // completion must never read past 100% nor yield a negative ETA.
@@ -192,47 +166,38 @@ ProgressSnapshot JoinProgress::Snapshot() {
     snapshot.completed_pairs = snapshot.total_pairs;
   }
   snapshot.pruned_structural =
-      c.pruned_structural.Value() -
-      base_pruned_structural_.load(std::memory_order_relaxed);
+      counted.pruned_structural - base_.pruned_structural;
   snapshot.pruned_probabilistic =
-      c.pruned_probabilistic.Value() -
-      base_pruned_probabilistic_.load(std::memory_order_relaxed);
-  snapshot.candidates =
-      c.candidates.Value() - base_candidates_.load(std::memory_order_relaxed);
-  snapshot.results =
-      c.results.Value() - base_results_.load(std::memory_order_relaxed);
+      counted.pruned_probabilistic - base_.pruned_probabilistic;
+  snapshot.candidates = counted.candidates - base_.candidates;
+  snapshot.results = counted.results - base_.results;
   snapshot.workers = workers_.load(std::memory_order_relaxed);
 
-  const int64_t now_ns = SteadyNowNs();
   const int64_t start_ns = join_start_ns_.load(std::memory_order_relaxed);
   snapshot.elapsed_seconds =
       start_ns == 0 ? 0.0 : static_cast<double>(now_ns - start_ns) * 1e-9;
 
-  // Throughput window: reader-only, so a plain mutex is fine here.
+  // Throughput window.
+  if (eta_window_join_ != snapshot.joins_started) {
+    eta_window_.clear();
+    eta_window_join_ = snapshot.joins_started;
+  }
+  eta_window_.emplace_back(now_ns, snapshot.completed_pairs);
+  const int64_t horizon_ns =
+      now_ns - static_cast<int64_t>(kEtaWindowSeconds * 1e9);
+  while (eta_window_.size() > 2 && eta_window_.front().first < horizon_ns) {
+    eta_window_.pop_front();
+  }
+  const auto& [first_ns, first_done] = eta_window_.front();
+  const double window_seconds = static_cast<double>(now_ns - first_ns) * 1e-9;
+  const int64_t window_done = snapshot.completed_pairs - first_done;
   double rate = 0.0;
-  {
-    MutexLock lock(eta_mu_);
-    if (eta_window_join_ != snapshot.joins_started) {
-      eta_window_.clear();
-      eta_window_join_ = snapshot.joins_started;
-    }
-    eta_window_.emplace_back(now_ns, snapshot.completed_pairs);
-    const int64_t horizon_ns =
-        now_ns - static_cast<int64_t>(kEtaWindowSeconds * 1e9);
-    while (eta_window_.size() > 2 && eta_window_.front().first < horizon_ns) {
-      eta_window_.pop_front();
-    }
-    const auto& [first_ns, first_done] = eta_window_.front();
-    const double window_seconds =
-        static_cast<double>(now_ns - first_ns) * 1e-9;
-    const int64_t window_done = snapshot.completed_pairs - first_done;
-    if (window_seconds > 0.0 && window_done > 0) {
-      rate = static_cast<double>(window_done) / window_seconds;
-    } else if (snapshot.elapsed_seconds > 0.0) {
-      // Whole-join average until the window has seen progress.
-      rate = static_cast<double>(snapshot.completed_pairs) /
-             snapshot.elapsed_seconds;
-    }
+  if (window_seconds > 0.0 && window_done > 0) {
+    rate = static_cast<double>(window_done) / window_seconds;
+  } else if (snapshot.elapsed_seconds > 0.0) {
+    // Whole-join average until the window has seen progress.
+    rate = static_cast<double>(snapshot.completed_pairs) /
+           snapshot.elapsed_seconds;
   }
   snapshot.pairs_per_second = rate;
   snapshot.eta_seconds =
@@ -296,9 +261,12 @@ StallMonitor::StallMonitor(double stall_warn_ms,
     trace::SetThisThreadName(thread_name);
     const auto poll = std::chrono::duration<double, std::milli>(
         std::clamp(stall_warn_ms_ / 4.0, 1.0, 200.0));
-    while (!stop_.load(std::memory_order_acquire)) {
+    for (;;) {
       Sweep();
-      std::this_thread::sleep_for(poll);
+      MutexLock lock(mu_);
+      // A spurious wakeup only sweeps early.
+      if (!stop_) stop_cv_.WaitFor(mu_, poll);
+      if (stop_) break;
     }
     Sweep();
   });
@@ -306,7 +274,11 @@ StallMonitor::StallMonitor(double stall_warn_ms,
 
 StallMonitor::~StallMonitor() {
   if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  stop_cv_.NotifyAll();
   thread_.join();
 }
 

@@ -5,9 +5,9 @@
 // logger) while a join runs. It is deliberately cheap on the worker side:
 //
 //   * completed / per-stage pair counts are NOT new atomics — they are
-//     computed as deltas of the existing sharded registry counters against
-//     baselines captured at BeginJoin, so the join hot path pays nothing
-//     for them;
+//     deltas of the join's registry counters (core::ReadJoinCounters)
+//     against baselines captured at BeginJoin, so the join hot path pays
+//     nothing for them;
 //   * per-worker heartbeats (timestamp + current pair) are a handful of
 //     relaxed stores per pair, and only when heartbeats were armed for the
 //     join (stall watchdog on, or a statusz server requested them);
@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/join.h"
 #include "util/sync.h"
 
 namespace simj::core {
@@ -50,10 +51,10 @@ struct ProgressSnapshot {
   bool active = false;
   int64_t joins_started = 0;  // process-lifetime BeginJoin count
   int64_t total_pairs = 0;
-  // Pairs that have entered evaluation (the registry counter increments at
-  // EvaluatePair entry), so this can run ahead of fully-finished pairs by
-  // at most `workers` in-flight pairs; it equals total_pairs when the join
-  // ends.
+  // Pairs whose batch PublishJoinCounters has published, so this lags the
+  // finished pairs by at most one batch per worker; it equals total_pairs
+  // when the join ends. Never below pruned_structural +
+  // pruned_probabilistic: pairs are published first and read last.
   int64_t completed_pairs = 0;
   // Per-stage completion (deltas of the registry counters over this join).
   int64_t pruned_structural = 0;
@@ -129,7 +130,8 @@ class JoinProgress {
   // Worker-side, gated on params.progress_every > 0: counts a completed
   // pair and logs a rate-limited SIMJ_LOG(INFO) progress line (completed /
   // total, rate, ETA) every `progress_every` completions, at most one line
-  // per 100 ms across all workers.
+  // per 100 ms across all workers. The line's completed count is this
+  // counter, exact at the logging pair, not the registry delta.
   void NotePairCompleted(int64_t progress_every);
 
   // Reader-side: point-in-time view. Feeds the ETA throughput window as a
@@ -163,12 +165,6 @@ class JoinProgress {
   std::atomic<int64_t> total_pairs_{0};
   std::atomic<int> workers_{0};
   std::atomic<int64_t> join_start_ns_{0};
-  // Registry-counter baselines captured at BeginJoin.
-  std::atomic<int64_t> base_pairs_{0};
-  std::atomic<int64_t> base_pruned_structural_{0};
-  std::atomic<int64_t> base_pruned_probabilistic_{0};
-  std::atomic<int64_t> base_candidates_{0};
-  std::atomic<int64_t> base_results_{0};
 
   WorkerSlot slots_[kMaxTrackedWorkers];
 
@@ -176,14 +172,15 @@ class JoinProgress {
   std::atomic<int64_t> progress_counter_{0};
   std::atomic<int64_t> last_progress_log_ns_{0};
 
+  Mutex mu_;  // leaf lock: nothing is acquired under it
+  // Registry-counter baselines captured at BeginJoin.
+  JoinStats base_ SIMJ_GUARDED_BY(mu_);
   // ETA throughput window: (steady ns, completed pairs) samples over the
-  // last kEtaWindowSeconds, appended by Snapshot() under eta_mu_.
+  // last kEtaWindowSeconds, appended by Snapshot().
   static constexpr double kEtaWindowSeconds = 10.0;
-  Mutex eta_mu_;  // leaf lock: reader-side only, nothing acquired under it
-  std::deque<std::pair<int64_t, int64_t>> eta_window_
-      SIMJ_GUARDED_BY(eta_mu_);
+  std::deque<std::pair<int64_t, int64_t>> eta_window_ SIMJ_GUARDED_BY(mu_);
   // joins_started_ the window belongs to
-  int64_t eta_window_join_ SIMJ_GUARDED_BY(eta_mu_) = -1;
+  int64_t eta_window_join_ SIMJ_GUARDED_BY(mu_) = -1;
 };
 
 // The stall watchdog behind SimJParams::stall_warn_ms, shared by the
@@ -191,8 +188,8 @@ class JoinProgress {
 // thread polls JoinProgress::CheckStalls every clamp(stall_warn_ms / 4, 1,
 // 200) ms. For each stalled worker it degrades /healthz ("stall_watchdog",
 // cleared by the next BeginJoin), logs a WARN line, and runs `on_stall`
-// when one is given. The destructor ends the thread after a final sweep,
-// which catches a stall between the last poll and the stop.
+// when one is given. The destructor wakes the thread, which ends after a
+// final sweep that catches a stall between the last poll and the stop.
 // With stall_warn_ms <= 0 no thread starts. The monitor only reads tracker
 // state, never join state, so results are unaffected.
 class StallMonitor {
@@ -211,7 +208,9 @@ class StallMonitor {
 
   const double stall_warn_ms_;
   const OnStall on_stall_;
-  std::atomic<bool> stop_{false};
+  Mutex mu_;  // leaf lock: only stop_ is read or written under it
+  CondVar stop_cv_;
+  bool stop_ SIMJ_GUARDED_BY(mu_) = false;
   std::thread thread_;
 };
 

@@ -23,32 +23,6 @@ namespace simj::dist {
 
 namespace {
 
-// Adds one shard's join counters to the series of every entry of `workers`:
-// "" is the unlabeled family (replayed for work done in a forked child,
-// whose own increments died with it, so progress/statusz see it at shard
-// granularity), anything else a `worker="<label>"` series. Only completed
-// shards reach here, each once, and a dying worker's partial evaluation
-// never does, so the per-label sums across every `worker` value equal the
-// totals an unsharded run would produce. Per shard, not per pair — the
-// registry mutex is off the hot path.
-void AddJoinCounters(const core::JoinStats& stats,
-                     const std::vector<std::string>& workers) {
-  const std::pair<const char*, int64_t> counters[] = {
-      {"simj_join_pairs_total", stats.total_pairs},
-      {"simj_join_pruned_structural_total", stats.pruned_structural},
-      {"simj_join_pruned_probabilistic_total", stats.pruned_probabilistic},
-      {"simj_join_candidates_total", stats.candidates},
-      {"simj_join_results_total", stats.results}};
-  metrics::Registry& registry = metrics::Registry::Global();
-  for (const std::string& worker : workers) {
-    std::vector<std::pair<std::string, std::string>> labels;
-    if (!worker.empty()) labels.emplace_back("worker", worker);
-    for (const auto& [family, value] : counters) {
-      registry.GetCounter(metrics::LabeledName(family, labels)).Add(value);
-    }
-  }
-}
-
 // The Chrome-trace pid of worker `w`'s process lane (pid 1 is the
 // coordinator's own "simj" lane; 2 is left unused for clarity).
 int WorkerLanePid(int w) { return w + 2; }
@@ -363,10 +337,14 @@ class Coordinator : public ClusterzSource {
       RecordEvent(kEventComplete, w, shard_id, /*attempt=*/-1);
     }
     // Outside mu_ (lock order: never hold mu_ into another module's lock).
+    // Each completed shard is folded once, so the per-label sums equal an
+    // unsharded run's totals. A forked child's unlabeled counts died with
+    // it: they are replayed here.
     const std::string label = std::to_string(w);
-    AddJoinCounters(shard_stats, worker.counts_in_process()
-                                     ? std::vector<std::string>{label}
-                                     : std::vector<std::string>{"", label});
+    core::PublishJoinCounters(shard_stats, 0, 0, label);
+    if (!worker.counts_in_process()) {
+      core::PublishJoinCounters(shard_stats, 0, 0);
+    }
     prof::AccumulateRemoteSection("worker-" + label, result.profile);
     heapprof::AccumulateRemoteSection("worker-" + label, result.heap);
   }
@@ -461,7 +439,7 @@ class Coordinator : public ClusterzSource {
         ++stats_.fallback_shards;
         RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
       }
-      AddJoinCounters(shard_stats, {"inline"});
+      core::PublishJoinCounters(shard_stats, 0, 0, "inline");
     }
   }
 
@@ -543,10 +521,13 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
 
   DistJoinResult out;
   out.join.stats = plan.pre_stats;
-  // Pairs skipped at plan time never reach a shard, so the per-`worker`-label
-  // accounting attributes plan-level pruning to the coordinator itself —
-  // keeping the sum across all `worker` labels equal to an unsharded run.
-  AddJoinCounters(plan.pre_stats, {"coordinator"});
+  // Pairs skipped at plan time are count-bound prunes no shard sees: they
+  // are published here, unlabeled and as worker="coordinator", before
+  // BeginJoin so progress counts only the planned pairs.
+  for (const char* worker : {"", "coordinator"}) {
+    core::PublishJoinCounters(plan.pre_stats, plan.pre_stats.pruned_structural,
+                              0, worker);
+  }
 
   // Workers share the dictionary concurrently (and process workers fork a
   // snapshot of it); freeze for the duration, like the parallel SimJoin

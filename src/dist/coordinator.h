@@ -39,10 +39,13 @@
 //     ShardResult::spans, so one --trace_out file shows the whole cluster
 //     timeline. Dispatch and fallback share one attempt routine;
 //   * folds each completed shard's counters into `worker="N"`-labeled
-//     registry metrics (both transports; fallback shards get
-//     worker="inline", plan-time skips worker="coordinator"), so per-label
-//     sums always equal the unsharded run's totals — partial work by dying
-//     workers is deliberately excluded;
+//     registry metrics through core::PublishJoinCounters (both transports;
+//     fallback shards get worker="inline", plan-time skips
+//     worker="coordinator"), so per-label sums always equal the unsharded
+//     run's totals — partial work by dying workers is deliberately
+//     excluded. Plan-time skips and process-transport shards also reach
+//     the unlabeled counters, so a fault-free run's unlabeled deltas equal
+//     its JoinStats;
 //   * serves live queue depths / worker states through GET /clusterz and
 //     reports dead-worker and stall degradation to util/health (/healthz).
 // All of it is observational: join results stay byte-identical with every

@@ -6,7 +6,6 @@
 
 #include "ged/lower_bounds.h"
 #include "util/check.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace simj::dist {
@@ -65,9 +64,6 @@ ShardPlan PlanShards(const std::vector<graph::LabeledGraph>& d,
   }
   plan.pre_stats.total_pairs = skipped;
   plan.pre_stats.pruned_structural = skipped;
-  metrics::Registry::Global()
-      .GetCounter(core::kPrunedCountBoundMetric)
-      .Add(skipped);
   return plan;
 }
 

@@ -50,7 +50,7 @@ struct ShardPlan {
   int64_t planned_pairs = 0;
   // The pairs skipped at plan time, counted as SimJoin counts them
   // (total_pairs and pruned_structural), to fold into the merged JoinStats.
-  // Zero when nothing is skipped.
+  // Zero when nothing is skipped; ShardedSimJoin publishes them.
   core::JoinStats pre_stats;
 };
 

@@ -285,9 +285,9 @@ namespace {
 
 // The one shard executor: every shard runs here, on a dispatch thread or
 // in a forked child. Sleeps for the injected delay. An injected death
-// evaluates the prefix (its registry increments stand, exactly as a
-// crashed worker's side effects would), discards what it captured and
-// fails. Otherwise evaluates every pair, tags the captured spans with the
+// evaluates the prefix (its published counts stand, exactly as a crashed
+// worker's side effects would), discards what it captured and fails.
+// Otherwise evaluates every pair, tags the captured spans with the
 // attempt's trace context and ships the pending profiler batches: a forked
 // child owns its whole profiler and drains every thread, a dispatch thread
 // only its own.

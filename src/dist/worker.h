@@ -151,9 +151,9 @@ class ShardWorker {
   // cannot be revived.
   [[nodiscard]] Status Restart();
 
-  // True when this worker's EvaluatePair calls increment THIS process's
-  // metrics registry (thread transport). False when the work happens in a
-  // child whose counters die with it — the coordinator then replays the
+  // True when this worker's pair counts reach THIS process's metrics
+  // registry (thread transport). False when the work happens in a child
+  // whose counters die with it — the coordinator then replays the
   // returned JoinStats into the registry so progress/statusz stay live.
   bool counts_in_process() const { return !child_.has_value(); }
 

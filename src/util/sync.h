@@ -32,6 +32,7 @@
 #ifndef SIMJ_UTIL_SYNC_H_
 #define SIMJ_UTIL_SYNC_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -127,6 +128,16 @@ class CondVar {
   void Wait(Mutex& mu, Predicate pred) SIMJ_REQUIRES(mu) {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock, std::move(pred));
+    lock.release();
+  }
+
+  // Like Wait(mu), but returns once `timeout` has passed even if nobody
+  // notified.
+  template <typename Rep, typename Period>
+  void WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
+      SIMJ_REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait_for(lock, timeout);
     lock.release();
   }
 

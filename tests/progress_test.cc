@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -244,6 +245,34 @@ TEST(ProgressTest, ProgressEveryLogsRateLimitedLines) {
   log::SetSink(std::move(previous));
 }
 
+// A progress line counts the pairs this tracker has seen, not the
+// registry's published batches: the first line of a serial join with
+// progress_every = 1 reports exactly one pair, although no batch has been
+// published yet.
+TEST(ProgressTest, ProgressLineCountsEveryCompletedPair) {
+  auto sink = std::make_unique<log::CaptureSink>();
+  log::CaptureSink* capture = sink.get();
+  auto previous = log::SetSink(std::move(sink));
+
+  RandomJoinWorkload w = MakeRandomJoinWorkload(13);
+  SimJParams params = BaseParams();
+  params.progress_every = 1;
+  JoinResult result = RunJoin(w, params);
+
+  const std::string first =
+      "join progress: 1/" + std::to_string(result.stats.total_pairs) +
+      " pairs";
+  bool found = false;
+  for (const log::Entry& entry : capture->Entries()) {
+    if (entry.message.find("join progress:") == std::string::npos) continue;
+    EXPECT_EQ(entry.message.rfind(first, 0), 0u) << entry.message;
+    found = true;
+    break;
+  }
+  EXPECT_TRUE(found);
+  log::SetSink(std::move(previous));
+}
+
 TEST(ProgressTest, StallWatchdogLogsDuringRealJoin) {
   auto sink = std::make_unique<log::CaptureSink>();
   log::CaptureSink* capture = sink.get();
@@ -300,6 +329,21 @@ TEST(ProgressTest, ResultsByteIdenticalWithIntrospectionArmed) {
           << "explain " << i << " diverged at threads=" << threads;
     }
   }
+}
+
+
+// The destructor wakes the monitor thread from its poll wait: an armed
+// monitor whose poll interval is 200 ms stops in well under that.
+TEST(ProgressTest, StallMonitorStopsPromptly) {
+  auto monitor =
+      std::make_unique<StallMonitor>(/*stall_warn_ms=*/1000.0, "stall-test");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  monitor.reset();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(stop_ms, 100.0);
 }
 
 }  // namespace

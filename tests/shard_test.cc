@@ -554,5 +554,94 @@ TEST(ShardWorkerTest, RunShardMatchesEvaluatePairListAndDiesOnCue) {
   }
 }
 
+// Every join entry point feeds the unlabeled registry counters exactly the
+// JoinStats it returns, and the count-bound prunes stay a subset of the
+// structural ones. A serial join after a threaded one resets
+// simj_join_workers to 1.
+TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
+  RandomJoinWorkload w = MakeRandomJoinWorkload(
+      21, {.num_certain = 12, .num_uncertain = 10});
+  core::SimJParams params = BaseParams();
+  params.tau = 1;
+  metrics::Registry& registry = metrics::Registry::Global();
+  const char* const families[] = {
+      "simj_join_pairs_total", "simj_join_pruned_structural_total",
+      "simj_join_pruned_probabilistic_total", "simj_join_candidates_total",
+      "simj_join_results_total", core::kPrunedCountBoundMetric};
+  const auto read = [&] {
+    std::vector<int64_t> values;
+    for (const char* family : families) {
+      values.push_back(registry.GetCounter(family).Value());
+    }
+    return values;
+  };
+  // Runs `join` and compares the counter deltas with the stats it returns.
+  const auto expect_mirrored = [&](const std::string& what,
+                                   const auto& join) {
+    SCOPED_TRACE(what);
+    const std::vector<int64_t> before = read();
+    const core::JoinStats stats = join();
+    const std::vector<int64_t> after = read();
+    ASSERT_GT(stats.pruned_structural, 0);
+    EXPECT_EQ(after[0] - before[0], stats.total_pairs);
+    EXPECT_EQ(after[1] - before[1], stats.pruned_structural);
+    EXPECT_EQ(after[2] - before[2], stats.pruned_probabilistic);
+    EXPECT_EQ(after[3] - before[3], stats.candidates);
+    EXPECT_EQ(after[4] - before[4], stats.results);
+    EXPECT_LE(after[5] - before[5], after[1] - before[1]);
+  };
+
+  metrics::Gauge& workers = registry.GetGauge("simj_join_workers");
+  for (int threads : {3, 1}) {
+    expect_mirrored("SimJoin, threads=" + std::to_string(threads), [&] {
+      core::SimJParams threaded = params;
+      threaded.num_threads = threads;
+      return core::SimJoin(w.d, w.u, threaded, w.dict).stats;
+    });
+    EXPECT_EQ(workers.Value(), threads);
+  }
+
+  std::vector<std::pair<int, int>> all_pairs;
+  for (int qi = 0; qi < static_cast<int>(w.d.size()); ++qi) {
+    for (int gi = 0; gi < static_cast<int>(w.u.size()); ++gi) {
+      all_pairs.emplace_back(qi, gi);
+    }
+  }
+  const core::JoinSummaries summaries =
+      core::SummarizeJoinInputs(w.d, w.u, w.dict);
+  expect_mirrored("EvaluatePairList", [&] {
+    core::JoinResult result;
+    core::EvaluatePairList(w.d, w.u, summaries, params, w.dict, all_pairs,
+                           /*worker=*/0, &result);
+    return result.stats;
+  });
+  expect_mirrored("EvaluatePair", [&] {
+    core::JoinStats stats;
+    for (const auto& [qi, gi] : all_pairs) {
+      core::MatchedPair pair;
+      (void)core::EvaluatePair(w.d[qi], w.u[gi], params, w.dict, &stats,
+                               &pair);
+    }
+    return stats;
+  });
+
+  for (Transport transport : TransportsUnderTest()) {
+    for (bool use_index : {true, false}) {
+      DistJoinParams dist_params;
+      dist_params.num_workers = 2;
+      dist_params.transport = transport;
+      dist_params.max_pairs_per_shard = 8;
+      dist_params.use_index = use_index;
+      const std::string what = std::string("ShardedSimJoin, transport=") +
+                               TransportName(transport) +
+                               ", use_index=" + (use_index ? "on" : "off");
+      expect_mirrored(what, [&] {
+        return ShardedSimJoin(w.d, w.u, params, w.dict, dist_params)
+            .join.stats;
+      });
+    }
+  }
+}
+
 }  // namespace
 }  // namespace simj::dist
