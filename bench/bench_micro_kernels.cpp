@@ -6,6 +6,7 @@
 #include <functional>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "core/similarity.h"
 #include "ged/edit_distance.h"
 #include "ged/lower_bounds.h"
+#include "graph/uncertain_graph.h"
 #include "matching/bipartite.h"
 #include "matching/hungarian.h"
 #include "nlp/dependency.h"
@@ -71,6 +73,70 @@ void BM_BoundedGed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundedGed)->Arg(1)->Arg(3);
+
+// er_verify's GED calls: (certain graph, possible world) pairs of a
+// 10-vertex, 16-edge ER dataset (40% of the vertices uncertain, 3 labels
+// each) whose CSS bound is at most tau = 4, split by whether ged <= 4.
+struct ErGedPairs {
+  static constexpr int kTau = 4;
+  static constexpr size_t kPairs = 32;
+  graph::LabelDictionary dict;
+  std::vector<std::pair<graph::LabeledGraph, graph::LabeledGraph>> accept;
+  std::vector<std::pair<graph::LabeledGraph, graph::LabeledGraph>> reject;
+
+  ErGedPairs() {
+    workload::SyntheticConfig config;
+    config.seed = 506;
+    config.num_certain = 40;
+    config.num_uncertain = 40;
+    config.num_vertices = 10;
+    config.num_edges = 16;
+    config.labels_per_vertex = 3;
+    config.perturbation_ops = 2;
+    config.uncertain_vertex_fraction = 0.4;
+    workload::SyntheticDataset data = workload::MakeErDataset(config);
+    dict = std::move(data.dict);
+    for (const auto& q : data.certain) {
+      for (const auto& g : data.uncertain) {
+        graph::PossibleWorldIterator it(g);
+        graph::LabeledGraph world = g.Materialize(it.choice());
+        if (ged::CssLowerBound(q, world, dict) > kTau) continue;
+        auto& list =
+            ged::BoundedGed(q, world, kTau, dict).has_value() ? accept : reject;
+        if (list.size() < kPairs) list.emplace_back(q, std::move(world));
+      }
+    }
+  }
+
+  static const ErGedPairs& Get() {
+    static const ErGedPairs pairs;
+    return pairs;
+  }
+};
+
+void BM_BoundedGedEr(benchmark::State& state) {
+  const ErGedPairs& pairs = ErGedPairs::Get();
+  const auto& list = state.range(0) == 1 ? pairs.accept : pairs.reject;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = list[i++ % list.size()];
+    benchmark::DoNotOptimize(
+        ged::BoundedGed(a, b, ErGedPairs::kTau, pairs.dict).has_value());
+  }
+}
+BENCHMARK(BM_BoundedGedEr)->ArgName("accept")->Arg(1)->Arg(0);
+
+void BM_GreedyGedUpperBoundEr(benchmark::State& state) {
+  const ErGedPairs& pairs = ErGedPairs::Get();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& list = i % 2 == 0 ? pairs.accept : pairs.reject;
+    const auto& [a, b] = list[(i / 2) % list.size()];
+    benchmark::DoNotOptimize(ged::GreedyGedUpperBound(a, b, pairs.dict));
+    ++i;
+  }
+}
+BENCHMARK(BM_GreedyGedUpperBoundEr);
 
 void BM_CssLowerBoundCertain(benchmark::State& state) {
   PairFixture fixture(12, 18);
@@ -180,12 +246,10 @@ BENCHMARK(BM_HopcroftKarp)->Arg(8)->Arg(32)->Arg(128);
 void BM_Hungarian(benchmark::State& state) {
   Rng rng(502);
   int n = static_cast<int>(state.range(0));
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n));
-  for (auto& row : cost) {
-    for (double& c : row) c = rng.UniformDouble() * 10;
-  }
+  std::vector<double> cost(static_cast<size_t>(n) * n);
+  for (double& c : cost) c = rng.UniformDouble() * 10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::MinCostAssignment(cost));
+    benchmark::DoNotOptimize(matching::MinCostAssignment(cost, n, n));
   }
 }
 BENCHMARK(BM_Hungarian)->Arg(8)->Arg(32)->Arg(64);

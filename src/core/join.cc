@@ -100,12 +100,12 @@ metrics::Counter& JoinCounter(JoinCount count, const std::string& worker) {
 
 }  // namespace
 
-void PublishJoinCounters(const JoinStats& batch, int64_t count_decided,
-                         int64_t css_filtered, const std::string& worker) {
+void PublishJoinCounters(const JoinStats& batch, const std::string& worker) {
   const int64_t counts[kNumJoinCounts] = {
-      batch.total_pairs,          batch.pruned_structural, count_decided,
-      batch.pruned_probabilistic, batch.candidates,        batch.results,
-      css_filtered};
+      batch.total_pairs,          batch.pruned_structural,
+      batch.pruned_count_bound,   batch.pruned_probabilistic,
+      batch.candidates,           batch.results,
+      batch.css_bound_calls};
   for (int i = 0; i < kNumJoinCounts; ++i) {
     if (counts[i] != 0) {
       JoinCounter(static_cast<JoinCount>(i), worker).Add(counts[i]);
@@ -139,9 +139,11 @@ bool ExplainOptions::ShouldExplain(int q_index, int g_index) const {
 void MergeJoinStats(const JoinStats& from, JoinStats* into) {
   into->total_pairs += from.total_pairs;
   into->pruned_structural += from.pruned_structural;
+  into->pruned_count_bound += from.pruned_count_bound;
   into->pruned_probabilistic += from.pruned_probabilistic;
   into->candidates += from.candidates;
   into->results += from.results;
+  into->css_bound_calls += from.css_bound_calls;
   into->verify.worlds_enumerated += from.verify.worlds_enumerated;
   into->verify.worlds_pruned_by_bound += from.verify.worlds_pruned_by_bound;
   into->verify.worlds_accepted_by_upper_bound +=
@@ -182,21 +184,11 @@ JoinSummaries SummarizeJoinInputs(const std::vector<LabeledGraph>& d,
 
 namespace {
 
-// One batch of pair evaluations: its JoinStats and the pairs the count
-// bound decided.
-struct PairBatch {
-  JoinStats stats;
-  int64_t count_decided = 0;
-
-  // Publishes the batch and folds its stats into *into. Every pair the
-  // count bound left to a structural filter took the CSS kernel.
-  void End(bool structural_pruning, JoinStats* into) const {
-    PublishJoinCounters(
-        stats, count_decided,
-        structural_pruning ? stats.total_pairs - count_decided : 0);
-    MergeJoinStats(stats, into);
-  }
-};
+// Ends one batch of pair evaluations: publishes it and folds it into *into.
+void EndBatch(const JoinStats& batch, JoinStats* into) {
+  PublishJoinCounters(batch);
+  MergeJoinStats(batch, into);
+}
 
 // EvaluatePair on summaries of q and g, for a pair whose evaluation began
 // at the caller's clock read `start`. Each filter that runs ends with one
@@ -222,6 +214,7 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   int structural_constant = 0;
   if (params.structural_pruning) {
     trace::ScopedSpan span("css_filter", "prune");
+    ++stats->css_bound_calls;
     const ged::CssPrune css = ged::CssPruneBound(
         q_summary, g_summary, exact_css ? ged::kExactCss : params.tau);
     filtered = Clock::now();
@@ -356,12 +349,12 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
                   const graph::LabelDictionary& dict, JoinStats* stats,
                   MatchedPair* pair, PairExplain* explain) {
   Clock::time_point finished;
-  PairBatch batch;
+  JoinStats batch;
   const bool matched = EvaluateSummarizedPair(
       q, ged::Summarize(q, dict), g, ged::Summarize(g, dict), params, dict,
-      /*exact_css=*/explain != nullptr, Clock::now(), &finished, &batch.stats,
-      pair, explain);
-  batch.End(params.structural_pruning, stats);
+      /*exact_css=*/explain != nullptr, Clock::now(), &finished, &batch, pair,
+      explain);
+  EndBatch(batch, stats);
   return matched;
 }
 
@@ -478,7 +471,7 @@ struct PairEvaluator {
   // Counts the pair into *batch; a qualifying pair and a sampled explain
   // record go to *out.
   void Evaluate(int worker, int qi, int gi, JoinResult* out,
-                PairBatch* batch) const {
+                JoinStats* batch) const {
     const bool sampled = explain_on && params.explain.ShouldExplain(qi, gi);
     // Thm. 2: the count bound never exceeds the CSS bound, so a pair it
     // decides is a CSS prune and is counted as one, without the CSS
@@ -486,9 +479,9 @@ struct PairEvaluator {
     // explain line carries the exact css_lb.
     if (params.structural_pruning && !sampled &&
         ged::CountLowerBound(summaries.d[qi], summaries.u[gi]) > params.tau) {
-      ++batch->stats.total_pairs;
-      ++batch->stats.pruned_structural;
-      ++batch->count_decided;
+      ++batch->total_pairs;
+      ++batch->pruned_structural;
+      ++batch->pruned_count_bound;
       if (progress_every > 0) progress.NotePairCompleted(progress_every);
       return;
     }
@@ -501,8 +494,7 @@ struct PairEvaluator {
     Clock::time_point finished;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
                                summaries.u[gi], params, dict, sampled, start,
-                               &finished, &batch->stats, &pair,
-                               explain_slot)) {
+                               &finished, batch, &pair, explain_slot)) {
       pair.q_index = qi;
       pair.g_index = gi;
       out->pairs.push_back(std::move(pair));
@@ -542,7 +534,7 @@ int ResolveThreadCount(int num_threads) {
 constexpr int64_t kChunksPerWorker = 64;
 
 // The join's one pair loop: workers claim [begin, end) chunks of pair ids
-// from a shared cursor, each chunk one PairBatch. With `on_caller` the one
+// from a shared cursor, each chunk one batch. With `on_caller` the one
 // worker is the calling thread; otherwise `workers` threads evaluate into
 // partial results, merged into *result once every thread has joined.
 void RunChunks(const PairEvaluator& evaluator, int workers, bool on_caller,
@@ -557,7 +549,7 @@ void RunChunks(const PairEvaluator& evaluator, int workers, bool on_caller,
       const int64_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= num_pairs) return;
       const int64_t end = std::min(num_pairs, begin + chunk);
-      PairBatch batch;
+      JoinStats batch;
       int qi = static_cast<int>(begin / num_u);
       int gi = static_cast<int>(begin % num_u);
       for (int64_t p = begin; p < end; ++p) {
@@ -567,7 +559,7 @@ void RunChunks(const PairEvaluator& evaluator, int workers, bool on_caller,
           ++qi;
         }
       }
-      batch.End(evaluator.params.structural_pruning, &out->stats);
+      EndBatch(batch, &out->stats);
     }
   };
   if (on_caller) {
@@ -610,11 +602,11 @@ void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       int worker, JoinResult* result) {
   PairEvaluator evaluator(d, u, summaries, params, dict,
                           JoinProgress::Global().heartbeats_armed());
-  PairBatch batch;
+  JoinStats batch;
   for (const auto& [qi, gi] : pairs) {
     evaluator.Evaluate(worker, qi, gi, result, &batch);
   }
-  batch.End(params.structural_pruning, &result->stats);
+  EndBatch(batch, &result->stats);
 }
 
 JoinResult SimJoin(const std::vector<LabeledGraph>& d,

@@ -135,9 +135,14 @@ inline constexpr char kPrunedCountBoundMetric[] =
 struct JoinStats {
   int64_t total_pairs = 0;
   int64_t pruned_structural = 0;
+  // The part of pruned_structural that the count bound decided alone
+  // (kPrunedCountBoundMetric).
+  int64_t pruned_count_bound = 0;
   int64_t pruned_probabilistic = 0;
   int64_t candidates = 0;  // pairs that reached verification
   int64_t results = 0;
+  // Pairs that took the CSS kernel (ged::kCssBoundCallsMetric).
+  int64_t css_bound_calls = 0;
   VerifyStats verify;
   // Per-phase time attributed inside EvaluatePair. On a parallel join these
   // are CPU-seconds summed across workers, NOT elapsed time — a join on 8
@@ -191,15 +196,14 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into);
 void AppendJoinResult(JoinResult part, JoinResult* into);
 
 // The one publisher of the join's registry counters; JoinStats is the
-// join's only per-pair tally. Adds a batch's five JoinStats pair counts,
-// `count_decided` (kPrunedCountBoundMetric) and `css_filtered`
-// (ged::kCssBoundCallsMetric) to the unlabeled series, or to the
+// join's only per-pair tally. Adds a batch's seven JoinStats pair counts
+// (pruned_count_bound as kPrunedCountBoundMetric, css_bound_calls as
+// ged::kCssBoundCallsMetric) to the unlabeled series, or to the
 // worker="<worker>" ones. A batch is a chunk of SimJoin's pair-id cursor,
 // an EvaluatePairList or EvaluatePair call, a shard the distributed
 // coordinator folds, or a plan's skipped pairs. Pairs are added first; a
 // zero count adds nothing.
-void PublishJoinCounters(const JoinStats& batch, int64_t count_decided,
-                         int64_t css_filtered,
+void PublishJoinCounters(const JoinStats& batch,
                          const std::string& worker = std::string());
 
 // The unlabeled series of the five JoinStats pair counts, read into a

@@ -341,10 +341,8 @@ class Coordinator : public ClusterzSource {
     // unsharded run's totals. A forked child's unlabeled counts died with
     // it: they are replayed here.
     const std::string label = std::to_string(w);
-    core::PublishJoinCounters(shard_stats, 0, 0, label);
-    if (!worker.counts_in_process()) {
-      core::PublishJoinCounters(shard_stats, 0, 0);
-    }
+    core::PublishJoinCounters(shard_stats, label);
+    if (!worker.counts_in_process()) core::PublishJoinCounters(shard_stats);
     prof::AccumulateRemoteSection("worker-" + label, result.profile);
     heapprof::AccumulateRemoteSection("worker-" + label, result.heap);
   }
@@ -439,7 +437,7 @@ class Coordinator : public ClusterzSource {
         ++stats_.fallback_shards;
         RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
       }
-      core::PublishJoinCounters(shard_stats, 0, 0, "inline");
+      core::PublishJoinCounters(shard_stats, "inline");
     }
   }
 
@@ -525,8 +523,7 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   // are published here, unlabeled and as worker="coordinator", before
   // BeginJoin so progress counts only the planned pairs.
   for (const char* worker : {"", "coordinator"}) {
-    core::PublishJoinCounters(plan.pre_stats, plan.pre_stats.pruned_structural,
-                              0, worker);
+    core::PublishJoinCounters(plan.pre_stats, worker);
   }
 
   // Workers share the dictionary concurrently (and process workers fork a

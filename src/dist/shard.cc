@@ -64,6 +64,7 @@ ShardPlan PlanShards(const std::vector<graph::LabeledGraph>& d,
   }
   plan.pre_stats.total_pairs = skipped;
   plan.pre_stats.pruned_structural = skipped;
+  plan.pre_stats.pruned_count_bound = skipped;
   return plan;
 }
 

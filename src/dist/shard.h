@@ -49,7 +49,8 @@ struct ShardPlan {
   // Sum of shard sizes (pairs that will reach EvaluatePair).
   int64_t planned_pairs = 0;
   // The pairs skipped at plan time, counted as SimJoin counts them
-  // (total_pairs and pruned_structural), to fold into the merged JoinStats.
+  // (total_pairs, pruned_structural and pruned_count_bound), to fold into
+  // the merged JoinStats.
   // Zero when nothing is skipped; ShardedSimJoin publishes them.
   core::JoinStats pre_stats;
 };

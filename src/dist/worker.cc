@@ -166,9 +166,11 @@ template <typename IO, typename Stats>
 void VisitStats(IO& io, Stats& s) {
   io.Num(s.total_pairs);
   io.Num(s.pruned_structural);
+  io.Num(s.pruned_count_bound);
   io.Num(s.pruned_probabilistic);
   io.Num(s.candidates);
   io.Num(s.results);
+  io.Num(s.css_bound_calls);
   io.Num(s.verify.worlds_enumerated);
   io.Num(s.verify.worlds_pruned_by_bound);
   io.Num(s.verify.worlds_accepted_by_upper_bound);

@@ -12,6 +12,35 @@
 // provably exceeds the threshold, which is what the join's verification
 // phase needs. The optimal vertex mapping is returned because template
 // generation (paper Section 2.1 Step 3) is built from it.
+//
+// Flat kernels. BoundedGed and GreedyGedUpperBound first lay the two graphs
+// out flat, once per call: labels get dense local ids (one id for every
+// wildcard, which all match alike), vertex and edge label multisets become
+// count arrays, and the parallel edges of every ordered vertex pair become
+// one row-major table of sorted label runs. The A*'s pending a-side counts
+// are one count array per depth; the b-side counts are rebuilt from the
+// `used` mask once per expanded state and adjusted per child. A search
+// state is plain data (f, g, depth, used mask, arena index): each pushed
+// child appends one (parent, image) entry to an arena, and an expanded
+// state's prefix is read back from the arena once for all its children.
+// The greedy bound's Hungarian runs on one flat (n+m)^2 matrix.
+//
+// Each kernel keeps its buffers in its own per-thread scratch, reused by
+// the next call on the thread. A warm A* call allocates only its result,
+// unless it needs more room than any earlier call on the thread; a call
+// that grew the open list or arena past 2^18 states frees them on exit.
+// The greedy bound's Hungarian still allocates its few O(n+m) vectors.
+// The two scratches are separate because the debug build validates every
+// BoundedGed result with GreedyGedUpperBound while the A* scratch is live.
+// Calls on different threads share nothing but the registry counters.
+//
+// Exactness contract: the flat A* visits the same vertex order, computes
+// the same heuristic and step costs and pushes the same children in the
+// same sequence into a std::priority_queue with the same ordering as the
+// hash-map search it replaced, so distance, mapping, the abort flag, the
+// expansion count and the open-list peak are identical; the greedy bound
+// returns the same value and mapping. tests/ged_diff_test.cc checks both
+// against a copy of the replaced kernels (tests/ged_reference.h).
 
 #ifndef SIMJ_GED_EDIT_DISTANCE_H_
 #define SIMJ_GED_EDIT_DISTANCE_H_

@@ -87,19 +87,20 @@ class StarFilter : public GedFilter {
     // star's full size (center + spokes).
     size_t n = std::max(deg_a.size(), deg_b.size());
     if (n == 0) return 0;
-    std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
+    std::vector<double> cost(n * n, 0.0);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) {
         if (i < deg_a.size() && j < deg_b.size()) {
-          cost[i][j] = std::abs(deg_a[i] - deg_b[j]);
+          cost[i * n + j] = std::abs(deg_a[i] - deg_b[j]);
         } else if (i < deg_a.size()) {
-          cost[i][j] = 1.0 + deg_a[i];
+          cost[i * n + j] = 1.0 + deg_a[i];
         } else if (j < deg_b.size()) {
-          cost[i][j] = 1.0 + deg_b[j];
+          cost[i * n + j] = 1.0 + deg_b[j];
         }
       }
     }
-    double mu = matching::MinCostAssignment(cost);
+    double mu = matching::MinCostAssignment(cost, static_cast<int>(n),
+                                            static_cast<int>(n));
     int delta = std::max(4, std::max(MaxDegree(q), MaxDegree(h)) + 1);
     return static_cast<int>(mu / delta);
   }

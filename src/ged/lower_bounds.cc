@@ -109,19 +109,20 @@ int CStarLowerBound(const LabeledGraph& a, const LabeledGraph& b,
   std::vector<Star> stars_b = BuildStars(b, dict);
   size_t n = std::max(stars_a.size(), stars_b.size());
   if (n == 0) return 0;
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
+  std::vector<double> cost(n * n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       if (i < stars_a.size() && j < stars_b.size()) {
-        cost[i][j] = StarEditDistance(stars_a[i], stars_b[j], dict);
+        cost[i * n + j] = StarEditDistance(stars_a[i], stars_b[j], dict);
       } else if (i < stars_a.size()) {
-        cost[i][j] = 1.0 + 2.0 * stars_a[i].degree;
+        cost[i * n + j] = 1.0 + 2.0 * stars_a[i].degree;
       } else if (j < stars_b.size()) {
-        cost[i][j] = 1.0 + 2.0 * stars_b[j].degree;
+        cost[i * n + j] = 1.0 + 2.0 * stars_b[j].degree;
       }
     }
   }
-  double mu = matching::MinCostAssignment(cost);
+  double mu = matching::MinCostAssignment(cost, static_cast<int>(n),
+                                          static_cast<int>(n));
   int max_degree = 0;
   for (const Star& s : stars_a) max_degree = std::max(max_degree, s.degree);
   for (const Star& s : stars_b) max_degree = std::max(max_degree, s.degree);

@@ -75,8 +75,8 @@ int MatchableLabelCount(const LabelCounts& a, const LabelCounts& b,
                             rem_b_nonwild);
 }
 
-int MatchableLabelCount(const std::vector<LabelRun>& a, int wildcards_a,
-                        const std::vector<LabelRun>& b, int wildcards_b) {
+int MatchableLabelCount(std::span<const LabelRun> a, int wildcards_a,
+                        std::span<const LabelRun> b, int wildcards_b) {
   int exact = 0;
   int total_a = 0;
   int total_b = 0;
@@ -95,6 +95,21 @@ int MatchableLabelCount(const std::vector<LabelRun>& a, int wildcards_a,
   }
   for (; i < a.size(); ++i) total_a += a[i].count;
   for (; j < b.size(); ++j) total_b += b[j].count;
+  return AddWildcardMatches(exact, wildcards_a, total_a - exact, wildcards_b,
+                            total_b - exact);
+}
+
+int MatchableLabelCount(std::span<const int> a, int wildcards_a,
+                        std::span<const int> b, int wildcards_b) {
+  SIMJ_DCHECK_EQ(a.size(), b.size());
+  int exact = 0;
+  int total_a = 0;
+  int total_b = 0;
+  for (size_t l = 0; l < a.size(); ++l) {
+    exact += std::min(a[l], b[l]);
+    total_a += a[l];
+    total_b += b[l];
+  }
   return AddWildcardMatches(exact, wildcards_a, total_a - exact, wildcards_b,
                             total_b - exact);
 }

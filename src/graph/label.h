@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -146,9 +147,16 @@ struct LabelRun {
 // MatchableLabelCount over label multisets given as runs of non-wildcard
 // labels, ascending by label with one run per label, plus the number of
 // wildcards on each side: a merge, no dictionary and no hashing.
-[[nodiscard]] int MatchableLabelCount(const std::vector<LabelRun>& a,
+[[nodiscard]] int MatchableLabelCount(std::span<const LabelRun> a,
                                       int wildcards_a,
-                                      const std::vector<LabelRun>& b,
+                                      std::span<const LabelRun> b,
+                                      int wildcards_b);
+
+// MatchableLabelCount over dense count arrays of equal size: a[l] and b[l]
+// count the non-wildcard label with dense id l, and each side's wildcards
+// are counted apart. A loop over the ids, no dictionary and no hashing.
+[[nodiscard]] int MatchableLabelCount(std::span<const int> a, int wildcards_a,
+                                      std::span<const int> b,
                                       int wildcards_b);
 
 }  // namespace simj::graph

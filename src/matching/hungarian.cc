@@ -1,43 +1,48 @@
 #include "matching/hungarian.h"
 
+#include <cstddef>
 #include <limits>
 
 #include "util/check.h"
 
 namespace simj::matching {
 
-double MinCostAssignment(const std::vector<std::vector<double>>& cost,
+double MinCostAssignment(std::span<const double> cost, int rows, int cols,
                          std::vector<int>* assignment) {
-  const int n = static_cast<int>(cost.size());
+  const int n = rows;
+  const int m = cols;
   if (n == 0) {
     if (assignment != nullptr) assignment->clear();
     return 0.0;
   }
-  const int m = static_cast<int>(cost[0].size());
   SIMJ_CHECK_LE(n, m);
-  for (const auto& row : cost) {
-    SIMJ_CHECK_EQ(static_cast<int>(row.size()), m);
-  }
+  SIMJ_CHECK_EQ(cost.size(), static_cast<size_t>(n) * static_cast<size_t>(m));
+  const auto at = [&](int i, int j) {
+    return cost[static_cast<size_t>(i) * static_cast<size_t>(m) +
+                static_cast<size_t>(j)];
+  };
 
   // Classic O(n^2 m) potentials formulation (1-indexed internals).
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
   std::vector<int> p(m + 1, 0);      // p[j] = row matched to column j
   std::vector<int> way(m + 1, 0);
+  std::vector<double> minv(m + 1);
+  std::vector<char> used(m + 1);
 
   for (int i = 1; i <= n; ++i) {
     p[0] = i;
     int j0 = 0;
-    std::vector<double> minv(m + 1, kInf);
-    std::vector<bool> used(m + 1, false);
+    minv.assign(m + 1, kInf);
+    used.assign(m + 1, 0);
     do {
-      used[j0] = true;
+      used[j0] = 1;
       int i0 = p[j0];
       double delta = kInf;
       int j1 = 0;
       for (int j = 1; j <= m; ++j) {
         if (used[j]) continue;
-        double cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+        double cur = at(i0 - 1, j - 1) - u[i0] - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;
@@ -72,7 +77,7 @@ double MinCostAssignment(const std::vector<std::vector<double>>& cost,
   }
   double total = 0.0;
   for (int j = 1; j <= m; ++j) {
-    if (p[j] > 0) total += cost[p[j] - 1][j - 1];
+    if (p[j] > 0) total += at(p[j] - 1, j - 1);
   }
   return total;
 }

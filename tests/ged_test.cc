@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "ged/edit_distance.h"
+#include "ged/lower_bounds.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "test_util.h"
@@ -266,6 +267,8 @@ int ReferenceGed(const LabeledGraph& a, const LabeledGraph& b,
 
 class GedReferenceTest : public ::testing::TestWithParam<int> {};
 
+// Graphs of 1-6 vertices with up to twice as many edge draws as vertices
+// over two edge labels, so vertex pairs often carry parallel edges.
 TEST_P(GedReferenceTest, AStarMatchesExhaustiveSearch) {
   LabelDictionary dict;
   auto vlabels = simj::testing::TestLabels(dict, 3);
@@ -273,14 +276,26 @@ TEST_P(GedReferenceTest, AStarMatchesExhaustiveSearch) {
   std::vector<graph::LabelId> elabels = {dict.Intern("r1"),
                                          dict.Intern("r2")};
   Rng rng(4000 + GetParam());
-  LabeledGraph a = simj::testing::RandomCertainGraph(
-      rng, vlabels, elabels, static_cast<int>(rng.Uniform(1, 4)),
-      static_cast<int>(rng.Uniform(0, 5)));
-  LabeledGraph b = simj::testing::RandomCertainGraph(
-      rng, vlabels, elabels, static_cast<int>(rng.Uniform(1, 4)),
-      static_cast<int>(rng.Uniform(0, 5)));
-  EXPECT_EQ(ExactGed(a, b, dict).distance, ReferenceGed(a, b, dict))
-      << a.DebugString(dict) << b.DebugString(dict);
+  auto random_graph = [&] {
+    const int n = static_cast<int>(rng.Uniform(1, 6));
+    return simj::testing::RandomCertainGraph(
+        rng, vlabels, elabels, n, static_cast<int>(rng.Uniform(0, 2 * n)));
+  };
+  LabeledGraph a = random_graph();
+  LabeledGraph b = random_graph();
+  SCOPED_TRACE(a.DebugString(dict) + b.DebugString(dict));
+  const int truth = ReferenceGed(a, b, dict);
+  EXPECT_EQ(ExactGed(a, b, dict).distance, truth);
+  // The threshold is tight on both sides.
+  if (truth > 0) {
+    EXPECT_FALSE(BoundedGed(a, b, truth - 1, dict).has_value());
+  }
+  std::optional<GedResult> at_truth = BoundedGed(a, b, truth, dict);
+  ASSERT_TRUE(at_truth.has_value());
+  EXPECT_EQ(at_truth->distance, truth);
+  // The bounds bracket the truth.
+  EXPECT_LE(CssLowerBound(a, b, dict), truth);
+  EXPECT_GE(GreedyGedUpperBound(a, b, dict), truth);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GedReferenceTest, ::testing::Range(0, 60));

@@ -132,9 +132,18 @@ double BruteForceAssignment(const std::vector<std::vector<double>>& cost) {
   return best;
 }
 
+// MinCostAssignment on a matrix given as rows.
+double SolveRows(const std::vector<std::vector<double>>& rows,
+                 std::vector<int>* assignment) {
+  std::vector<double> flat;
+  for (const auto& row : rows) flat.insert(flat.end(), row.begin(), row.end());
+  return MinCostAssignment(flat, static_cast<int>(rows.size()),
+                           static_cast<int>(rows[0].size()), assignment);
+}
+
 TEST(HungarianTest, EmptyMatrix) {
   std::vector<int> assignment;
-  EXPECT_EQ(MinCostAssignment({}, &assignment), 0.0);
+  EXPECT_EQ(MinCostAssignment({}, 0, 0, &assignment), 0.0);
   EXPECT_TRUE(assignment.empty());
 }
 
@@ -142,14 +151,14 @@ TEST(HungarianTest, IdentityIsOptimal) {
   std::vector<std::vector<double>> cost = {
       {0, 5, 5}, {5, 0, 5}, {5, 5, 0}};
   std::vector<int> assignment;
-  EXPECT_DOUBLE_EQ(MinCostAssignment(cost, &assignment), 0.0);
+  EXPECT_DOUBLE_EQ(SolveRows(cost, &assignment), 0.0);
   EXPECT_EQ(assignment, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(HungarianTest, RectangularMatrix) {
   std::vector<std::vector<double>> cost = {{4, 1, 3}, {2, 0, 5}};
   std::vector<int> assignment;
-  double total = MinCostAssignment(cost, &assignment);
+  double total = SolveRows(cost, &assignment);
   EXPECT_DOUBLE_EQ(total, 3.0);  // row0 -> col1 (1), row1 -> col0 (2)
   EXPECT_EQ(assignment[0], 1);
   EXPECT_EQ(assignment[1], 0);
@@ -166,7 +175,7 @@ TEST_P(HungarianRandomTest, MatchesBruteForce) {
     for (double& c : row) c = rng.Uniform(0, 20);
   }
   std::vector<int> assignment;
-  double total = MinCostAssignment(cost, &assignment);
+  double total = SolveRows(cost, &assignment);
   EXPECT_NEAR(total, BruteForceAssignment(cost), 1e-9);
   // Assignment must be a valid injective map achieving the reported cost.
   std::vector<bool> used(m, false);

@@ -12,6 +12,7 @@
 #include <climits>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -291,8 +292,10 @@ ShardResult MakeFullResult() {
   result.shard_id = 7;
   result.stats.total_pairs = 12;
   result.stats.pruned_structural = 5;
+  result.stats.pruned_count_bound = 3;
   result.stats.candidates = 7;
   result.stats.results = 2;
+  result.stats.css_bound_calls = 9;
   result.stats.verify.ged_calls = 9;
   result.stats.pruning_cpu_seconds = 0.25;
   result.pairs = {{3, 4, 0.75, {0, 2, 1}, 1}, {5, 6, 1.0, {}, 0}};
@@ -331,6 +334,8 @@ TEST(ShardFrameTest, RoundTripKeepsEverySection) {
   EXPECT_EQ(out.shard_id, 7);
   EXPECT_EQ(out.stats.total_pairs, 12);
   EXPECT_EQ(out.stats.pruned_structural, 5);
+  EXPECT_EQ(out.stats.pruned_count_bound, 3);
+  EXPECT_EQ(out.stats.css_bound_calls, 9);
   EXPECT_EQ(out.stats.verify.ged_calls, 9);
   EXPECT_EQ(out.stats.pruning_cpu_seconds, 0.25);
   ASSERT_EQ(out.pairs.size(), 2u);
@@ -385,8 +390,8 @@ uint64_t Fnv1a(const std::string& bytes) {
 // section order. A codec change that moves a single byte fails here.
 TEST(ShardFrameTest, FullFrameLayoutIsPinned) {
   const std::string frame = EncodeResult(MakeFullResult());
-  EXPECT_EQ(frame.size(), size_t{443});
-  EXPECT_EQ(Fnv1a(frame), uint64_t{92676840760841607});
+  EXPECT_EQ(frame.size(), size_t{459});
+  EXPECT_EQ(Fnv1a(frame), uint64_t{16814478467603641973u});
 }
 
 TEST(ShardFrameTest, TruncatedFrameIsAnError) {
@@ -401,8 +406,8 @@ TEST(ShardFrameTest, TruncatedFrameIsAnError) {
 
 TEST(ShardFrameTest, OversizedCountIsCorruptionNotAnAbort) {
   std::string frame = EncodeResult(ShardResult());
-  // The pair count follows shard_id, ten int64 counters and two doubles.
-  const size_t pair_count_offset = 4 + 10 * 8 + 2 * 8;
+  // The pair count follows shard_id, twelve int64 counters and two doubles.
+  const size_t pair_count_offset = 4 + 12 * 8 + 2 * 8;
   const int32_t huge = INT32_MAX;
   std::memcpy(&frame[pair_count_offset], &huge, sizeof(huge));
   StatusOr<ShardResult> decoded = DecodeResult(frame);
@@ -437,7 +442,7 @@ TEST(ShardFrameTest, OutOfRangeStageOrBoolIsCorruption) {
 
   // shard_id, the stats, an empty pair list and the explain count, then
   // q_index and g_index.
-  const size_t stage_offset = 4 + 10 * 8 + 2 * 8 + 4 + 4 + 2 * 4;
+  const size_t stage_offset = 4 + 12 * 8 + 2 * 8 + 4 + 4 + 2 * 4;
   const size_t accepted_offset = stage_offset + 4;
   // accepted, css_lower_bound, simp_upper_bound, live_groups, live_mass,
   // simp_probability.
@@ -567,7 +572,8 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
   const char* const families[] = {
       "simj_join_pairs_total", "simj_join_pruned_structural_total",
       "simj_join_pruned_probabilistic_total", "simj_join_candidates_total",
-      "simj_join_results_total", core::kPrunedCountBoundMetric};
+      "simj_join_results_total", core::kPrunedCountBoundMetric,
+      ged::kCssBoundCallsMetric};
   const auto read = [&] {
     std::vector<int64_t> values;
     for (const char* family : families) {
@@ -575,9 +581,12 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
     }
     return values;
   };
+  // The count-bound and CSS deltas of the first join, which every join
+  // entry point but EvaluatePair (no count bound) must repeat.
+  std::optional<std::pair<int64_t, int64_t>> join_filter_counts;
   // Runs `join` and compares the counter deltas with the stats it returns.
-  const auto expect_mirrored = [&](const std::string& what,
-                                   const auto& join) {
+  const auto expect_mirrored = [&](const std::string& what, const auto& join,
+                                   bool count_bound = true) {
     SCOPED_TRACE(what);
     const std::vector<int64_t> before = read();
     const core::JoinStats stats = join();
@@ -588,7 +597,18 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
     EXPECT_EQ(after[2] - before[2], stats.pruned_probabilistic);
     EXPECT_EQ(after[3] - before[3], stats.candidates);
     EXPECT_EQ(after[4] - before[4], stats.results);
+    EXPECT_EQ(after[5] - before[5], stats.pruned_count_bound);
+    EXPECT_EQ(after[6] - before[6], stats.css_bound_calls);
     EXPECT_LE(after[5] - before[5], after[1] - before[1]);
+    // Every pair is decided by the count bound or takes the CSS kernel.
+    EXPECT_EQ(stats.pruned_count_bound + stats.css_bound_calls,
+              stats.total_pairs);
+    if (!count_bound) return;
+    const std::pair<int64_t, int64_t> filter_counts{after[5] - before[5],
+                                                    after[6] - before[6]};
+    if (!join_filter_counts) join_filter_counts = filter_counts;
+    EXPECT_GT(filter_counts.first, 0);
+    EXPECT_EQ(filter_counts, *join_filter_counts);
   };
 
   metrics::Gauge& workers = registry.GetGauge("simj_join_workers");
@@ -623,7 +643,7 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
                                &pair);
     }
     return stats;
-  });
+  }, /*count_bound=*/false);
 
   for (Transport transport : TransportsUnderTest()) {
     for (bool use_index : {true, false}) {

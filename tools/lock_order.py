@@ -11,7 +11,9 @@ Extracts the static lock-acquisition graph from the C++ sources:
     edge A -> B;
   * calls made while holding a lock add edges to every capability the
     callee may (transitively) acquire, via a may-acquire fixpoint over a
-    name-based call graph;
+    name-based call graph. A method call whose name several classes
+    define resolves to the classes its receiver is declared as (see
+    receiver_types), and to all of them when that is unknown;
   * indirection the static walk cannot follow (std::function, virtual
     dispatch) is covered by declared edges: a comment of the form
     `// simj-lock-order: Class::mu -> Other::mu` anywhere in the tree.
@@ -77,6 +79,8 @@ _CLASS_RE = re.compile(
 _CALL_RE = re.compile(
     r"(\.|->|::)?\s*((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)\s*\(")
 _FUNC_NAME_RE = re.compile(r"((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)\s*\(")
+# The identifier right before a call's `.` or `->`.
+_RECEIVER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*$")
 
 
 def code_text(raw):
@@ -107,8 +111,10 @@ class FunctionInfo:
         self.cls = cls            # enclosing class name or ""
         self.path = path
         self.acquisitions = []    # [(capability, line)]
-        self.calls = []           # [(callee_name, is_method, held tuple, line)]
+        # [(callee_name, is_method, held tuple, line, receiver or None)]
+        self.calls = []
         self.direct_edges = []    # [(a, b, line)]
+        self.code = ""            # signature and body text
 
 
 class Analysis:
@@ -119,6 +125,7 @@ class Analysis:
         self.caps_by_file = {}    # stem-or-path -> set of caps
         self.functions = []       # [FunctionInfo]
         self.declared_edges = []  # [(a, b, path, line)]
+        self.code_by_file = {}    # path -> code_text
         self.warnings = []
 
     def warn(self, msg):
@@ -216,6 +223,7 @@ def scan_file(analysis, path, rel):
         if m:
             analysis.declared_edges.append((m.group(1), m.group(2), rel, i))
     text = code_text(raw)
+    analysis.code_by_file[rel] = text
 
     stack = []           # [Ctx]
     depth = 0
@@ -223,6 +231,7 @@ def scan_file(analysis, path, rel):
     line_no = 1
     pending = []         # second pass: (FunctionInfo-index resolution deferred)
     current_fn = None
+    fn_start = 0         # text index of current_fn's opening brace
     held = []            # [(capability, entry_depth, line)]
     fn_stack = []        # saved (current_fn, held) around nested... (none)
 
@@ -261,13 +270,19 @@ def scan_file(analysis, path, rel):
                 continue
             if base in MACRO_CALLS:
                 for target in MACRO_CALLS[base]:
-                    current_fn.calls.append((target, False, snapshot, at_line))
+                    current_fn.calls.append(
+                        (target, False, snapshot, at_line, None))
                 continue
             if base.startswith("SIMJ_") or re.fullmatch(r"[A-Z][A-Z0-9_]+",
                                                         base):
                 continue  # other macros
             is_method = sep in (".", "->")
-            current_fn.calls.append((base, is_method, snapshot, at_line))
+            receiver = None
+            if is_method:
+                rm = _RECEIVER_RE.search(stmt, 0, m.start(1))
+                receiver = rm.group(1) if rm else None
+            current_fn.calls.append(
+                (base, is_method, snapshot, at_line, receiver))
 
     i, n = 0, len(text)
     while i < n:
@@ -288,6 +303,8 @@ def scan_file(analysis, path, rel):
                     cls = name.rsplit("::", 2)[-2]
                     fname = name.rsplit("::", 1)[-1]
                 current_fn = FunctionInfo(fname, cls, rel)
+                current_fn.code = header
+                fn_start = i
                 analysis.functions.append(current_fn)
             elif kind == "block" and current_fn is not None:
                 record_calls(header, line_no)
@@ -300,6 +317,7 @@ def scan_file(analysis, path, rel):
             if stack and stack[-1].depth == depth:
                 ctx = stack.pop()
                 if ctx.kind == "function":
+                    current_fn.code += text[fn_start:i + 1]
                     current_fn = None
                     held = []
             depth -= 1
@@ -314,6 +332,44 @@ def scan_file(analysis, path, rel):
         i += 1
 
 
+# Words that may precede a name without declaring it.
+_NOT_A_TYPE = ("return", "case", "else", "delete", "new", "throw", "goto")
+
+
+def receiver_types(analysis, caller, receiver, classes):
+    """The classes of `classes` that `receiver`, in a method call made by
+    `caller`, is declared as; empty when unknown. In order:
+      * bound by a structured binding or range-for in the caller: the
+        classes its range is declared as, in the caller or in its file
+        (and the file's header);
+      * declared in the caller (a parameter or local): the classes of that
+        declaration, none when it names a type outside `classes` (a base
+        class whose virtual call may reach any of them);
+      * otherwise (a member or global): the classes its file (and the
+        file's header) declares it as."""
+    scope = analysis.code_by_file.get(caller.path, "")
+    if caller.path.endswith(".cc"):
+        scope += analysis.code_by_file.get(
+            os.path.splitext(caller.path)[0] + ".h", "")
+    name = re.escape(receiver)
+    ranges = set()
+    for pattern in (r"\[[^\]]*\b%s\b[^\]]*\]\s*:\s*(\w+)" % name,
+                    r"(?:\bauto|[&*])\s*%s\s*:\s*(\w+)" % name):
+        ranges.update(re.findall(pattern, caller.code))
+    if ranges:
+        found = set()
+        for source in ranges:
+            found |= simj_lint.receiver_classes(classes, source,
+                                                caller.code + scope)
+        return found
+    declaration = re.compile(
+        r"\b(?!(?:%s)\b)[A-Za-z_]\w*[\s>*&]+(?:const\b[\s*&]*)?%s\s*[=;,)({\[]"
+        % ("|".join(_NOT_A_TYPE), name))
+    if declaration.search(caller.code):
+        return simj_lint.receiver_classes(classes, receiver, caller.code)
+    return simj_lint.receiver_classes(classes, receiver, scope)
+
+
 def build_graph(analysis):
     """Returns (edges dict: (a,b) -> [site,...]) after the call-graph
     may-acquire fixpoint."""
@@ -322,13 +378,19 @@ def build_graph(analysis):
     for idx, fn in enumerate(analysis.functions):
         defs_by_name.setdefault(fn.name, []).append(idx)
 
-    def resolve_call(name, is_method):
+    def resolve_call(caller, name, is_method, receiver):
         targets = []
         for idx in defs_by_name.get(name, []):
             fn = analysis.functions[idx]
             if is_method and not fn.cls:
                 continue  # a method call cannot hit a free function
             targets.append(idx)
+        classes = {analysis.functions[t].cls for t in targets}
+        if receiver and len(classes) > 1:
+            declared = receiver_types(analysis, caller, receiver, classes)
+            if declared:
+                targets = [t for t in targets
+                           if analysis.functions[t].cls in declared]
         return targets
 
     # may_acquire fixpoint.
@@ -337,8 +399,8 @@ def build_graph(analysis):
     while changed:
         changed = False
         for idx, fn in enumerate(analysis.functions):
-            for name, is_method, _, _ in fn.calls:
-                for t in resolve_call(name, is_method):
+            for name, is_method, _, _, receiver in fn.calls:
+                for t in resolve_call(fn, name, is_method, receiver):
                     if not may[t] <= may[idx]:
                         may[idx] |= may[t]
                         changed = True
@@ -357,10 +419,10 @@ def build_graph(analysis):
     for fn in analysis.functions:
         for a, b, line in fn.direct_edges:
             add_edge(a, b, "%s:%d" % (fn.path, line))
-        for name, is_method, snapshot, line in fn.calls:
+        for name, is_method, snapshot, line, receiver in fn.calls:
             if not snapshot:
                 continue
-            for t in resolve_call(name, is_method):
+            for t in resolve_call(fn, name, is_method, receiver):
                 for b in may[t]:
                     for a in snapshot:
                         add_edge(a, b, "%s:%d (via %s)"
@@ -605,6 +667,79 @@ void Pool::Loop() {
   }
 }
 """, False, [("Pool::mu_", "Queue::mu")], [("Queue::mu", "Pool::mu_")]),
+    ("receiver_declared_type", """
+class Histogram {
+ public:
+  int Snapshot() const;
+};
+class Progress {
+ public:
+  int Snapshot();
+ private:
+  Mutex mu_;
+};
+class Registry {
+ public:
+  int Snapshot() const;
+ private:
+  Mutex mu_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+struct Poller {
+  Mutex mu;
+};
+int Histogram::Snapshot() const { return 0; }
+int Progress::Snapshot() {
+  MutexLock lock(mu_);
+  return 1;
+}
+int Registry::Snapshot() const {
+  MutexLock lock(mu_);
+  int total = 0;
+  for (const auto& [name, histogram] : histograms_) {
+    total += histogram->Snapshot();
+  }
+  return total;
+}
+int Poll(Poller& poller, Progress& progress) {
+  MutexLock lock(poller.mu);
+  return progress.Snapshot();
+}
+""", False, [("Poller::mu", "Progress::mu_")],
+     [("Registry::mu_", "Progress::mu_"), ("Poller::mu", "Registry::mu_")]),
+    ("base_class_receiver_keeps_all", """
+class Sink {
+ public:
+  virtual void Write() = 0;
+};
+class CaptureSink : public Sink {
+ public:
+  void Write() override;
+ private:
+  Mutex mu_;
+};
+class QuietSink : public Sink {
+ public:
+  void Write() override;
+};
+struct SinkState {
+  Mutex mu;
+  Sink* slot;
+};
+void CaptureSink::Write() {
+  MutexLock lock(mu_);
+}
+void QuietSink::Write() {}
+QuietSink& Quiet() {
+  static QuietSink sink;
+  return sink;
+}
+void Log(SinkState& state) {
+  MutexLock lock(state.mu);
+  Sink* sink = state.slot;
+  sink->Write();
+}
+""", False, [("SinkState::mu", "CaptureSink::mu_")], []),
 ]
 
 

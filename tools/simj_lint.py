@@ -544,10 +544,18 @@ class StatusFunctions:
         classes = self.classes[name] - {None}
         if qualifier:
             return qualifier in classes
-        return receiver is not None and any(
-            re.search(r"\b%s\b[\s>*&]*(?:const\b[\s*&]*)?\b%s\b"
-                      % (re.escape(cls), re.escape(receiver)), code)
-            for cls in classes)
+        return receiver is not None and bool(
+            receiver_classes(classes, receiver, code))
+
+
+def receiver_classes(classes, receiver, code):
+    """The classes of `classes` that `code` declares `receiver` as: a
+    `Class receiver`, `Class* receiver`, `const Class& receiver` or
+    `std::unique_ptr<Class> receiver` declaration (the class name, then
+    only `>`, `*`, `&`, `const` and spaces before the receiver)."""
+    return {cls for cls in classes
+            if re.search(r"\b%s\b[\s>*&]*(?:const\b[\s*&]*)?\b%s\b"
+                         % (re.escape(cls), re.escape(receiver)), code)}
 
 
 def harvest_status_functions(repo, extra_headers=()):
