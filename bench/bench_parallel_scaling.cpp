@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     params.num_threads = threads;
     // On hosts without 4 hardware threads a multi-thread row measures
     // scheduler interleaving, not scaling: record it as skipped (the run
-    // record carries "skipped": true and bench_compare.py excludes it from
-    // delta comparison) instead of emitting a meaningless timing.
+    // record carries "skipped": true and consumers exclude it from
+    // comparisons) instead of emitting a meaningless timing.
     if (hardware_threads < 4 &&
         threads > static_cast<int>(hardware_threads)) {
       bench::RecordBenchSample(

@@ -92,9 +92,9 @@ inline BenchRecorder& GlobalBenchRecorder() {
 }
 
 // Appends one measured sample to the harness run record. `name` should be
-// a pure function of the measured configuration so bench_compare.py can
-// match samples across runs; identical names gain a " #k" suffix in call
-// order (also deterministic).
+// a pure function of the measured configuration so two runs' samples can
+// be matched by name (ci.sh's overhead gates do); identical names gain a
+// " #k" suffix in call order (also deterministic).
 inline void RecordBenchSample(const std::string& name,
                               const run_record::Stats& wall,
                               const run_record::Stats& cpu,
@@ -125,7 +125,7 @@ inline const std::vector<BenchFlagDoc>& SharedBenchFlags() {
       {"repeat", "timed trials per measured join, after one discarded "
                  "warmup (default 3; 1 = single trial, no warmup)"},
       {"json_out", "write a BenchResult JSON run record here (see "
-                   "tools/bench_compare.py)"},
+                   "util/run_record.h)"},
       {"metrics_out", "write Prometheus-style metrics exposition here"},
       {"trace_out", "write Chrome-trace JSON here (open in Perfetto)"},
       {"events_out", "write the coordinator flight-recorder JSON dump here "
@@ -147,13 +147,13 @@ inline const std::vector<BenchFlagDoc>& SharedBenchFlags() {
       {"profile_hz", "sampling CPU profiler frequency (default 0 = off; "
                      "implied 99 when only --profile_out is given)"},
       {"profile_out", "write the simj_profile_v1 JSON capture here at exit "
-                      "(see tools/flame.py); also embedded in --json_out"},
+                      "(see tools/flame.py)"},
       {"heap_sample_bytes", "sampling heap profiler rate: one sampled "
                             "allocation per this many bytes (default 0 = "
                             "off; implied 524288 when only --heap_out is "
                             "given)"},
       {"heap_out", "write the simj_heap_v1 JSON capture here at exit (see "
-                   "tools/flame.py --metric); also embedded in --json_out"},
+                   "tools/flame.py --metric)"},
   };
   return docs;
 }
@@ -181,17 +181,15 @@ inline statusz::Server*& GlobalStatuszServer() {
   return server;
 }
 
-// Stops an armed profiler capture (CPU or heap), writes its JSON to
-// `path` when --<flag>= was given, and embeds it in the run record
-// (sans trailing newline: it is spliced as a raw JSON object value) so
-// bench_compare.py can diff runs. Returns the capture, or nullopt when
+// Stops an armed profiler capture (CPU or heap) and writes its JSON to
+// `path` when --<flag>= was given. Returns the capture, or nullopt when
 // nothing was armed or the stop failed.
 template <typename P>
 std::optional<P> StopAndEmitCapture(const char* what, bool (*active)(),
                                     StatusOr<P> (*stop)(),
                                     std::string (*to_json)(const P&),
-                                    const char* flag, const std::string& path,
-                                    std::string* embed) {
+                                    const char* flag,
+                                    const std::string& path) {
   if (!active()) return std::nullopt;
   StatusOr<P> profile = stop();
   if (!profile.ok()) {
@@ -199,19 +197,17 @@ std::optional<P> StopAndEmitCapture(const char* what, bool (*active)(),
                    << profile.status().ToString();
     return std::nullopt;
   }
-  const std::string json = to_json(*profile);
   if (!path.empty()) {
     std::ofstream os(path);
     if (!os) {
       SIMJ_LOG(WARN) << "cannot open --" << flag << "=" << path;
     } else {
-      os << json;
+      os << to_json(*profile);
       SIMJ_LOG(INFO) << what << " (" << profile->sections.size()
                      << " sections) written to " << path
                      << " (render with tools/flame.py)";
     }
   }
-  *embed = json.substr(0, json.find_last_not_of('\n') + 1);
   return std::move(profile).value();
 }
 
@@ -223,12 +219,11 @@ inline void EmitBenchArtifacts() {
   if (statusz::Server* server = GlobalStatuszServer()) server->Stop();
   StopAndEmitCapture("cpu profile", &prof::ProfilingActive,
                      &prof::StopProfiling, &prof::ProfileJson, "profile_out",
-                     options.profile_out,
-                     &GlobalBenchRecorder().result.profile_json);
+                     options.profile_out);
   std::optional<heapprof::HeapProfile> heap = StopAndEmitCapture(
       "heap profile", &heapprof::HeapProfilingActive,
       &heapprof::StopHeapProfiling, &heapprof::HeapProfileJson, "heap_out",
-      options.heap_out, &GlobalBenchRecorder().result.heap_json);
+      options.heap_out);
   if (heap) {
     // End-of-run leak report: stacks still holding sampled bytes now
     // that the measured work is done. Raw sampled bytes (each sampled
@@ -627,8 +622,8 @@ inline double MedianOf(std::vector<double> samples) {
   return run_record::Stats::FromSamples(std::move(samples)).median;
 }
 
-// Stable sample-name key for a join configuration (matched across runs by
-// tools/bench_compare.py).
+// Stable sample-name key for a join configuration, so two runs' samples
+// can be matched by name.
 inline std::string JoinSampleName(const char* kind,
                                   const core::SimJParams& params) {
   char buffer[160];

@@ -70,6 +70,38 @@ else:
           f"({floor:g}% floor, 3-sigma noise-gated)")
 PY
 }
+
+# check_record FILE...: every --json_out run record has the v1 BenchResult
+# shape (util/run_record.h) that overhead_gate and the legs below read:
+# schema_version 1, the top-level fields with their JSON types, and a name
+# plus wall/CPU stats on every measured (non-skipped) sample.
+check_record() {
+  python3 - "$@" <<'PY'
+import json, sys
+FIELDS = {"harness": str, "git": dict, "build": dict, "hardware": dict,
+          "params": dict, "samples": list, "wall_seconds_total": (int, float),
+          "peak_rss_bytes": int, "metrics": dict}
+STATS = {"trials": int, "min": (int, float), "median": (int, float),
+         "mean": (int, float), "stddev": (int, float), "max": (int, float)}
+for path in sys.argv[1:]:
+    with open(path) as f:
+        record = json.load(f)
+    version = record.get("schema_version")
+    assert version == 1, f"{path}: schema_version {version!r}, expected 1"
+    for field, kind in FIELDS.items():
+        assert isinstance(record.get(field), kind), \
+            f"{path}: field {field!r} missing or mistyped"
+    measured = [s for s in record["samples"] if not s.get("skipped")]
+    for i, sample in enumerate(measured):
+        assert isinstance(sample.get("name"), str), f"{path}: sample {i} name"
+        for series in ("wall_seconds", "cpu_seconds"):
+            stats = sample.get(series)
+            assert isinstance(stats, dict) and all(
+                isinstance(stats.get(k), kind) for k, kind in STATS.items()), \
+                f"{path}: {sample['name']}: {series} missing or mistyped"
+    print(f"run record OK: {path} ({len(measured)} measured samples)")
+PY
+}
 # 0. Static analysis. The project linter has no dependencies and always
 # runs (self-test first, so a broken linter cannot pass a broken tree).
 # clang-tidy and clang-format are optional in the CI image: their runners
@@ -212,7 +244,8 @@ ctest --test-dir build-dcheck --output-on-failure -j "${JOBS}"
 
 # 1b. Observability smoke: run a small join with every sink enabled, then
 # validate that the Chrome trace is well-formed JSON with the expected span
-# names and that the metrics exposition is non-empty.
+# names, that the metrics exposition is non-empty, and that the run record
+# has the v1 shape (check_record; every later leg checks its records too).
 echo "=== observability smoke ==="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}" "${CLUSTER_DIR}"' EXIT
@@ -255,21 +288,7 @@ print(f"smoke OK: {len(events)} trace events, {len(tids)} worker lanes, "
       f"{len(metrics.splitlines())} exposition lines, "
       f"{len(log_lines)} structured log lines")
 PY
-
-# 1c. Perf smoke: the comparator proves it can tell signal from noise on
-# synthetic records, the emitted run record parses under the current schema,
-# and the run is compared (warn-only: machine speed varies) against the
-# checked-in baseline. Regenerate the baseline on a quiet machine with the
-# command in EXPERIMENTS.md when the join deliberately changes speed.
-echo "=== perf smoke ==="
-python3 tools/bench_compare.py --self-test
-python3 tools/bench_compare.py --schema-check "${SMOKE_DIR}/result.json"
-./build-release/bench/bench_fig12_tau_efficiency \
-  --num_certain=30 --num_uncertain=30 \
-  --json_out="${SMOKE_DIR}/fig12.json" > /dev/null
-python3 tools/bench_compare.py --schema-check "${SMOKE_DIR}/fig12.json"
-python3 tools/bench_compare.py bench/baselines/BENCH_smoke.json \
-  "${SMOKE_DIR}/fig12.json" || true
+check_record "${SMOKE_DIR}/result.json"
 
 # 1cc. Profiler smoke (DESIGN.md §12): a faulted 4-worker forked-process
 # cluster run with --profile_out must produce ONE merged simj_profile_v1
@@ -278,10 +297,10 @@ python3 tools/bench_compare.py bench/baselines/BENCH_smoke.json \
 # symbolized child-side, and merged under per-worker labels — while every
 # (transport, workers) cell still reproduces the serial oracle
 # (identical==1; the bench exits nonzero otherwise). Then the flamegraph
-# pipeline renders the record to SVG, and the perf-smoke workload is
-# rerun with sampling armed at 99 Hz: its wall-time overhead over the
-# leg-1c sinks-off run must stay under 0.5% (or within 3 combined trial
-# sigmas on a noisy host — the same gating bench_compare uses).
+# pipeline renders the record to SVG, and a small fig12 sweep is run
+# with sampling armed at 99 Hz: its wall-time overhead over a
+# back-to-back sinks-off run must stay under 0.5% (or within 3 combined
+# trial sigmas on a noisy host; see overhead_gate).
 #
 # Fault plan: death_probability=0.1 with 64-pair shards (not leg 1y's
 # 0.3/16) so a forked child survives long enough to accumulate CPU past
@@ -325,9 +344,6 @@ assert measured, "profiled cluster run measured nothing"
 for sample in measured:
     assert sample["values"].get("identical") == 1.0, \
         f"profiled run diverged from the serial oracle: {sample['name']}"
-# The run record embeds the same capture under "profile".
-assert record["profile"]["schema"] == "simj_profile_v1", record["profile"]
-assert {s["label"] for s in record["profile"]["sections"]} == set(sections)
 print(f"cluster profile OK: {profile['samples']} samples, "
       f"sections {labels}, dropped {profile['dropped']}, "
       f"{len(measured)} identical cells")
@@ -341,10 +357,9 @@ assert svg.lstrip().startswith("<svg"), svg[:80]
 assert "coordinator" in svg and "worker-0" in svg, "flamegraph lost sections"
 print(f"flamegraph OK: {len(svg)} bytes of SVG")
 PY
-# Overhead gate (overhead_gate above): baseline is rerun here, back to
-# back with the armed run, rather than reusing leg 1c's record — minutes
-# of drift (frequency scaling, page cache) between the two would
-# otherwise dominate a 0.5% budget.
+# Overhead gate (overhead_gate above): the baseline runs back to back
+# with the armed run — minutes of drift (frequency scaling, page cache)
+# between the two would otherwise dominate a 0.5% budget.
 ./build-release/bench/bench_fig12_tau_efficiency \
   --num_certain=30 --num_uncertain=30 \
   --json_out="${SMOKE_DIR}/fig12_base.json" > /dev/null
@@ -352,6 +367,8 @@ PY
   --num_certain=30 --num_uncertain=30 \
   --profile_hz=99 --profile_out="${SMOKE_DIR}/fig12_profile.json" \
   --json_out="${SMOKE_DIR}/fig12_profiled.json" > /dev/null
+check_record "${SMOKE_DIR}/cluster_profiled.json" \
+  "${SMOKE_DIR}/fig12_base.json" "${SMOKE_DIR}/fig12_profiled.json"
 overhead_gate "${SMOKE_DIR}/fig12_base.json" \
   "${SMOKE_DIR}/fig12_profiled.json" 0.5 profiler
 
@@ -365,7 +382,7 @@ overhead_gate "${SMOKE_DIR}/fig12_base.json" \
 # reproduces the serial oracle. Then the flamegraph pipeline renders the
 # record to SVG (alloc_bytes: cumulative allocation is monotone, so every
 # shipped stack is renderable even when its live-byte delta went
-# negative), and the perf-smoke workload is rerun with the default
+# negative), and leg 1cc's fig12 sweep is rerun with the default
 # 512 KiB/sample rate armed: its wall-time overhead over a back-to-back
 # sinks-off run must stay under 1% (or within 3 combined trial sigmas).
 #
@@ -415,9 +432,6 @@ assert measured, "heap-profiled cluster run measured nothing"
 for sample in measured:
     assert sample["values"].get("identical") == 1.0, \
         f"heap-profiled run diverged from the serial oracle: {sample['name']}"
-# The run record embeds the same capture under "heap".
-assert record["heap"]["schema"] == "simj_heap_v1", record["heap"]
-assert {s["label"] for s in record["heap"]["sections"]} == set(sections)
 print(f"cluster heap OK: {heap['alloc_objects']} sampled allocations "
       f"({heap['alloc_bytes']} bytes), sections {labels}, "
       f"dropped {heap['dropped']}, {len(measured)} identical cells")
@@ -443,6 +457,8 @@ PY
   --heap_sample_bytes=524288 \
   --heap_out="${SMOKE_DIR}/fig12_heap.json" \
   --json_out="${SMOKE_DIR}/fig12_heaped.json" > /dev/null
+check_record "${SMOKE_DIR}/cluster_heaped.json" \
+  "${SMOKE_DIR}/fig12_heap_base.json" "${SMOKE_DIR}/fig12_heaped.json"
 overhead_gate "${SMOKE_DIR}/fig12_heap_base.json" \
   "${SMOKE_DIR}/fig12_heaped.json" 1 "heap profiler"
 
@@ -542,6 +558,7 @@ PY
   exit 1
 }
 wait "${BENCH_PID}"
+check_record "${SMOKE_DIR}/live_off.json" "${SMOKE_DIR}/live_on.json"
 cmp "${SMOKE_DIR}/explains_off.txt" "${SMOKE_DIR}/explains_on.txt"
 echo "live introspection OK: server-on explain dump identical to server-off"
 

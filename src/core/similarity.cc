@@ -6,7 +6,6 @@
 #include "ged/lower_bounds.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace simj::core {
@@ -44,8 +43,6 @@ class WorldEvaluator {
     static metrics::Counter& worlds_pruned =
         metrics::Registry::Global().GetCounter(
             "simj_verify_worlds_pruned_total");
-    static metrics::Histogram& ged_seconds =
-        metrics::Registry::Global().GetHistogram("simj_verify_ged_seconds");
     ++stats_->worlds_enumerated;
     worlds_total.Increment();
     if (bound_.Bound(group, choice, dict_) > tau_) {
@@ -76,7 +73,6 @@ class WorldEvaluator {
     bool aborted = false;
     std::optional<ged::GedResult> ged_result;
     {
-      metrics::ScopedLatency latency(ged_seconds);
       trace::ScopedSpan span("ged_astar", "verify");
       ged_result = ged::BoundedGed(q_, world_, tau_, dict_, options_, &aborted);
     }

@@ -5,8 +5,8 @@
 // the call stacks that own them. Output is a deterministic `simj_heap_v1`
 // JSON record with four counters per stack — inuse_bytes/inuse_objects
 // (live at capture end) and alloc_bytes/alloc_objects (cumulative while
-// armed) — consumed by tools/flame.py (--metric inuse_bytes|alloc_bytes)
-// and tools/bench_compare.py's heap-delta notes.
+// armed) — consumed by tools/flame.py (--metric inuse_bytes|alloc_bytes,
+// and --diff to compare two captures).
 //
 // Sampling is a per-thread byte countdown (DESIGN.md §13): every armed
 // allocation subtracts its size from the thread's countdown, and the

@@ -15,7 +15,7 @@
 //   steals.Increment();
 //
 //   static metrics::Histogram& lat =
-//       metrics::Registry::Global().GetHistogram("simj_verify_ged_seconds");
+//       metrics::Registry::Global().GetHistogram("simj_verify_pair_seconds");
 //   { metrics::ScopedLatency t(lat); ... }
 //
 // Histogram buckets are powers of two in nanoseconds (bucket i holds

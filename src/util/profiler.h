@@ -4,7 +4,7 @@
 // (dladdr + demangling) happens entirely off the hot path when a capture is
 // drained. Output is Brendan-Gregg folded-stack text (tools/flame.py turns
 // it into an SVG flamegraph) and a deterministic `simj_profile_v1` JSON
-// record (tools/bench_compare.py diffs the embedded copies between runs).
+// record (tools/flame.py --diff compares two captures).
 //
 // This file is the CPU front end of the sampled-stack core
 // (util/stack_profile.h), which owns symbolization, thread names, batch

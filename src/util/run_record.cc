@@ -280,14 +280,6 @@ std::string ToJson(const BenchResult& result) {
 
   json.Double("wall_seconds_total", result.wall_seconds_total);
   json.Int("peak_rss_bytes", result.peak_rss_bytes);
-  if (!result.profile_json.empty()) {
-    // Already-rendered simj_profile_v1 object; spliced raw, not re-escaped.
-    json.Field("profile", result.profile_json);
-  }
-  if (!result.heap_json.empty()) {
-    // Already-rendered simj_heap_v1 object; same splice contract.
-    json.Field("heap", result.heap_json);
-  }
 
   json.BeginObject("metrics");
   json.BeginObject("counters");

@@ -18,8 +18,10 @@
 //
 // ToJson() is deterministic for deterministic inputs (fixed key order,
 // fixed float formatting), so records can be golden-tested and diffed.
-// tools/bench_compare.py consumes these files; bump kSchemaVersion on any
-// breaking field change and teach the comparator both shapes.
+// ci.sh's check_record validates their shape and reads their samples for
+// its overhead gates; bump kSchemaVersion on any breaking field change.
+// Before/after timing claims come from perfbench, and profiles and heap
+// captures live in their own --profile_out/--heap_out files.
 
 #ifndef SIMJ_UTIL_RUN_RECORD_H_
 #define SIMJ_UTIL_RUN_RECORD_H_
@@ -63,7 +65,7 @@ struct Sample {
   // True when the harness decided not to measure this configuration (e.g.
   // a 4-thread scaling row on a 2-core host). Serialized only when true,
   // so existing records and goldens are unchanged — absence means false.
-  // bench_compare.py excludes skipped samples from delta comparison.
+  // Consumers exclude skipped samples from comparisons.
   bool skipped = false;
 };
 
@@ -97,16 +99,6 @@ struct BenchResult {
   std::vector<Sample> samples;
   double wall_seconds_total = 0.0;  // whole-process wall time
   int64_t peak_rss_bytes = 0;
-  // Raw simj_profile_v1 JSON object (util/profiler.h), spliced verbatim
-  // under the "profile" key. Serialized only when non-empty — absence
-  // means the run was not profiled, so the schema version is unchanged.
-  // tools/bench_compare.py diffs self-time shares between two embedded
-  // profiles.
-  std::string profile_json;
-  // Raw simj_heap_v1 JSON object (util/heap_profiler.h), spliced verbatim
-  // under the "heap" key with the same non-empty-only contract.
-  // tools/bench_compare.py reads inuse-bytes deltas by leaf frame from it.
-  std::string heap_json;
   // Point-in-time registry snapshot at emission (counters accumulate over
   // every trial including warmups; histograms are summarized in the JSON).
   metrics::MetricsSnapshot metrics;

@@ -83,8 +83,8 @@ TEST(ProfilerEmissionTest, JsonMatchesSchemaGolden) {
   const std::string json = ProfileJson(MakeHandBuiltProfile());
   // The full record, byte for byte: key order, %.3f floats, sections
   // sorted by label, stacks by (thread, frames), trailing newline. Any
-  // change here is a schema change — coordinate ci.sh's validator,
-  // tools/flame.py, and tools/bench_compare.py before re-goldening.
+  // change here is a schema change — coordinate ci.sh's validator and
+  // tools/flame.py before re-goldening.
   EXPECT_EQ(json,
             "{\"schema\":\"simj_profile_v1\",\"hz\":99,"
             "\"period_us\":10101.010,\"duration_seconds\":0.250,"

@@ -108,8 +108,8 @@ TEST(ToJsonTest, MatchesGoldenFile) {
   buffer << in.rdbuf();
   EXPECT_EQ(json, buffer.str())
       << "ToJson drifted from the golden file — if the schema changed, "
-         "bump kSchemaVersion, regenerate the golden, and teach "
-         "tools/bench_compare.py both shapes";
+         "bump kSchemaVersion, regenerate the golden, and update "
+         "ci.sh's check_record";
 }
 
 TEST(ToJsonTest, IsDeterministic) {
@@ -122,7 +122,7 @@ TEST(ToJsonTest, SkippedIsSerializedOnlyWhenTrue) {
   BenchResult record = MakeGoldenRecord();
   EXPECT_EQ(ToJson(record).find("\"skipped\""), std::string::npos);
   // A skipped sample (a scaling row the host cannot measure) carries
-  // "skipped": true, which bench_compare.py accepts within schema v1.
+  // "skipped": true, which ci.sh's check_record accepts within schema v1.
   Sample skipped;
   skipped.name = "scaling threads=4";
   skipped.skipped = true;

@@ -4,21 +4,21 @@
 Input is either Brendan-Gregg folded-stack text (one
 "section;thread;root;...;leaf count" line per aggregated stack — what
 /profilez?format=folded and prof::FoldedText emit) or a `simj_profile_v1`
-JSON record (what --profile_out writes and run records embed under
-"profile"); the format is sniffed from the first non-space byte. The SVG
-is a static icicle layout — frames widen with their inclusive sample
-count, nested by call depth, with <title> tooltips carrying exact counts
-and percentages — and needs no JavaScript or external assets.
+JSON record (what --profile_out writes); the format is sniffed from the
+first non-space byte. The SVG is a static icicle layout — frames widen
+with their inclusive sample count, nested by call depth, with <title>
+tooltips carrying exact counts and percentages — and needs no JavaScript
+or external assets.
 
 Heap profiles (`simj_heap_v1`, from --heap_out) carry four
 counters per stack — inuse_bytes inuse_objects alloc_bytes alloc_objects
 — instead of one sample count. Select the rendered counter with
 --metric; heap folded text has the four counters as trailing columns and
 needs --metric too (the default `samples` expects the one-count CPU
-shape). Run records are unwrapped through their "heap" or "profile" key
-to match the metric. Stacks whose selected counter is <= 0 (possible for
-in-use deltas drained mid-capture) are skipped — a flame frame cannot
-have negative width.
+shape). Heap stacks whose selected counter is <= 0 (possible for in-use
+deltas drained mid-capture) are skipped — a flame frame cannot have
+negative width. JSON stacks with no frames or a non-integer counter are
+skipped too: captures are read from disk, not trusted.
 
 Modes:
   tools/flame.py profile.json -o flame.svg       # render one profile
@@ -129,48 +129,30 @@ def parse_folded(text, metric="samples"):
     return stacks
 
 
-def parse_profile_json(text):
-    """simj_profile_v1 JSON -> list of (frames_tuple, count)."""
-    record = json.loads(text)
-    if record.get("schema") != "simj_profile_v1":
-        raise ValueError(f"not a simj_profile_v1 record "
-                         f"(schema={record.get('schema')!r})")
+def capture_stacks(record, counter):
+    """(frames_tuple, value) for each stack of a parsed simj_profile_v1
+    ("count") or simj_heap_v1 (a HEAP_METRICS counter) record.
+
+    The section label and thread become the two outermost frames, as in
+    folded text. Stacks with no frames or a non-integer counter are
+    skipped.
+    """
     stacks = []
     for section in record.get("sections", []):
         label = section.get("label", "?")
         for stack in section.get("stacks", []):
-            frames = (label, stack.get("thread", "?"),
-                      *stack.get("frames", []))
-            stacks.append((frames, int(stack.get("count", 0))))
-    return stacks
-
-
-def parse_heap_json(text, metric):
-    """simj_heap_v1 JSON -> list of (frames_tuple, value) for `metric`."""
-    record = json.loads(text)
-    if record.get("schema") != "simj_heap_v1":
-        raise ValueError(f"not a simj_heap_v1 record "
-                         f"(schema={record.get('schema')!r})")
-    if metric not in HEAP_METRICS:
-        raise ValueError(f"heap profiles need --metric from "
-                         f"{'/'.join(HEAP_METRICS)} (got {metric!r})")
-    stacks = []
-    for section in record.get("sections", []):
-        label = section.get("label", "?")
-        for stack in section.get("stacks", []):
-            value = int(stack.get(metric, 0))
-            if value <= 0:
+            frames = stack.get("frames")
+            value = stack.get(counter, 0)
+            if not frames or not isinstance(value, int):
                 continue
-            frames = (label, stack.get("thread", "?"),
-                      *stack.get("frames", []))
-            stacks.append((frames, value))
+            stacks.append(((label, stack.get("thread", "?"), *frames), value))
     return stacks
 
 
 def load_stacks(text, metric="samples"):
     """Sniffs JSON vs folded text; returns (stacks, resolved_metric).
 
-    The resolved metric differs from the argument only when a bare
+    The resolved metric differs from the argument only when a
     simj_heap_v1 record arrives without an explicit heap metric, in which
     case it defaults to inuse_bytes (live memory is the usual question).
     """
@@ -178,22 +160,18 @@ def load_stacks(text, metric="samples"):
     if not stripped.startswith("{"):
         return parse_folded(text, metric), metric
     record = json.loads(stripped)
-    if "schema" not in record:
-        # A run record embeds profiles under "profile" / "heap"; unwrap
-        # whichever matches the metric.
-        key = "heap" if metric in HEAP_METRICS else "profile"
-        if key not in record:
-            raise ValueError(f"run record has no {key!r} section "
-                             f"(--metric {metric})")
-        record = record[key]
-    if record.get("schema") == "simj_heap_v1":
+    schema = record.get("schema")
+    if schema == "simj_heap_v1":
         if metric == "samples":
             metric = "inuse_bytes"
-        return parse_heap_json(json.dumps(record), metric), metric
+        return [s for s in capture_stacks(record, metric) if s[1] > 0], metric
+    if schema != "simj_profile_v1":
+        raise ValueError(f"not a simj_profile_v1 or simj_heap_v1 record "
+                         f"(schema={schema!r})")
     if metric in HEAP_METRICS:
         raise ValueError(f"--metric {metric} needs a simj_heap_v1 record "
-                         f"(schema={record.get('schema')!r})")
-    return parse_profile_json(json.dumps(record)), metric
+                         f"(schema={schema!r})")
+    return capture_stacks(record, "count"), metric
 
 
 class Node:
@@ -366,30 +344,32 @@ def self_test():
     except ValueError:
         check(True, "bad count raises ValueError")
 
+    # The last stack of each section has no frames or a non-integer
+    # count: captures are read from disk, so such stacks are skipped.
     record = {
         "schema": "simj_profile_v1", "hz": 99,
         "sections": [
             {"label": "coordinator", "stacks": [
                 {"thread": "main", "count": 4,
-                 "frames": ["JoinPairs", "EvaluatePair"]}]},
+                 "frames": ["JoinPairs", "EvaluatePair"]},
+                {"thread": "main", "count": 5, "frames": []}]},
             {"label": "worker-1", "stacks": [
-                {"thread": "serve", "count": 2, "frames": ["Verify"]}]},
+                {"thread": "serve", "count": 2, "frames": ["Verify"]},
+                {"thread": "serve", "count": "7", "frames": ["Verify"]}]},
         ],
     }
-    json_stacks = parse_profile_json(json.dumps(record))
-    check(len(json_stacks) == 2, "parse_profile_json stack count")
+    json_stacks, _ = load_stacks(json.dumps(record))
+    check(len(json_stacks) == 2,
+          "profile json stack count, malformed stacks skipped")
     check(json_stacks[0][0][0] == "coordinator",
           "section label becomes root frame")
     check(json_stacks[1][0] == ("worker-1", "serve", "Verify"),
           "worker frames include thread")
     try:
-        parse_profile_json('{"schema":"other_v1"}')
+        load_stacks('{"schema":"other_v1"}')
         check(False, "wrong schema should raise")
     except ValueError:
         check(True, "wrong schema raises ValueError")
-    # A run record with an embedded profile loads through the same door.
-    embedded = json.dumps({"harness": "x", "profile": record})
-    check(len(load_stacks(embedded)[0]) == 2, "embedded profile loads")
     check(load_stacks(folded)[0] == stacks, "load_stacks sniffs folded text")
 
     # Heap profiles: four counters per stack, column picked by --metric.
@@ -402,7 +382,9 @@ def self_test():
                  "frames": ["JoinPairs", "BuildIndex"]},
                 {"thread": "io", "inuse_bytes": 0, "inuse_objects": 0,
                  "alloc_bytes": 1024, "alloc_objects": 1,
-                 "frames": ["ReadGraph"]}]},
+                 "frames": ["ReadGraph"]},
+                {"thread": "io", "inuse_bytes": 256, "inuse_objects": 1,
+                 "alloc_bytes": 256, "alloc_objects": 1, "frames": []}]},
             {"label": "worker-1", "stacks": [
                 {"thread": "serve", "inuse_bytes": -512, "inuse_objects": -1,
                  "alloc_bytes": 2048, "alloc_objects": 2,
@@ -410,39 +392,19 @@ def self_test():
         ],
     }
     heap_text = json.dumps(heap_record)
-    inuse = parse_heap_json(heap_text, "inuse_bytes")
+    inuse, _ = load_stacks(heap_text, "inuse_bytes")
     check(inuse == [(("coordinator", "main", "JoinPairs", "BuildIndex"),
                      4096)],
-          "inuse_bytes keeps only positive live stacks")
-    alloc = parse_heap_json(heap_text, "alloc_bytes")
+          "inuse_bytes keeps only positive live stacks with frames")
+    alloc, _ = load_stacks(heap_text, "alloc_bytes")
     check(len(alloc) == 3 and alloc[2][1] == 2048,
           "alloc_bytes keeps every allocating stack")
-    check(parse_heap_json(heap_text, "alloc_objects")[0][1] == 4,
+    check(load_stacks(heap_text, "alloc_objects")[0][0][1] == 4,
           "alloc_objects selects the object counter")
-    try:
-        parse_heap_json(heap_text, "samples")
-        check(False, "heap json without heap metric should raise")
-    except ValueError:
-        check(True, "heap json without heap metric raises")
-    try:
-        parse_heap_json('{"schema":"simj_profile_v1"}', "inuse_bytes")
-        check(False, "cpu schema through heap parser should raise")
-    except ValueError:
-        check(True, "cpu schema through heap parser raises")
-
-    # load_stacks resolves bare heap JSON to inuse_bytes by default and
-    # unwraps run records through the "heap" key for heap metrics.
+    # load_stacks resolves heap JSON to inuse_bytes by default.
     default_stacks, default_metric = load_stacks(heap_text)
     check(default_metric == "inuse_bytes" and default_stacks == inuse,
-          "bare heap json defaults to inuse_bytes")
-    heap_embedded = json.dumps({"harness": "x", "heap": heap_record})
-    check(load_stacks(heap_embedded, "alloc_bytes")[0] == alloc,
-          "run record heap key unwraps for heap metrics")
-    try:
-        load_stacks(embedded, "inuse_bytes")
-        check(False, "run record without heap key should raise")
-    except ValueError:
-        check(True, "run record without heap key raises")
+          "heap json defaults to inuse_bytes")
     try:
         load_stacks(json.dumps(record), "inuse_bytes")
         check(False, "heap metric against cpu schema should raise")
@@ -508,6 +470,15 @@ def self_test():
     check(rows[-1][0] == "C" and abs(rows[-1][3] + 0.4) < 1e-9,
           "improvement sorted last")
     check(diff_report(old, old) == [], "identical profiles show no movement")
+    # A heap diff (--metric inuse_bytes) compares live-byte shares: Verify
+    # goes from freed to holding half of the sampled live bytes.
+    grown = json.loads(heap_text)
+    grown["sections"][1]["stacks"][0]["inuse_bytes"] = 4096
+    heap_rows = diff_report(inuse, load_stacks(json.dumps(grown),
+                                               "inuse_bytes")[0])
+    check([(r[0], round(r[3], 9)) for r in heap_rows]
+          == [("Verify", 0.5), ("BuildIndex", -0.5)],
+          "heap inuse_bytes diff")
     check("B" in format_diff(rows) and "+40.00%" in format_diff(rows),
           "diff report formatting")
     check(format_diff([]).startswith("no self-time movement"),
