@@ -307,11 +307,18 @@ check_record "${SMOKE_DIR}/result.json"
 # the kernel's CPU-timer tick (~4 ms) — a child killed every couple of
 # sub-millisecond shards would legitimately never deliver a sample and
 # the per-worker-section assertion would be testing luck, not plumbing.
+# The pairs are 14-vertex, 18-edge graphs at tau=4, so verification
+# dominates and each shard costs milliseconds: with the default 10-vertex
+# graphs at tau=2, the sharded joins took a few ms of CPU per worker, and
+# a worker whose five restarts run out early (max_worker_restarts=4)
+# delivered no sample at all. At this size every worker section held 64
+# or more samples in each of seven runs on a 4-core host, in about 2 s.
 echo "=== profiler smoke ==="
 ./build-release/bench/bench_shard_scaling \
   --workers=4 --transport=process --max_pairs_per_shard=64 \
   --sim_seed=5 --death_probability=0.1 --slow_probability=0.1 \
   --num_certain=100 --num_uncertain=100 \
+  --num_vertices=14 --num_edges=18 --tau=4 \
   --profile_hz=1000 --profile_out="${SMOKE_DIR}/cluster_profile.json" \
   --json_out="${SMOKE_DIR}/cluster_profiled.json" > /dev/null
 python3 - "${SMOKE_DIR}" <<'PY'
@@ -470,16 +477,21 @@ overhead_gate "${SMOKE_DIR}/fig12_heap_base.json" \
 # finite ETA. The server-on run also arms the stall watchdog, so the
 # monitor thread, heartbeats and /statusz run together at 8 threads. The
 # explain dumps from both runs must be byte-identical: the server and the
-# watchdog observe the join, they never steer it.
+# watchdog observe the join, they never steer it. Both runs join 80x80
+# graphs of 14 vertices and 18 edges, which takes over 3 s on a 4-core
+# host: the default 16x16 sweep ended in about 0.15 s, before the
+# scraper's first /statusz read.
 echo "=== live introspection smoke ==="
 STATUSZ_PORT=18573
+LIVE_INPUT=(--num_certain=80 --num_uncertain=80 --num_vertices=14
+            --num_edges=18)
 ./build-release/bench/bench_fig13_group_number \
-  --num_certain=16 --num_uncertain=16 --threads=8 \
+  "${LIVE_INPUT[@]}" --threads=8 \
   --explain=1 --explain_every=1 \
   --explain_out="${SMOKE_DIR}/explains_off.txt" \
   --json_out="${SMOKE_DIR}/live_off.json" > /dev/null
 ./build-release/bench/bench_fig13_group_number \
-  --num_certain=16 --num_uncertain=16 --threads=8 \
+  "${LIVE_INPUT[@]}" --threads=8 \
   --statusz_port="${STATUSZ_PORT}" --progress_every=64 --stall_warn_ms=1000 \
   --explain=1 --explain_every=1 \
   --explain_out="${SMOKE_DIR}/explains_on.txt" \

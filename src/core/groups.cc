@@ -7,7 +7,6 @@
 #include "core/similarity.h"
 #include "ged/lower_bounds.h"
 #include "util/check.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace simj::core {
@@ -136,12 +135,6 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
                                        int tau, const LabelDictionary& dict,
                                        const GroupingOptions& options) {
   SIMJ_CHECK_GE(options.group_count, 1);
-  static metrics::Histogram& partition_seconds =
-      metrics::Registry::Global().GetHistogram(
-          "simj_group_partition_seconds");
-  static metrics::Counter& groups_scored =
-      metrics::Registry::Global().GetCounter("simj_groups_scored_total");
-  metrics::ScopedLatency latency(partition_seconds);
   trace::ScopedSpan span("group_partition", "prune");
   const int structural_constant =
       ged::CssStructuralConstant(q_summary, g_summary);
@@ -195,7 +188,6 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
     groups.push_back(std::move(best_children.second));
   }
 
-  groups_scored.Add(static_cast<int64_t>(groups.size()));
   GroupingResult result;
   result.simp_upper_bound = CostOf(groups, tau);
   for (ScoredGroup& group : groups) {

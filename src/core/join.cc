@@ -30,12 +30,11 @@ double SecondsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-// The per-pair and per-join instruments. The pair counts are not here:
-// PublishJoinCounters adds them once per batch.
+// The per-pair and per-join instruments. The counts are not here:
+// PublishJoinCounters adds them once per batch. Each stage histogram is fed
+// from the pair's own clock reads.
 struct JoinMetrics {
   metrics::Counter& slow_pairs;
-  // The CSS kernel's own latency, fed by the join's clock reads.
-  metrics::Histogram& css_bound_seconds;
   metrics::Histogram& structural_seconds;
   metrics::Histogram& probabilistic_seconds;
   metrics::Histogram& verify_seconds;
@@ -49,7 +48,6 @@ struct JoinMetrics {
       metrics::Registry& r = metrics::Registry::Global();
       return new JoinMetrics{  // simj-lint: allow(new) leaky singleton
           r.GetCounter("simj_join_slow_pairs_total"),
-          r.GetHistogram(ged::kCssBoundSecondsMetric),
           r.GetHistogram("simj_filter_structural_seconds"),
           r.GetHistogram("simj_filter_probabilistic_seconds"),
           r.GetHistogram("simj_verify_pair_seconds"),
@@ -71,6 +69,8 @@ enum JoinCount {
   kCandidates,
   kResults,
   kCssFiltered,
+  kWorldsEnumerated,
+  kWorldsPrunedByBound,
   kNumJoinCounts,
 };
 constexpr const char* kJoinCountFamilies[kNumJoinCounts] = {
@@ -81,6 +81,8 @@ constexpr const char* kJoinCountFamilies[kNumJoinCounts] = {
     "simj_join_candidates_total",
     "simj_join_results_total",
     ged::kCssBoundCallsMetric,
+    "simj_verify_worlds_total",
+    "simj_verify_worlds_pruned_total",
 };
 
 // Series `count` of the list: unlabeled (looked up once) or, looked up per
@@ -105,7 +107,8 @@ void PublishJoinCounters(const JoinStats& batch, const std::string& worker) {
       batch.total_pairs,          batch.pruned_structural,
       batch.pruned_count_bound,   batch.pruned_probabilistic,
       batch.candidates,           batch.results,
-      batch.css_bound_calls};
+      batch.css_bound_calls,      batch.verify.worlds_enumerated,
+      batch.verify.worlds_pruned_by_bound};
   for (int i = 0; i < kNumJoinCounts; ++i) {
     if (counts[i] != 0) {
       JoinCounter(static_cast<JoinCount>(i), worker).Add(counts[i]);
@@ -191,12 +194,13 @@ void EndBatch(const JoinStats& batch, JoinStats* into) {
 }
 
 // EvaluatePair on summaries of q and g, for a pair whose evaluation began
-// at the caller's clock read `start`. Each filter that runs ends with one
-// clock read, verification takes two, and *finished receives the last, so
-// the caller's watchdog needs none: a structurally pruned pair costs two
-// reads in all. With `exact_css` the CSS filter computes the exact bound
-// for the explain record; otherwise a pair the cascade prunes early
-// records a bound that exceeds tau but may be below the exact one.
+// at the caller's clock read `start`. Each stage ends with one clock read,
+// which also starts the next, and *finished receives the last, so the
+// caller's watchdog needs none: a pair costs two reads when the CSS filter
+// prunes it, three when the Markov filter does, and four when verified.
+// With `exact_css` the CSS filter computes the exact bound for the explain
+// record; otherwise a pair the cascade prunes early records a bound that
+// exceeds tau but may be below the exact one.
 bool EvaluateSummarizedPair(const LabeledGraph& q,
                             const ged::GraphSummary& q_summary,
                             const UncertainGraph& g,
@@ -219,7 +223,6 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
         q_summary, g_summary, exact_css ? ged::kExactCss : params.tau);
     filtered = Clock::now();
     const double seconds = SecondsBetween(start, filtered);
-    jm.css_bound_seconds.Observe(seconds);
     jm.structural_seconds.Observe(seconds);
     structural_constant = css.structural_constant;
     if (explain != nullptr) explain->css_lower_bound = css.lower_bound;
@@ -260,8 +263,7 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   }
   stats->pruning_cpu_seconds += SecondsBetween(start, filtered);
 
-  // --- Refinement phase ---
-  const Clock::time_point verify_start = Clock::now();
+  // --- Refinement phase: timed from the last filter's end read ---
   trace::ScopedSpan verify_span("verify", "verify");
   ++stats->candidates;
   const VerifyStats verify_before = stats->verify;
@@ -310,7 +312,7 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
     }
   }
   *finished = Clock::now();
-  const double verify_seconds = SecondsBetween(verify_start, *finished);
+  const double verify_seconds = SecondsBetween(filtered, *finished);
   stats->verification_cpu_seconds += verify_seconds;
   jm.verify_seconds.Observe(verify_seconds);
 
@@ -489,8 +491,8 @@ struct PairEvaluator {
     PairExplain explain{qi, gi};
     PairExplain* explain_slot =
         sampled || watchdog_on || stall_on ? &explain : nullptr;
-    if (heartbeats_on) progress.Heartbeat(worker, qi, gi);
     const Clock::time_point start = Clock::now();
+    if (heartbeats_on) progress.Heartbeat(worker, qi, gi, start);
     Clock::time_point finished;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
                                summaries.u[gi], params, dict, sampled, start,

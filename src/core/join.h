@@ -198,11 +198,12 @@ void AppendJoinResult(JoinResult part, JoinResult* into);
 // The one publisher of the join's registry counters; JoinStats is the
 // join's only per-pair tally. Adds a batch's seven JoinStats pair counts
 // (pruned_count_bound as kPrunedCountBoundMetric, css_bound_calls as
-// ged::kCssBoundCallsMetric) to the unlabeled series, or to the
-// worker="<worker>" ones. A batch is a chunk of SimJoin's pair-id cursor,
-// an EvaluatePairList or EvaluatePair call, a shard the distributed
-// coordinator folds, or a plan's skipped pairs. Pairs are added first; a
-// zero count adds nothing.
+// ged::kCssBoundCallsMetric) and its two world counts
+// (simj_verify_worlds_total, simj_verify_worlds_pruned_total) to the
+// unlabeled series, or to the worker="<worker>" ones. A batch is a chunk
+// of SimJoin's pair-id cursor, an EvaluatePairList or EvaluatePair call, a
+// shard the distributed coordinator folds, or a plan's skipped pairs.
+// Pairs are added first; a zero count adds nothing.
 void PublishJoinCounters(const JoinStats& batch,
                          const std::string& worker = std::string());
 

@@ -14,11 +14,13 @@ namespace simj::core {
 
 namespace {
 
-int64_t SteadyNowNs() {
+int64_t SteadyNs(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             t.time_since_epoch())
       .count();
 }
+
+int64_t SteadyNowNs() { return SteadyNs(std::chrono::steady_clock::now()); }
 
 // Minimum spacing between --progress_every lines, across all workers.
 constexpr int64_t kProgressLogMinIntervalNs = 100'000'000;  // 100 ms
@@ -64,11 +66,12 @@ void JoinProgress::EndJoin() {
   heartbeats_armed_.store(false, std::memory_order_relaxed);
 }
 
-void JoinProgress::Heartbeat(int worker, int q_index, int g_index) {
+void JoinProgress::Heartbeat(int worker, int q_index, int g_index,
+                             std::chrono::steady_clock::time_point started) {
   WorkerSlot& slot = slots_[std::min(worker, kMaxTrackedWorkers - 1)];
   slot.q_index.store(q_index, std::memory_order_relaxed);
   slot.g_index.store(g_index, std::memory_order_relaxed);
-  slot.heartbeat_ns.store(SteadyNowNs(), std::memory_order_relaxed);
+  slot.heartbeat_ns.store(SteadyNs(started), std::memory_order_relaxed);
 }
 
 void JoinProgress::PairDone(int worker) {

@@ -21,6 +21,7 @@
 #define SIMJ_CORE_PROGRESS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -106,9 +107,11 @@ class JoinProgress {
   }
 
   // Worker-side, called once per pair before evaluation: relaxed stores of
-  // the pair identity and a steady-clock timestamp. Callers gate on
+  // the pair identity and `started`, the caller's clock read at the pair's
+  // start (the tracker reads no clock here). Callers gate on
   // heartbeats_armed() so the idle path never reaches here.
-  void Heartbeat(int worker, int q_index, int g_index);
+  void Heartbeat(int worker, int q_index, int g_index,
+                 std::chrono::steady_clock::time_point started);
 
   // Worker-side, after the pair completes: clears the heartbeat so an idle
   // worker (out of work while others finish) is never reported as stalled.

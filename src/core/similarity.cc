@@ -5,7 +5,6 @@
 
 #include "ged/lower_bounds.h"
 #include "util/check.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace simj::core {
@@ -38,16 +37,9 @@ class WorldEvaluator {
   // Evaluates the world of `group` selected by `choice`.
   void Evaluate(const UncertainGraph& group, const std::vector<int>& choice,
                 double world_prob) {
-    static metrics::Counter& worlds_total =
-        metrics::Registry::Global().GetCounter("simj_verify_worlds_total");
-    static metrics::Counter& worlds_pruned =
-        metrics::Registry::Global().GetCounter(
-            "simj_verify_worlds_pruned_total");
     ++stats_->worlds_enumerated;
-    worlds_total.Increment();
     if (bound_.Bound(group, choice, dict_) > tau_) {
       ++stats_->worlds_pruned_by_bound;
-      worlds_pruned.Increment();
       return;
     }
     // The world overlay: the group's structure, copied once, with this

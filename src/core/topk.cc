@@ -5,7 +5,6 @@
 #include "core/groups.h"
 #include "core/similarity.h"
 #include "ged/lower_bounds.h"
-#include "util/metrics.h"
 
 namespace simj::core {
 
@@ -27,10 +26,6 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
                     const std::vector<UncertainGraph>& u,
                     const TopKParams& params,
                     const graph::LabelDictionary& dict) {
-  static metrics::Counter& css_calls =
-      metrics::Registry::Global().GetCounter(ged::kCssBoundCallsMetric);
-  static metrics::Histogram& css_seconds =
-      metrics::Registry::Global().GetHistogram(ged::kCssBoundSecondsMetric);
   TopKResult result;
   result.matches.resize(u.size());
   const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
@@ -48,12 +43,8 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
       const LabeledGraph& q = d[qi];
       const ged::GraphSummary& q_summary = summaries.d[qi];
       const ged::GraphSummary& g_summary = summaries.u[gi];
-      ged::CssPrune css;
-      {
-        metrics::ScopedLatency latency(css_seconds);
-        css = ged::CssPruneBound(q_summary, g_summary, params.tau);
-      }
-      css_calls.Increment();
+      const ged::CssPrune css =
+          ged::CssPruneBound(q_summary, g_summary, params.tau);
       if (css.lower_bound > params.tau) {
         ++result.stats.pruned_structural;
         continue;

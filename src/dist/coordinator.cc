@@ -1,6 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <thread>
@@ -196,7 +197,8 @@ class Coordinator : public ClusterzSource {
       // what the stall watchdog samples — transport-independent liveness.
       if (heartbeats && !shard.pairs.empty()) {
         progress.Heartbeat(w, shard.pairs.front().first,
-                           shard.pairs.front().second);
+                           shard.pairs.front().second,
+                           std::chrono::steady_clock::now());
       }
       WallTimer timer;
       StatusOr<ShardResult> result = RunAttempt(

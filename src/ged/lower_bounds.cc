@@ -8,7 +8,6 @@
 #include "matching/bipartite.h"
 #include "matching/hungarian.h"
 #include "util/check.h"
-#include "util/metrics.h"
 
 namespace simj::ged {
 
@@ -309,12 +308,6 @@ int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
 }
 
 int CssLowerBoundUncertain(const GraphSummary& q, const GraphSummary& g) {
-  static metrics::Counter& calls =
-      metrics::Registry::Global().GetCounter(kCssBoundCallsMetric);
-  static metrics::Histogram& seconds =
-      metrics::Registry::Global().GetHistogram(kCssBoundSecondsMetric);
-  calls.Increment();
-  metrics::ScopedLatency latency(seconds);
   return std::max(0, CssStructuralConstant(q, g) - MaxCommonVertexLabels(q, g));
 }
 

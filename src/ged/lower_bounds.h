@@ -120,18 +120,18 @@ struct GraphSummary {
                           const graph::LabelDictionary& dict);
 
 // The CSS bound for an uncertain graph (Thm. 3): valid lower bound on
-// ged(q, pw(g)) for every possible world pw(g). Each call counts itself in
-// kCssBoundCallsMetric and times itself into kCssBoundSecondsMetric.
+// ged(q, pw(g)) for every possible world pw(g).
 [[nodiscard]] int CssLowerBoundUncertain(const GraphSummary& q,
                                          const GraphSummary& g);
 [[nodiscard]] int CssLowerBoundUncertain(const graph::LabeledGraph& q,
                            const graph::UncertainGraph& g,
                            const graph::LabelDictionary& dict);
 
+// Registry counter of the join's pairs that took the CSS filter
+// (core::JoinStats::css_bound_calls, published by core::PublishJoinCounters
+// alone).
 inline constexpr char kCssBoundCallsMetric[] =
     "simj_bound_css_uncertain_total";
-inline constexpr char kCssBoundSecondsMetric[] =
-    "simj_bound_css_uncertain_seconds";
 
 // The uncertain CSS bound as the structural filter's decision for
 // threshold `tau`. lambda_V <= the number of q vertices that can link to
@@ -143,9 +143,7 @@ inline constexpr char kCssBoundSecondsMetric[] =
 //   3. the exact C(q, g) - MaxCommonVertexLabels(q, g).
 // `lower_bound` never exceeds CssLowerBoundUncertain(q, g), exceeds tau
 // exactly when it does, and equals it whenever it is at most tau; with
-// tau = kExactCss it always equals it. Unlike CssLowerBoundUncertain the
-// call neither counts nor times itself: the join shares one clock read
-// between this bound and its own filter histogram.
+// tau = kExactCss it always equals it.
 struct CssPrune {
   int lower_bound = 0;
   int structural_constant = 0;  // C(q, g), for a WorldBound.

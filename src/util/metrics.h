@@ -119,7 +119,8 @@ class Counter {
 };
 
 // Gauges are set-to-current-value metrics (worker counts, sizes); they are
-// not sharded because they are never on a per-pair hot path.
+// not sharded. The join's group-fanout UpdateMax runs once per candidate
+// pair; it is a relaxed load that stores only on a new peak.
 class Gauge {
  public:
   explicit Gauge(std::string name) : name_(std::move(name)) {}

@@ -120,7 +120,7 @@ TEST(ProgressTest, StallWatchdogFlagsParkedWorker) {
   progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2, /*heartbeats=*/true);
 
   // Park worker 0 inside pair <3,7>: beat once, then go silent.
-  progress.Heartbeat(0, 3, 7);
+  progress.Heartbeat(0, 3, 7, std::chrono::steady_clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   std::vector<StallEvent> events = progress.CheckStalls(/*stall_warn_ms=*/1.0);
@@ -139,7 +139,7 @@ TEST(ProgressTest, StallWatchdogFlagsParkedWorker) {
   EXPECT_FALSE(progress.ConsumeStallFlag(0));
 
   // A fresh pair re-arms detection for that worker.
-  progress.Heartbeat(0, 4, 8);
+  progress.Heartbeat(0, 4, 8, std::chrono::steady_clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   events = progress.CheckStalls(1.0);
   ASSERT_EQ(events.size(), 1u);
@@ -164,7 +164,7 @@ TEST(ProgressTest, RequeuedShardNeverRegressesCompletionOrEta) {
   progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2, /*heartbeats=*/true);
 
   // Worker 1 completes 6 of its shard's pairs, then dies mid-shard.
-  progress.Heartbeat(1, 0, 0);
+  progress.Heartbeat(1, 0, 0, std::chrono::steady_clock::now());
   pairs.Add(6);
   ProgressSnapshot before = progress.Snapshot();
   EXPECT_EQ(before.completed_pairs, 6);
@@ -174,7 +174,7 @@ TEST(ProgressTest, RequeuedShardNeverRegressesCompletionOrEta) {
   // from the start. 3 pairs the dead worker already counted are counted
   // again, then the remaining 7: the registry delta lands at 16 > 10.
   progress.PairDone(1);
-  progress.Heartbeat(0, 0, 0);
+  progress.Heartbeat(0, 0, 0, std::chrono::steady_clock::now());
   pairs.Add(3);
   pairs.Add(7);
   progress.PairDone(0);
@@ -193,7 +193,7 @@ TEST(ProgressTest, RequeuedShardNeverRegressesCompletionOrEta) {
 TEST(ProgressTest, HeartbeatsAppearInSnapshotWhileArmed) {
   JoinProgress& progress = JoinProgress::Global();
   progress.BeginJoin(10, 2, /*heartbeats=*/true);
-  progress.Heartbeat(1, 5, 6);
+  progress.Heartbeat(1, 5, 6, std::chrono::steady_clock::now());
   ProgressSnapshot s = progress.Snapshot();
   ASSERT_EQ(s.heartbeats.size(), 1u);
   EXPECT_EQ(s.heartbeats[0].worker, 1);
@@ -208,7 +208,7 @@ TEST(ProgressTest, HeartbeatsAppearInSnapshotWhileArmed) {
 TEST(ProgressTest, StatusJsonCarriesProgressFields) {
   JoinProgress& progress = JoinProgress::Global();
   progress.BeginJoin(10, 2, /*heartbeats=*/true);
-  progress.Heartbeat(0, 1, 2);
+  progress.Heartbeat(0, 1, 2, std::chrono::steady_clock::now());
   std::string json = progress.StatusJson();
   EXPECT_NE(json.find("\"active\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"total_pairs\":10"), std::string::npos) << json;

@@ -560,9 +560,10 @@ TEST(ShardWorkerTest, RunShardMatchesEvaluatePairListAndDiesOnCue) {
 }
 
 // Every join entry point feeds the unlabeled registry counters exactly the
-// JoinStats it returns, and the count-bound prunes stay a subset of the
-// structural ones. A serial join after a threaded one resets
-// simj_join_workers to 1.
+// JoinStats it returns, the world counts of VerifyStats included (a forked
+// child's worlds reach the registry only through its shard's stats), and
+// the count-bound prunes stay a subset of the structural ones. A serial
+// join after a threaded one resets simj_join_workers to 1.
 TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
   RandomJoinWorkload w = MakeRandomJoinWorkload(
       21, {.num_certain = 12, .num_uncertain = 10});
@@ -573,7 +574,8 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
       "simj_join_pairs_total", "simj_join_pruned_structural_total",
       "simj_join_pruned_probabilistic_total", "simj_join_candidates_total",
       "simj_join_results_total", core::kPrunedCountBoundMetric,
-      ged::kCssBoundCallsMetric};
+      ged::kCssBoundCallsMetric, "simj_verify_worlds_total",
+      "simj_verify_worlds_pruned_total"};
   const auto read = [&] {
     std::vector<int64_t> values;
     for (const char* family : families) {
@@ -599,6 +601,9 @@ TEST(JoinCounterTest, JoinCountersMirrorJoinStats) {
     EXPECT_EQ(after[4] - before[4], stats.results);
     EXPECT_EQ(after[5] - before[5], stats.pruned_count_bound);
     EXPECT_EQ(after[6] - before[6], stats.css_bound_calls);
+    EXPECT_GT(stats.verify.worlds_enumerated, 0);
+    EXPECT_EQ(after[7] - before[7], stats.verify.worlds_enumerated);
+    EXPECT_EQ(after[8] - before[8], stats.verify.worlds_pruned_by_bound);
     EXPECT_LE(after[5] - before[5], after[1] - before[1]);
     // Every pair is decided by the count bound or takes the CSS kernel.
     EXPECT_EQ(stats.pruned_count_bound + stats.css_bound_calls,
