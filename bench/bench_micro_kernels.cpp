@@ -3,6 +3,7 @@
 // GED, the lower bounds, the probabilistic bound, bipartite matching,
 // assignment, tree edit distance, token alignment and BGP evaluation.
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -12,6 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/groups.h"
+#include "core/join.h"
 #include "core/similarity.h"
 #include "ged/edit_distance.h"
 #include "ged/lower_bounds.h"
@@ -137,6 +140,86 @@ void BM_GreedyGedUpperBoundEr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyGedUpperBoundEr);
+
+// One er_verify candidate pair (the ErGedPairs dataset shape at tau = 4,
+// alpha = 0.8, 8 groups): of the pairs the join verifies, the one whose
+// verification makes the most A* calls on the greedy-bound path. Its live
+// groups are split once, heaviest first as the join orders them, and each
+// iteration runs VerifySimP over them; witness:1 accepts non-best worlds
+// from earlier worlds' A* mappings, witness:0 from the greedy bound.
+struct ErCandidatePair {
+  static constexpr int kTau = 4;
+  static constexpr double kAlpha = 0.8;
+  graph::LabelDictionary dict;
+  graph::LabeledGraph q;
+  std::vector<graph::UncertainGraph> groups;
+  double live_mass = 0.0;
+
+  ErCandidatePair() {
+    workload::SyntheticConfig config;
+    config.seed = 506;
+    config.num_certain = 40;
+    config.num_uncertain = 40;
+    config.num_vertices = 10;
+    config.num_edges = 16;
+    config.labels_per_vertex = 3;
+    config.perturbation_ops = 2;
+    config.uncertain_vertex_fraction = 0.4;
+    workload::SyntheticDataset data = workload::MakeErDataset(config);
+    core::SimJParams params;
+    params.tau = kTau;
+    params.alpha = kAlpha;
+    params.group_count = 8;
+    params.witness_accept = false;
+    params.explain.enabled = true;
+    const core::JoinResult join =
+        core::SimJoin(data.certain, data.uncertain, params, data.dict);
+    const core::PairExplain* heaviest = nullptr;
+    for (const core::PairExplain& e : join.explains) {
+      if (heaviest == nullptr || e.ged_calls > heaviest->ged_calls) {
+        heaviest = &e;
+      }
+    }
+    dict = std::move(data.dict);
+    q = data.certain[heaviest->q_index];
+    core::GroupingOptions options;
+    options.group_count = params.group_count;
+    core::GroupingResult grouping = core::PartitionPossibleWorlds(
+        q, data.uncertain[heaviest->g_index], kTau, dict, options);
+    std::sort(grouping.live_groups.begin(), grouping.live_groups.end(),
+              [](const core::ScoredGroup& a, const core::ScoredGroup& b) {
+                return a.mass > b.mass;
+              });
+    for (core::ScoredGroup& group : grouping.live_groups) {
+      groups.push_back(std::move(group.graph));
+    }
+    live_mass = grouping.live_mass;
+  }
+
+  static const ErCandidatePair& Get() {
+    static const ErCandidatePair pair;
+    return pair;
+  }
+};
+
+void BM_VerifySimPEr(benchmark::State& state) {
+  const ErCandidatePair& pair = ErCandidatePair::Get();
+  const bool witness = state.range(0) == 1;
+  core::VerifyStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::VerifySimP(pair.q, pair.groups, pair.live_mass,
+                         ErCandidatePair::kTau, ErCandidatePair::kAlpha,
+                         pair.dict, ged::GedOptions(), &stats, witness)
+            .probability);
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["ged_calls"] =
+      static_cast<double>(stats.ged_calls) / iterations;
+  state.counters["ub_accepts"] =
+      static_cast<double>(stats.worlds_accepted_by_upper_bound) / iterations;
+}
+BENCHMARK(BM_VerifySimPEr)->ArgName("witness")->Arg(0)->Arg(1);
 
 void BM_CssLowerBoundCertain(benchmark::State& state) {
   PairFixture fixture(12, 18);

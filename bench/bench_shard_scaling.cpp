@@ -173,6 +173,8 @@ int main(int argc, char** argv) {
            {"steals", static_cast<double>(steals)},
            {"shards", static_cast<double>(result.dist.shards_planned)},
            {"requeues", static_cast<double>(result.dist.shards_requeued)},
+           {"fallback_shards",
+            static_cast<double>(result.dist.fallback_shards)},
            {"injected_deaths", static_cast<double>(sim.injected_deaths())},
            {"injected_delays", static_cast<double>(sim.injected_delays())}});
       std::printf("%10s %8d %12.3f %9.2fx %10lld %10s\n",

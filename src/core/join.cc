@@ -297,12 +297,14 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
   SimPResult simp;
   if (params.early_exit_verification) {
     simp = VerifySimP(q, world_bound, groups, live_mass, params.tau,
-                      params.alpha, dict, params.ged_options, &stats->verify);
+                      params.alpha, dict, params.ged_options, &stats->verify,
+                      params.witness_accept);
   } else {
     for (const UncertainGraph& group : groups) {
       SimPResult partial =
           ComputeSimP(q, world_bound, group, params.tau, dict,
-                      params.ged_options, &stats->verify);
+                      params.ged_options, &stats->verify,
+                      params.witness_accept);
       simp.probability += partial.probability;
       if (partial.best_world_prob > simp.best_world_prob) {
         simp.best_world_prob = partial.best_world_prob;

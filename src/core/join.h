@@ -94,6 +94,12 @@ struct SimJParams {
   SplitHeuristic split_heuristic = SplitHeuristic::kCostModel;
   // Stop verification as soon as alpha is provably reached/unreachable.
   bool early_exit_verification = true;
+  // Accept a world that cannot become the pair's best when a mapping the A*
+  // found for an earlier world of the pair costs <= tau on it. false = the
+  // ablation: try the greedy bipartite GED bound instead. Pairs, mappings
+  // and SimP are the same either way; the counters split differently
+  // between worlds_accepted_by_upper_bound and ged_calls.
+  bool witness_accept = true;
   // Workers claiming chunks of pair ids from a shared cursor. 1 = the
   // calling thread alone (no thread, no freeze); 0 = one thread per
   // hardware thread; >1 = that many threads, with the label dictionary

@@ -16,18 +16,111 @@ using graph::LabelDictionary;
 using graph::PossibleWorldIterator;
 using graph::UncertainGraph;
 
-// Evaluates the possible worlds of one pair: bound check, then bounded A*,
-// accumulating into `result`.
+// The mappings that the A* returned for earlier worlds of one pair, kept as
+// data so that a later world that cannot become the pair's best is decided
+// without a search. Every world of a pair shares g's structure and edge
+// labels (groups only restrict vertex label alternatives), so a mapping's
+// cost on any world is its base (edge edits, insertions and deletions) plus
+// one for each mapped g vertex whose world label misses the q label it
+// needs. That sum is MappingCost of a real mapping: an exact upper bound on
+// the world's GED, so an accept here is an accept of the A* as well.
+class WitnessPool {
+ public:
+  // Keeps the mapping `result` found on `world`, unless a witness with the
+  // same base and needs is already kept.
+  void Add(const LabeledGraph& q, const LabeledGraph& world,
+           const ged::GedResult& result, const LabelDictionary& dict) {
+    const size_t begin = needs_.size();
+    int base = result.distance;
+    for (int u = 0; u < q.num_vertices(); ++u) {
+      const int v = result.mapping[u];
+      if (v < 0) continue;
+      base -= ged::SubstitutionCost(dict, q.vertex_label(u),
+                                    world.vertex_label(v));
+      needs_.push_back(Need{v, q.vertex_label(u), u});
+    }
+    const Witness added{base, begin, needs_.size()};
+    for (const Witness& kept : witnesses_) {
+      if (SameWitness(kept, added)) {
+        needs_.resize(begin);
+        return;
+      }
+    }
+    witnesses_.push_back(added);
+  }
+
+  // The index of a witness whose cost on `world` is <= tau, most recent
+  // first, or -1 when none is. `*cost` receives that witness's cost.
+  int Find(const LabeledGraph& world, int tau, const LabelDictionary& dict,
+           int* cost) const {
+    for (size_t i = witnesses_.size(); i-- > 0;) {
+      const Witness& w = witnesses_[i];
+      int c = w.base;
+      for (size_t k = w.begin; k < w.end && c <= tau; ++k) {
+        const Need& need = needs_[k];
+        if (!dict.Matches(need.label, world.vertex_label(need.g_vertex))) ++c;
+      }
+      if (c <= tau) {
+        *cost = c;
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  // The q -> g mapping of witness `index` (for the debug-build check).
+  std::vector<int> Mapping(int index, int q_vertices) const {
+    std::vector<int> mapping(static_cast<size_t>(q_vertices), -1);
+    const Witness& w = witnesses_[static_cast<size_t>(index)];
+    for (size_t k = w.begin; k < w.end; ++k) {
+      mapping[needs_[k].q_vertex] = needs_[k].g_vertex;
+    }
+    return mapping;
+  }
+
+ private:
+  // Mapped q vertex q_vertex -> g vertex g_vertex costs nothing on a world
+  // whose label of g_vertex matches `label`, q_vertex's label.
+  struct Need {
+    int g_vertex;
+    graph::LabelId label;
+    int q_vertex;
+  };
+  // One mapping: its base cost and its needs_[begin, end).
+  struct Witness {
+    int base;
+    size_t begin;
+    size_t end;
+  };
+
+  bool SameWitness(const Witness& a, const Witness& b) const {
+    if (a.base != b.base || a.end - a.begin != b.end - b.begin) return false;
+    for (size_t k = 0; k < a.end - a.begin; ++k) {
+      const Need& x = needs_[a.begin + k];
+      const Need& y = needs_[b.begin + k];
+      if (x.g_vertex != y.g_vertex || x.label != y.label) return false;
+    }
+    return true;
+  }
+
+  std::vector<Witness> witnesses_;
+  std::vector<Need> needs_;  // every witness's needs, back to back
+};
+
+// Evaluates the possible worlds of one pair: bound check, then an upper-
+// bound accept for a world that cannot become the pair's best, then bounded
+// A*, accumulating into `result`.
 class WorldEvaluator {
  public:
   WorldEvaluator(const LabeledGraph& q, ged::WorldBound& bound, int tau,
                  const LabelDictionary& dict, const ged::GedOptions& options,
-                 VerifyStats* stats, SimPResult* result)
+                 bool witness_accept, VerifyStats* stats, SimPResult* result)
       : q_(q),
         bound_(bound),
         tau_(tau),
         dict_(dict),
         options_(options),
+        witness_accept_(witness_accept),
         stats_(stats),
         result_(result) {}
 
@@ -51,12 +144,11 @@ class WorldEvaluator {
     for (int v = 0; v < group.num_vertices(); ++v) {
       world_.set_vertex_label(v, group.alternatives(v)[choice[v]].label);
     }
-    // Cheap accept: when the greedy upper bound already fits within tau and
-    // this world cannot improve the best mapping, skip the exact search.
-    // The exact A* still runs for would-be-best worlds so template
-    // generation sees an optimal mapping.
-    if (world_prob <= result_->best_world_prob &&
-        ged::GreedyGedUpperBound(q_, world_, dict_) <= tau_) {
+    // Cheap accept: a world that cannot improve the best mapping needs only
+    // ged <= tau, which any mapping costing <= tau proves. The exact A*
+    // still runs for would-be-best worlds so template generation sees an
+    // optimal mapping.
+    if (world_prob <= result_->best_world_prob && AcceptedByUpperBound()) {
       ++stats_->worlds_accepted_by_upper_bound;
       result_->probability += world_prob;
       return;
@@ -71,6 +163,7 @@ class WorldEvaluator {
     if (aborted) ++stats_->ged_aborted;
     if (!ged_result.has_value()) return;
     result_->probability += world_prob;
+    if (witness_accept_) witnesses_.Add(q_, world_, *ged_result, dict_);
     if (world_prob > result_->best_world_prob) {
       result_->best_world_prob = world_prob;
       result_->best_world_ged = ged_result->distance;
@@ -79,15 +172,34 @@ class WorldEvaluator {
   }
 
  private:
+  // An earlier world's mapping costs <= tau on this world, or (the
+  // ablation) the greedy bipartite bound does.
+  bool AcceptedByUpperBound() const {
+    if (!witness_accept_) {
+      return ged::GreedyGedUpperBound(q_, world_, dict_) <= tau_;
+    }
+    int cost = 0;
+    const int witness = witnesses_.Find(world_, tau_, dict_, &cost);
+    if (witness < 0) return false;
+    SIMJ_DCHECK_EQ(ged::MappingCost(q_, world_,
+                                    witnesses_.Mapping(witness,
+                                                       q_.num_vertices()),
+                                    dict_),
+                   cost);
+    return true;
+  }
+
   const LabeledGraph& q_;
   ged::WorldBound& bound_;
   const int tau_;
   const LabelDictionary& dict_;
   const ged::GedOptions& options_;
+  const bool witness_accept_;
   VerifyStats* stats_;
   SimPResult* result_;
   LabeledGraph world_;
   bool world_ready_ = false;
+  WitnessPool witnesses_;
 };
 
 // The per-world bound of q against the worlds of g, for the graph-level
@@ -112,11 +224,13 @@ SimPResult ComputeSimP(const LabeledGraph& q, const UncertainGraph& g,
 SimPResult ComputeSimP(const LabeledGraph& q, ged::WorldBound& world_bound,
                        const UncertainGraph& g, int tau,
                        const LabelDictionary& dict,
-                       const ged::GedOptions& options, VerifyStats* stats) {
+                       const ged::GedOptions& options, VerifyStats* stats,
+                       bool witness_accept) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
-  WorldEvaluator evaluator(q, world_bound, tau, dict, options, stats, &result);
+  WorldEvaluator evaluator(q, world_bound, tau, dict, options, witness_accept,
+                           stats, &result);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
     evaluator.Evaluate(g, it.choice(), it.probability());
   }
@@ -169,22 +283,25 @@ SimPResult VerifySimP(const LabeledGraph& q,
                       const std::vector<UncertainGraph>& groups,
                       double total_mass, int tau, double alpha,
                       const LabelDictionary& dict,
-                      const ged::GedOptions& options, VerifyStats* stats) {
+                      const ged::GedOptions& options, VerifyStats* stats,
+                      bool witness_accept) {
   if (groups.empty()) return SimPResult();
   ged::WorldBound world_bound = MakeWorldBound(q, groups.front(), dict);
   return VerifySimP(q, world_bound, groups, total_mass, tau, alpha, dict,
-                    options, stats);
+                    options, stats, witness_accept);
 }
 
 SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
                       const std::vector<UncertainGraph>& groups,
                       double total_mass, int tau, double alpha,
                       const LabelDictionary& dict,
-                      const ged::GedOptions& options, VerifyStats* stats) {
+                      const ged::GedOptions& options, VerifyStats* stats,
+                      bool witness_accept) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
-  WorldEvaluator evaluator(q, world_bound, tau, dict, options, stats, &result);
+  WorldEvaluator evaluator(q, world_bound, tau, dict, options, witness_accept,
+                           stats, &result);
   double remaining = total_mass;
 
   auto process = [&](const UncertainGraph& group,

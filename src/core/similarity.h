@@ -9,10 +9,15 @@
 // graph's structure, so a world is never materialized as a graph of its
 // own: its CSS bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and
 // only a world within the bound has its labels written into the one world
-// graph each group keeps for the GED search. VerifySimP adds the two early
-// exits used by the join's refinement phase: stop as soon as the
-// accumulated probability reaches alpha, or as soon as the remaining mass
-// cannot reach alpha.
+// graph each group keeps for the GED search. A world that cannot become
+// the most probable qualifying one needs only ged <= tau, not a mapping:
+// it is accepted without a search when a mapping that the A* returned for
+// an earlier world of the same call costs <= tau on it (witness_accept;
+// false takes the greedy bipartite bound instead, the ablation). Neither
+// changes which worlds qualify, nor the best world's mapping. VerifySimP
+// adds the two early exits used by the join's refinement phase: stop as
+// soon as the accumulated probability reaches alpha, or as soon as the
+// remaining mass cannot reach alpha.
 
 #ifndef SIMJ_CORE_SIMILARITY_H_
 #define SIMJ_CORE_SIMILARITY_H_
@@ -38,8 +43,11 @@ inline constexpr double kSimPEpsilon = 1e-9;
 struct VerifyStats {
   int64_t worlds_enumerated = 0;
   int64_t worlds_pruned_by_bound = 0;  // per-world certain CSS bound > tau
-  int64_t worlds_accepted_by_upper_bound = 0;  // greedy GED bound <= tau
-  int64_t ged_calls = 0;
+  // Worlds that could not become the pair's best, accepted without A*
+  // because a mapping costs <= tau on them: an earlier world's A* mapping
+  // (witness accept), or the greedy bipartite bound's (the ablation).
+  int64_t worlds_accepted_by_upper_bound = 0;
+  int64_t ged_calls = 0;  // A* searches
   int64_t ged_aborted = 0;  // A* expansion cap hit (counted as non-match)
 };
 
@@ -72,7 +80,8 @@ struct SimPResult {
                        ged::WorldBound& world_bound,
                        const graph::UncertainGraph& g, int tau,
                        const graph::LabelDictionary& dict,
-                       const ged::GedOptions& options, VerifyStats* stats);
+                       const ged::GedOptions& options, VerifyStats* stats,
+                       bool witness_accept = true);
 
 // SimP evaluation with early accept/reject against `alpha`, over a list of
 // possible-world groups (pass {g} for the ungrouped case). Groups must be
@@ -83,7 +92,8 @@ struct SimPResult {
                       double total_mass, int tau, double alpha,
                       const graph::LabelDictionary& dict,
                       const ged::GedOptions& options = ged::GedOptions(),
-                      VerifyStats* stats = nullptr);
+                      VerifyStats* stats = nullptr,
+                      bool witness_accept = true);
 
 // Same, with the pair's per-world CSS bound already set up.
 [[nodiscard]] SimPResult VerifySimP(const graph::LabeledGraph& q,
@@ -91,7 +101,8 @@ struct SimPResult {
                       const std::vector<graph::UncertainGraph>& groups,
                       double total_mass, int tau, double alpha,
                       const graph::LabelDictionary& dict,
-                      const ged::GedOptions& options, VerifyStats* stats);
+                      const ged::GedOptions& options, VerifyStats* stats,
+                      bool witness_accept = true);
 
 // Probabilistic upper bound on the contribution of (a restriction of) g to
 // SimP_tau(q, g) (Thm. 4, generalized to possible-world groups):

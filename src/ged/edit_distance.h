@@ -126,8 +126,10 @@ Status ValidateGedResult(const graph::LabeledGraph& a,
 // Fast upper bound on ged(a, b): the cost of the assignment that minimizes
 // per-vertex substitution + local edge-degree costs (the bipartite
 // approximation of Riesen & Bunke), evaluated exactly via MappingCost.
-// Verification uses it to accept worlds without running A*:
-//   lower bound > tau  -> world fails;  upper bound <= tau -> world passes.
+// ValidateGedResult brackets a solver's distance with it, and the join's
+// world-acceptance ablation (core::SimJParams::witness_accept = false)
+// accepts a world without A* when it is <= tau; by default verification
+// accepts from earlier worlds' A* mappings instead.
 // When `mapping` is non-null it receives the witnessing vertex map.
 [[nodiscard]] int GreedyGedUpperBound(const graph::LabeledGraph& a,
                         const graph::LabeledGraph& b,

@@ -174,9 +174,26 @@ TEST(JoinDeterminismTest, DictionaryFrozenBeforeTheJoinStaysFrozen) {
 // ---------------------------------------------------------------------------
 // Golden join digest: an FNV-1a hash over everything a join reports (pairs,
 // mappings, SimP bit patterns, every JoinStats counter and the explain
-// lines), checked against tests/golden/join_digest_v1.txt. The brute-force
-// oracle of join_property_test shares the per-world bound with the join, so
-// only a digest recorded from an earlier build catches drift in both at once.
+// lines), checked against the files in tests/golden. The brute-force oracle
+// of join_property_test shares the per-world bound with the join, so only a
+// digest recorded from an earlier build catches drift in both at once.
+//
+// join_digest_v1.txt was recorded with the greedy-bound world accept and
+// checks that path (witness_accept = false); join_digest_v2.txt checks the
+// default witness accepts. Pairs and mappings agree between the two; the
+// split of decided worlds between worlds_accepted_by_upper_bound and
+// ged_calls (and so the explain lines' ged_calls=) may not.
+struct DigestFile {
+  const char* name;
+  bool witness_accept;
+};
+constexpr DigestFile kDigestFiles[] = {{"join_digest_v1.txt", false},
+                                       {"join_digest_v2.txt", true}};
+
+std::map<std::string, std::string> ReadDigestFile(const DigestFile& file) {
+  return simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
+                                          "/" + file.name);
+}
 
 std::string JoinDigest(const JoinResult& result, const SimJParams& params) {
   simj::testing::Fnv1a h;
@@ -275,33 +292,35 @@ class GoldenJoinDigestTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenJoinDigestTest, MatchesTheRecordedDigest) {
   const std::string name = GetParam();
-  const std::map<std::string, std::string> golden =
-      simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
-                                       "/join_digest_v1.txt");
-  ASSERT_TRUE(golden.count(name) == 1)
-      << "no digest for " << name << " in join_digest_v1.txt";
-  DigestInput input;
-  MakeDigestInput(name, &input);
+  for (const DigestFile& file : kDigestFiles) {
+    SCOPED_TRACE(file.name);
+    const std::map<std::string, std::string> golden = ReadDigestFile(file);
+    ASSERT_TRUE(golden.count(name) == 1)
+        << "no digest for " << name << " in " << file.name;
+    DigestInput input;
+    MakeDigestInput(name, &input);
+    input.params.witness_accept = file.witness_accept;
 
-  for (int threads : {1, 4}) {
-    input.params.num_threads = threads;
-    JoinResult result = SimJoin(input.d, input.u, input.params, input.dict);
-    EXPECT_EQ(JoinDigest(result, input.params), golden.at(name))
-        << name << " at " << threads << " threads";
+    for (int threads : {1, 4}) {
+      input.params.num_threads = threads;
+      JoinResult result = SimJoin(input.d, input.u, input.params, input.dict);
+      EXPECT_EQ(JoinDigest(result, input.params), golden.at(name))
+          << name << " at " << threads << " threads";
+    }
+
+    // The sharded join without the index plans the full cross product, so
+    // it must reproduce SimJoin byte for byte.
+    dist::DistJoinParams dist_params;
+    dist_params.num_workers = 3;
+    dist_params.transport = dist::Transport::kThread;
+    dist_params.max_pairs_per_shard = 16;
+    dist_params.use_index = false;
+    input.params.num_threads = 1;
+    dist::DistJoinResult sharded = dist::ShardedSimJoin(
+        input.d, input.u, input.params, input.dict, dist_params);
+    EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
+        << name << " through ShardedSimJoin";
   }
-
-  // The sharded join without the index plans the full cross product, so it
-  // must reproduce SimJoin byte for byte.
-  dist::DistJoinParams dist_params;
-  dist_params.num_workers = 3;
-  dist_params.transport = dist::Transport::kThread;
-  dist_params.max_pairs_per_shard = 16;
-  dist_params.use_index = false;
-  input.params.num_threads = 1;
-  dist::DistJoinResult sharded = dist::ShardedSimJoin(
-      input.d, input.u, input.params, input.dict, dist_params);
-  EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
-      << name << " through ShardedSimJoin";
 }
 
 // Explain-all samples every pair, so the digests above never see the
@@ -356,22 +375,24 @@ TEST_P(GoldenJoinDigestTest, UnsampledPairsCountLikeTheExplainAllRun) {
 // The sharded join with the index plan reproduces SimJoin byte for byte.
 TEST_P(GoldenJoinDigestTest, IndexPlannedShardedJoinMatchesTheRecordedDigest) {
   const std::string name = GetParam();
-  const std::map<std::string, std::string> golden =
-      simj::testing::ReadGoldenDigests(std::string(SIMJ_TEST_GOLDEN_DIR) +
-                                       "/join_digest_v1.txt");
-  ASSERT_TRUE(golden.count(name) == 1)
-      << "no digest for " << name << " in join_digest_v1.txt";
-  DigestInput input;
-  MakeDigestInput(name, &input);
-  dist::DistJoinParams dist_params;
-  dist_params.num_workers = 3;
-  dist_params.transport = dist::Transport::kThread;
-  dist_params.max_pairs_per_shard = 16;
-  dist_params.use_index = true;
-  dist::DistJoinResult sharded = dist::ShardedSimJoin(
-      input.d, input.u, input.params, input.dict, dist_params);
-  EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
-      << name << " through the index-planned ShardedSimJoin";
+  for (const DigestFile& file : kDigestFiles) {
+    SCOPED_TRACE(file.name);
+    const std::map<std::string, std::string> golden = ReadDigestFile(file);
+    ASSERT_TRUE(golden.count(name) == 1)
+        << "no digest for " << name << " in " << file.name;
+    DigestInput input;
+    MakeDigestInput(name, &input);
+    input.params.witness_accept = file.witness_accept;
+    dist::DistJoinParams dist_params;
+    dist_params.num_workers = 3;
+    dist_params.transport = dist::Transport::kThread;
+    dist_params.max_pairs_per_shard = 16;
+    dist_params.use_index = true;
+    dist::DistJoinResult sharded = dist::ShardedSimJoin(
+        input.d, input.u, input.params, input.dict, dist_params);
+    EXPECT_EQ(JoinDigest(sharded.join, input.params), golden.at(name))
+        << name << " through the index-planned ShardedSimJoin";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, GoldenJoinDigestTest,

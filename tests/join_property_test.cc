@@ -6,6 +6,8 @@
 // faster), so the oracle uses none of the machinery under test: it
 // enumerates possible worlds pair by pair.
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "core/join.h"
 #include "core/similarity.h"
 #include "test_util.h"
+#include "workload/synthetic.h"
 
 namespace simj::core {
 namespace {
@@ -185,6 +188,149 @@ TEST_P(RandomGraphDifferentialTest, AllConfigurationsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, RandomGraphDifferentialTest,
                          ::testing::Range(0, 10));
+
+// Witness accepts decide a world that cannot become the pair's best from an
+// earlier world's A* mapping, the ablation from the greedy bipartite bound.
+// Both accept only worlds with ged <= tau, and the would-be-best worlds get
+// the same A* either way, so pairs, mappings, SimP bit patterns and
+// best_world_ged must be identical, and only the split of the decided
+// worlds between worlds_accepted_by_upper_bound and ged_calls may move.
+
+struct WitnessInput {
+  graph::LabelDictionary dict;
+  std::vector<LabeledGraph> d;
+  std::vector<UncertainGraph> u;
+};
+
+// Even seeds: ER graphs from the synthetic generator. Odd seeds: random
+// graphs with wildcard vertex labels and parallel edges.
+WitnessInput MakeWitnessInput(int seed) {
+  WitnessInput input;
+  if (seed % 2 == 0) {
+    workload::SyntheticConfig config;
+    config.seed = 8100 + static_cast<uint64_t>(seed);
+    config.num_certain = 8;
+    config.num_uncertain = 8;
+    config.num_vertices = 6;
+    config.num_edges = 9;
+    config.vertex_label_pool = 5;
+    config.edge_label_pool = 3;
+    config.labels_per_vertex = 3;
+    workload::SyntheticDataset data = workload::MakeErDataset(config);
+    input.dict = std::move(data.dict);
+    input.d = std::move(data.certain);
+    input.u = std::move(data.uncertain);
+  } else {
+    simj::testing::RandomJoinWorkloadOptions options;
+    options.num_certain = 7;
+    options.num_uncertain = 7;
+    options.max_vertices = 5;
+    options.max_edges = 8;
+    options.max_uncertain_edges = 8;
+    simj::testing::RandomJoinWorkload workload =
+        simj::testing::MakeRandomJoinWorkload(8100 + seed, options);
+    input.dict = std::move(workload.dict);
+    input.d = std::move(workload.d);
+    input.u = std::move(workload.u);
+  }
+  return input;
+}
+
+void ExpectIdenticalPairs(const JoinResult& witness, const JoinResult& greedy) {
+  ASSERT_EQ(witness.pairs.size(), greedy.pairs.size());
+  for (size_t i = 0; i < greedy.pairs.size(); ++i) {
+    const MatchedPair& a = witness.pairs[i];
+    const MatchedPair& b = greedy.pairs[i];
+    EXPECT_EQ(a.q_index, b.q_index) << "pair " << i;
+    EXPECT_EQ(a.g_index, b.g_index) << "pair " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.similarity_probability),
+              std::bit_cast<uint64_t>(b.similarity_probability))
+        << "pair " << i;
+    EXPECT_EQ(a.mapping, b.mapping) << "pair " << i;
+    EXPECT_EQ(a.best_world_ged, b.best_world_ged) << "pair " << i;
+  }
+}
+
+class WitnessAcceptTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WitnessAcceptTest, JoinOutputEqualsTheGreedyAblation) {
+  const WitnessInput input = MakeWitnessInput(GetParam());
+  int64_t witness_accepts = 0;
+  for (int tau = 0; tau <= 6; ++tau) {
+    for (int groups : {1, 4, 8}) {
+      for (bool early_exit : {true, false}) {
+        SimJParams params;
+        params.tau = tau;
+        params.alpha = 0.15 + 0.1 * ((tau + groups) % 6);
+        params.group_count = groups;
+        params.early_exit_verification = early_exit;
+        params.slow_pair_log_ms = 0.0;
+        SCOPED_TRACE(::testing::Message()
+                     << "tau=" << tau << " groups=" << groups
+                     << " early_exit=" << early_exit);
+        const JoinResult witness =
+            SimJoin(input.d, input.u, params, input.dict);
+        params.witness_accept = false;
+        const JoinResult greedy = SimJoin(input.d, input.u, params, input.dict);
+        ExpectIdenticalPairs(witness, greedy);
+        const VerifyStats& w = witness.stats.verify;
+        const VerifyStats& g = greedy.stats.verify;
+        EXPECT_EQ(w.worlds_enumerated, g.worlds_enumerated);
+        EXPECT_EQ(w.worlds_pruned_by_bound, g.worlds_pruned_by_bound);
+        EXPECT_EQ(w.ged_aborted, 0);
+        EXPECT_EQ(g.ged_aborted, 0);
+        // Every world within the bound is decided exactly once.
+        EXPECT_EQ(w.worlds_accepted_by_upper_bound + w.ged_calls,
+                  w.worlds_enumerated - w.worlds_pruned_by_bound);
+        EXPECT_EQ(g.worlds_accepted_by_upper_bound + g.ged_calls,
+                  g.worlds_enumerated - g.worlds_pruned_by_bound);
+        witness_accepts += w.worlds_accepted_by_upper_bound;
+      }
+    }
+  }
+  EXPECT_GT(witness_accepts, 0);
+}
+
+// With a tiny expansion cap the A* aborts, and an abort turns a world into
+// a non-match. The two paths send different worlds to the A*, so a pair
+// may differ, but only where one of its searches aborted: every pair with
+// no abort on either path is identical.
+TEST_P(WitnessAcceptTest, OnlyAbortedSearchesSeparateThePathsUnderATinyCap) {
+  const WitnessInput input = MakeWitnessInput(GetParam());
+  ged::GedOptions options;
+  options.max_expansions = 4;
+  int64_t compared = 0;
+  int64_t with_aborts = 0;
+  for (int tau : {2, 4, 6}) {
+    for (const LabeledGraph& q : input.d) {
+      for (const UncertainGraph& g : input.u) {
+        VerifyStats witness_stats;
+        VerifyStats greedy_stats;
+        const SimPResult witness =
+            VerifySimP(q, {g}, g.TotalMass(), tau, /*alpha=*/0.6, input.dict,
+                       options, &witness_stats, /*witness_accept=*/true);
+        const SimPResult greedy =
+            VerifySimP(q, {g}, g.TotalMass(), tau, /*alpha=*/0.6, input.dict,
+                       options, &greedy_stats, /*witness_accept=*/false);
+        if (witness_stats.ged_aborted + greedy_stats.ged_aborted > 0) {
+          ++with_aborts;
+          continue;
+        }
+        ++compared;
+        EXPECT_EQ(std::bit_cast<uint64_t>(witness.probability),
+                  std::bit_cast<uint64_t>(greedy.probability));
+        EXPECT_EQ(witness.early_accept, greedy.early_accept);
+        EXPECT_EQ(witness.early_reject, greedy.early_reject);
+        EXPECT_EQ(witness.best_mapping, greedy.best_mapping);
+        EXPECT_EQ(witness.best_world_ged, greedy.best_world_ged);
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(with_aborts, 0) << "the cap never bit";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WitnessAcceptTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace simj::core
