@@ -150,8 +150,10 @@ BENCHMARK(BM_GreedyGedUpperBoundEr);
 struct ErCandidatePair {
   static constexpr int kTau = 4;
   static constexpr double kAlpha = 0.8;
+  static constexpr int kGroups = 8;
   graph::LabelDictionary dict;
   graph::LabeledGraph q;
+  graph::UncertainGraph g;
   std::vector<graph::UncertainGraph> groups;
   double live_mass = 0.0;
 
@@ -169,7 +171,7 @@ struct ErCandidatePair {
     core::SimJParams params;
     params.tau = kTau;
     params.alpha = kAlpha;
-    params.group_count = 8;
+    params.group_count = kGroups;
     params.witness_accept = false;
     params.explain.enabled = true;
     const core::JoinResult join =
@@ -182,10 +184,11 @@ struct ErCandidatePair {
     }
     dict = std::move(data.dict);
     q = data.certain[heaviest->q_index];
+    g = data.uncertain[heaviest->g_index];
     core::GroupingOptions options;
     options.group_count = params.group_count;
-    core::GroupingResult grouping = core::PartitionPossibleWorlds(
-        q, data.uncertain[heaviest->g_index], kTau, dict, options);
+    core::GroupingResult grouping =
+        core::PartitionPossibleWorlds(q, g, kTau, dict, options);
     std::sort(grouping.live_groups.begin(), grouping.live_groups.end(),
               [](const core::ScoredGroup& a, const core::ScoredGroup& b) {
                 return a.mass > b.mass;
@@ -220,6 +223,26 @@ void BM_VerifySimPEr(benchmark::State& state) {
       static_cast<double>(stats.worlds_accepted_by_upper_bound) / iterations;
 }
 BENCHMARK(BM_VerifySimPEr)->ArgName("witness")->Arg(0)->Arg(1);
+
+// The possible-world partition of the same pair at 8 groups (the join's
+// Markov filter), from the summaries the join builds once per input graph.
+void BM_PartitionPossibleWorldsEr(benchmark::State& state) {
+  const ErCandidatePair& pair = ErCandidatePair::Get();
+  const ged::GraphSummary q_summary = ged::Summarize(pair.q, pair.dict);
+  const ged::GraphSummary g_summary = ged::Summarize(pair.g, pair.dict);
+  core::GroupingOptions options;
+  options.group_count = ErCandidatePair::kGroups;
+  size_t live_groups = 0;
+  for (auto _ : state) {
+    const core::GroupingResult grouping = core::PartitionPossibleWorlds(
+        pair.q, q_summary, pair.g, g_summary, ErCandidatePair::kTau,
+        pair.dict, options);
+    live_groups = grouping.live_groups.size();
+    benchmark::DoNotOptimize(grouping.simp_upper_bound);
+  }
+  state.counters["live_groups"] = static_cast<double>(live_groups);
+}
+BENCHMARK(BM_PartitionPossibleWorldsEr);
 
 void BM_CssLowerBoundCertain(benchmark::State& state) {
   PairFixture fixture(12, 18);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "core/similarity.h"
 #include "ged/lower_bounds.h"
@@ -13,53 +12,113 @@ namespace simj::core {
 
 namespace {
 
+using graph::LabelAlternative;
 using graph::LabeledGraph;
 using graph::LabelDictionary;
 using graph::UncertainGraph;
 
-ScoredGroup Score(const LabeledGraph& q, const ged::GraphSummary& q_summary,
-                  UncertainGraph group, ged::GraphSummary summary, int tau,
-                  int structural_constant, const LabelDictionary& dict) {
+// A group of the partition: its score, and the per-vertex terms its mass
+// and Markov bound were summed from, so that scoring a split recomputes
+// only the vertex it restricts.
+struct Node {
   ScoredGroup scored;
-  scored.mass = group.TotalMass();
-  scored.lower_bound =
+  std::vector<MarkovVertexTerms> terms;  // of each vertex of scored.graph
+};
+
+// Sets the mass, CSS bound and Markov bound of *scored from per-vertex
+// terms, each summed in vertex order as UncertainGraph::TotalMass and
+// UpperBoundSimPWithConstant sum them, so the doubles are bit-identical to
+// theirs. `terms[split]` is replaced by `split_terms` (split = -1 replaces
+// nothing); `summary` is the group's summary, of which only the vertex
+// part is read.
+void ScoreTerms(const ged::GraphSummary& q_summary,
+                const ged::GraphSummary& summary,
+                const std::vector<MarkovVertexTerms>& terms, int split,
+                const MarkovVertexTerms& split_terms, int tau,
+                int structural_constant, ScoredGroup* scored) {
+  scored->mass = 1.0;
+  double match_ratio_sum = 0.0;
+  for (int v = 0; v < static_cast<int>(terms.size()); ++v) {
+    const MarkovVertexTerms& t = v == split ? split_terms : terms[v];
+    SIMJ_DCHECK_GT(t.mass, 0.0);
+    scored->mass *= t.mass;
+    match_ratio_sum += t.match_ratio;
+  }
+  scored->lower_bound =
       std::max(0, structural_constant -
                       ged::MaxCommonVertexLabels(q_summary, summary));
-  scored.upper_bound =
-      scored.lower_bound > tau
+  scored->upper_bound =
+      scored->lower_bound > tau
           ? 0.0
-          : UpperBoundSimPWithConstant(q, group, tau, structural_constant,
-                                       dict);
-  scored.graph = std::move(group);
-  scored.summary = std::move(summary);
-  return scored;
+          : MarkovBound(scored->mass, match_ratio_sum, tau,
+                        structural_constant);
 }
 
-// One child of a split: `parent` with `vertex` restricted to `keep`.
-ScoredGroup ScoreChild(const LabeledGraph& q,
-                       const ged::GraphSummary& q_summary,
-                       const ScoredGroup& parent, int vertex,
-                       const std::vector<int>& keep, int tau,
-                       int structural_constant, const LabelDictionary& dict) {
-  UncertainGraph child = parent.graph.RestrictVertex(vertex, keep);
-  ged::GraphSummary summary = ged::SummarizeGroup(parent.summary, child, dict);
-  return Score(q, q_summary, std::move(child), std::move(summary), tau,
-               structural_constant, dict);
+// The vertex part of the summary of `parent`'s group with vertex v
+// restricted to `kept`, written into *out (whose buffers are reused):
+// parent's (label, vertex) index with v's dropped labels filtered out, in
+// the order it already has. Equals ged::SummarizeGroup's vertex part.
+void RestrictSummary(const ged::GraphSummary& parent, int v,
+                     const std::vector<LabelAlternative>& kept,
+                     const LabelDictionary& dict,
+                     std::vector<graph::LabelId>* kept_labels,
+                     ged::GraphSummary* out) {
+  char wildcard = 0;
+  kept_labels->clear();
+  for (const LabelAlternative& alt : kept) {
+    if (dict.IsWildcard(alt.label)) {
+      wildcard = 1;
+    } else {
+      kept_labels->push_back(alt.label);
+    }
+  }
+  out->num_vertices = parent.num_vertices;
+  out->vertex_wildcard = parent.vertex_wildcard;
+  out->vertex_wildcard[v] = wildcard;
+  out->wildcard_vertices =
+      parent.wildcard_vertices - parent.vertex_wildcard[v] + wildcard;
+  out->labeled_vertices.clear();
+  for (const auto& entry : parent.labeled_vertices) {
+    if (entry.second == v) {
+      // One kept alternative accounts for one entry, so a label that a
+      // vertex repeats keeps as many entries as it has kept copies.
+      auto it = std::find(kept_labels->begin(), kept_labels->end(),
+                          entry.first);
+      if (it == kept_labels->end()) continue;
+      *it = kept_labels->back();
+      kept_labels->pop_back();
+    }
+    out->labeled_vertices.push_back(entry);
+  }
 }
 
-// Candidate vertex-split: restrict vertex v to `first` in one child and to
-// the complementary indices in the other.
+// Candidate vertex-split: one child keeps only alternative `top` of
+// `vertex`, the other every other alternative, in order.
 struct SplitCandidate {
   int vertex = -1;
-  std::vector<int> first;
-  std::vector<int> second;
+  int top = -1;
 };
+
+// At most two candidates, no allocation.
+struct SplitCandidates {
+  SplitCandidate items[2];
+  int size = 0;
+};
+
+// True when some vertex of g has two or more alternatives, which is when
+// ProposeSplits has a candidate under every heuristic.
+bool Splittable(const UncertainGraph& g) {
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (g.alternatives(v).size() >= 2) return true;
+  }
+  return false;
+}
 
 // The paper's two selection principles produce up to two candidate
 // vertices; each is split by separating the highest-probability label from
 // the rest (driving one child toward certainty).
-std::vector<SplitCandidate> ProposeSplits(const UncertainGraph& g,
-                                          SplitHeuristic heuristic) {
+SplitCandidates ProposeSplits(const UncertainGraph& g,
+                              SplitHeuristic heuristic) {
   int by_mass = -1;
   double best_mass = -1.0;
   int by_count = -1;
@@ -78,42 +137,117 @@ std::vector<SplitCandidate> ProposeSplits(const UncertainGraph& g,
       by_count = v;
     }
   }
-  std::vector<int> picks;
+  int picks[2] = {-1, -1};
   switch (heuristic) {
     case SplitHeuristic::kCostModel:
-      picks = {by_mass, by_count};
+      picks[0] = by_mass;
+      picks[1] = by_count;
       break;
     case SplitHeuristic::kMassOnly:
-      picks = {by_mass};
+      picks[0] = by_mass;
       break;
     case SplitHeuristic::kCountOnly:
-      picks = {by_count};
+      picks[0] = by_count;
       break;
   }
-  std::vector<SplitCandidate> candidates;
+  SplitCandidates candidates;
   for (int v : picks) {
     if (v < 0) continue;
-    if (!candidates.empty() && candidates.front().vertex == v) continue;
+    if (candidates.size > 0 && candidates.items[0].vertex == v) continue;
     const auto& alts = g.alternatives(v);
     int top = 0;
     for (int i = 1; i < static_cast<int>(alts.size()); ++i) {
       if (alts[i].prob > alts[top].prob) top = i;
     }
-    SplitCandidate candidate;
-    candidate.vertex = v;
-    candidate.first = {top};
-    for (int i = 0; i < static_cast<int>(alts.size()); ++i) {
-      if (i != top) candidate.second.push_back(i);
-    }
-    candidates.push_back(std::move(candidate));
+    candidates.items[candidates.size++] = SplitCandidate{v, top};
   }
   return candidates;
 }
 
-double CostOf(const std::vector<ScoredGroup>& groups, int tau) {
+// Scores the children of candidate splits without building them, and
+// builds the winner's. The buffers are reused from split to split.
+class Splitter {
+ public:
+  Splitter(const LabeledGraph& q, const ged::GraphSummary& q_summary, int tau,
+           int structural_constant, const LabelDictionary& dict)
+      : q_(q),
+        q_summary_(q_summary),
+        tau_(tau),
+        structural_constant_(structural_constant),
+        dict_(dict) {}
+
+  // One child of `candidate` on `parent`: its mass and bounds (no graph
+  // and no summary), and the terms of the split vertex.
+  struct Child {
+    ScoredGroup scored;
+    MarkovVertexTerms terms;
+  };
+
+  Child ScoreChild(const Node& parent, const SplitCandidate& candidate,
+                   bool first) {
+    Keep(parent.scored.graph, candidate, first);
+    Child child;
+    child.terms = MarkovTermsOf(q_, kept_, dict_);
+    RestrictSummary(parent.scored.summary, candidate.vertex, kept_, dict_,
+                    &kept_labels_, &summary_);
+    ScoreTerms(q_summary_, summary_, parent.terms, candidate.vertex,
+               child.terms, tau_, structural_constant_, &child.scored);
+    return child;
+  }
+
+  // Builds the scored child as a group: `parent` restricted, with its
+  // summary and per-vertex terms.
+  Node Materialize(const Node& parent, const SplitCandidate& candidate,
+                   bool first, Child child) {
+    const UncertainGraph& g = parent.scored.graph;
+    Keep(g, candidate, first);
+    Node node;
+    node.scored = std::move(child.scored);
+    node.scored.graph = g.RestrictVertex(candidate.vertex, keep_);
+    const ged::GraphSummary& whole = parent.scored.summary;
+    ged::GraphSummary& summary = node.scored.summary;
+    summary.num_edges = whole.num_edges;
+    summary.sorted_degrees = whole.sorted_degrees;
+    summary.edge_labels = whole.edge_labels;
+    summary.wildcard_edges = whole.wildcard_edges;
+    RestrictSummary(whole, candidate.vertex, kept_, dict_, &kept_labels_,
+                    &summary);
+    node.terms = parent.terms;
+    node.terms[candidate.vertex] = child.terms;
+    return node;
+  }
+
+ private:
+  // The alternatives of the split vertex that a child keeps, as indexes
+  // (keep_) and values (kept_): the first child keeps {top}.
+  void Keep(const UncertainGraph& g, const SplitCandidate& candidate,
+            bool first) {
+    const std::vector<LabelAlternative>& alts =
+        g.alternatives(candidate.vertex);
+    keep_.clear();
+    kept_.clear();
+    for (int i = 0; i < static_cast<int>(alts.size()); ++i) {
+      if ((i == candidate.top) != first) continue;
+      keep_.push_back(i);
+      kept_.push_back(alts[i]);
+    }
+  }
+
+  const LabeledGraph& q_;
+  const ged::GraphSummary& q_summary_;
+  const int tau_;
+  const int structural_constant_;
+  const LabelDictionary& dict_;
+  std::vector<LabelAlternative> kept_;
+  std::vector<int> keep_;
+  std::vector<graph::LabelId> kept_labels_;
+  ged::GraphSummary summary_;  // vertex part of the child being scored
+};
+
+double CostOf(const std::vector<Node>& groups, int tau) {
   double total = 0.0;
-  for (const ScoredGroup& group : groups) {
-    if (group.lower_bound <= tau) total += group.upper_bound;
+  for (const Node& group : groups) {
+    if (group.scored.lower_bound <= tau) total += group.scored.upper_bound;
   }
   return total;
 }
@@ -139,61 +273,78 @@ GroupingResult PartitionPossibleWorlds(const LabeledGraph& q,
   const int structural_constant =
       ged::CssStructuralConstant(q_summary, g_summary);
 
-  std::vector<ScoredGroup> groups;
-  groups.push_back(
-      Score(q, q_summary, g, g_summary, tau, structural_constant, dict));
+  std::vector<Node> groups;
+  {
+    Node root;
+    root.scored.graph = g;
+    root.scored.summary = g_summary;
+    root.terms.reserve(static_cast<size_t>(g.num_vertices()));
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      root.terms.push_back(MarkovTermsOf(q, g.alternatives(v), dict));
+    }
+    ScoreTerms(q_summary, g_summary, root.terms, /*split=*/-1,
+               MarkovVertexTerms(), tau, structural_constant, &root.scored);
+    groups.push_back(std::move(root));
+  }
 
+  Splitter splitter(q, q_summary, tau, structural_constant, dict);
   while (static_cast<int>(groups.size()) < options.group_count) {
     // Split the live group with the weakest pruning power: smallest lower
     // bound, ties broken by largest upper bound (Section 6.2).
     int target = -1;
     for (int i = 0; i < static_cast<int>(groups.size()); ++i) {
-      const ScoredGroup& group = groups[i];
+      const ScoredGroup& group = groups[i].scored;
       if (group.lower_bound > tau) continue;  // already pruned; no benefit
-      if (ProposeSplits(group.graph, options.heuristic).empty()) {
-        continue;  // fully certain
-      }
-      if (target == -1 ||
-          group.lower_bound < groups[target].lower_bound ||
-          (group.lower_bound == groups[target].lower_bound &&
-           group.upper_bound > groups[target].upper_bound)) {
+      if (!Splittable(group.graph)) continue;  // fully certain
+      const ScoredGroup* best = target == -1 ? nullptr : &groups[target].scored;
+      if (best == nullptr || group.lower_bound < best->lower_bound ||
+          (group.lower_bound == best->lower_bound &&
+           group.upper_bound > best->upper_bound)) {
         target = i;
       }
     }
     if (target == -1) break;  // nothing splittable
 
-    std::vector<SplitCandidate> candidates =
-        ProposeSplits(groups[target].graph, options.heuristic);
+    // Score every candidate's children from the parent's cached terms;
+    // only the cheapest split is built.
+    const Node& parent = groups[target];
+    const SplitCandidates candidates =
+        ProposeSplits(parent.scored.graph, options.heuristic);
+    SIMJ_CHECK_GT(candidates.size, 0);
     double best_cost = std::numeric_limits<double>::infinity();
-    std::pair<ScoredGroup, ScoredGroup> best_children;
-    bool have_best = false;
-    for (const SplitCandidate& candidate : candidates) {
-      ScoredGroup first =
-          ScoreChild(q, q_summary, groups[target], candidate.vertex,
-                     candidate.first, tau, structural_constant, dict);
-      ScoredGroup second =
-          ScoreChild(q, q_summary, groups[target], candidate.vertex,
-                     candidate.second, tau, structural_constant, dict);
+    int best = -1;
+    Splitter::Child best_first;
+    Splitter::Child best_second;
+    for (int c = 0; c < candidates.size; ++c) {
+      Splitter::Child first =
+          splitter.ScoreChild(parent, candidates.items[c], /*first=*/true);
+      Splitter::Child second =
+          splitter.ScoreChild(parent, candidates.items[c], /*first=*/false);
       double cost = 0.0;
-      if (first.lower_bound <= tau) cost += first.upper_bound;
-      if (second.lower_bound <= tau) cost += second.upper_bound;
-      if (!have_best || cost < best_cost) {
+      if (first.scored.lower_bound <= tau) cost += first.scored.upper_bound;
+      if (second.scored.lower_bound <= tau) cost += second.scored.upper_bound;
+      if (best == -1 || cost < best_cost) {
         best_cost = cost;
-        best_children = {std::move(first), std::move(second)};
-        have_best = true;
+        best = c;
+        best_first = std::move(first);
+        best_second = std::move(second);
       }
     }
-    SIMJ_CHECK(have_best);
-    groups[target] = std::move(best_children.first);
-    groups.push_back(std::move(best_children.second));
+    const SplitCandidate& winner = candidates.items[best];
+    Node first = splitter.Materialize(parent, winner, /*first=*/true,
+                                      std::move(best_first));
+    Node second = splitter.Materialize(parent, winner, /*first=*/false,
+                                       std::move(best_second));
+    groups[target] = std::move(first);
+    groups.push_back(std::move(second));
   }
 
   GroupingResult result;
   result.simp_upper_bound = CostOf(groups, tau);
-  for (ScoredGroup& group : groups) {
-    if (group.lower_bound > tau) continue;
-    result.live_mass += group.mass;
-    result.live_groups.push_back(std::move(group));
+  for (Node& group : groups) {
+    if (group.scored.lower_bound > tau) continue;
+    result.live_mass += group.scored.mass;
+    result.live_groups.push_back(std::move(group.scored));
   }
   return result;
 }

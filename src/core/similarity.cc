@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "ged/lower_bounds.h"
 #include "util/check.h"
@@ -26,17 +27,16 @@ using graph::UncertainGraph;
 // the world's GED, so an accept here is an accept of the A* as well.
 class WitnessPool {
  public:
-  // Keeps the mapping `result` found on `world`, unless a witness with the
-  // same base and needs is already kept.
-  void Add(const LabeledGraph& q, const LabeledGraph& world,
+  // Keeps the mapping `result` found on the world whose vertex labels are
+  // `world`, unless a witness with the same base and needs is already kept.
+  void Add(const LabeledGraph& q, const std::vector<graph::LabelId>& world,
            const ged::GedResult& result, const LabelDictionary& dict) {
     const size_t begin = needs_.size();
     int base = result.distance;
     for (int u = 0; u < q.num_vertices(); ++u) {
       const int v = result.mapping[u];
       if (v < 0) continue;
-      base -= ged::SubstitutionCost(dict, q.vertex_label(u),
-                                    world.vertex_label(v));
+      base -= ged::SubstitutionCost(dict, q.vertex_label(u), world[v]);
       needs_.push_back(Need{v, q.vertex_label(u), u});
     }
     const Witness added{base, begin, needs_.size()};
@@ -51,14 +51,14 @@ class WitnessPool {
 
   // The index of a witness whose cost on `world` is <= tau, most recent
   // first, or -1 when none is. `*cost` receives that witness's cost.
-  int Find(const LabeledGraph& world, int tau, const LabelDictionary& dict,
-           int* cost) const {
+  int Find(const std::vector<graph::LabelId>& world, int tau,
+           const LabelDictionary& dict, int* cost) const {
     for (size_t i = witnesses_.size(); i-- > 0;) {
       const Witness& w = witnesses_[i];
       int c = w.base;
       for (size_t k = w.begin; k < w.end && c <= tau; ++k) {
         const Need& need = needs_[k];
-        if (!dict.Matches(need.label, world.vertex_label(need.g_vertex))) ++c;
+        if (!dict.Matches(need.label, world[need.g_vertex])) ++c;
       }
       if (c <= tau) {
         *cost = c;
@@ -109,14 +109,18 @@ class WitnessPool {
 
 // Evaluates the possible worlds of one pair: bound check, then an upper-
 // bound accept for a world that cannot become the pair's best, then bounded
-// A*, accumulating into `result`.
+// A*, accumulating into `result`. `groups` are the pair's possible-world
+// groups (restrictions of one uncertain graph); the A* lays q out against
+// them once, at the pair's first search.
 class WorldEvaluator {
  public:
-  WorldEvaluator(const LabeledGraph& q, ged::WorldBound& bound, int tau,
+  WorldEvaluator(const LabeledGraph& q, ged::WorldBound& bound,
+                 std::span<const UncertainGraph> groups, int tau,
                  const LabelDictionary& dict, const ged::GedOptions& options,
                  bool witness_accept, VerifyStats* stats, SimPResult* result)
       : q_(q),
         bound_(bound),
+        groups_(groups),
         tau_(tau),
         dict_(dict),
         options_(options),
@@ -135,35 +139,32 @@ class WorldEvaluator {
       ++stats_->worlds_pruned_by_bound;
       return;
     }
-    // The world overlay: the group's structure, copied once, with this
-    // world's labels written in. Equal to group.Materialize(choice).
-    if (!world_ready_) {
-      world_ = group.structure();
-      world_ready_ = true;
-    }
+    world_labels_.resize(static_cast<size_t>(group.num_vertices()));
     for (int v = 0; v < group.num_vertices(); ++v) {
-      world_.set_vertex_label(v, group.alternatives(v)[choice[v]].label);
+      world_labels_[v] = group.alternatives(v)[choice[v]].label;
     }
     // Cheap accept: a world that cannot improve the best mapping needs only
     // ged <= tau, which any mapping costing <= tau proves. The exact A*
     // still runs for would-be-best worlds so template generation sees an
     // optimal mapping.
-    if (world_prob <= result_->best_world_prob && AcceptedByUpperBound()) {
+    if (world_prob <= result_->best_world_prob &&
+        AcceptedByUpperBound(group, choice)) {
       ++stats_->worlds_accepted_by_upper_bound;
       result_->probability += world_prob;
       return;
     }
     ++stats_->ged_calls;
+    if (!ged_.built()) ged_.Build(q_, groups_, dict_);
     bool aborted = false;
     std::optional<ged::GedResult> ged_result;
     {
       trace::ScopedSpan span("ged_astar", "verify");
-      ged_result = ged::BoundedGed(q_, world_, tau_, dict_, options_, &aborted);
+      ged_result = ged_.BoundedGed(group, choice, tau_, options_, &aborted);
     }
     if (aborted) ++stats_->ged_aborted;
     if (!ged_result.has_value()) return;
     result_->probability += world_prob;
-    if (witness_accept_) witnesses_.Add(q_, world_, *ged_result, dict_);
+    if (witness_accept_) witnesses_.Add(q_, world_labels_, *ged_result, dict_);
     if (world_prob > result_->best_world_prob) {
       result_->best_world_prob = world_prob;
       result_->best_world_ged = ged_result->distance;
@@ -174,14 +175,24 @@ class WorldEvaluator {
  private:
   // An earlier world's mapping costs <= tau on this world, or (the
   // ablation) the greedy bipartite bound does.
-  bool AcceptedByUpperBound() const {
+  bool AcceptedByUpperBound(const UncertainGraph& group,
+                            const std::vector<int>& choice) {
     if (!witness_accept_) {
+      // The greedy bound takes the world as a graph: the group's structure,
+      // copied once per group, with this world's labels written in.
+      if (!world_ready_) {
+        world_ = group.structure();
+        world_ready_ = true;
+      }
+      for (int v = 0; v < group.num_vertices(); ++v) {
+        world_.set_vertex_label(v, world_labels_[v]);
+      }
       return ged::GreedyGedUpperBound(q_, world_, dict_) <= tau_;
     }
     int cost = 0;
-    const int witness = witnesses_.Find(world_, tau_, dict_, &cost);
+    const int witness = witnesses_.Find(world_labels_, tau_, dict_, &cost);
     if (witness < 0) return false;
-    SIMJ_DCHECK_EQ(ged::MappingCost(q_, world_,
+    SIMJ_DCHECK_EQ(ged::MappingCost(q_, group.Materialize(choice),
                                     witnesses_.Mapping(witness,
                                                        q_.num_vertices()),
                                     dict_),
@@ -191,12 +202,17 @@ class WorldEvaluator {
 
   const LabeledGraph& q_;
   ged::WorldBound& bound_;
+  const std::span<const UncertainGraph> groups_;
   const int tau_;
   const LabelDictionary& dict_;
   const ged::GedOptions& options_;
   const bool witness_accept_;
   VerifyStats* stats_;
   SimPResult* result_;
+  ged::WorldGed ged_;
+  // The vertex labels of the world being evaluated.
+  std::vector<graph::LabelId> world_labels_;
+  // The ablation's world graph, valid for the current group once ready.
   LabeledGraph world_;
   bool world_ready_ = false;
   WitnessPool witnesses_;
@@ -229,8 +245,8 @@ SimPResult ComputeSimP(const LabeledGraph& q, ged::WorldBound& world_bound,
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
-  WorldEvaluator evaluator(q, world_bound, tau, dict, options, witness_accept,
-                           stats, &result);
+  WorldEvaluator evaluator(q, world_bound, std::span(&g, 1), tau, dict,
+                           options, witness_accept, stats, &result);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
     evaluator.Evaluate(g, it.choice(), it.probability());
   }
@@ -300,8 +316,8 @@ SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
-  WorldEvaluator evaluator(q, world_bound, tau, dict, options, witness_accept,
-                           stats, &result);
+  WorldEvaluator evaluator(q, world_bound, groups, tau, dict, options,
+                           witness_accept, stats, &result);
   double remaining = total_mass;
 
   auto process = [&](const UncertainGraph& group,
@@ -339,37 +355,51 @@ SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
   return result;
 }
 
+MarkovVertexTerms MarkovTermsOf(
+    const LabeledGraph& q,
+    const std::vector<graph::LabelAlternative>& alternatives,
+    const LabelDictionary& dict) {
+  MarkovVertexTerms terms;
+  double match_mass = 0.0;
+  for (const graph::LabelAlternative& alt : alternatives) {
+    terms.mass += alt.prob;
+    bool matches = false;
+    for (int u = 0; u < q.num_vertices(); ++u) {
+      if (dict.Matches(alt.label, q.vertex_label(u))) {
+        matches = true;
+        break;
+      }
+    }
+    if (matches) match_mass += alt.prob;
+  }
+  terms.match_ratio = match_mass / terms.mass;
+  return terms;
+}
+
+double MarkovBound(double mass, double match_ratio_sum, int tau,
+                   int structural_constant) {
+  const int need = structural_constant - tau;
+  if (need <= 0) return mass;
+  return std::min(mass, mass * match_ratio_sum / need);
+}
+
 double UpperBoundSimPWithConstant(const LabeledGraph& q,
                                   const UncertainGraph& g, int tau,
                                   int structural_constant,
                                   const LabelDictionary& dict) {
-  double mass = g.TotalMass();
-  int need = structural_constant - tau;
-  if (need <= 0) return mass;
+  const double mass = g.TotalMass();
+  if (structural_constant - tau <= 0) return mass;
 
   // E[Y * 1_group] = mass * sum_v (match_v / mass_v), with match_v the
   // probability mass of v's alternatives whose label matches some vertex
   // label of q (wildcard-aware).
-  double expectation_ratio = 0.0;
+  double match_ratio_sum = 0.0;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    double vertex_mass = 0.0;
-    double match_mass = 0.0;
-    for (const graph::LabelAlternative& alt : g.alternatives(v)) {
-      vertex_mass += alt.prob;
-      bool matches = false;
-      for (int u = 0; u < q.num_vertices(); ++u) {
-        if (dict.Matches(alt.label, q.vertex_label(u))) {
-          matches = true;
-          break;
-        }
-      }
-      if (matches) match_mass += alt.prob;
-    }
-    SIMJ_CHECK_GT(vertex_mass, 0.0);
-    expectation_ratio += match_mass / vertex_mass;
+    const MarkovVertexTerms terms = MarkovTermsOf(q, g.alternatives(v), dict);
+    SIMJ_CHECK_GT(terms.mass, 0.0);
+    match_ratio_sum += terms.match_ratio;
   }
-  double markov = mass * expectation_ratio / need;
-  return std::min(mass, markov);
+  return MarkovBound(mass, match_ratio_sum, tau, structural_constant);
 }
 
 double UpperBoundSimP(const LabeledGraph& q, const UncertainGraph& g,

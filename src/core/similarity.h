@@ -8,8 +8,9 @@
 // certain CSS bound already exceeds tau). All worlds share the uncertain
 // graph's structure, so a world is never materialized as a graph of its
 // own: its CSS bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and
-// only a world within the bound has its labels written into the one world
-// graph each group keeps for the GED search. A world that cannot become
+// only a world within the bound has its labels written into the pair's one
+// GED layout (ged::WorldGed, which lays q out against g's structure at the
+// pair's first A* search). A world that cannot become
 // the most probable qualifying one needs only ged <= tau, not a mapping:
 // it is accepted without a search when a mapping that the A* returned for
 // an earlier world of the same call costs <= tau on it (witness_accept;
@@ -122,6 +123,26 @@ struct SimPResult {
                                   const graph::UncertainGraph& g, int tau,
                                   int structural_constant,
                                   const graph::LabelDictionary& dict);
+
+// The per-vertex terms that UpperBoundSimPWithConstant sums, for one
+// vertex with `alternatives`: their probability mass, and the share of it
+// whose labels match some vertex label of q (wildcard-aware). A group's
+// mass is the product of its vertices' masses in vertex order.
+struct MarkovVertexTerms {
+  double mass = 0.0;
+  double match_ratio = 0.0;
+};
+[[nodiscard]] MarkovVertexTerms MarkovTermsOf(
+    const graph::LabeledGraph& q,
+    const std::vector<graph::LabelAlternative>& alternatives,
+    const graph::LabelDictionary& dict);
+
+// UpperBoundSimPWithConstant from a group's mass and the sum of its
+// vertices' match ratios taken in vertex order: min(mass, mass *
+// match_ratio_sum / (C - tau)), or mass when C - tau <= 0. Summed that way,
+// the result is bit-identical to UpperBoundSimPWithConstant on the group.
+[[nodiscard]] double MarkovBound(double mass, double match_ratio_sum, int tau,
+                                 int structural_constant);
 
 // Tighter upper bound via the law of total probability (the extension the
 // paper sketches at the end of Section 5): condition on the label of the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <queue>
 #include <span>
 #include <utility>
@@ -43,9 +44,9 @@ class LocalLabels {
   int size() const { return static_cast<int>(labels_.size()) + 1; }
   int Local(LabelId label, const LabelDictionary& dict) const {
     if (dict.IsWildcard(label)) return kWildcard;
-    return 1 + static_cast<int>(std::lower_bound(labels_.begin(),
-                                                 labels_.end(), label) -
-                                labels_.begin());
+    const auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
+    SIMJ_DCHECK(it != labels_.end() && *it == label);
+    return 1 + static_cast<int>(it - labels_.begin());
   }
 
  private:
@@ -70,7 +71,7 @@ struct PairEdges {
   int total = 0;
 };
 
-// One graph of a call in local label ids, with the edge labels of every
+// One graph of a layout in local label ids, with the edge labels of every
 // ordered vertex pair as one flat table of sorted runs.
 struct FlatGraph {
   int n = 0;
@@ -89,11 +90,18 @@ struct FlatGraph {
 
   void Build(const LabeledGraph& g, const LocalLabels& vertex_ids,
              const LocalLabels& edge_ids, const LabelDictionary& dict) {
-    n = g.num_vertices();
-    vertex_label.resize(static_cast<size_t>(n));
+    BuildEdges(g, edge_ids, dict);
     for (int v = 0; v < n; ++v) {
       vertex_label[v] = vertex_ids.Local(g.vertex_label(v), dict);
     }
+  }
+
+  // Everything but the vertex labels, which the caller writes into
+  // vertex_label (sized n here).
+  void BuildEdges(const LabeledGraph& g, const LocalLabels& edge_ids,
+                  const LabelDictionary& dict) {
+    n = g.num_vertices();
+    vertex_label.resize(static_cast<size_t>(n));
     edge_label.resize(g.edges().size());
     keys.clear();
     for (size_t e = 0; e < g.edges().size(); ++e) {
@@ -155,6 +163,44 @@ struct FlatPair {
     edge_ids.Seal();
     a.Build(ga, vertex_ids, edge_ids, dict);
     b.Build(gb, vertex_ids, edge_ids, dict);
+  }
+
+  // `ga` against the shared structure of `groups`, restrictions of one
+  // uncertain graph: the vertex-label ids cover every alternative of every
+  // group, and b's vertex labels are left for SetWorld.
+  void Build(const LabeledGraph& ga,
+             std::span<const graph::UncertainGraph> groups,
+             const LabelDictionary& dict) {
+    vertex_ids.Clear();
+    edge_ids.Clear();
+    for (int v = 0; v < ga.num_vertices(); ++v) {
+      vertex_ids.Add(ga.vertex_label(v), dict);
+    }
+    for (const graph::Edge& e : ga.edges()) edge_ids.Add(e.label, dict);
+    for (const graph::UncertainGraph& group : groups) {
+      for (int v = 0; v < group.num_vertices(); ++v) {
+        for (const graph::LabelAlternative& alt : group.alternatives(v)) {
+          vertex_ids.Add(alt.label, dict);
+        }
+      }
+    }
+    for (const graph::Edge& e : groups.front().edges()) {
+      edge_ids.Add(e.label, dict);
+    }
+    vertex_ids.Seal();
+    edge_ids.Seal();
+    a.Build(ga, vertex_ids, edge_ids, dict);
+    b.BuildEdges(groups.front().structure(), edge_ids, dict);
+  }
+
+  // Writes the labels of the world of `group` selected by `choice` into b.
+  void SetWorld(const graph::UncertainGraph& group,
+                const std::vector<int>& choice, const LabelDictionary& dict) {
+    SIMJ_DCHECK_EQ(group.num_vertices(), b.n);
+    for (int v = 0; v < b.n; ++v) {
+      b.vertex_label[v] =
+          vertex_ids.Local(group.alternatives(v)[choice[v]].label, dict);
+    }
   }
 
   // MappingCost over the flat tables (`covered` is a buffer).
@@ -227,9 +273,13 @@ class OpenList
 // States a call may leave in the scratch's arena and open list.
 constexpr size_t kRetainedStates = size_t{1} << 18;
 
-// BoundedGed's per-thread scratch: every buffer of one call, reused by the
-// next call on the same thread.
-struct AstarScratch {
+}  // namespace
+
+// Both graphs of a search laid out flat, with a's processing order and its
+// pending label counts: everything the A* reads that no search changes.
+// BoundedGed builds one per call; a WorldGed builds one per pair and
+// rewrites only b's vertex labels from world to world.
+struct GedLayout {
   FlatPair graphs;
   std::vector<int> order;     // processing order of a's vertices
   std::vector<int> position;  // position[v] = depth at which v is decided
@@ -240,26 +290,9 @@ struct AstarScratch {
   std::vector<int> pending_vertices;    // (n + 1) x vertex_ids
   std::vector<int> pending_edges;       // (n + 1) x edge_ids
   std::vector<int> pending_edge_total;  // n + 1
-  // Label counts of the unused b-vertices and of the b-edges with an
-  // unused endpoint, for the state being expanded (or one of its
-  // children while it is made).
-  std::vector<int> b_vertices;
-  std::vector<int> b_edges;
-  std::vector<Node> arena;
-  OpenList open;
-  std::vector<int> assignment;  // the expanded state's prefix
-  // The expanded state's decided predecessors that were mapped: the a-pair
-  // tables toward and from them, and their images.
-  struct Mapped {
-    const PairEdges* out = nullptr;
-    const PairEdges* in = nullptr;
-    int image = -1;
-  };
-  std::vector<Mapped> mapped;
 
-  void Build(const LabeledGraph& a, const LabeledGraph& b,
-             const LabelDictionary& dict) {
-    graphs.Build(a, b, dict);
+  // a's order and pending rows, once `graphs` is built.
+  void BuildRows(const LabeledGraph& a) {
     const int n = a.num_vertices();
     order.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) order[i] = i;
@@ -298,29 +331,56 @@ struct AstarScratch {
       }
       pending_edge_total[d] += pending_edge_total[d + 1];
     }
-    b_vertices.resize(static_cast<size_t>(vertex_ids));
-    b_edges.resize(static_cast<size_t>(edge_ids));
+  }
+};
+
+namespace {
+
+// The A*'s per-thread buffers, reused by the next search on the thread.
+// Nothing in them outlives a search, so every layout shares them.
+struct SearchScratch {
+  // Label counts of the unused b-vertices and of the b-edges with an
+  // unused endpoint, for the state being expanded (or one of its
+  // children while it is made).
+  std::vector<int> b_vertices;
+  std::vector<int> b_edges;
+  std::vector<Node> arena;
+  OpenList open;
+  std::vector<int> assignment;  // the expanded state's prefix
+  // The expanded state's decided predecessors that were mapped: the a-pair
+  // tables toward and from them, and their images.
+  struct Mapped {
+    const PairEdges* out = nullptr;
+    const PairEdges* in = nullptr;
+    int image = -1;
+  };
+  std::vector<Mapped> mapped;
+
+  void Start(const GedLayout& layout) {
+    b_vertices.resize(static_cast<size_t>(layout.vertex_ids));
+    b_edges.resize(static_cast<size_t>(layout.edge_ids));
     arena.clear();
     open.storage().clear();
-    assignment.resize(static_cast<size_t>(n));
+    assignment.resize(static_cast<size_t>(layout.graphs.a.n));
   }
 
   // Fills b_vertices and b_edges for `used`; returns the vertex and edge
   // totals.
-  std::pair<int, int> CountUnusedB(const LabeledGraph& b, uint64_t used) {
+  std::pair<int, int> CountUnusedB(const GedLayout& layout,
+                                   const LabeledGraph& b, uint64_t used) {
     std::fill(b_vertices.begin(), b_vertices.end(), 0);
     std::fill(b_edges.begin(), b_edges.end(), 0);
     int vertices = 0;
     for (int v = 0; v < b.num_vertices(); ++v) {
       if ((used >> v) & 1) continue;
-      ++b_vertices[graphs.b.vertex_label[v]];
+      ++b_vertices[layout.graphs.b.vertex_label[v]];
       ++vertices;
     }
     int edges = 0;
     for (size_t e = 0; e < b.edges().size(); ++e) {
       const graph::Edge& edge = b.edges()[e];
       if (((used >> edge.src) & 1) && ((used >> edge.dst) & 1)) continue;
-      ++b_edges[graphs.b.edge_label[e]];
+      ++b_edges[layout.graphs.b.edge_label[e]];
       ++edges;
     }
     return {vertices, edges};
@@ -329,18 +389,19 @@ struct AstarScratch {
   // Moves b-vertex v between unused (delta +1) and used (delta -1) in the
   // counts, with the b-edges joining it to a vertex of `used`; returns the
   // number of such edges.
-  int MoveB(const LabeledGraph& b, uint64_t used, int v, int delta) {
-    b_vertices[graphs.b.vertex_label[v]] += delta;
+  int MoveB(const GedLayout& layout, const LabeledGraph& b, uint64_t used,
+            int v, int delta) {
+    b_vertices[layout.graphs.b.vertex_label[v]] += delta;
     int closed = 0;
     for (int e : b.out_edges(v)) {
       if ((used >> b.edge(e).dst) & 1) {
-        b_edges[graphs.b.edge_label[e]] += delta;
+        b_edges[layout.graphs.b.edge_label[e]] += delta;
         ++closed;
       }
     }
     for (int e : b.in_edges(v)) {
       if ((used >> b.edge(e).src) & 1) {
-        b_edges[graphs.b.edge_label[e]] += delta;
+        b_edges[layout.graphs.b.edge_label[e]] += delta;
         ++closed;
       }
     }
@@ -350,20 +411,23 @@ struct AstarScratch {
   // Admissible heuristic: label-multiset relaxation over the not-yet-decided
   // part of `a` and the unused part of `b` (b_vertices and b_edges, with
   // the given totals).
-  int Heuristic(int n, int depth, int b_vertex_total, int b_edge_total) const {
-    const int* pv = &pending_vertices[depth * vertex_ids];
-    const int* pe = &pending_edges[depth * edge_ids];
+  int Heuristic(const GedLayout& layout, int depth, int b_vertex_total,
+                int b_edge_total) const {
+    const int vertex_ids = layout.vertex_ids;
+    const int edge_ids = layout.edge_ids;
+    const int* pv = &layout.pending_vertices[depth * vertex_ids];
+    const int* pe = &layout.pending_edges[depth * edge_ids];
     const std::span<const int> a_vertices(pv + 1, vertex_ids - 1);
     const std::span<const int> a_edges(pe + 1, edge_ids - 1);
     const std::span<const int> unused_vertices(b_vertices.data() + 1,
                                                vertex_ids - 1);
     const std::span<const int> unused_edges(b_edges.data() + 1, edge_ids - 1);
     const int vertex_cost =
-        std::max(n - depth, b_vertex_total) -
+        std::max(layout.graphs.a.n - depth, b_vertex_total) -
         graph::MatchableLabelCount(a_vertices, pv[0], unused_vertices,
                                    b_vertices[0]);
     const int edge_cost =
-        std::max(pending_edge_total[depth], b_edge_total) -
+        std::max(layout.pending_edge_total[depth], b_edge_total) -
         graph::MatchableLabelCount(a_edges, pe[0], unused_edges, b_edges[0]);
     return vertex_cost + edge_cost;
   }
@@ -377,7 +441,7 @@ struct AstarScratch {
     }
   }
 
-  // Frees the arena and open list after a call that grew them unusually
+  // Frees the arena and open list after a search that grew them unusually
   // large, rather than keep that peak for the thread's life.
   void Trim() {
     if (arena.capacity() > kRetainedStates) std::vector<Node>().swap(arena);
@@ -387,9 +451,7 @@ struct AstarScratch {
   }
 };
 
-// GreedyGedUpperBound's per-thread scratch. Separate from AstarScratch:
-// the debug build validates every BoundedGed result with this kernel while
-// the A* scratch is live.
+// GreedyGedUpperBound's per-thread scratch.
 struct GreedyScratch {
   FlatPair graphs;
   std::vector<double> cost;  // (n + m) x (n + m), row-major
@@ -444,11 +506,13 @@ int TrivialUpperBound(const LabeledGraph& a, const LabeledGraph& b) {
   return a.num_vertices() + a.num_edges() + b.num_vertices() + b.num_edges();
 }
 
-std::optional<GedResult> BoundedGed(const LabeledGraph& a,
-                                    const LabeledGraph& b, int tau,
-                                    const LabelDictionary& dict,
-                                    const GedOptions& options,
-                                    bool* aborted) {
+namespace {
+
+// The A* over a built layout, whose b side is `b`'s structure with the
+// vertex labels the layout holds: BoundedGed's one search loop.
+std::optional<GedResult> Search(const GedLayout& layout, const LabeledGraph& b,
+                                int tau, const GedOptions& options,
+                                bool* aborted) {
   SIMJ_CHECK_GE(tau, 0);
   SIMJ_CHECK_LE(b.num_vertices(), 64);
   static metrics::Counter& calls_total =
@@ -462,7 +526,9 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
   calls_total.Increment();
   if (aborted != nullptr) *aborted = false;
 
-  const int n = a.num_vertices();
+  const FlatGraph& fa = layout.graphs.a;
+  const FlatGraph& fb = layout.graphs.b;
+  const int n = fa.n;
   if (n == 0) {
     // Everything in b must be inserted.
     int distance = b.num_vertices() + b.num_edges();
@@ -470,22 +536,20 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
     return GedResult{distance, {}};
   }
 
-  thread_local AstarScratch s;
+  thread_local SearchScratch s;
   // Trims the scratch on every return path.
   struct TrimOnReturn {
-    AstarScratch& scratch;
+    SearchScratch& scratch;
     ~TrimOnReturn() { scratch.Trim(); }
   } trim_on_return{s};
-  s.Build(a, b, dict);
-  const FlatGraph& fa = s.graphs.a;
-  const FlatGraph& fb = s.graphs.b;
+  s.Start(layout);
   const int m = b.num_vertices();
   OpenList& open = s.open;
 
   {
-    const auto [b_vertices, b_edges] = s.CountUnusedB(b, 0);
+    const auto [b_vertices, b_edges] = s.CountUnusedB(layout, b, 0);
     State root;
-    root.f = s.Heuristic(n, 0, b_vertices, b_edges);
+    root.f = s.Heuristic(layout, 0, b_vertices, b_edges);
     if (root.f > tau) return std::nullopt;
     open.push(root);
   }
@@ -506,10 +570,9 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
       GedResult result;
       result.distance = state.g_cost;
       result.mapping.assign(n, -1);
-      for (int d = 0; d < n; ++d) result.mapping[s.order[d]] = s.assignment[d];
-      // Debug-mode postcondition: the mapping witnesses the distance and
-      // the distance sits inside the lower/upper bound sandwich.
-      SIMJ_DCHECK_OK(ValidateGedResult(a, b, result, dict));
+      for (int d = 0; d < n; ++d) {
+        result.mapping[layout.order[d]] = s.assignment[d];
+      }
       SIMJ_DCHECK_LE(result.distance, tau);
       return result;
     }
@@ -524,12 +587,12 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
     // costs, against every decided predecessor, the edit of the edges
     // between them: all of u's edges to it when either side is deleted.
     s.Rebuild(state);
-    const int u = s.order[state.depth];
+    const int u = layout.order[state.depth];
     int delete_cost = 1;  // delete u
     int deleted_neighbors_cost = 0;
     s.mapped.clear();
     for (int d = 0; d < state.depth; ++d) {
-      const int prev_u = s.order[d];
+      const int prev_u = layout.order[d];
       const PairEdges& out = fa.Pair(u, prev_u);
       const PairEdges& in = fa.Pair(prev_u, u);
       const int edges = out.total + in.total;
@@ -540,7 +603,7 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
         s.mapped.push_back({&out, &in, s.assignment[d]});
       }
     }
-    const auto [b_vertices, b_edges] = s.CountUnusedB(b, state.used);
+    const auto [b_vertices, b_edges] = s.CountUnusedB(layout, b, state.used);
     const int depth = state.depth + 1;
 
     // Candidate images: every unused b-vertex, plus deletion.
@@ -558,13 +621,13 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
         int cost = LocalSubstitutionCost(fa.vertex_label[u],
                                          fb.vertex_label[v]) +
                    deleted_neighbors_cost;
-        for (const AstarScratch::Mapped& prev : s.mapped) {
+        for (const SearchScratch::Mapped& prev : s.mapped) {
           cost += PairCost(fa, *prev.out, fb, fb.Pair(v, prev.image));
           cost += PairCost(fa, *prev.in, fb, fb.Pair(prev.image, v));
         }
         next.g_cost = state.g_cost + cost;
         child_vertices -= 1;
-        child_edges -= s.MoveB(b, state.used, v, -1);
+        child_edges -= s.MoveB(layout, b, state.used, v, -1);
       }
       if (depth == n) {
         // Completion: insert every unused b-vertex and every b-edge with an
@@ -573,9 +636,9 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
         next.f = next.g_cost;
       } else {
         next.f = next.g_cost +
-                 s.Heuristic(n, depth, child_vertices, child_edges);
+                 s.Heuristic(layout, depth, child_vertices, child_edges);
       }
-      if (v >= 0) s.MoveB(b, state.used, v, +1);
+      if (v >= 0) s.MoveB(layout, b, state.used, v, +1);
       if (next.f <= tau) {
         next.node = static_cast<int>(s.arena.size());
         s.arena.push_back(Node{state.node, v});
@@ -585,6 +648,72 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
     }
   }
   return std::nullopt;
+}
+
+// Spare per-pair layouts of this thread: a WorldGed takes one at Build and
+// gives it back when it ends, so a warm pair reuses the buffers of an
+// earlier pair instead of allocating its own.
+thread_local std::vector<std::unique_ptr<GedLayout>> spare_layouts;
+
+}  // namespace
+
+std::optional<GedResult> BoundedGed(const LabeledGraph& a,
+                                    const LabeledGraph& b, int tau,
+                                    const LabelDictionary& dict,
+                                    const GedOptions& options,
+                                    bool* aborted) {
+  // The one-shot layout: a WorldGed's layout is never this one, so a call
+  // here between two world searches leaves the pair's layout intact.
+  thread_local GedLayout layout;
+  layout.graphs.Build(a, b, dict);
+  layout.BuildRows(a);
+  std::optional<GedResult> result = Search(layout, b, tau, options, aborted);
+  // Debug-mode postcondition: the mapping witnesses the distance and the
+  // distance sits inside the lower/upper bound sandwich.
+  if (result.has_value()) {
+    SIMJ_DCHECK_OK(ValidateGedResult(a, b, *result, dict));
+  }
+  return result;
+}
+
+WorldGed::WorldGed() = default;
+WorldGed::WorldGed(WorldGed&&) noexcept = default;
+WorldGed& WorldGed::operator=(WorldGed&&) noexcept = default;
+
+WorldGed::~WorldGed() {
+  if (layout_ != nullptr) spare_layouts.push_back(std::move(layout_));
+}
+
+void WorldGed::Build(const LabeledGraph& a,
+                     std::span<const graph::UncertainGraph> groups,
+                     const LabelDictionary& dict) {
+  SIMJ_CHECK(!groups.empty());
+  if (layout_ == nullptr) {
+    if (spare_layouts.empty()) {
+      layout_ = std::make_unique<GedLayout>();
+    } else {
+      layout_ = std::move(spare_layouts.back());
+      spare_layouts.pop_back();
+    }
+  }
+  a_ = &a;
+  dict_ = &dict;
+  layout_->graphs.Build(a, groups, dict);
+  layout_->BuildRows(a);
+}
+
+std::optional<GedResult> WorldGed::BoundedGed(
+    const graph::UncertainGraph& group, const std::vector<int>& choice,
+    int tau, const GedOptions& options, bool* aborted) {
+  SIMJ_CHECK(layout_ != nullptr);
+  layout_->graphs.SetWorld(group, choice, *dict_);
+  std::optional<GedResult> result =
+      Search(*layout_, group.structure(), tau, options, aborted);
+  if (result.has_value()) {
+    SIMJ_DCHECK_OK(ValidateGedResult(*a_, group.Materialize(choice), *result,
+                                     *dict_));
+  }
+  return result;
 }
 
 int MappingCost(const LabeledGraph& a, const LabeledGraph& b,

@@ -14,25 +14,37 @@
 // generation (paper Section 2.1 Step 3) is built from it.
 //
 // Flat kernels. BoundedGed and GreedyGedUpperBound first lay the two graphs
-// out flat, once per call: labels get dense local ids (one id for every
-// wildcard, which all match alike), vertex and edge label multisets become
-// count arrays, and the parallel edges of every ordered vertex pair become
-// one row-major table of sorted label runs. The A*'s pending a-side counts
-// are one count array per depth; the b-side counts are rebuilt from the
-// `used` mask once per expanded state and adjusted per child. A search
-// state is plain data (f, g, depth, used mask, arena index): each pushed
-// child appends one (parent, image) entry to an arena, and an expanded
-// state's prefix is read back from the arena once for all its children.
-// The greedy bound's Hungarian runs on one flat (n+m)^2 matrix.
+// out flat: labels get dense local ids (one id for every wildcard, which
+// all match alike), vertex and edge label multisets become count arrays,
+// and the parallel edges of every ordered vertex pair become one row-major
+// table of sorted label runs. The A*'s pending a-side counts are one count
+// array per depth; the b-side counts are rebuilt from the `used` mask once
+// per expanded state and adjusted per child. A search state is plain data
+// (f, g, depth, used mask, arena index): each pushed child appends one
+// (parent, image) entry to an arena, and an expanded state's prefix is read
+// back from the arena once for all its children. The greedy bound's
+// Hungarian runs on one flat (n+m)^2 matrix.
 //
-// Each kernel keeps its buffers in its own per-thread scratch, reused by
-// the next call on the thread. A warm A* call allocates only its result,
-// unless it needs more room than any earlier call on the thread; a call
-// that grew the open list or arena past 2^18 states frees them on exit.
-// The greedy bound's Hungarian still allocates its few O(n+m) vectors.
-// The two scratches are separate because the debug build validates every
-// BoundedGed result with GreedyGedUpperBound while the A* scratch is live.
-// Calls on different threads share nothing but the registry counters.
+// One layout per pair. The one-shot BoundedGed lays its two graphs out on
+// every call. Verification instead searches q against many possible worlds
+// of one uncertain graph g, which all share g's structure and differ only
+// in vertex labels, so a WorldGed lays q out against g once per pair, with
+// label ids for q's labels and every alternative of g; a world then only
+// rewrites b's vertex-label ids before the same search loop runs. Extra
+// label ids only add zero counts to the heuristic's arrays, so the search
+// is the one-shot search step for step.
+//
+// Storage. The one-shot layout and the greedy bound's buffers are
+// per-thread scratches, reused by the next call on the thread. A WorldGed
+// owns its layout, taken from a per-thread spare list and given back when
+// it ends, so a one-shot call between two world searches cannot overwrite
+// it. The A*'s search buffers (open list, arena, b-side counts) live for
+// one search only and are shared per thread by both entry points. A warm
+// A* call allocates only its result, unless it needs more room than any
+// earlier call on the thread; a call that grew the open list or arena past
+// 2^18 states frees them on exit. The greedy bound's Hungarian still
+// allocates its few O(n+m) vectors. Calls on different threads share
+// nothing but the registry counters.
 //
 // Exactness contract: the flat A* visits the same vertex order, computes
 // the same heuristic and step costs and pushes the same children in the
@@ -40,17 +52,21 @@
 // hash-map search it replaced, so distance, mapping, the abort flag, the
 // expansion count and the open-list peak are identical; the greedy bound
 // returns the same value and mapping. tests/ged_diff_test.cc checks both
-// against a copy of the replaced kernels (tests/ged_reference.h).
+// against a copy of the replaced kernels (tests/ged_reference.h), and
+// WorldGed against the one-shot BoundedGed on every world.
 
 #ifndef SIMJ_GED_EDIT_DISTANCE_H_
 #define SIMJ_GED_EDIT_DISTANCE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
+#include "graph/uncertain_graph.h"
 #include "util/status.h"
 
 namespace simj::ged {
@@ -78,6 +94,39 @@ struct GedOptions {
                                     const graph::LabelDictionary& dict,
                                     const GedOptions& options = GedOptions(),
                                     bool* aborted = nullptr);
+
+struct GedLayout;  // edit_distance.cc
+
+// BoundedGed of one certain graph `a` against possible worlds of one
+// uncertain graph, laid out once (see "One layout per pair" above).
+class WorldGed {
+ public:
+  WorldGed();
+  ~WorldGed();
+  WorldGed(WorldGed&&) noexcept;
+  WorldGed& operator=(WorldGed&&) noexcept;
+
+  // Lays `a` out against `groups`: restrictions of one uncertain graph
+  // (possible-world groups, or the graph itself), which share its
+  // structure. `a` and `dict` must outlive the searches.
+  void Build(const graph::LabeledGraph& a,
+             std::span<const graph::UncertainGraph> groups,
+             const graph::LabelDictionary& dict);
+  bool built() const { return layout_ != nullptr; }
+
+  // Equals BoundedGed(a, group.Materialize(choice), tau, dict, options,
+  // aborted), registry counters included, for `group` one of the groups
+  // given to Build.
+  [[nodiscard]] std::optional<GedResult> BoundedGed(
+      const graph::UncertainGraph& group, const std::vector<int>& choice,
+      int tau, const GedOptions& options = GedOptions(),
+      bool* aborted = nullptr);
+
+ private:
+  std::unique_ptr<GedLayout> layout_;
+  const graph::LabeledGraph* a_ = nullptr;
+  const graph::LabelDictionary* dict_ = nullptr;
+};
 
 // Computes the exact ged(a, b) with no threshold.
 [[nodiscard]] GedResult ExactGed(const graph::LabeledGraph& a, const graph::LabeledGraph& b,

@@ -20,12 +20,26 @@ int UncertainGraph::AddVertex(std::vector<LabelAlternative> alternatives) {
   }
   SIMJ_CHECK_LE(sum, 1.0 + kProbEpsilon);
   alternatives_.push_back(std::move(alternatives));
-  structure_.AddVertex(kInvalidLabel);
+  MutableStructure().AddVertex(kInvalidLabel);
   return num_vertices() - 1;
 }
 
 void UncertainGraph::AddEdge(int src, int dst, LabelId label) {
-  structure_.AddEdge(src, dst, label);
+  MutableStructure().AddEdge(src, dst, label);
+}
+
+const LabeledGraph& UncertainGraph::EmptyStructure() {
+  static const LabeledGraph empty;
+  return empty;
+}
+
+LabeledGraph& UncertainGraph::MutableStructure() {
+  if (structure_ == nullptr) {
+    structure_ = std::make_shared<LabeledGraph>();
+  } else if (structure_.use_count() > 1) {
+    structure_ = std::make_shared<LabeledGraph>(*structure_);
+  }
+  return *structure_;
 }
 
 bool UncertainGraph::IsVertexCertain(int v) const {
@@ -63,9 +77,7 @@ LabeledGraph UncertainGraph::Materialize(const std::vector<int>& choice) const {
     SIMJ_CHECK(choice[v] >= 0 && choice[v] < static_cast<int>(alts.size()));
     world.AddVertex(alts[choice[v]].label);
   }
-  for (const Edge& e : structure_.edges()) {
-    world.AddEdge(e.src, e.dst, e.label);
-  }
+  for (const Edge& e : edges()) world.AddEdge(e.src, e.dst, e.label);
   return world;
 }
 
@@ -83,29 +95,21 @@ UncertainGraph UncertainGraph::RestrictVertex(
   SIMJ_CHECK(v >= 0 && v < num_vertices());
   SIMJ_CHECK(!keep.empty());
   UncertainGraph restricted;
-  for (int u = 0; u < num_vertices(); ++u) {
-    if (u != v) {
-      restricted.AddVertex(alternatives_[u]);
-      continue;
-    }
-    std::vector<LabelAlternative> subset;
-    subset.reserve(keep.size());
-    for (int idx : keep) {
-      SIMJ_CHECK(idx >= 0 && idx < static_cast<int>(alternatives_[v].size()));
-      subset.push_back(alternatives_[v][idx]);
-    }
-    restricted.AddVertex(std::move(subset));
-  }
-  for (const Edge& e : structure_.edges()) {
-    restricted.AddEdge(e.src, e.dst, e.label);
+  restricted.alternatives_ = alternatives_;
+  restricted.structure_ = structure_;
+  std::vector<LabelAlternative>& subset = restricted.alternatives_[v];
+  subset.clear();
+  for (int idx : keep) {
+    SIMJ_CHECK(idx >= 0 && idx < static_cast<int>(alternatives_[v].size()));
+    subset.push_back(alternatives_[v][idx]);
   }
   return restricted;
 }
 
 Status UncertainGraph::Validate(const LabelDictionary& dict) const {
-  Status topology = structure_.ValidateTopology(dict);
+  Status topology = structure().ValidateTopology(dict);
   if (!topology.ok()) return topology;
-  if (static_cast<int>(alternatives_.size()) != structure_.num_vertices()) {
+  if (static_cast<int>(alternatives_.size()) != structure().num_vertices()) {
     return InternalError("alternative-set count disagrees with vertex count");
   }
   for (int v = 0; v < num_vertices(); ++v) {
@@ -166,7 +170,7 @@ UncertainGraph UncertainGraph::FromParts(
     LabeledGraph structure) {
   UncertainGraph g;
   g.alternatives_ = std::move(alternatives);
-  g.structure_ = std::move(structure);
+  g.structure_ = std::make_shared<LabeledGraph>(std::move(structure));
   return g;
 }
 
@@ -183,7 +187,7 @@ std::string UncertainGraph::DebugString(const LabelDictionary& dict) const {
     }
     out << "}\n";
   }
-  for (const Edge& e : structure_.edges()) {
+  for (const Edge& e : edges()) {
     out << "  v" << e.src << " -[" << dict.Name(e.label) << "]-> v" << e.dst
         << "\n";
   }

@@ -13,11 +13,22 @@
 // UncertainGraphs whose vertices carry a subset of the original label
 // alternatives, keeping the original (unnormalized) probabilities; the
 // group's probability mass is then the product of per-vertex sums.
+//
+// Sharing contract. The structure (vertices, edges, adjacency) is held
+// behind a reference-counted pointer and copied on write. A copy or a
+// RestrictVertex of a graph shares its structure (structure() returns the
+// same object) and copies only the per-vertex alternative lists.
+// AddVertex/AddEdge on a graph whose structure is shared first give it a
+// private copy, so a mutation never shows through another graph. A shared
+// structure is only ever read, so graphs that share one may be read,
+// copied and restricted from any number of threads at once; mutating one
+// graph object still needs the usual exclusive access to that object.
 
 #ifndef SIMJ_GRAPH_UNCERTAIN_GRAPH_H_
 #define SIMJ_GRAPH_UNCERTAIN_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +62,7 @@ class UncertainGraph {
   void AddEdge(int src, int dst, LabelId label);
 
   int num_vertices() const { return static_cast<int>(alternatives_.size()); }
-  int num_edges() const { return structure_.num_edges(); }
+  int num_edges() const { return structure().num_edges(); }
 
   const std::vector<LabelAlternative>& alternatives(int v) const {
     SIMJ_CHECK(v >= 0 && v < num_vertices());
@@ -61,13 +72,16 @@ class UncertainGraph {
   // True when vertex v has a single alternative with probability 1.
   bool IsVertexCertain(int v) const;
 
-  const std::vector<Edge>& edges() const { return structure_.edges(); }
-  int degree(int v) const { return structure_.degree(v); }
-  LabelCounts EdgeLabelCounts() const { return structure_.EdgeLabelCounts(); }
+  const std::vector<Edge>& edges() const { return structure().edges(); }
+  int degree(int v) const { return structure().degree(v); }
+  LabelCounts EdgeLabelCounts() const { return structure().EdgeLabelCounts(); }
 
   // The label structure with vertex labels left invalid; used where only
-  // the topology matters.
-  const LabeledGraph& structure() const { return structure_; }
+  // the topology matters. Shared with copies and restrictions of this
+  // graph (see the sharing contract above).
+  const LabeledGraph& structure() const {
+    return structure_ != nullptr ? *structure_ : EmptyStructure();
+  }
 
   // Number of possible worlds (product of alternative counts), saturating
   // at INT64_MAX.
@@ -87,7 +101,8 @@ class UncertainGraph {
 
   // Returns a copy where vertex v keeps only the alternatives whose indices
   // are listed in `keep` (order preserved). Probabilities are not
-  // renormalized, so masses of complementary restrictions add up.
+  // renormalized, so masses of complementary restrictions add up. The copy
+  // shares this graph's structure; only the alternative lists are copied.
   UncertainGraph RestrictVertex(int v, const std::vector<int>& keep) const;
 
   // Full-graph invariant validation for API boundaries (paper Def. 2/4):
@@ -115,8 +130,13 @@ class UncertainGraph {
   std::string DebugString(const LabelDictionary& dict) const;
 
  private:
+  static const LabeledGraph& EmptyStructure();
+  // The structure to mutate: this graph's own, copied first when shared.
+  LabeledGraph& MutableStructure();
+
   std::vector<std::vector<LabelAlternative>> alternatives_;
-  LabeledGraph structure_;  // vertex labels unused (kInvalidLabel)
+  // Vertex labels unused (kInvalidLabel); null until the first vertex.
+  std::shared_ptr<LabeledGraph> structure_;
 };
 
 // Enumerates the possible worlds of an uncertain graph in odometer order.

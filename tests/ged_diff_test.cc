@@ -2,10 +2,13 @@
 // the kernels they replaced (ged_reference.h). The A* must take the same
 // search step for step, so besides distance, mapping and the abort flag it
 // must expand the same number of states and reach the same open-list peak;
-// the greedy upper bound must return the same value and mapping.
+// the greedy upper bound must return the same value and mapping. The
+// per-pair layout (WorldGed) is held to the same standard against the
+// one-shot BoundedGed on every possible world it searches.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,6 +227,158 @@ TEST(GedDiffTest, SixtyFourVertexTarget) {
                                 CssLowerBound(a, b, dict)),
               0);
   }
+}
+
+// WorldGed, laid out once against `groups` (restrictions of one uncertain
+// graph), against the one-shot BoundedGed on every world of every group, at
+// every tau in [0, kMaxTau] and every expansion cap: the same result, abort
+// flag, expansion count and open-list peak. `max_worlds` caps the worlds
+// searched per group. Returns the number of searches that expanded a state.
+int ExpectWorldGedMatchesOneShot(
+    const LabeledGraph& q, const std::vector<graph::UncertainGraph>& groups,
+    const LabelDictionary& dict, const std::string& what,
+    int max_worlds = 1 << 30) {
+  SCOPED_TRACE(what + "\n" + q.DebugString(dict) +
+               groups.front().DebugString(dict));
+  WorldGed world_ged;
+  world_ged.Build(q, groups, dict);
+  int searched = 0;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const graph::UncertainGraph& group = groups[i];
+    int worlds = 0;
+    for (graph::PossibleWorldIterator it(group);
+         !it.Done() && worlds < max_worlds; it.Next(), ++worlds) {
+      const LabeledGraph world = group.Materialize(it.choice());
+      for (int tau = 0; tau <= kMaxTau; ++tau) {
+        for (int64_t cap : kExpansionCaps) {
+          SCOPED_TRACE("group " + std::to_string(i) + " world " +
+                       std::to_string(worlds) + " tau=" + std::to_string(tau) +
+                       " max_expansions=" + std::to_string(cap));
+          GedOptions options;
+          options.max_expansions = cap;
+          const Search want = Measure([&](bool* aborted) {
+            return BoundedGed(q, world, tau, dict, options, aborted);
+          });
+          const Search got = Measure([&](bool* aborted) {
+            return world_ged.BoundedGed(group, it.choice(), tau, options,
+                                        aborted);
+          });
+          EXPECT_EQ(got.result.has_value(), want.result.has_value());
+          if (got.result.has_value() && want.result.has_value()) {
+            EXPECT_EQ(got.result->distance, want.result->distance);
+            EXPECT_EQ(got.result->mapping, want.result->mapping);
+          }
+          EXPECT_EQ(got.aborted, want.aborted);
+          EXPECT_EQ(got.expansions, want.expansions);
+          EXPECT_EQ(got.open_list_peak, want.open_list_peak);
+          if (want.expansions > 0) ++searched;
+        }
+      }
+    }
+  }
+  return searched;
+}
+
+// g and its two children of a split of vertex v: alternative 0 alone, and
+// the rest.
+std::vector<graph::UncertainGraph> SplitGroups(const graph::UncertainGraph& g) {
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const int alternatives = static_cast<int>(g.alternatives(v).size());
+    if (alternatives < 2) continue;
+    std::vector<int> rest(static_cast<size_t>(alternatives - 1));
+    for (int i = 1; i < alternatives; ++i) rest[i - 1] = i;
+    return {g.RestrictVertex(v, {0}), g.RestrictVertex(v, rest)};
+  }
+  return {g};
+}
+
+// Small uncertain graphs with wildcard alternatives, wildcard edges and
+// parallel edges, searched whole and as two split groups.
+TEST(GedDiffTest, WorldGedMatchesOneShotOnEveryWorld) {
+  LabelDictionary dict;
+  std::vector<graph::LabelId> vertex_labels =
+      simj::testing::TestLabels(dict, 4);
+  vertex_labels.push_back(dict.Intern("?x"));
+  const std::vector<graph::LabelId> edge_labels = {
+      dict.Intern("r1"), dict.Intern("r2"), dict.Intern("?r")};
+  Rng rng(6500);
+  int searched = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    const LabeledGraph q = simj::testing::RandomCertainGraph(
+        rng, vertex_labels, edge_labels, static_cast<int>(rng.Uniform(2, 5)),
+        static_cast<int>(rng.Uniform(2, 9)));
+    const graph::UncertainGraph g = simj::testing::RandomUncertainGraph(
+        rng, vertex_labels, edge_labels, static_cast<int>(rng.Uniform(2, 5)),
+        static_cast<int>(rng.Uniform(2, 9)), /*max_alts=*/3);
+    const std::string what = "trial " + std::to_string(trial);
+    searched += ExpectWorldGedMatchesOneShot(q, {g}, dict, what + " whole");
+    searched += ExpectWorldGedMatchesOneShot(q, SplitGroups(g), dict,
+                                             what + " split");
+  }
+  EXPECT_GT(searched, 0);
+}
+
+// er_verify-shaped pairs, the first worlds of each.
+TEST(GedDiffTest, WorldGedMatchesOneShotOnErShapes) {
+  const workload::SyntheticDataset data = ErShapes(/*seed=*/63, 12);
+  int searched = 0;
+  int pairs = 0;
+  for (const LabeledGraph& q : data.certain) {
+    for (const graph::UncertainGraph& g : data.uncertain) {
+      const int css = CssLowerBoundUncertain(q, g, data.dict);
+      if (css < 2 || css > 5 || pairs == 4) continue;
+      ++pairs;
+      searched += ExpectWorldGedMatchesOneShot(
+          q, SplitGroups(g), data.dict, "er pair " + std::to_string(pairs),
+          /*max_worlds=*/6);
+    }
+  }
+  EXPECT_EQ(pairs, 4);
+  EXPECT_GT(searched, 0);
+}
+
+// A one-shot BoundedGed on another pair between two world searches on the
+// same thread leaves the WorldGed's layout intact.
+TEST(GedDiffTest, OneShotCallsBetweenWorldSearches) {
+  LabelDictionary dict;
+  std::vector<graph::LabelId> vertex_labels =
+      simj::testing::TestLabels(dict, 5);
+  vertex_labels.push_back(dict.Intern("?x"));
+  const std::vector<graph::LabelId> edge_labels = {dict.Intern("r1"),
+                                                   dict.Intern("r2")};
+  Rng rng(6600);
+  const graph::UncertainGraph g = simj::testing::RandomUncertainGraph(
+      rng, vertex_labels, edge_labels, 5, 7, /*max_alts=*/3);
+  // One of g's worlds, so that the worlds near it fall within tau.
+  const LabeledGraph q =
+      g.Materialize(std::vector<int>(static_cast<size_t>(g.num_vertices()), 0));
+  const LabeledGraph other_a = simj::testing::RandomCertainGraph(
+      rng, vertex_labels, edge_labels, 6, 9);
+  const LabeledGraph other_b = simj::testing::RandomCertainGraph(
+      rng, vertex_labels, edge_labels, 7, 10);
+  constexpr int kTau = 4;
+  WorldGed world_ged;
+  world_ged.Build(q, std::span(&g, 1), dict);
+  int found = 0;
+  for (graph::PossibleWorldIterator it(g); !it.Done(); it.Next()) {
+    const std::optional<GedResult> want =
+        BoundedGed(q, g.Materialize(it.choice()), kTau, dict);
+    const std::optional<GedResult> first =
+        world_ged.BoundedGed(g, it.choice(), kTau);
+    // Lays other_a out against other_b in the one-shot scratch.
+    (void)BoundedGed(other_a, other_b, kTau + 6, dict);
+    const std::optional<GedResult> second =
+        world_ged.BoundedGed(g, it.choice(), kTau);
+    ASSERT_EQ(first.has_value(), want.has_value());
+    ASSERT_EQ(second.has_value(), want.has_value());
+    if (!want.has_value()) continue;
+    ++found;
+    EXPECT_EQ(first->distance, want->distance);
+    EXPECT_EQ(first->mapping, want->mapping);
+    EXPECT_EQ(second->distance, want->distance);
+    EXPECT_EQ(second->mapping, want->mapping);
+  }
+  EXPECT_GT(found, 0);
 }
 
 // Four threads run both A* kernels and both greedy bounds at once on the

@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -204,6 +207,96 @@ TEST(UncertainGraphTest, RestrictVertexMassesAddUp) {
   EXPECT_NEAR(first.TotalMass() + rest.TotalMass(), g.TotalMass(), 1e-12);
   EXPECT_EQ(first.num_edges(), 1);
   EXPECT_EQ(rest.alternatives(0).size(), 2u);
+}
+
+TEST(UncertainGraphTest, CopiesAndRestrictionsShareStructure) {
+  LabelDictionary dict;
+  LabelId a = dict.Intern("A");
+  LabelId b = dict.Intern("B");
+  LabelId c = dict.Intern("C");
+  LabelId r = dict.Intern("r");
+  UncertainGraph g;
+  g.AddVertex({{a, 0.5}, {b, 0.3}, {c, 0.2}});
+  g.AddCertainVertex(a);
+  g.AddVertex({{b, 0.6}, {c, 0.4}});
+  g.AddEdge(0, 1, r);
+  g.AddEdge(1, 2, r);
+
+  UncertainGraph copy = g;
+  UncertainGraph restricted = g.RestrictVertex(0, {2, 0});
+  EXPECT_EQ(&copy.structure(), &g.structure());
+  EXPECT_EQ(&restricted.structure(), &g.structure());
+  ASSERT_EQ(restricted.alternatives(0).size(), 2u);
+  EXPECT_EQ(restricted.alternatives(0)[0], (LabelAlternative{c, 0.2}));
+  EXPECT_EQ(restricted.alternatives(0)[1], (LabelAlternative{a, 0.5}));
+  EXPECT_EQ(restricted.alternatives(2), g.alternatives(2));
+
+  // Mutating a copy or a restriction gives it its own structure and leaves
+  // the original as it was.
+  copy.AddEdge(2, 0, r);
+  EXPECT_NE(&copy.structure(), &g.structure());
+  EXPECT_EQ(copy.num_edges(), 3);
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.structure().out_edges(2).size(), 0u);
+  restricted.AddCertainVertex(b);
+  EXPECT_NE(&restricted.structure(), &g.structure());
+  EXPECT_EQ(restricted.num_vertices(), 4);
+  EXPECT_EQ(restricted.structure().num_vertices(), 4);
+  EXPECT_EQ(g.num_vertices(), 3);
+  EXPECT_EQ(g.structure().num_vertices(), 3);
+  EXPECT_EQ(g.alternatives(0).size(), 3u);
+  EXPECT_TRUE(copy.Validate(dict).ok());
+  EXPECT_TRUE(restricted.Validate(dict).ok());
+  EXPECT_TRUE(g.Validate(dict).ok());
+
+  // A restriction of a restriction still shares the original structure.
+  UncertainGraph inner = g.RestrictVertex(0, {0, 1}).RestrictVertex(2, {1});
+  EXPECT_EQ(&inner.structure(), &g.structure());
+  EXPECT_DOUBLE_EQ(inner.TotalMass(), (0.5 + 0.3) * 1.0 * 0.4);
+}
+
+// Four threads copy and restrict one shared graph at once and mutate their
+// own copies: the structure's reference count is shared between threads,
+// and the original must come out unchanged.
+TEST(UncertainGraphTest, ConcurrentCopiesAndRestrictions) {
+  LabelDictionary dict;
+  auto labels = testing::TestLabels(dict, 4);
+  Rng rng(31);
+  const UncertainGraph g = testing::RandomUncertainGraph(
+      rng, labels, labels, /*n=*/6, /*m=*/9, /*max_alts=*/3);
+  const int edges = g.num_edges();
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 200; ++round) {
+        UncertainGraph copy = g;
+        const int v = (t + round) % g.num_vertices();
+        UncertainGraph restricted = g.RestrictVertex(v, {0});
+        if (&copy.structure() != &g.structure() ||
+            &restricted.structure() != &g.structure() ||
+            restricted.alternatives(v).size() != 1 ||
+            restricted.NumPossibleWorlds() * static_cast<int64_t>(
+                                                 g.alternatives(v).size()) !=
+                g.NumPossibleWorlds()) {
+          ++mismatches[t];
+        }
+        copy.AddEdge(0, 1, labels[0]);
+        restricted.AddCertainVertex(labels[1]);
+        if (copy.num_edges() != edges + 1 || g.num_edges() != edges ||
+            restricted.num_vertices() != g.num_vertices() + 1) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_TRUE(g.Validate(dict).ok());
 }
 
 TEST(UncertainGraphTest, FromCertainRoundTrips) {

@@ -1,8 +1,12 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/groups.h"
 #include "core/similarity.h"
 #include "ged/edit_distance.h"
+#include "ged/lower_bounds.h"
 #include "graph/uncertain_graph.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -246,6 +250,215 @@ TEST(GroupingTest, AllHeuristicsProduceValidBounds) {
     EXPECT_GE(grouping.simp_upper_bound + 1e-9, exact);
   }
 }
+
+// The partition as it was computed before split scoring read the parent's
+// cached terms: every candidate child built with RestrictVertex and scored
+// from scratch (TotalMass, SummarizeGroup, MaxCommonVertexLabels,
+// UpperBoundSimPWithConstant).
+ScoredGroup ScoreFromScratch(const LabeledGraph& q,
+                             const ged::GraphSummary& q_summary,
+                             UncertainGraph group, ged::GraphSummary summary,
+                             int tau, int structural_constant,
+                             const LabelDictionary& dict) {
+  ScoredGroup scored;
+  scored.mass = group.TotalMass();
+  scored.lower_bound =
+      std::max(0, structural_constant -
+                      ged::MaxCommonVertexLabels(q_summary, summary));
+  scored.upper_bound =
+      scored.lower_bound > tau
+          ? 0.0
+          : UpperBoundSimPWithConstant(q, group, tau, structural_constant,
+                                       dict);
+  scored.graph = std::move(group);
+  scored.summary = std::move(summary);
+  return scored;
+}
+
+std::vector<ScoredGroup> ReferencePartition(const LabeledGraph& q,
+                                            const UncertainGraph& g, int tau,
+                                            const LabelDictionary& dict,
+                                            const GroupingOptions& options) {
+  const ged::GraphSummary q_summary = ged::Summarize(q, dict);
+  const ged::GraphSummary g_summary = ged::Summarize(g, dict);
+  const int constant = ged::CssStructuralConstant(q_summary, g_summary);
+  std::vector<ScoredGroup> groups;
+  groups.push_back(
+      ScoreFromScratch(q, q_summary, g, g_summary, tau, constant, dict));
+  while (static_cast<int>(groups.size()) < options.group_count) {
+    int target = -1;
+    for (int i = 0; i < static_cast<int>(groups.size()); ++i) {
+      const ScoredGroup& group = groups[i];
+      bool splittable = false;
+      for (int v = 0; v < group.graph.num_vertices(); ++v) {
+        if (group.graph.alternatives(v).size() >= 2) splittable = true;
+      }
+      if (group.lower_bound > tau || !splittable) continue;
+      if (target == -1 || group.lower_bound < groups[target].lower_bound ||
+          (group.lower_bound == groups[target].lower_bound &&
+           group.upper_bound > groups[target].upper_bound)) {
+        target = i;
+      }
+    }
+    if (target == -1) break;
+    const UncertainGraph& parent = groups[target].graph;
+    // The two selection principles, as in groups.cc.
+    int by_mass = -1;
+    double best_mass = -1.0;
+    int by_count = -1;
+    int best_count = 1;
+    for (int v = 0; v < parent.num_vertices(); ++v) {
+      const auto& alts = parent.alternatives(v);
+      if (alts.size() < 2) continue;
+      double mass = 0.0;
+      for (const auto& alt : alts) mass += alt.prob;
+      if (mass > best_mass) {
+        best_mass = mass;
+        by_mass = v;
+      }
+      if (static_cast<int>(alts.size()) > best_count) {
+        best_count = static_cast<int>(alts.size());
+        by_count = v;
+      }
+    }
+    std::vector<int> picks;
+    if (options.heuristic != SplitHeuristic::kCountOnly) {
+      picks.push_back(by_mass);
+    }
+    if (options.heuristic != SplitHeuristic::kMassOnly) {
+      picks.push_back(by_count);
+    }
+    double best_cost = 0.0;
+    std::vector<ScoredGroup> best_children;
+    for (size_t p = 0; p < picks.size(); ++p) {
+      const int v = picks[p];
+      if (v < 0 || (p == 1 && picks[0] == v)) continue;
+      const auto& alts = parent.alternatives(v);
+      int top = 0;
+      for (int i = 1; i < static_cast<int>(alts.size()); ++i) {
+        if (alts[i].prob > alts[top].prob) top = i;
+      }
+      std::vector<int> rest;
+      for (int i = 0; i < static_cast<int>(alts.size()); ++i) {
+        if (i != top) rest.push_back(i);
+      }
+      std::vector<ScoredGroup> children;
+      for (const std::vector<int>& keep : {std::vector<int>{top}, rest}) {
+        UncertainGraph child = parent.RestrictVertex(v, keep);
+        ged::GraphSummary summary =
+            ged::SummarizeGroup(groups[target].summary, child, dict);
+        children.push_back(ScoreFromScratch(q, q_summary, std::move(child),
+                                            std::move(summary), tau, constant,
+                                            dict));
+      }
+      double cost = 0.0;
+      for (const ScoredGroup& child : children) {
+        if (child.lower_bound <= tau) cost += child.upper_bound;
+      }
+      if (best_children.empty() || cost < best_cost) {
+        best_cost = cost;
+        best_children = std::move(children);
+      }
+    }
+    groups[target] = std::move(best_children[0]);
+    groups.push_back(std::move(best_children[1]));
+  }
+  return groups;
+}
+
+void ExpectSameSummary(const ged::GraphSummary& got,
+                       const ged::GraphSummary& want) {
+  EXPECT_EQ(got.num_vertices, want.num_vertices);
+  EXPECT_EQ(got.num_edges, want.num_edges);
+  EXPECT_EQ(got.sorted_degrees, want.sorted_degrees);
+  ASSERT_EQ(got.edge_labels.size(), want.edge_labels.size());
+  for (size_t i = 0; i < got.edge_labels.size(); ++i) {
+    EXPECT_EQ(got.edge_labels[i].label, want.edge_labels[i].label);
+    EXPECT_EQ(got.edge_labels[i].count, want.edge_labels[i].count);
+  }
+  EXPECT_EQ(got.wildcard_edges, want.wildcard_edges);
+  EXPECT_EQ(got.wildcard_vertices, want.wildcard_vertices);
+  EXPECT_EQ(got.vertex_wildcard, want.vertex_wildcard);
+  EXPECT_EQ(got.labeled_vertices, want.labeled_vertices);
+}
+
+// Split children are scored from the parent's cached per-vertex terms and
+// summary, without building them. Every group must come out bit for bit as
+// the from-scratch partition above has it, and as a from-scratch score of
+// its own materialized graph; and it must share g's structure.
+class SplitScoringTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SplitScoringTest, ChildrenMatchFromScratchScores) {
+  LabelDictionary dict;
+  std::vector<graph::LabelId> vlabels = simj::testing::TestLabels(dict, 5);
+  vlabels.push_back(dict.Intern("?v"));
+  const std::vector<graph::LabelId> elabels = {dict.Intern("r1"),
+                                               dict.Intern("r2"),
+                                               dict.Intern("?r")};
+  Rng rng(900 + GetParam());
+  const LabeledGraph q = simj::testing::RandomCertainGraph(
+      rng, vlabels, elabels, static_cast<int>(rng.Uniform(1, 6)),
+      static_cast<int>(rng.Uniform(0, 8)));
+  const UncertainGraph g = simj::testing::RandomUncertainGraph(
+      rng, vlabels, elabels, static_cast<int>(rng.Uniform(2, 7)),
+      static_cast<int>(rng.Uniform(0, 9)), /*max_alts=*/4);
+  const ged::GraphSummary q_summary = ged::Summarize(q, dict);
+  const ged::GraphSummary g_summary = ged::Summarize(g, dict);
+  const int constant = ged::CssStructuralConstant(q_summary, g_summary);
+  for (int tau = 0; tau <= 6; tau += 2) {
+    for (int group_count : {2, 3, 5, 8}) {
+      for (SplitHeuristic heuristic :
+           {SplitHeuristic::kCostModel, SplitHeuristic::kMassOnly,
+            SplitHeuristic::kCountOnly}) {
+        SCOPED_TRACE("tau=" + std::to_string(tau) +
+                     " group_count=" + std::to_string(group_count) +
+                     " heuristic=" +
+                     std::to_string(static_cast<int>(heuristic)));
+        GroupingOptions options;
+        options.group_count = group_count;
+        options.heuristic = heuristic;
+        const GroupingResult got =
+            PartitionPossibleWorlds(q, g, tau, dict, options);
+        const std::vector<ScoredGroup> want =
+            ReferencePartition(q, g, tau, dict, options);
+        double want_upper = 0.0;
+        double want_live_mass = 0.0;
+        std::vector<const ScoredGroup*> want_live;
+        for (const ScoredGroup& group : want) {
+          if (group.lower_bound > tau) continue;
+          want_upper += group.upper_bound;
+          want_live_mass += group.mass;
+          want_live.push_back(&group);
+        }
+        EXPECT_EQ(got.simp_upper_bound, want_upper);
+        EXPECT_EQ(got.live_mass, want_live_mass);
+        ASSERT_EQ(got.live_groups.size(), want_live.size());
+        for (size_t i = 0; i < want_live.size(); ++i) {
+          const ScoredGroup& a = got.live_groups[i];
+          const ScoredGroup& b = *want_live[i];
+          SCOPED_TRACE("group " + std::to_string(i));
+          EXPECT_EQ(a.mass, b.mass);
+          EXPECT_EQ(a.lower_bound, b.lower_bound);
+          EXPECT_EQ(a.upper_bound, b.upper_bound);
+          ExpectSameSummary(a.summary, b.summary);
+          ASSERT_EQ(a.graph.num_vertices(), b.graph.num_vertices());
+          for (int v = 0; v < a.graph.num_vertices(); ++v) {
+            EXPECT_EQ(a.graph.alternatives(v), b.graph.alternatives(v));
+          }
+          // From scratch on the group's own graph.
+          EXPECT_EQ(&a.graph.structure(), &g.structure());
+          EXPECT_EQ(a.mass, a.graph.TotalMass());
+          ExpectSameSummary(a.summary,
+                            ged::SummarizeGroup(g_summary, a.graph, dict));
+          EXPECT_EQ(a.upper_bound, UpperBoundSimPWithConstant(
+                                       q, a.graph, tau, constant, dict));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SplitScoringTest, ::testing::Range(0, 30));
 
 TEST(VerifySimPTest, EarlyAcceptStopsAtAlpha) {
   LabelDictionary dict;
