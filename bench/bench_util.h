@@ -715,6 +715,7 @@ struct EfficiencyRow {
   double candidate_ratio = 0.0;  // candidates / (|D| * |U|)
   double real_ratio = 0.0;       // actual results / (|D| * |U|)
   int64_t results = 0;
+  core::VerifyStats verify;  // of the last trial
   // Full trial series of the join wall time (min/median/stddev/...).
   run_record::Stats wall_stats;
 };
@@ -749,6 +750,7 @@ inline EfficiencyRow RunEfficiency(
   row.wall_seconds = row.wall_stats.median;
   row.candidate_ratio = joined.stats.CandidateRatio();
   row.results = joined.stats.results;
+  row.verify = joined.stats.verify;
   if (joined.stats.total_pairs > 0) {
     row.real_ratio = static_cast<double>(joined.stats.results) /
                      static_cast<double>(joined.stats.total_pairs);

@@ -352,6 +352,13 @@ check_record "${SMOKE_DIR}/result.json"
 # dominates and each shard costs milliseconds of CPU, past the kernel's
 # CPU-timer tick (~4 ms): every worker section held 57 or more samples in
 # each of three runs on a 4-core host, in about 1 s.
+#
+# Symbolization: every worker section must name the A* search loop (an
+# anonymous-namespace function in simj::ged, named from .symtab through
+# libbacktrace), and frames left as bench_shard_scaling+0x... must sit in
+# under 1% of each section's samples. PLT stubs are trampolines that no
+# symbol table names, so frames inside the binary's .plt sections (found
+# with readelf) are not counted.
 echo "=== profiler smoke ==="
 ./build-release/bench/bench_shard_scaling \
   --workers=4 --transport=process --max_pairs_per_shard=64 \
@@ -382,6 +389,32 @@ for label, section in sections.items():
     for stack in section["stacks"]:
         assert stack["thread"] and stack["count"] > 0 and stack["frames"], \
             (label, stack)
+
+import subprocess
+binary = "bench_shard_scaling"
+plt = []
+for line in subprocess.run(["readelf", "-SW", f"build-release/bench/{binary}"],
+                           check=True, capture_output=True,
+                           text=True).stdout.splitlines():
+    fields = line.replace("[ ", "[").split()
+    if len(fields) > 5 and fields[1].startswith(".plt"):
+        start = int(fields[3], 16)
+        plt.append((start, start + int(fields[5], 16)))
+def unnamed(frame):
+    if not frame.startswith(binary + "+0x"):
+        return False
+    offset = int(frame.split("+")[1], 16)
+    return not any(start <= offset < end for start, end in plt)
+for worker in range(4):
+    section = sections[f"worker-{worker}"]
+    stacks = section["stacks"]
+    assert any(f.startswith("simj::ged") and "Search" in f
+               for stack in stacks for f in stack["frames"]), \
+        f"worker-{worker} never names the A* search loop"
+    lost = sum(stack["count"] for stack in stacks
+               if any(unnamed(f) for f in stack["frames"]))
+    assert lost < 0.01 * section["samples"], \
+        f"worker-{worker}: {lost} of {section['samples']} samples unnamed"
 
 with open(f"{d}/cluster_profiled.json") as f:
     record = json.load(f)

@@ -294,25 +294,10 @@ bool EvaluateSummarizedPair(const LabeledGraph& q,
       q_summary, params.structural_pruning
                      ? structural_constant
                      : ged::CssStructuralConstant(q_summary, g_summary));
-  SimPResult simp;
-  if (params.early_exit_verification) {
-    simp = VerifySimP(q, world_bound, groups, live_mass, params.tau,
-                      params.alpha, dict, params.ged_options, &stats->verify,
-                      params.witness_accept);
-  } else {
-    for (const UncertainGraph& group : groups) {
-      SimPResult partial =
-          ComputeSimP(q, world_bound, group, params.tau, dict,
-                      params.ged_options, &stats->verify,
-                      params.witness_accept);
-      simp.probability += partial.probability;
-      if (partial.best_world_prob > simp.best_world_prob) {
-        simp.best_world_prob = partial.best_world_prob;
-        simp.best_world_ged = partial.best_world_ged;
-        simp.best_mapping = partial.best_mapping;
-      }
-    }
-  }
+  const SimPResult simp = VerifySimP(
+      q, world_bound, groups, live_mass, params.tau, params.alpha,
+      params.early_exit_verification, dict, params.ged_options,
+      &stats->verify, params.witness_accept);
   *finished = Clock::now();
   const double verify_seconds = SecondsBetween(filtered, *finished);
   stats->verification_cpu_seconds += verify_seconds;

@@ -126,10 +126,11 @@ class WorldEvaluator {
         options_(options),
         witness_accept_(witness_accept),
         stats_(stats),
-        result_(result) {}
-
-  // Called before the first world of each group.
-  void StartGroup() { world_ready_ = false; }
+        result_(result) {
+    // The ablation's greedy bound takes a world as a graph: g's structure,
+    // shared by every group, with each world's labels written in.
+    if (!witness_accept) world_ = groups.front().structure();
+  }
 
   // Evaluates the world of `group` selected by `choice`.
   void Evaluate(const UncertainGraph& group, const std::vector<int>& choice,
@@ -178,12 +179,6 @@ class WorldEvaluator {
   bool AcceptedByUpperBound(const UncertainGraph& group,
                             const std::vector<int>& choice) {
     if (!witness_accept_) {
-      // The greedy bound takes the world as a graph: the group's structure,
-      // copied once per group, with this world's labels written in.
-      if (!world_ready_) {
-        world_ = group.structure();
-        world_ready_ = true;
-      }
       for (int v = 0; v < group.num_vertices(); ++v) {
         world_.set_vertex_label(v, world_labels_[v]);
       }
@@ -212,9 +207,8 @@ class WorldEvaluator {
   ged::WorldGed ged_;
   // The vertex labels of the world being evaluated.
   std::vector<graph::LabelId> world_labels_;
-  // The ablation's world graph, valid for the current group once ready.
+  // The ablation's world graph.
   LabeledGraph world_;
-  bool world_ready_ = false;
   WitnessPool witnesses_;
 };
 
@@ -233,20 +227,12 @@ ged::WorldBound MakeWorldBound(const LabeledGraph& q, const UncertainGraph& g,
 SimPResult ComputeSimP(const LabeledGraph& q, const UncertainGraph& g,
                        int tau, const LabelDictionary& dict,
                        const ged::GedOptions& options, VerifyStats* stats) {
-  ged::WorldBound world_bound = MakeWorldBound(q, g, dict);
-  return ComputeSimP(q, world_bound, g, tau, dict, options, stats);
-}
-
-SimPResult ComputeSimP(const LabeledGraph& q, ged::WorldBound& world_bound,
-                       const UncertainGraph& g, int tau,
-                       const LabelDictionary& dict,
-                       const ged::GedOptions& options, VerifyStats* stats,
-                       bool witness_accept) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  ged::WorldBound world_bound = MakeWorldBound(q, g, dict);
   SimPResult result;
   WorldEvaluator evaluator(q, world_bound, std::span(&g, 1), tau, dict,
-                           options, witness_accept, stats, &result);
+                           options, /*witness_accept=*/true, stats, &result);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
     evaluator.Evaluate(g, it.choice(), it.probability());
   }
@@ -303,19 +289,20 @@ SimPResult VerifySimP(const LabeledGraph& q,
                       bool witness_accept) {
   if (groups.empty()) return SimPResult();
   ged::WorldBound world_bound = MakeWorldBound(q, groups.front(), dict);
-  return VerifySimP(q, world_bound, groups, total_mass, tau, alpha, dict,
-                    options, stats, witness_accept);
+  return VerifySimP(q, world_bound, groups, total_mass, tau, alpha,
+                    /*early_exit=*/true, dict, options, stats, witness_accept);
 }
 
 SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
-                      const std::vector<UncertainGraph>& groups,
+                      std::span<const UncertainGraph> groups,
                       double total_mass, int tau, double alpha,
-                      const LabelDictionary& dict,
+                      bool early_exit, const LabelDictionary& dict,
                       const ged::GedOptions& options, VerifyStats* stats,
                       bool witness_accept) {
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
+  if (groups.empty()) return result;
   WorldEvaluator evaluator(q, world_bound, groups, tau, dict, options,
                            witness_accept, stats, &result);
   double remaining = total_mass;
@@ -324,6 +311,7 @@ SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
                      const std::vector<int>& choice,
                      double world_prob) -> bool {
     evaluator.Evaluate(group, choice, world_prob);
+    if (!early_exit) return false;
     remaining -= world_prob;
     if (result.probability >= alpha - kSimPEpsilon) {
       result.early_accept = true;
@@ -339,7 +327,6 @@ SimPResult VerifySimP(const LabeledGraph& q, ged::WorldBound& world_bound,
   SortedWorlds worlds;
   std::vector<int> choice;
   for (const UncertainGraph& group : groups) {
-    evaluator.StartGroup();
     if (group.NumPossibleWorlds() <= kMaxSortedWorlds) {
       worlds.List(group);
       for (int w : worlds.order) {

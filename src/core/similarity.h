@@ -4,26 +4,33 @@
 //   SimP_tau(q, g) = sum of Pr{pw(g)} over possible worlds pw(g)
 //                    with ged(q, pw(g)) <= tau.
 //
-// ComputeSimP enumerates the possible worlds exactly (skipping worlds whose
-// certain CSS bound already exceeds tau). All worlds share the uncertain
-// graph's structure, so a world is never materialized as a graph of its
-// own: its CSS bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and
-// only a world within the bound has its labels written into the pair's one
-// GED layout (ged::WorldGed, which lays q out against g's structure at the
-// pair's first A* search). A world that cannot become
-// the most probable qualifying one needs only ged <= tau, not a mapping:
-// it is accepted without a search when a mapping that the A* returned for
-// an earlier world of the same call costs <= tau on it (witness_accept;
-// false takes the greedy bipartite bound instead, the ablation). Neither
-// changes which worlds qualify, nor the best world's mapping. VerifySimP
-// adds the two early exits used by the join's refinement phase: stop as
+// VerifySimP is the one walk over a pair's worlds: every world of every
+// possible-world group (the groups partition g's worlds), group by group and
+// each group's worlds most probable first, skipping worlds whose certain CSS
+// bound already exceeds tau. All worlds share the uncertain graph's
+// structure, so a world is never materialized as a graph of its own: its CSS
+// bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and only a world
+// within the bound has its labels written into the pair's one GED layout
+// (ged::WorldGed, which lays q out against g's structure at the pair's first
+// A* search). A world that cannot become the most probable qualifying one
+// needs only ged <= tau, not a mapping: it is accepted without a search when
+// a mapping that the A* returned for an earlier world of the pair, in any
+// group, costs <= tau on it (witness_accept; false takes the greedy
+// bipartite bound instead, the ablation). Neither changes which worlds
+// qualify, nor the best world's mapping. With `early_exit` the walk stops as
 // soon as the accumulated probability reaches alpha, or as soon as the
-// remaining mass cannot reach alpha.
+// remaining mass cannot reach alpha (the join's refinement phase); without,
+// it sums every world.
+//
+// ComputeSimP is exact SimP by a plain odometer walk over g's worlds,
+// independent of VerifySimP's order: the brute-force oracle that the join
+// is tested against.
 
 #ifndef SIMJ_CORE_SIMILARITY_H_
 #define SIMJ_CORE_SIMILARITY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ged/edit_distance.h"
@@ -53,9 +60,9 @@ struct VerifyStats {
 };
 
 struct SimPResult {
-  // Accumulated probability of qualifying worlds. Exact for ComputeSimP;
-  // for VerifySimP it is exact unless `early_accept` is set, in which case
-  // it is a lower bound that already reaches alpha.
+  // Accumulated probability of qualifying worlds. Exact unless
+  // `early_accept` is set, in which case it is a lower bound that already
+  // reaches alpha.
   double probability = 0.0;
   bool early_accept = false;
   bool early_reject = false;
@@ -68,21 +75,13 @@ struct SimPResult {
   double best_world_prob = 0.0;
 };
 
-// Exact SimP_tau(q, g). Enumerates every possible world of g.
+// Exact SimP_tau(q, g). Enumerates every possible world of g in odometer
+// order.
 [[nodiscard]] SimPResult ComputeSimP(const graph::LabeledGraph& q,
                        const graph::UncertainGraph& g, int tau,
                        const graph::LabelDictionary& dict,
                        const ged::GedOptions& options = ged::GedOptions(),
                        VerifyStats* stats = nullptr);
-
-// Same, with the per-world CSS bound of the pair already set up (the join
-// builds it once per pair from its summaries).
-[[nodiscard]] SimPResult ComputeSimP(const graph::LabeledGraph& q,
-                       ged::WorldBound& world_bound,
-                       const graph::UncertainGraph& g, int tau,
-                       const graph::LabelDictionary& dict,
-                       const ged::GedOptions& options, VerifyStats* stats,
-                       bool witness_accept = true);
 
 // SimP evaluation with early accept/reject against `alpha`, over a list of
 // possible-world groups (pass {g} for the ungrouped case). Groups must be
@@ -96,14 +95,16 @@ struct SimPResult {
                       VerifyStats* stats = nullptr,
                       bool witness_accept = true);
 
-// Same, with the pair's per-world CSS bound already set up.
+// Same, with the pair's per-world CSS bound already set up (the join builds
+// it once per pair from its summaries). Without `early_exit` every world of
+// every group is evaluated, and the probability is exact.
 [[nodiscard]] SimPResult VerifySimP(const graph::LabeledGraph& q,
                       ged::WorldBound& world_bound,
-                      const std::vector<graph::UncertainGraph>& groups,
+                      std::span<const graph::UncertainGraph> groups,
                       double total_mass, int tau, double alpha,
-                      const graph::LabelDictionary& dict,
+                      bool early_exit, const graph::LabelDictionary& dict,
                       const ged::GedOptions& options, VerifyStats* stats,
-                      bool witness_accept = true);
+                      bool witness_accept);
 
 // Probabilistic upper bound on the contribution of (a restriction of) g to
 // SimP_tau(q, g) (Thm. 4, generalized to possible-world groups):

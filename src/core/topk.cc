@@ -60,9 +60,8 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
         }
       }
       ++result.stats.evaluated;
-      ged::WorldBound world_bound(q_summary, css.structural_constant);
-      SimPResult simp = ComputeSimP(q, world_bound, g, params.tau, dict,
-                                    params.ged_options, &result.stats.verify);
+      SimPResult simp = ComputeSimP(q, g, params.tau, dict, params.ged_options,
+                                    &result.stats.verify);
       if (simp.probability <= kSimPEpsilon) continue;
 
       MatchedPair pair;

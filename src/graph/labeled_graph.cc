@@ -162,10 +162,4 @@ int DegreeDistanceFromSorted(const std::vector<int>& small_sorted,
   return total;
 }
 
-int DegreeDistance(const LabeledGraph& a, const LabeledGraph& b) {
-  const LabeledGraph& small = a.num_vertices() <= b.num_vertices() ? a : b;
-  const LabeledGraph& big = a.num_vertices() <= b.num_vertices() ? b : a;
-  return DegreeDistanceFromSorted(small.SortedDegrees(), big.SortedDegrees());
-}
-
 }  // namespace simj::graph

@@ -104,12 +104,9 @@ class LabeledGraph {
   std::vector<std::vector<int>> in_;
 };
 
-// Degree distance dif(a, b) (paper Def. 9): with sorted degree sequences of
-// the smaller graph (m vertices) and the larger graph, sum of
-// positive-truncated differences d_i(small) - d_i(big) over i < m.
-[[nodiscard]] int DegreeDistance(const LabeledGraph& a, const LabeledGraph& b);
-
-// Same, from precomputed non-increasing degree sequences.
+// Degree distance dif(a, b) (paper Def. 9) from the non-increasing degree
+// sequences of the smaller graph (m vertices) and the larger graph: the sum
+// of positive-truncated differences d_i(small) - d_i(big) over i < m.
 [[nodiscard]] int DegreeDistanceFromSorted(const std::vector<int>& small_sorted,
                              const std::vector<int>& big_sorted);
 

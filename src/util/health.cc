@@ -34,12 +34,6 @@ void SetHealthy(const std::string& component) {
   state.degraded.erase(component);
 }
 
-bool IsDegraded() {
-  State& state = GlobalState();
-  MutexLock lock(state.mu);
-  return !state.degraded.empty();
-}
-
 std::string HealthzBody() {
   State& state = GlobalState();
   MutexLock lock(state.mu);

@@ -28,9 +28,6 @@ void SetUnhealthy(const std::string& component, const std::string& reason);
 // Clears `component`'s degradation (no-op if it was healthy).
 void SetHealthy(const std::string& component);
 
-// True when any component is currently degraded.
-bool IsDegraded();
-
 // The /healthz response body (JSON, newline-terminated).
 std::string HealthzBody();
 

@@ -380,10 +380,6 @@ int64_t HeapProfile::TotalInuseBytes() const {
   return stackprof::Total(sections, &HeapFoldedStack::inuse_bytes);
 }
 
-int64_t HeapProfile::TotalInuseObjects() const {
-  return stackprof::Total(sections, &HeapFoldedStack::inuse_objects);
-}
-
 int64_t HeapProfile::TotalAllocBytes() const {
   return stackprof::Total(sections, &HeapFoldedStack::alloc_bytes);
 }

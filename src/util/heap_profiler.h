@@ -120,7 +120,6 @@ struct HeapProfile {
   std::vector<HeapSection> sections;  // sorted by label
 
   int64_t TotalInuseBytes() const;
-  int64_t TotalInuseObjects() const;
   int64_t TotalAllocBytes() const;
   int64_t TotalAllocObjects() const;
   int64_t TotalDropped() const;

@@ -13,6 +13,14 @@
 
 #include "util/sync.h"
 
+// dladdr reads only the dynamic symbol table; GCC's libbacktrace also reads
+// .symtab, so it names internal-linkage functions. __has_include keeps a
+// compiler that cannot see GCC's private include directory off it.
+#if defined(SIMJ_HAVE_LIBBACKTRACE) && __has_include(<backtrace.h>)
+#include <backtrace.h>
+#define SIMJ_SYMTAB_NAMES 1
+#endif
+
 namespace simj::stackprof {
 
 namespace {
@@ -43,6 +51,36 @@ NameRegistry& Names() {
 }();
 
 std::atomic<void (*)(int, const std::string&)> g_noted_hook{nullptr};
+
+// The mangled .symtab name of the function containing `addr`, or nullptr.
+// The libbacktrace state is made lazily per process (a forked worker makes
+// its own) and never freed: libbacktrace has no call that frees one.
+const char* SymtabName([[maybe_unused]] const void* addr) {
+  const char* name = nullptr;
+#ifdef SIMJ_SYMTAB_NAMES
+  struct ProcessState {
+    pid_t pid;
+    backtrace_state* state;
+  };
+  static std::atomic<const ProcessState*> current{nullptr};
+  auto ignore = [](void*, const char*, int) {};
+  const ProcessState* owned = current.load(std::memory_order_acquire);
+  if (owned == nullptr || owned->pid != ::getpid()) {
+    owned = new ProcessState{  // simj-lint: allow(new) one per process
+        ::getpid(), ::backtrace_create_state(nullptr, 1, ignore, nullptr)};
+    current.store(owned, std::memory_order_release);
+  }
+  if (owned->state != nullptr) {
+    ::backtrace_syminfo(
+        owned->state, reinterpret_cast<uintptr_t>(addr),
+        [](void* out, uintptr_t, const char* symbol, uintptr_t, uintptr_t) {
+          *static_cast<const char**>(out) = symbol;
+        },
+        ignore, &name);
+  }
+#endif
+  return name;
+}
 
 }  // namespace
 
@@ -101,16 +139,16 @@ const std::string& Symbolizer::Name(const void* addr) {
   if (it != names_.end()) return it->second;
   std::string name;
   Dl_info info{};
-  if (::dladdr(addr, &info) != 0 && info.dli_sname != nullptr) {
+  const char* symbol = ::dladdr(addr, &info) != 0 ? info.dli_sname : nullptr;
+  if (symbol == nullptr) symbol = SymtabName(addr);
+  if (symbol != nullptr) {
     int status = -1;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    name = (status == 0 && demangled != nullptr) ? demangled
-                                                 : info.dli_sname;
+    char* demangled = abi::__cxa_demangle(symbol, nullptr, nullptr, &status);
+    name = (status == 0 && demangled != nullptr) ? demangled : symbol;
     std::free(demangled);
   } else if (info.dli_fname != nullptr && info.dli_fbase != nullptr) {
-    // No symbol (static function, stripped object): module + offset keeps
-    // the frame stable enough to aggregate and diff.
+    // No symbol (stripped object, or no libbacktrace): module + offset
+    // keeps the frame stable enough to aggregate and diff.
     const char* base = std::strrchr(info.dli_fname, '/');
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer), "%s+0x%zx",

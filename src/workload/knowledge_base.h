@@ -86,12 +86,6 @@ class KnowledgeBase {
   const std::vector<PredicateInfo>& predicates() const { return predicates_; }
   const std::vector<EntityInfo>& entities() const { return entities_; }
 
-  const std::vector<int>& EntitiesOfClass(int class_index) const {
-    return entities_of_class_[class_index];
-  }
-  const std::vector<int>& PredicatesWithDomain(int class_index) const {
-    return predicates_of_domain_[class_index];
-  }
   // Facts whose subject is entity `entity_index`.
   const std::vector<Fact>& FactsOf(int entity_index) const {
     return facts_of_entity_[entity_index];

@@ -303,6 +303,47 @@ TEST_P(TopKJoinTest, MatchesBruteForceRanking) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TopKJoinTest, ::testing::Range(0, 25));
 
+// Without the early exits the pair's worlds are still one walk: the second
+// group's world (A, D) or (C, B), at probability below the first group's
+// best, is accepted by the witness that the first group's A* search left.
+// Worlds: (A,B) 0.42 ged 0; (C,B) 0.28 ged 1; (A,D) 0.18 ged 1; (C,D) 0.12
+// ged 2. Whichever vertex the partition splits, one A* search (the best
+// world) decides the pair, and both other qualifying worlds are witnessed.
+TEST(JoinTest, ExactVerificationSharesWitnessesAcrossGroups) {
+  LabelDictionary dict;
+  const graph::LabelId a = dict.Intern("A");
+  const graph::LabelId b = dict.Intern("B");
+  const graph::LabelId c = dict.Intern("C");
+  const graph::LabelId d = dict.Intern("D");
+  const graph::LabelId r = dict.Intern("r");
+  LabeledGraph q;
+  q.AddVertex(a);
+  q.AddVertex(b);
+  q.AddEdge(0, 1, r);
+  UncertainGraph g;
+  g.AddVertex({{a, 0.6}, {c, 0.4}});
+  g.AddVertex({{b, 0.7}, {d, 0.3}});
+  g.AddEdge(0, 1, r);
+
+  SimJParams params;
+  params.tau = 1;
+  params.alpha = 0.5;
+  params.group_count = 2;
+  params.early_exit_verification = false;
+  JoinStats stats;
+  MatchedPair pair;
+  PairExplain explain;
+  ASSERT_TRUE(EvaluatePair(q, g, params, dict, &stats, &pair, &explain));
+  EXPECT_EQ(explain.live_groups, 2);
+  EXPECT_NEAR(pair.similarity_probability, 0.88, kSimPEpsilon);
+  EXPECT_EQ(pair.mapping, (std::vector<int>{0, 1}));
+  EXPECT_EQ(pair.best_world_ged, 0);
+  EXPECT_EQ(stats.verify.worlds_enumerated, 4);
+  EXPECT_EQ(stats.verify.worlds_pruned_by_bound, 1);
+  EXPECT_EQ(stats.verify.ged_calls, 1);
+  EXPECT_EQ(stats.verify.worlds_accepted_by_upper_bound, 2);
+}
+
 TEST(JoinTest, EmptyInputs) {
   LabelDictionary dict;
   SimJParams params;

@@ -313,5 +313,36 @@ TEST(ThreadNameRegistryTest, ForkWhileAnotherThreadRenamesItself) {
   EXPECT_EQ(failed_round, -1) << "fork or child exit failed";
 }
 
+// An internal-linkage function: absent from the dynamic symbol table that
+// dladdr reads, present in .symtab.
+[[gnu::noinline]] int InternalLinkageFrame(int x) { return x * 3 + 1; }
+
+// With libbacktrace, a frame in an anonymous-namespace function is named,
+// not module+offset, and so is one symbolized in a forked child (which
+// makes its own libbacktrace state).
+TEST(SymbolizerTest, NamesInternalLinkageFunctions) {
+#if !defined(SIMJ_HAVE_LIBBACKTRACE) || !__has_include(<backtrace.h>)
+  GTEST_SKIP() << "built without libbacktrace: module+offset names";
+#endif
+  const void* addr = reinterpret_cast<const void*>(&InternalLinkageFrame);
+  auto named = [addr] {
+    stackprof::Symbolizer symbols;
+    const std::string& name = symbols.Name(addr);
+    return name.find("(anonymousnamespace)::InternalLinkageFrame(int)") !=
+           std::string::npos;
+  };
+  stackprof::Symbolizer symbols;
+  EXPECT_TRUE(named()) << symbols.Name(addr);
+#ifndef SIMJ_TSAN
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(named() ? 0 : 1);
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "a forked child did not name the frame";
+#endif
+}
+
 }  // namespace
 }  // namespace simj::prof

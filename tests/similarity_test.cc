@@ -156,7 +156,10 @@ TEST_P(GroupingPropertyTest, GroupsPartitionSimPAndBoundsStayValid) {
       static_cast<int>(rng.Uniform(0, 4)), /*max_alts=*/3);
   int tau = static_cast<int>(rng.Uniform(0, 3));
 
-  double exact = ComputeSimP(q, g, tau, dict).probability;
+  const SimPResult oracle = ComputeSimP(q, g, tau, dict);
+  const double exact = oracle.probability;
+  ged::WorldBound world_bound(ged::Summarize(q, dict),
+                              ged::CssStructuralConstant(q, g, dict));
 
   for (int group_count : {1, 2, 4, 8}) {
     GroupingOptions options;
@@ -174,6 +177,22 @@ TEST_P(GroupingPropertyTest, GroupsPartitionSimPAndBoundsStayValid) {
       across_groups += ComputeSimP(q, group.graph, tau, dict).probability;
     }
     EXPECT_NEAR(across_groups, exact, 1e-9) << "group_count=" << group_count;
+
+    // Without the early exits, one walk over the live groups is exact SimP,
+    // and its best world is the oracle's.
+    std::vector<UncertainGraph> groups;
+    for (const ScoredGroup& group : grouping.live_groups) {
+      groups.push_back(group.graph);
+    }
+    const SimPResult walked = VerifySimP(
+        q, world_bound, groups, grouping.live_mass, tau, /*alpha=*/1.0,
+        /*early_exit=*/false, dict, ged::GedOptions(), nullptr,
+        /*witness_accept=*/true);
+    EXPECT_NEAR(walked.probability, exact, kSimPEpsilon)
+        << "group_count=" << group_count;
+    EXPECT_FALSE(walked.early_accept || walked.early_reject);
+    EXPECT_EQ(walked.best_world_prob, oracle.best_world_prob)
+        << "group_count=" << group_count;
 
     // Masses of live groups never exceed the total.
     EXPECT_LE(grouping.live_mass, g.TotalMass() + 1e-9);
