@@ -5,7 +5,7 @@
 // the shared telemetry path: every harness that calls ParseBenchFlags gains
 // --threads/--repeat/--json_out/--metrics_out/--trace_out/--log_*/--explain*
 // support plus live introspection (--statusz_port/--progress_every/
-// --stall_warn_ms, see util/statusz.h) and emits a versioned BenchResult
+// --slow_pair_ms, see util/statusz.h) and emits a versioned BenchResult
 // run record (util/run_record.h) at exit when --json_out= is given — no
 // per-harness wiring.
 
@@ -63,8 +63,7 @@ struct BenchOptions {
   std::string events_out;     // --events_out: flight-recorder JSON dump path
   std::string log_level = "info";  // --log_level: debug|info|warn|error
   std::string log_json;       // --log_json: JSON-lines log sink path
-  double slow_pair_ms = 1000.0;  // --slow_pair_ms: watchdog budget (0 = off)
-  double stall_warn_ms = 0.0;  // --stall_warn_ms: stall watchdog (0 = off)
+  double slow_pair_ms = 1000.0;  // --slow_pair_ms: pair-time budget (0 = off)
   int64_t progress_every = 0;  // --progress_every: progress line cadence
   int statusz_port = 0;       // --statusz_port: introspection port (0 = off)
   bool explain = false;       // --explain: record per-pair prune explanations
@@ -135,10 +134,9 @@ inline const std::vector<BenchFlagDoc>& SharedBenchFlags() {
       {"log_level", "minimum log level: debug|info|warn|error (default info)"},
       {"log_json", "write JSON-lines structured logs here instead of stderr "
                    "text"},
-      {"slow_pair_ms", "log pairs whose evaluation exceeds this many ms "
-                       "(default 1000; 0 disables the watchdog)"},
-      {"stall_warn_ms", "warn when a worker sits inside one pair longer "
-                        "than this many ms (default 0 = off)"},
+      {"slow_pair_ms", "pair-time budget: warn while a worker sits inside "
+                       "one pair longer than this many ms, and log the pair "
+                       "when it completes (default 1000; 0 = off)"},
       {"progress_every", "log a join progress line every N completed pairs "
                          "(default 0 = off)"},
       {"statusz_port", "serve /statusz /metricsz /tracez /healthz on "
@@ -323,8 +321,6 @@ inline void ApplySharedFlags(const Flags& flags, const char* argv0) {
   options.log_json = flags.GetString("log_json", options.log_json);
   options.slow_pair_ms =
       flags.GetDouble("slow_pair_ms", options.slow_pair_ms);
-  options.stall_warn_ms =
-      flags.GetDouble("stall_warn_ms", options.stall_warn_ms);
   options.progress_every =
       flags.GetInt("progress_every", options.progress_every);
   options.statusz_port =
@@ -381,9 +377,6 @@ inline void ApplySharedFlags(const Flags& flags, const char* argv0) {
       std::exit(2);
     }
     GlobalStatuszServer() = server;
-    // Arm per-worker heartbeats so /statusz shows worker liveness even
-    // without the stall watchdog.
-    core::JoinProgress::Global().RequestHeartbeats(true);
   }
   // A collector may be live now (trace ring or full trace); label the lane.
   // Also registers this thread with the profiler, so it must precede
@@ -583,7 +576,6 @@ inline core::SimJParams ParamsFor(JoinConfig config, int tau, double alpha,
   params.group_count = config == JoinConfig::kSimJOpt ? group_count : 1;
   params.num_threads = GlobalBenchOptions().threads;
   params.slow_pair_log_ms = GlobalBenchOptions().slow_pair_ms;
-  params.stall_warn_ms = GlobalBenchOptions().stall_warn_ms;
   params.progress_every = GlobalBenchOptions().progress_every;
   params.explain.enabled = GlobalBenchOptions().explain;
   params.explain.sample_every = GlobalBenchOptions().explain_every;

@@ -541,8 +541,10 @@ overhead_gate "${SMOKE_DIR}" fig12_heap 1 "heap profiler"
 # all four endpoints mid-run and checks that /metricsz parses as Prometheus
 # exposition, /statusz join progress is monotone in (joins_started,
 # completed_pairs), and at least one sample shows nonzero progress with a
-# finite ETA. The server-on run also arms the stall watchdog, so the
-# monitor thread, heartbeats and /statusz run together at 8 threads. The
+# finite ETA. The server-on run passes the pair-time budget
+# (--slow_pair_ms) explicitly: its monitor thread, the heartbeats and
+# /statusz run together at 8 threads, and at least one /statusz sample must
+# list a worker heartbeat, which shows heartbeats arm with no request. The
 # explain dumps from both runs must be byte-identical: the server and the
 # watchdog observe the join, they never steer it. Both runs join 80x80
 # graphs of 14 vertices and 18 edges, which takes over 3 s on a 4-core
@@ -559,7 +561,7 @@ LIVE_INPUT=(--num_certain=80 --num_uncertain=80 --num_vertices=14
   --json_out="${SMOKE_DIR}/live_off.json" > /dev/null
 ./build-release/bench/bench_fig13_group_number \
   "${LIVE_INPUT[@]}" --threads=8 \
-  --statusz_port="${STATUSZ_PORT}" --progress_every=64 --stall_warn_ms=1000 \
+  --statusz_port="${STATUSZ_PORT}" --progress_every=64 --slow_pair_ms=1000 \
   --explain=1 --explain_every=1 \
   --explain_out="${SMOKE_DIR}/explains_on.txt" \
   --json_out="${SMOKE_DIR}/live_on.json" > /dev/null &
@@ -575,6 +577,7 @@ def get(path, timeout=2.0):
 
 deadline = time.time() + 60
 samples = []
+heartbeat_samples = 0
 metrics_ok = tracez_ok = healthz_ok = False
 server_seen = False
 while time.time() < deadline:
@@ -591,6 +594,8 @@ while time.time() < deadline:
                     join.get("completed_pairs", 0),
                     join.get("total_pairs", 0),
                     join.get("eta_seconds", -1.0)))
+    if join.get("heartbeats"):
+        heartbeat_samples += 1
     try:
         if not metrics_ok:
             text = get("/metricsz")
@@ -629,8 +634,10 @@ for joins, done, total, eta in samples:
     if done > 0 and eta >= 0:
         live += 1
 assert live > 0, f"no sample with nonzero progress and finite ETA: {samples}"
+assert heartbeat_samples > 0, "no /statusz sample listed a worker heartbeat"
 print(f"live scrape OK: {len(samples)} /statusz samples, "
-      f"{live} with nonzero progress and finite ETA")
+      f"{live} with nonzero progress and finite ETA, "
+      f"{heartbeat_samples} with a worker heartbeat")
 PY
   kill "${BENCH_PID}" 2>/dev/null || true
   wait "${BENCH_PID}" 2>/dev/null || true

@@ -410,11 +410,12 @@ void SetExactCssBound(const ged::GraphSummary& q, const ged::GraphSummary& g,
       ged::CssPruneBound(q, g, ged::kExactCss).lower_bound;
 }
 
-// Slow-pair watchdog: logs a pair whose evaluation blew the budget, with
-// its full explain record (the record is captured opportunistically for
-// every pair while the watchdog is armed — recording is write-only, so
-// results stay byte-identical). Called from workers; the log sink
-// serializes concurrent writers.
+// The completion half of the pair-time budget (the StallMonitor is the live
+// half): logs a pair whose own evaluation blew the budget, with its full
+// explain record (the record is captured opportunistically for every pair
+// while the budget is on — recording is write-only, so results stay
+// byte-identical). Called from workers; the log sink serializes concurrent
+// writers.
 void LogSlowPair(double elapsed_ms, const SimJParams& params,
                  const PairExplain* explain) {
   JoinMetrics::Get().slow_pairs.Increment();
@@ -425,8 +426,7 @@ void LogSlowPair(double elapsed_ms, const SimJParams& params,
 
 // Per-pair execution shared by the join's chunk loop and the shard-list
 // entry point (EvaluatePairList): count-bound check, heartbeat, evaluate,
-// watchdog epilogue, explain capture. Gates are captured once at
-// construction so the per-pair path never re-reads tracker atomics.
+// slow-pair log, explain capture. Gates are captured once at construction.
 struct PairEvaluator {
   const std::vector<LabeledGraph>& d;
   const std::vector<UncertainGraph>& u;
@@ -436,15 +436,13 @@ struct PairEvaluator {
   JoinProgress& progress;
   bool explain_on;
   bool watchdog_on;
-  bool stall_on;
-  bool heartbeats_on;
   int64_t progress_every;
 
   PairEvaluator(const std::vector<LabeledGraph>& d_in,
                 const std::vector<UncertainGraph>& u_in,
                 const JoinSummaries& summaries_in,
                 const SimJParams& params_in,
-                const graph::LabelDictionary& dict_in, bool heartbeats)
+                const graph::LabelDictionary& dict_in)
       : d(d_in),
         u(u_in),
         summaries(summaries_in),
@@ -453,8 +451,6 @@ struct PairEvaluator {
         progress(JoinProgress::Global()),
         explain_on(params_in.explain.enabled),
         watchdog_on(params_in.slow_pair_log_ms > 0.0),
-        stall_on(params_in.stall_warn_ms > 0.0),
-        heartbeats_on(heartbeats),
         progress_every(params_in.progress_every) {}
 
   // Counts the pair into *batch; a qualifying pair and a sampled explain
@@ -476,10 +472,9 @@ struct PairEvaluator {
     }
     MatchedPair pair;
     PairExplain explain{qi, gi};
-    PairExplain* explain_slot =
-        sampled || watchdog_on || stall_on ? &explain : nullptr;
+    PairExplain* explain_slot = sampled || watchdog_on ? &explain : nullptr;
     const Clock::time_point start = Clock::now();
-    if (heartbeats_on) progress.Heartbeat(worker, qi, gi, start);
+    progress.Heartbeat(worker, qi, gi, start);
     Clock::time_point finished;
     if (EvaluateSummarizedPair(d[qi], summaries.d[qi], u[gi],
                                summaries.u[gi], params, dict, sampled, start,
@@ -497,13 +492,7 @@ struct PairEvaluator {
         LogSlowPair(elapsed_ms, params, &explain);
       }
     }
-    if (stall_on && progress.ConsumeStallFlag(worker)) {
-      SetExactCssBound(summaries.d[qi], summaries.u[gi], &explain);
-      SIMJ_LOG(WARN) << "stalled pair completed after "
-                     << SecondsBetween(start, Clock::now()) * 1e3 << " ms: "
-                     << FormatExplain(explain, params);
-    }
-    if (heartbeats_on) progress.PairDone(worker);
+    progress.PairDone(worker);
     if (progress_every > 0) progress.NotePairCompleted(progress_every);
     if (sampled) out->explains.push_back(std::move(explain));
   }
@@ -589,8 +578,7 @@ void EvaluatePairList(const std::vector<LabeledGraph>& d,
                       const graph::LabelDictionary& dict,
                       const std::vector<std::pair<int, int>>& pairs,
                       int worker, JoinResult* result) {
-  PairEvaluator evaluator(d, u, summaries, params, dict,
-                          JoinProgress::Global().heartbeats_armed());
+  PairEvaluator evaluator(d, u, summaries, params, dict);
   JoinStats batch;
   for (const auto& [qi, gi] : pairs) {
     evaluator.Evaluate(worker, qi, gi, result, &batch);
@@ -614,19 +602,15 @@ JoinResult SimJoin(const std::vector<LabeledGraph>& d,
   const int64_t num_u = static_cast<int64_t>(u.size());
   const int64_t num_pairs = static_cast<int64_t>(d.size()) * num_u;
   JoinProgress& progress = JoinProgress::Global();
-  // Sticky per-join gates: captured once here so the per-pair path never
-  // reads the tracker's atomics.
-  const bool heartbeats_on =
-      params.stall_warn_ms > 0.0 || progress.heartbeats_requested();
   const int workers =
       params.num_threads == 1 ? 1 : ResolveThreadCount(params.num_threads);
   const JoinMetrics& jm = JoinMetrics::Get();
   jm.workers.Set(static_cast<double>(workers));
   const JoinSummaries summaries = SummarizeJoinInputs(d, u, dict);
-  progress.BeginJoin(num_pairs, workers, heartbeats_on);
-  const PairEvaluator evaluator(d, u, summaries, params, dict, heartbeats_on);
+  progress.BeginJoin(num_pairs, workers);
+  const PairEvaluator evaluator(d, u, summaries, params, dict);
   {
-    StallMonitor monitor(params.stall_warn_ms, "stall-monitor");
+    StallMonitor monitor(params.slow_pair_log_ms, "stall-monitor");
     RunChunks(evaluator, workers, /*on_caller=*/params.num_threads == 1,
               num_pairs, num_u, &result);
   }

@@ -101,30 +101,25 @@ struct SimJParams {
   // between worlds_accepted_by_upper_bound and ged_calls.
   bool witness_accept = true;
   // Workers claiming chunks of pair ids from a shared cursor. 1 = the
-  // calling thread alone (no thread, no freeze); 0 = one thread per
-  // hardware thread; >1 = that many threads, with the label dictionary
-  // frozen for the join (see graph::ScopedFreeze). Results are sorted by
-  // (q_index, g_index), so output is byte-identical at every thread count.
+  // calling thread alone (no worker thread and no freeze; the budget's
+  // monitor thread still runs); 0 = one thread per hardware thread; >1 =
+  // that many threads, with the label dictionary frozen for the join (see
+  // graph::ScopedFreeze). Results are sorted by (q_index, g_index), so
+  // output is byte-identical at every thread count.
   int num_threads = 1;
   // Explain mode: record per-pair prune/bound audit trails into
   // JoinResult::explains (off by default; costs nothing when disabled).
   ExplainOptions explain;
-  // Slow-pair watchdog: when > 0, SimJoin logs (SIMJ_LOG(WARN), with the
-  // pair's explain record) every pair whose full filter+verify evaluation
-  // exceeds this many milliseconds. Logging only — results, stats, and
-  // explain output are byte-identical whether it fires or not, at every
-  // thread count. 0 disables the watchdog (the per-pair clock read it
-  // shares with explain capture is one steady_clock call, below noise).
+  // The join's one pair-time budget, in milliseconds; 0 disables both of
+  // its uses. A pair whose own filter+verify evaluation exceeds it is
+  // logged once when it completes (SIMJ_LOG(WARN) "slow pair:", with the
+  // pair's explain record, and simj_join_slow_pairs_total). While the join
+  // runs, a StallMonitor thread (core/progress.h) samples the per-worker
+  // heartbeats and warns as soon as a worker has been inside one pair
+  // longer than the budget, for a pair that may never finish. Logging
+  // only: results, stats and explain output are byte-identical whether
+  // either fires, at every thread count.
   double slow_pair_log_ms = 1000.0;
-  // Stall watchdog (complements slow_pair_log_ms, which cannot see a pair
-  // that never finishes): when > 0, SimJoin runs a monitor thread that
-  // samples per-worker heartbeats and logs SIMJ_LOG(WARN) as soon as a
-  // worker has been inside one pair longer than this many milliseconds; the
-  // stalled pair's full explain record is logged when it eventually
-  // completes. Logging only — results, stats, and explain output stay
-  // byte-identical. 0 (the default) disables the watchdog and its
-  // per-pair heartbeat stores.
-  double stall_warn_ms = 0.0;
   // When > 0, log a SIMJ_LOG(INFO) progress line (completed/total, rate,
   // ETA) every N completed pairs, rate-limited to one line per 100 ms
   // across workers. 0 (the default) disables progress lines.
@@ -273,13 +268,12 @@ void SortByPairIdentity(JoinResult* result);
 // explicit candidate list in order on the calling thread as logical worker
 // `worker`, reading the summaries the caller built once for the whole join.
 // Per-pair behavior — the count-bound check, explain sampling, the
-// slow-pair watchdog, stall-flag consumption, heartbeats (gated on
-// JoinProgress::heartbeats_armed(), armed by the caller's BeginJoin) — is
-// bit-for-bit the same work SimJoin does for those pairs. The list is one
-// batch: its counts reach this process's registry, unlabeled, when it
-// ends. Stats accumulate into result->stats; qualifying pairs and explain
-// records are appended UNSORTED: the caller owns BeginJoin/EndJoin, the
-// StallMonitor, and the final SortByPairIdentity.
+// slow-pair log and the heartbeats — is bit-for-bit the same work SimJoin
+// does for those pairs. The list is one batch: its counts reach this
+// process's registry, unlabeled, when it ends. Stats accumulate into
+// result->stats; qualifying pairs and explain records are appended
+// UNSORTED: the caller owns BeginJoin/EndJoin, the StallMonitor, and the
+// final SortByPairIdentity.
 void EvaluatePairList(const std::vector<graph::LabeledGraph>& d,
                       const std::vector<graph::UncertainGraph>& u,
                       const JoinSummaries& summaries,

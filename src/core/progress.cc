@@ -33,8 +33,7 @@ JoinProgress& JoinProgress::Global() {
   return *progress;
 }
 
-void JoinProgress::BeginJoin(int64_t total_pairs, int workers,
-                             bool heartbeats) {
+void JoinProgress::BeginJoin(int64_t total_pairs, int workers) {
   // A stall belongs to one join; a new join starting cleanly un-degrades
   // /healthz (the watchdog re-reports if this join stalls too).
   health::SetHealthy("stall_watchdog");
@@ -53,17 +52,14 @@ void JoinProgress::BeginJoin(int64_t total_pairs, int workers,
     slots_[w].heartbeat_ns.store(0, std::memory_order_relaxed);
     slots_[w].q_index.store(-1, std::memory_order_relaxed);
     slots_[w].g_index.store(-1, std::memory_order_relaxed);
-    slots_[w].stall_flagged.store(false, std::memory_order_relaxed);
     slots_[w].last_stall_reported_ns = 0;
   }
-  heartbeats_armed_.store(heartbeats, std::memory_order_relaxed);
   joins_started_.fetch_add(1, std::memory_order_relaxed);
   active_.store(true, std::memory_order_relaxed);
 }
 
 void JoinProgress::EndJoin() {
   active_.store(false, std::memory_order_relaxed);
-  heartbeats_armed_.store(false, std::memory_order_relaxed);
 }
 
 void JoinProgress::Heartbeat(int worker, int q_index, int g_index,
@@ -79,16 +75,9 @@ void JoinProgress::PairDone(int worker) {
   slot.heartbeat_ns.store(0, std::memory_order_relaxed);
 }
 
-bool JoinProgress::ConsumeStallFlag(int worker) {
-  WorkerSlot& slot = slots_[std::min(worker, kMaxTrackedWorkers - 1)];
-  // Cheap relaxed read first: the flag is almost never set.
-  if (!slot.stall_flagged.load(std::memory_order_relaxed)) return false;
-  return slot.stall_flagged.exchange(false, std::memory_order_relaxed);
-}
-
-std::vector<StallEvent> JoinProgress::CheckStalls(double stall_warn_ms) {
+std::vector<StallEvent> JoinProgress::CheckStalls(double budget_ms) {
   std::vector<StallEvent> events;
-  if (stall_warn_ms <= 0.0) return events;
+  if (budget_ms <= 0.0) return events;
   const int tracked =
       std::min(workers_.load(std::memory_order_relaxed), kMaxTrackedWorkers);
   const int64_t now_ns = SteadyNowNs();
@@ -98,9 +87,8 @@ std::vector<StallEvent> JoinProgress::CheckStalls(double stall_warn_ms) {
     if (beat_ns == 0) continue;              // never beat this join
     if (beat_ns == slot.last_stall_reported_ns) continue;  // already reported
     const double age_ms = static_cast<double>(now_ns - beat_ns) * 1e-6;
-    if (age_ms <= stall_warn_ms) continue;
+    if (age_ms <= budget_ms) continue;
     slot.last_stall_reported_ns = beat_ns;
-    slot.stall_flagged.store(true, std::memory_order_relaxed);
     StallEvent event;
     event.worker = w;
     event.q_index = slot.q_index.load(std::memory_order_relaxed);
@@ -206,7 +194,7 @@ ProgressSnapshot JoinProgress::Snapshot() {
   snapshot.eta_seconds =
       EtaSeconds(snapshot.total_pairs - snapshot.completed_pairs, rate);
 
-  if (heartbeats_armed()) {
+  if (snapshot.active) {
     const int tracked = std::min(snapshot.workers, kMaxTrackedWorkers);
     for (int w = 0; w < tracked; ++w) {
       const int64_t beat_ns =
@@ -256,14 +244,14 @@ std::string JoinProgress::StatusJson() {
   return out;
 }
 
-StallMonitor::StallMonitor(double stall_warn_ms,
-                           const std::string& thread_name, OnStall on_stall)
-    : stall_warn_ms_(stall_warn_ms), on_stall_(std::move(on_stall)) {
-  if (stall_warn_ms_ <= 0.0) return;
+StallMonitor::StallMonitor(double budget_ms, const std::string& thread_name,
+                           OnStall on_stall)
+    : budget_ms_(budget_ms), on_stall_(std::move(on_stall)) {
+  if (budget_ms_ <= 0.0) return;
   thread_ = std::thread([this, thread_name] {
     trace::SetThisThreadName(thread_name);
     const auto poll = std::chrono::duration<double, std::milli>(
-        std::clamp(stall_warn_ms_ / 4.0, 1.0, 200.0));
+        std::clamp(budget_ms_ / 4.0, 1.0, 200.0));
     for (;;) {
       Sweep();
       MutexLock lock(mu_);
@@ -287,7 +275,7 @@ StallMonitor::~StallMonitor() {
 
 void StallMonitor::Sweep() const {
   for (const StallEvent& event :
-       JoinProgress::Global().CheckStalls(stall_warn_ms_)) {
+       JoinProgress::Global().CheckStalls(budget_ms_)) {
     health::SetUnhealthy("stall_watchdog",
                          "worker " + std::to_string(event.worker) +
                              " stalled for " +
@@ -295,7 +283,7 @@ void StallMonitor::Sweep() const {
     SIMJ_LOG(WARN) << "stalled worker " << event.worker << ": pair <q="
                    << event.q_index << ",g=" << event.g_index
                    << "> running for " << event.stalled_ms << " ms (budget "
-                   << stall_warn_ms_ << " ms)";
+                   << budget_ms_ << " ms)";
     if (on_stall_) on_stall_(event);
   }
 }

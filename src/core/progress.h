@@ -9,8 +9,7 @@
 //     against baselines captured at BeginJoin, so the join hot path pays
 //     nothing for them;
 //   * per-worker heartbeats (timestamp + current pair) are a handful of
-//     relaxed stores per pair, and only when heartbeats were armed for the
-//     join (stall watchdog on, or a statusz server requested them);
+//     relaxed stores per pair that reaches the CSS filter;
 //   * the throughput window behind the ETA lives entirely on the reader
 //     side — Snapshot() feeds it, workers never touch it.
 //
@@ -76,8 +75,8 @@ struct ProgressSnapshot {
     int q_index = -1;
     int g_index = -1;
   };
-  // Only workers currently inside a pair; empty when heartbeats were not
-  // armed (or every worker is between pairs).
+  // Only workers currently inside a pair of the running join; empty when
+  // no join is active (or every worker is between pairs).
   std::vector<WorkerHeartbeat> heartbeats;
 };
 
@@ -85,31 +84,16 @@ class JoinProgress {
  public:
   static JoinProgress& Global();
 
-  // Sticky request from the statusz wiring: arms heartbeats for every
-  // subsequent join so /statusz can show per-worker liveness even when the
-  // stall watchdog is off.
-  void RequestHeartbeats(bool enabled) {
-    heartbeats_requested_.store(enabled, std::memory_order_relaxed);
-  }
-  bool heartbeats_requested() const {
-    return heartbeats_requested_.load(std::memory_order_relaxed);
-  }
-
   // Marks the start of a join over `total_pairs` pairs on `workers`
   // workers. Captures registry-counter baselines so completed counts are
-  // deltas, resets heartbeat slots, and clears the ETA window. `heartbeats`
-  // arms the per-pair Heartbeat stores for this join.
-  void BeginJoin(int64_t total_pairs, int workers, bool heartbeats);
+  // deltas, resets heartbeat slots, and clears the ETA window.
+  void BeginJoin(int64_t total_pairs, int workers);
   void EndJoin();
   bool active() const { return active_.load(std::memory_order_relaxed); }
-  bool heartbeats_armed() const {
-    return heartbeats_armed_.load(std::memory_order_relaxed);
-  }
 
   // Worker-side, called once per pair before evaluation: relaxed stores of
   // the pair identity and `started`, the caller's clock read at the pair's
-  // start (the tracker reads no clock here). Callers gate on
-  // heartbeats_armed() so the idle path never reaches here.
+  // start (the tracker reads no clock here).
   void Heartbeat(int worker, int q_index, int g_index,
                  std::chrono::steady_clock::time_point started);
 
@@ -117,18 +101,11 @@ class JoinProgress {
   // worker (out of work while others finish) is never reported as stalled.
   void PairDone(int worker);
 
-  // Worker-side: true when the watchdog flagged this worker's current pair
-  // as stalled; consuming clears the flag, so the caller logs the pair's
-  // explain record exactly once (when the stalled pair finally completes).
-  bool ConsumeStallFlag(int worker);
-
   // Monitor-side: scans heartbeat slots and returns workers whose current
-  // pair has been running longer than `stall_warn_ms`. Each stalled
-  // heartbeat is reported once (deduped on the heartbeat timestamp) and its
-  // worker's stall flag is set, to be consumed by the worker when the pair
-  // finally completes. Single-caller (the StallMonitor thread, or a test
-  // driving the tracker directly).
-  std::vector<StallEvent> CheckStalls(double stall_warn_ms);
+  // pair has been running longer than `budget_ms`. Each stalled heartbeat
+  // is reported once (deduped on the heartbeat timestamp). Single-caller
+  // (the StallMonitor thread, or a test driving the tracker directly).
+  std::vector<StallEvent> CheckStalls(double budget_ms);
 
   // Worker-side, gated on params.progress_every > 0: counts a completed
   // pair and logs a rate-limited SIMJ_LOG(INFO) progress line (completed /
@@ -155,14 +132,11 @@ class JoinProgress {
     std::atomic<int64_t> heartbeat_ns{0};  // steady-clock ns; 0 = idle
     std::atomic<int32_t> q_index{-1};
     std::atomic<int32_t> g_index{-1};
-    std::atomic<bool> stall_flagged{false};
     // Monitor-thread only (CheckStalls is single-caller): dedup key of the
     // last heartbeat already reported as stalled.
     int64_t last_stall_reported_ns = 0;
   };
 
-  std::atomic<bool> heartbeats_requested_{false};
-  std::atomic<bool> heartbeats_armed_{false};
   std::atomic<bool> active_{false};
   std::atomic<int64_t> joins_started_{0};
   std::atomic<int64_t> total_pairs_{0};
@@ -186,20 +160,21 @@ class JoinProgress {
   int64_t eta_window_join_ SIMJ_GUARDED_BY(mu_) = -1;
 };
 
-// The stall watchdog behind SimJParams::stall_warn_ms, shared by the
-// in-process join and the distributed coordinator. While alive, a monitor
-// thread polls JoinProgress::CheckStalls every clamp(stall_warn_ms / 4, 1,
-// 200) ms. For each stalled worker it degrades /healthz ("stall_watchdog",
-// cleared by the next BeginJoin), logs a WARN line, and runs `on_stall`
-// when one is given. The destructor wakes the thread, which ends after a
-// final sweep that catches a stall between the last poll and the stop.
-// With stall_warn_ms <= 0 no thread starts. The monitor only reads tracker
-// state, never join state, so results are unaffected.
+// The live half of SimJParams::slow_pair_log_ms, the join's one pair-time
+// budget, shared by the in-process join and the distributed coordinator.
+// While alive, a monitor thread polls JoinProgress::CheckStalls every
+// clamp(budget_ms / 4, 1, 200) ms. For each stalled worker it degrades
+// /healthz ("stall_watchdog", cleared by the next BeginJoin), logs a WARN
+// line, and runs `on_stall` when one is given. The destructor wakes the
+// thread, which ends after a final sweep that catches a stall between the
+// last poll and the stop. With budget_ms <= 0 no thread starts. The
+// monitor only reads tracker state, never join state, so results are
+// unaffected.
 class StallMonitor {
  public:
   using OnStall = std::function<void(const StallEvent&)>;
 
-  StallMonitor(double stall_warn_ms, const std::string& thread_name,
+  StallMonitor(double budget_ms, const std::string& thread_name,
                OnStall on_stall = nullptr);
   ~StallMonitor();
 
@@ -209,7 +184,7 @@ class StallMonitor {
  private:
   void Sweep() const;
 
-  const double stall_warn_ms_;
+  const double budget_ms_;
   const OnStall on_stall_;
   Mutex mu_;  // leaf lock: only stop_ is read or written under it
   CondVar stop_cv_;

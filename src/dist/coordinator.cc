@@ -65,7 +65,7 @@ class Coordinator : public ClusterzSource {
     SetClusterzSource(this);
     {
       core::StallMonitor monitor(
-          ctx_.params->stall_warn_ms, "dist-stall-monitor",
+          ctx_.params->slow_pair_log_ms, "dist-stall-monitor",
           [this](const core::StallEvent& event) {
             stall_events_.fetch_add(1, std::memory_order_relaxed);
             RecordEvent(kEventStall, event.worker, /*shard=*/-1,
@@ -174,7 +174,6 @@ class Coordinator : public ClusterzSource {
   void DispatchLoop(int w) {
     ShardWorker& worker = (*workers_)[static_cast<size_t>(w)];
     core::JoinProgress& progress = core::JoinProgress::Global();
-    const bool heartbeats = progress.heartbeats_armed();
     for (;;) {
       int attempt = 0;
       bool stolen = false;
@@ -195,7 +194,7 @@ class Coordinator : public ClusterzSource {
       // Beat on the shard's first pair before handing it off: a worker
       // that stalls or dies inside the shard ages this heartbeat, which is
       // what the stall watchdog samples — transport-independent liveness.
-      if (heartbeats && !shard.pairs.empty()) {
+      if (!shard.pairs.empty()) {
         progress.Heartbeat(w, shard.pairs.front().first,
                            shard.pairs.front().second,
                            std::chrono::steady_clock::now());
@@ -206,7 +205,7 @@ class Coordinator : public ClusterzSource {
           "shard-" + std::to_string(shard_id) + "/attempt-" +
               std::to_string(attempt),
           /*ship_profiles=*/true);
-      if (heartbeats) progress.PairDone(w);
+      progress.PairDone(w);
       if (result.ok()) {
         CompleteShard(w, shard_id, worker, std::move(result).value(),
                       timer.ElapsedSeconds());
@@ -549,10 +548,7 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   }
 
   core::JoinProgress& progress = core::JoinProgress::Global();
-  const bool stall_on = params.stall_warn_ms > 0.0;
-  const bool heartbeats_on = stall_on || progress.heartbeats_requested();
-  progress.BeginJoin(plan.planned_pairs, dist_params.num_workers,
-                     heartbeats_on);
+  progress.BeginJoin(plan.planned_pairs, dist_params.num_workers);
   workers_gauge.Set(static_cast<double>(dist_params.num_workers));
 
   Coordinator coordinator(plan, &workers, ctx, dist_params, trace_id);

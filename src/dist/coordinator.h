@@ -21,10 +21,10 @@
 //     order and matched pairs / explain records are globally sorted by
 //     (q_index, g_index), erasing scheduling nondeterminism.
 //
-// The stall watchdog (params.stall_warn_ms) and heartbeats work unchanged:
-// the dispatch thread heartbeats the shard's first pair before handing it
-// to the worker, so a stuck or slow worker ages a heartbeat the monitor
-// thread can flag — regardless of transport.
+// The pair-time budget (params.slow_pair_log_ms) and heartbeats work
+// unchanged: the dispatch thread heartbeats the shard's first pair before
+// handing it to the worker, so a stuck or slow worker ages a heartbeat the
+// StallMonitor thread can flag — regardless of transport.
 //
 // Cluster observability (DESIGN.md §10): while it runs, the coordinator
 //   * records every scheduling decision (deal, dispatch, steal, requeue,

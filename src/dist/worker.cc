@@ -356,7 +356,6 @@ int ServeShards(WorkerContext ctx, int request_fd, int response_fd) {
   core::SimJParams params = *ctx.params;
   params.num_threads = 1;
   params.slow_pair_log_ms = 0.0;
-  params.stall_warn_ms = 0.0;
   params.progress_every = 0;
   ctx.params = &params;
   for (;;) {

@@ -410,36 +410,40 @@ Status StartHeapProfiling(const HeapProfileOptions& options) {
 #else
   HookGuard guard;
   Tables* tables = GetOrCreateTables();
-  MutexLock lock(tables->mu);
-  const int pid = static_cast<int>(::getpid());
-  if (g_enabled.load(std::memory_order_acquire)) {
-    // The atfork handler clears stale fork-inherited state, so an enabled
-    // flag here always means armed in this process.
-    return FailedPreconditionError("heap profiler already armed");
+  {
+    MutexLock lock(tables->mu);
+    const int pid = static_cast<int>(::getpid());
+    if (g_enabled.load(std::memory_order_acquire)) {
+      // The atfork handler clears stale fork-inherited state, so an enabled
+      // flag here always means armed in this process.
+      return FailedPreconditionError("heap profiler already armed");
+    }
+    if (!g_atfork_registered.exchange(true, std::memory_order_acq_rel)) {
+      ::pthread_atfork(nullptr, nullptr, &AtForkInChild);
+    }
+    // Force the unwinder's lazy initialization (it may allocate on first
+    // use) before the first in-hook backtrace.
+    void* warmup[4];
+    (void)::backtrace(warmup, 4);
+    // Fresh capture: re-baseline every persistent entry and the loss
+    // counters so this capture reports only its own activity.
+    for (int i = 0; i < tables->stack_count; ++i) {
+      tables->stacks[i].shipped = tables->stacks[i].Levels();
+    }
+    tables->dropped_delta.Rebase(
+        tables->dropped.load(std::memory_order_relaxed));
+    tables->truncated_delta.Rebase(
+        tables->truncated.load(std::memory_order_relaxed));
+    tables->remote.Discard();
+    tables->sample_bytes = options.sample_bytes;
+    tables->start = std::chrono::steady_clock::now();
+    g_capture_gen.fetch_add(1, std::memory_order_relaxed);
+    g_armed_pid.store(pid, std::memory_order_relaxed);
+    g_active_sample_bytes.store(options.sample_bytes,
+                                std::memory_order_relaxed);
+    g_enabled.store(true, std::memory_order_release);
   }
-  if (!g_atfork_registered.exchange(true, std::memory_order_acq_rel)) {
-    ::pthread_atfork(nullptr, nullptr, &AtForkInChild);
-  }
-  // Force the unwinder's lazy initialization (it may allocate on first
-  // use) before the first in-hook backtrace.
-  void* warmup[4];
-  (void)::backtrace(warmup, 4);
-  // Fresh capture: re-baseline every persistent entry and the loss
-  // counters so this capture reports only its own activity.
-  for (int i = 0; i < tables->stack_count; ++i) {
-    tables->stacks[i].shipped = tables->stacks[i].Levels();
-  }
-  tables->dropped_delta.Rebase(tables->dropped.load(std::memory_order_relaxed));
-  tables->truncated_delta.Rebase(
-      tables->truncated.load(std::memory_order_relaxed));
-  tables->remote.Discard();
-  tables->sample_bytes = options.sample_bytes;
-  tables->start = std::chrono::steady_clock::now();
-  g_capture_gen.fetch_add(1, std::memory_order_relaxed);
-  g_armed_pid.store(pid, std::memory_order_relaxed);
-  g_active_sample_bytes.store(options.sample_bytes,
-                              std::memory_order_relaxed);
-  g_enabled.store(true, std::memory_order_release);
+  stackprof::BeginCapture();
   return Status::Ok();
 #endif
 }
@@ -451,26 +455,29 @@ StatusOr<HeapProfile> StopHeapProfiling() {
     return FailedPreconditionError("heap profiler not armed in this process");
   }
   const std::map<int, std::string> names = stackprof::ThreadNames();
-  MutexLock lock(tables->mu);
-  if (!g_enabled.load(std::memory_order_acquire)) {
-    return FailedPreconditionError("heap profiler not armed in this process");
-  }
-  // Gate first: samplers already inside the mutex finished before us; ones
-  // blocked on it re-check the gate and bail. Lock-free frees past the
-  // gate race the table clear below through the CAS protocol.
-  g_enabled.store(false, std::memory_order_release);
-  g_active_sample_bytes.store(0, std::memory_order_relaxed);
-  g_armed_pid.store(0, std::memory_order_relaxed);
-
   HeapProfile profile;
-  profile.sample_bytes = tables->sample_bytes;
-  profile.duration_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    tables->start)
-          .count();
-  HeapBatch local = DrainLocked(*tables, names, 0);
-  ClearLiveTableLocked(*tables);
-  profile.sections = tables->remote.Take(local);
+  {
+    MutexLock lock(tables->mu);
+    if (!g_enabled.load(std::memory_order_acquire)) {
+      return FailedPreconditionError("heap profiler not armed in this process");
+    }
+    // Gate first: samplers already inside the mutex finished before us; ones
+    // blocked on it re-check the gate and bail. Lock-free frees past the
+    // gate race the table clear below through the CAS protocol.
+    g_enabled.store(false, std::memory_order_release);
+    g_active_sample_bytes.store(0, std::memory_order_relaxed);
+    g_armed_pid.store(0, std::memory_order_relaxed);
+
+    profile.sample_bytes = tables->sample_bytes;
+    profile.duration_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      tables->start)
+            .count();
+    HeapBatch local = DrainLocked(*tables, names, 0);
+    ClearLiveTableLocked(*tables);
+    profile.sections = tables->remote.Take(local);
+  }
+  stackprof::EndCapture();
   return profile;
 }
 

@@ -413,6 +413,7 @@ Status StartProfiling(const ProfileOptions& options) {
     g_active_hz.store(0, std::memory_order_relaxed);
     return InternalError("profiler: could not arm any per-thread CPU timer");
   }
+  stackprof::BeginCapture();
   return Status::Ok();
 #endif
 }
@@ -438,6 +439,7 @@ StatusOr<Profile> StopProfiling() {
                                     reg.start)
           .count();
   SampleBatch local = DrainRingsLocked(reg, 0);
+  stackprof::EndCapture();
   local.dropped += g_unattributed.exchange(0, std::memory_order_relaxed);
   profile.sections = reg.remote.Take(local);
   return profile;

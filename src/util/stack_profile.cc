@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 
 #include "util/sync.h"
 
@@ -28,6 +29,11 @@ namespace {
 struct NameRegistry {
   Mutex mu;
   std::map<int, std::string> names SIMJ_GUARDED_BY(mu);  // tid -> name
+  // CPU and heap captures armed in this process (BeginCapture/EndCapture).
+  int captures SIMJ_GUARDED_BY(mu) = 0;
+  // Named threads that exited while a capture was armed: their names label
+  // that capture's samples until the last capture stops.
+  std::set<int> exited SIMJ_GUARDED_BY(mu);
 };
 
 NameRegistry& Names() {
@@ -42,13 +48,36 @@ NameRegistry& Names() {
 // registers its own handlers in StartProfiling: prepare handlers run in
 // reverse registration order, so fork() takes the profiler's registry
 // mutex first and this one second, the order DrainRingsLocked nests them.
+// A capture armed in the parent is not armed in the child.
 [[maybe_unused]] const bool g_fork_safe_names = [] {
   ::pthread_atfork(
       []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Lock(); },
       []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Unlock(); },
-      []() SIMJ_NO_THREAD_SAFETY_ANALYSIS { Names().mu.Unlock(); });
+      []() SIMJ_NO_THREAD_SAFETY_ANALYSIS {
+        Names().captures = 0;
+        Names().mu.Unlock();
+      });
   return true;
 }();
+
+// Drops an exited thread's name, or holds it for the armed capture.
+void ThreadExited(int tid) {
+  NameRegistry& registry = Names();
+  MutexLock lock(registry.mu);
+  if (registry.captures > 0) {
+    registry.exited.insert(tid);
+  } else {
+    registry.names.erase(tid);
+  }
+}
+
+// Destroyed when its thread exits, so a named thread leaves the registry.
+struct ExitNote {
+  int tid = 0;
+  ~ExitNote() {
+    if (tid != 0) ThreadExited(tid);
+  }
+};
 
 std::atomic<void (*)(int, const std::string&)> g_noted_hook{nullptr};
 
@@ -88,10 +117,13 @@ int ThisTid() { return static_cast<int>(::syscall(SYS_gettid)); }
 
 void NoteThisThread(const std::string& name) {
   const int tid = ThisTid();
+  thread_local ExitNote exit_note;
+  exit_note.tid = tid;
   {
     NameRegistry& registry = Names();
     MutexLock lock(registry.mu);
     registry.names[tid] = name;
+    registry.exited.erase(tid);  // a reused tid names a live thread again
   }
   if (auto* hook = g_noted_hook.load(std::memory_order_acquire)) {
     hook(tid, name);
@@ -112,6 +144,20 @@ void ForgetThread(int tid) {
   NameRegistry& registry = Names();
   MutexLock lock(registry.mu);
   registry.names.erase(tid);
+}
+
+void BeginCapture() {
+  NameRegistry& registry = Names();
+  MutexLock lock(registry.mu);
+  ++registry.captures;
+}
+
+void EndCapture() {
+  NameRegistry& registry = Names();
+  MutexLock lock(registry.mu);
+  if (registry.captures > 0 && --registry.captures > 0) return;
+  for (int tid : registry.exited) registry.names.erase(tid);
+  registry.exited.clear();
 }
 
 std::string ThreadLabel(const std::map<int, std::string>& names, int tid) {

@@ -60,7 +60,9 @@ int ThisTid();
 
 // Registers the calling thread's name for sample attribution in both
 // profilers, then runs the hook installed by SetThreadNotedHook (outside
-// the registry lock). Safe any time; re-registering renames.
+// the registry lock). Safe any time; re-registering renames. The name goes
+// when the thread exits, or, if a capture is armed then, when the last
+// armed capture ends (its drain still labels the thread's samples).
 void NoteThisThread(const std::string& name);
 
 // Called after every NoteThisThread. The CPU profiler installs one to arm
@@ -74,6 +76,12 @@ std::map<int, std::string> ThreadNames();
 
 // Drops a registration whose thread has exited.
 void ForgetThread(int tid);
+
+// Bracket a CPU or heap capture armed in this process; EndCapture follows
+// the capture's final drain. Call both outside the heap profiler's table
+// lock: the registry lock is held across allocations, which take it.
+void BeginCapture();
+void EndCapture();
 
 // The cleaned registered name of `tid`, or "tid-N".
 std::string ThreadLabel(const std::map<int, std::string>& names, int tid);

@@ -20,8 +20,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,7 @@
 #include "test_util.h"
 #include "util/flight_recorder.h"
 #include "util/health.h"
+#include "util/log.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -222,16 +225,21 @@ TEST(ClusterSimTest, DifferentialAgainstSimJoinOracleWithoutIndex) {
 
 // Every injected straggler must be observed by the stall watchdog: the
 // coordinator heartbeats the shard's first pair before dispatch, the
-// injected delay ages that heartbeat past the budget, and the monitor
-// thread flags it — one stall event per delayed execution, regardless of
-// transport.
+// injected delay ages that heartbeat past the pair-time budget, and the
+// monitor thread flags it — one stall event per delayed execution,
+// regardless of transport. The delay precedes the shard's first pair, so
+// it is no pair's own evaluation time: on the thread transport (the
+// process transport's child logs nothing), a line carrying a pair's
+// explain record is a "slow pair:" line for a pair whose own evaluation
+// exceeded the budget, never a fast pair that ran after a flagged delay.
 TEST(ClusterSimTest, StallWatchdogSeesEveryInjectedStraggler) {
   RandomJoinWorkload w = MakeRandomJoinWorkload(
       31, {.num_certain = 4, .num_uncertain = 3});
   core::SimJParams params = BaseParams();
-  params.stall_warn_ms = 8.0;
   const core::JoinResult oracle =
       core::IndexedSimJoin(w.d, w.u, params, w.dict);
+  constexpr double kBudgetMs = 8.0;
+  params.slow_pair_log_ms = kBudgetMs;
 
   for (Transport transport : TransportsUnderTest()) {
     SCOPED_TRACE(std::string("transport=") + TransportName(transport));
@@ -248,13 +256,34 @@ TEST(ClusterSimTest, StallWatchdogSeesEveryInjectedStraggler) {
     dist_params.max_pairs_per_shard = 4;
     dist_params.fault_hook = sim.Hook();
 
+    auto sink = std::make_unique<log::CaptureSink>();
+    log::CaptureSink* capture = sink.get();
+    auto previous = log::SetSink(std::move(sink));
     DistJoinResult dist = ShardedSimJoin(w.d, w.u, params, w.dict, dist_params);
+    const std::vector<log::Entry> entries = capture->Entries();
+    log::SetSink(std::move(previous));
+
     EXPECT_GT(sim.injected_delays(), 0);
     EXPECT_EQ(sim.injected_delays(), dist.dist.shards_planned);
     // Detection, not just sampling: every 40-60 ms straggler blows the 8 ms
     // budget and the monitor polls every ~2 ms.
     EXPECT_GE(dist.dist.stall_events, sim.injected_delays());
     ExpectIdenticalJoin(oracle, dist.join);
+    if (transport != Transport::kThread) continue;
+    for (const log::Entry& entry : entries) {
+      // An explain record (FormatExplain) is "<q=Q,g=G> " and the verdict.
+      const std::string& m = entry.message;
+      if (m.find("> PRUNED") == std::string::npos &&
+          m.find("> ACCEPT") == std::string::npos &&
+          m.find("> REJECT") == std::string::npos) {
+        continue;
+      }
+      double elapsed_ms = 0.0;
+      EXPECT_EQ(std::sscanf(m.c_str(), "slow pair: %lf ms", &elapsed_ms), 1)
+          << "completion line is not a slow-pair line: " << m;
+      EXPECT_GT(elapsed_ms, kBudgetMs)
+          << "completion line names a pair under the budget: " << m;
+    }
   }
 }
 

@@ -1,15 +1,23 @@
 // Tests for the live join-progress tracker (core/progress.h): monotone
 // counters under a concurrent sampler, ETA math, the stall watchdog on a
-// deliberately-parked worker, and byte-identical join results with the
-// introspection machinery armed vs. idle.
+// deliberately-parked worker, the pair-time budget's completion log on a
+// real join, byte-identical join results with the introspection machinery
+// armed vs. idle, and a thread-name registry that forgets exited join
+// threads.
 
 #include "core/progress.h"
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +26,7 @@
 #include "test_util.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/stack_profile.h"
 
 namespace simj::core {
 namespace {
@@ -117,13 +126,13 @@ TEST(ProgressTest, MonotoneCountersUnderConcurrentSampler) {
 
 TEST(ProgressTest, StallWatchdogFlagsParkedWorker) {
   JoinProgress& progress = JoinProgress::Global();
-  progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2, /*heartbeats=*/true);
+  progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2);
 
   // Park worker 0 inside pair <3,7>: beat once, then go silent.
   progress.Heartbeat(0, 3, 7, std::chrono::steady_clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
-  std::vector<StallEvent> events = progress.CheckStalls(/*stall_warn_ms=*/1.0);
+  std::vector<StallEvent> events = progress.CheckStalls(/*budget_ms=*/1.0);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].worker, 0);
   EXPECT_EQ(events[0].q_index, 3);
@@ -133,11 +142,6 @@ TEST(ProgressTest, StallWatchdogFlagsParkedWorker) {
   // The same stalled heartbeat is never reported twice.
   EXPECT_TRUE(progress.CheckStalls(1.0).empty());
 
-  // The worker consumes the flag exactly once (it logs the pair's explain
-  // record when the stalled pair finally completes).
-  EXPECT_TRUE(progress.ConsumeStallFlag(0));
-  EXPECT_FALSE(progress.ConsumeStallFlag(0));
-
   // A fresh pair re-arms detection for that worker.
   progress.Heartbeat(0, 4, 8, std::chrono::steady_clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -146,7 +150,6 @@ TEST(ProgressTest, StallWatchdogFlagsParkedWorker) {
   EXPECT_EQ(events[0].q_index, 4);
 
   // An idle worker (pair done, heartbeat cleared) never reads as stalled.
-  progress.ConsumeStallFlag(0);
   progress.PairDone(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   EXPECT_TRUE(progress.CheckStalls(1.0).empty());
@@ -161,7 +164,7 @@ TEST(ProgressTest, RequeuedShardNeverRegressesCompletionOrEta) {
   JoinProgress& progress = JoinProgress::Global();
   metrics::Counter& pairs =
       metrics::Registry::Global().GetCounter("simj_join_pairs_total");
-  progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2, /*heartbeats=*/true);
+  progress.BeginJoin(/*total_pairs=*/10, /*workers=*/2);
 
   // Worker 1 completes 6 of its shard's pairs, then dies mid-shard.
   progress.Heartbeat(1, 0, 0, std::chrono::steady_clock::now());
@@ -190,9 +193,9 @@ TEST(ProgressTest, RequeuedShardNeverRegressesCompletionOrEta) {
   progress.EndJoin();
 }
 
-TEST(ProgressTest, HeartbeatsAppearInSnapshotWhileArmed) {
+TEST(ProgressTest, HeartbeatsAppearInSnapshotDuringJoin) {
   JoinProgress& progress = JoinProgress::Global();
-  progress.BeginJoin(10, 2, /*heartbeats=*/true);
+  progress.BeginJoin(10, 2);
   progress.Heartbeat(1, 5, 6, std::chrono::steady_clock::now());
   ProgressSnapshot s = progress.Snapshot();
   ASSERT_EQ(s.heartbeats.size(), 1u);
@@ -207,7 +210,7 @@ TEST(ProgressTest, HeartbeatsAppearInSnapshotWhileArmed) {
 
 TEST(ProgressTest, StatusJsonCarriesProgressFields) {
   JoinProgress& progress = JoinProgress::Global();
-  progress.BeginJoin(10, 2, /*heartbeats=*/true);
+  progress.BeginJoin(10, 2);
   progress.Heartbeat(0, 1, 2, std::chrono::steady_clock::now());
   std::string json = progress.StatusJson();
   EXPECT_NE(json.find("\"active\":true"), std::string::npos) << json;
@@ -273,36 +276,53 @@ TEST(ProgressTest, ProgressLineCountsEveryCompletedPair) {
   log::SetSink(std::move(previous));
 }
 
-TEST(ProgressTest, StallWatchdogLogsDuringRealJoin) {
-  auto sink = std::make_unique<log::CaptureSink>();
-  log::CaptureSink* capture = sink.get();
-  auto previous = log::SetSink(std::move(sink));
-
+// At the smallest positive budget every pair that reaches the CSS filter
+// (all but the count-bound prunes) blows it: the completion log names each
+// such pair exactly once, in a "slow pair:" WARN, the counter agrees, and
+// the results are those of a run with the budget off.
+TEST(ProgressTest, PairBudgetLogsEveryPairPastTheCountBound) {
   RandomJoinWorkload w = MakeRandomJoinWorkload(14);
-  SimJParams params = BaseParams();
-  params.num_threads = 2;
-  // A threshold of 0 keeps the watchdog off; a tiny positive threshold arms
-  // the monitor thread. Whether it observes a stall depends on timing; the
-  // assertion is only that the join completes cleanly with it armed and
-  // that any stall lines carry the expected shape.
-  params.stall_warn_ms = 0.01;
-  JoinResult with_watchdog = RunJoin(w, params);
+  metrics::Counter& slow_pairs =
+      metrics::Registry::Global().GetCounter("simj_join_slow_pairs_total");
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SimJParams params = BaseParams();
+    params.num_threads = threads;
+    const JoinResult off = RunJoin(w, params);
 
-  for (const log::Entry& entry : capture->Entries()) {
-    if (entry.message.find("stalled worker") != std::string::npos) {
+    auto sink = std::make_unique<log::CaptureSink>();
+    log::CaptureSink* capture = sink.get();
+    auto previous = log::SetSink(std::move(sink));
+    const int64_t slow_before = slow_pairs.Value();
+    params.slow_pair_log_ms = std::numeric_limits<double>::min();
+    const JoinResult on = RunJoin(w, params);
+    const int64_t counted = slow_pairs.Value() - slow_before;
+    const std::vector<log::Entry> entries = capture->Entries();
+    log::SetSink(std::move(previous));
+
+    std::set<std::pair<int, int>> logged;
+    int64_t lines = 0;
+    for (const log::Entry& entry : entries) {
+      if (entry.message.rfind("slow pair: ", 0) != 0) continue;
+      ++lines;
       EXPECT_EQ(entry.level, log::Level::kWarn);
-      EXPECT_NE(entry.message.find("pair <q="), std::string::npos);
+      int q = -1;
+      int g = -1;
+      const size_t at = entry.message.find("<q=");
+      ASSERT_NE(at, std::string::npos) << entry.message;
+      ASSERT_EQ(std::sscanf(entry.message.c_str() + at, "<q=%d,g=%d>", &q, &g),
+                2)
+          << entry.message;
+      EXPECT_TRUE(logged.insert({q, g}).second)
+          << "pair <" << q << "," << g << "> logged twice";
     }
-    if (entry.message.find("stalled pair completed") != std::string::npos) {
-      // The completion log carries the pair's full explain record.
-      EXPECT_NE(entry.message.find("<q="), std::string::npos);
-    }
+    const int64_t reached_css =
+        on.stats.total_pairs - on.stats.pruned_count_bound;
+    EXPECT_GT(reached_css, 0);
+    EXPECT_EQ(lines, reached_css);
+    EXPECT_EQ(counted, reached_css);
+    ExpectSameResults(off, on);
   }
-  log::SetSink(std::move(previous));
-
-  params.stall_warn_ms = 0.0;
-  JoinResult without = RunJoin(w, params);
-  ExpectSameResults(with_watchdog, without);
 }
 
 TEST(ProgressTest, ResultsByteIdenticalWithIntrospectionArmed) {
@@ -314,12 +334,13 @@ TEST(ProgressTest, ResultsByteIdenticalWithIntrospectionArmed) {
     params.explain.enabled = true;  // explain output must match too
     JoinResult plain = RunJoin(w, params);
 
-    JoinProgress::Global().RequestHeartbeats(true);
+    // The budget fires on every pair, on completion and live.
+    auto previous = log::SetSink(std::make_unique<log::CaptureSink>());
     SimJParams armed = params;
-    armed.stall_warn_ms = 5.0;
+    armed.slow_pair_log_ms = std::numeric_limits<double>::min();
     armed.progress_every = 7;
     JoinResult live = RunJoin(w, armed);
-    JoinProgress::Global().RequestHeartbeats(false);
+    log::SetSink(std::move(previous));
 
     ExpectSameResults(plain, live);
     ASSERT_EQ(plain.explains.size(), live.explains.size());
@@ -331,12 +352,28 @@ TEST(ProgressTest, ResultsByteIdenticalWithIntrospectionArmed) {
   }
 }
 
+// Join workers and the budget's monitor thread name themselves for the
+// profilers. With no capture armed, a name goes when its thread exits, so
+// the registry never holds more names than the process has threads.
+TEST(ThreadNameRegistryTest, ForgetsExitedJoinThreads) {
+  RandomJoinWorkload w = MakeRandomJoinWorkload(
+      16, {.num_certain = 2, .num_uncertain = 2});
+  SimJParams params = BaseParams();
+  params.num_threads = 4;
+  params.slow_pair_log_ms = 1000.0;
+  for (int join = 0; join < 200; ++join) (void)RunJoin(w, params);
+  const auto live_threads = std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator());
+  EXPECT_LE(static_cast<long>(stackprof::ThreadNames().size()),
+            static_cast<long>(live_threads));
+}
 
 // The destructor wakes the monitor thread from its poll wait: an armed
 // monitor whose poll interval is 200 ms stops in well under that.
 TEST(ProgressTest, StallMonitorStopsPromptly) {
   auto monitor =
-      std::make_unique<StallMonitor>(/*stall_warn_ms=*/1000.0, "stall-test");
+      std::make_unique<StallMonitor>(/*budget_ms=*/1000.0, "stall-test");
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto start = std::chrono::steady_clock::now();
   monitor.reset();

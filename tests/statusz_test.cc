@@ -225,13 +225,12 @@ TEST_F(StatuszTest, ConcurrentScrapeDuringJoinLeavesResultsIdentical) {
   params.num_threads = 8;
   params.slow_pair_log_ms = 0.0;
 
-  // Baseline: no server, no heartbeats.
+  // Baseline: no server.
   core::JoinResult baseline = core::SimJoin(w.d, w.u, params, w.dict);
 
   StartServer({{"join", [] {
                   return core::JoinProgress::Global().StatusJson();
                 }}});
-  core::JoinProgress::Global().RequestHeartbeats(true);
   const int port = server_.bound_port();
 
   std::atomic<bool> stop{false};
@@ -247,7 +246,6 @@ TEST_F(StatuszTest, ConcurrentScrapeDuringJoinLeavesResultsIdentical) {
   core::JoinResult live = core::SimJoin(w.d, w.u, params, w.dict);
   stop.store(true, std::memory_order_release);
   scraper.join();
-  core::JoinProgress::Global().RequestHeartbeats(false);
 
   ASSERT_EQ(baseline.pairs.size(), live.pairs.size());
   for (size_t i = 0; i < baseline.pairs.size(); ++i) {

@@ -9,7 +9,7 @@ rss 84 MB  hb w0:3ms w1:151ms  cluster 5/12 shards q=[2,1,0,3] requeued 1
 
 once (the default) or repeatedly with --watch, overwriting the line in
 place like a progress bar. The `hb` segment lists per-worker heartbeat
-ages (present when the join runs with heartbeats armed); the `cluster`
+ages (present while a join runs); the `cluster`
 segment summarizes /clusterz (live shard queue depths, per-worker state,
 requeue/fallback totals) and is silently omitted for builds or runs
 without a distributed coordinator — /clusterz answering 404 is not an
