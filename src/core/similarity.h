@@ -6,13 +6,14 @@
 //
 // VerifySimP is the one walk over a pair's worlds: every world of every
 // possible-world group (the groups partition g's worlds), group by group and
-// each group's worlds most probable first, skipping worlds whose certain CSS
-// bound already exceeds tau. All worlds share the uncertain graph's
-// structure, so a world is never materialized as a graph of its own: its CSS
-// bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and only a world
-// within the bound has its labels written into the pair's one GED layout
-// (ged::WorldGed, which lays q out against g's structure at the pair's first
-// A* search). A world that cannot become the most probable qualifying one
+// each group's worlds most probable first (a lazy WorldWalk; a group of
+// more than 4,096 worlds in odometer order instead), skipping worlds whose
+// certain CSS bound already exceeds tau. All worlds share the uncertain
+// graph's structure, so a world is never materialized as a graph of its own:
+// its CSS bound is C(q, g) - lambda_V(q, world) (ged::WorldBound), and only a
+// world within the bound has its labels written into the pair's one GED
+// layout (ged::WorldGed, which lays q out against g's structure at the
+// pair's first A* search). A world that cannot become the most probable qualifying one
 // needs only ged <= tau, not a mapping: it is accepted without a search when
 // a mapping that the A* returned for an earlier world of the pair, in any
 // group, costs <= tau on it (witness_accept; false takes the greedy
@@ -82,6 +83,62 @@ struct SimPResult {
                        const graph::LabelDictionary& dict,
                        const ged::GedOptions& options = ged::GedOptions(),
                        VerifyStats* stats = nullptr);
+
+// The worlds of one possible-world group, most probable first, generated
+// lazily: a walk that stops after k worlds computes O(k x uncertain
+// vertices) world probabilities, not one per world of the group.
+//
+// Each vertex's alternatives are ranked by descending probability (ties in
+// alternative order). A world is its vector of ranks; its rank index is the
+// mixed-radix number over those ranks with vertex 0 the fastest digit. The
+// walk pops worlds from a heap in the total order (probability descending,
+// then rank index ascending), starting at the all-rank-0 world. A popped
+// world pushes its children: the worlds that raise the rank of one vertex
+// at or after the last vertex its own parent raised, so every world has one
+// parent and is pushed once. A child's probability never exceeds its
+// parent's (rounded multiplication is monotone) and on a tie its rank index
+// is larger, so the pops follow the total order exactly. Probabilities are
+// computed in vertex order, bit-equal to UncertainGraph::WorldProbability.
+// The buffers are reused from one Start to the next.
+class WorldWalk {
+ public:
+  // Starts a walk over the worlds of `g`, which must outlive it.
+  void Start(const graph::UncertainGraph& g);
+
+  // The next world: its alternative index per vertex and its probability.
+  // False once every world was visited.
+  bool Next(std::vector<int>* choice, double* probability);
+
+  // Worlds pushed onto the heap since Start (popped ones included).
+  int64_t pushed() const { return pushed_; }
+
+ private:
+  struct Entry {
+    double probability;
+    int64_t rank_index;
+    int last_raised;  // the vertex whose rank the parent raised
+  };
+  // Entry a pops before b.
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.probability > b.probability ||
+           (a.probability == b.probability && a.rank_index < b.rank_index);
+  }
+
+  const graph::UncertainGraph* g_ = nullptr;
+  // Vertex v's alternative of rank r is ranked_index_[begin_[v] + r], of
+  // probability ranked_prob_[begin_[v] + r]; stride_[v] is v's digit weight
+  // in the rank index.
+  std::vector<int> begin_;
+  std::vector<int> ranked_index_;
+  std::vector<double> ranked_prob_;
+  std::vector<int64_t> stride_;
+  std::vector<Entry> heap_;
+  std::vector<int> ranks_;       // of the world being popped
+  std::vector<double> prefix_;   // its probability over vertices [0, v)
+  int64_t pushed_ = 0;
+  int64_t visited_ = 0;
+  Entry previous_{};  // the last popped world (debug-build order check)
+};
 
 // SimP evaluation with early accept/reject against `alpha`, over a list of
 // possible-world groups (pass {g} for the ungrouped case). Groups must be

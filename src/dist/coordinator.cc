@@ -319,8 +319,10 @@ class Coordinator : public ClusterzSource {
     const auto id = static_cast<size_t>(shard_id);
     SIMJ_CHECK(state_[id] == expected);
     state_[id] = ShardState::kDone;
-    results_[id] = core::JoinResult{std::move(result->pairs), result->stats,
-                                    std::move(result->explains)};
+    core::JoinResult& stored = results_[id];
+    stored.pairs = std::move(result->pairs);
+    stored.stats = result->stats;
+    stored.explains = std::move(result->explains);
     ++done_count_;
     cv_.NotifyAll();
   }
@@ -344,8 +346,17 @@ class Coordinator : public ClusterzSource {
     const std::string label = std::to_string(w);
     core::PublishJoinCounters(shard_stats, label);
     if (!worker.counts_in_process()) core::PublishJoinCounters(shard_stats);
+    LogSlowPairs(result);
     prof::AccumulateRemoteSection("worker-" + label, result.profile);
     heapprof::AccumulateRemoteSection("worker-" + label, result.heap);
+  }
+
+  // The completion log of a shard's pairs over the budget, which no worker
+  // logs itself: a forked child must not.
+  void LogSlowPairs(const ShardResult& result) const {
+    for (const core::SlowPair& slow : result.slow_pairs) {
+      core::LogSlowPair(slow, *ctx_.params);
+    }
   }
 
   // Requeues the failed shard and restarts the worker. Returns false when
@@ -439,6 +450,7 @@ class Coordinator : public ClusterzSource {
         RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
       }
       core::PublishJoinCounters(shard_stats, "inline");
+      LogSlowPairs(result.value());
     }
   }
 

@@ -24,7 +24,10 @@
 // The pair-time budget (params.slow_pair_log_ms) and heartbeats work
 // unchanged: the dispatch thread heartbeats the shard's first pair before
 // handing it to the worker, so a stuck or slow worker ages a heartbeat the
-// StallMonitor thread can flag — regardless of transport.
+// StallMonitor thread can flag — regardless of transport. A shard ships its
+// pairs over the budget (ShardResult::slow_pairs), and the coordinator logs
+// them when it completes the shard, on either transport and in the inline
+// fallback.
 //
 // Cluster observability (DESIGN.md §10): while it runs, the coordinator
 //   * records every scheduling decision (deal, dispatch, steal, requeue,

@@ -108,6 +108,9 @@ struct ShardResult {
   core::JoinStats stats;
   std::vector<core::MatchedPair> pairs;
   std::vector<core::PairExplain> explains;
+  // The shard's pairs over the pair-time budget, for the coordinator to log
+  // (core::EvaluatePairList collects them; neither transport's worker logs).
+  std::vector<core::SlowPair> slow_pairs;
   // Spans recorded during this execution (empty unless SpanContext.collect).
   // trace_id/parent_span_id are tagged from the request's SpanContext; the
   // coordinator re-files them under the worker's process lane.

@@ -221,7 +221,7 @@ TEST(JoinTest, CssInstrumentsCountEveryFilteredPair) {
   options.max_uncertain_edges = 7;
   simj::testing::RandomJoinWorkload w =
       simj::testing::MakeRandomJoinWorkload(1900, options);
-  for (int threads : {1, 3}) {
+  for (int threads : {1, 3, 4}) {
     for (bool sampled : {false, true}) {
       SCOPED_TRACE(std::to_string(threads) + " threads, sampled " +
                    std::to_string(sampled));
@@ -252,6 +252,16 @@ TEST(JoinTest, CssInstrumentsCountEveryFilteredPair) {
       EXPECT_GT(filtered, 0);
       EXPECT_EQ(counted(ged::kCssBoundCallsMetric), filtered);
       EXPECT_EQ(observed("simj_filter_structural_seconds"), filtered);
+      // One observation per pair of each stage, from the pair's chained
+      // clock reads, and no time charged twice: a worker's pairs never
+      // overlap, so their summed time fits in its share of the wall.
+      const JoinStats& stats = result.stats;
+      EXPECT_GT(stats.candidates, 0);
+      EXPECT_EQ(observed("simj_filter_probabilistic_seconds"),
+                filtered - (stats.pruned_structural - stats.pruned_count_bound));
+      EXPECT_EQ(observed("simj_verify_pair_seconds"), stats.candidates);
+      EXPECT_LE(stats.pruning_cpu_seconds + stats.verification_cpu_seconds,
+                threads * stats.wall_seconds);
     }
   }
 }

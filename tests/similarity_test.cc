@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -478,6 +479,96 @@ TEST_P(SplitScoringTest, ChildrenMatchFromScratchScores) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SplitScoringTest, ::testing::Range(0, 30));
+
+// The lazy walk yields every world of a group once, in the order of a full
+// sort by (probability descending, rank index ascending), each probability
+// bit-equal to WorldProbability, and stopping after k worlds leaves at most
+// 1 + k x (uncertain vertices) pushes. Groups draw probabilities with exact
+// ties (1/2-1/2, 1/3 each), restricted single-alternative vertices of
+// probability < 1, and include a one-world and a 4,096-world group.
+TEST(WorldWalkTest, PopsEveryWorldOnceInSortedOrder) {
+  const std::vector<std::vector<double>> shapes = {
+      {0.5, 0.5}, {1.0 / 3, 1.0 / 3, 1.0 / 3}, {0.7, 0.2, 0.1}, {0.6},
+      {0.25, 0.5, 0.25}, {1.0}};
+  Rng rng(4242);
+  std::vector<UncertainGraph> groups;
+  for (int trial = 0; trial < 40; ++trial) {
+    UncertainGraph g;
+    const int n = static_cast<int>(rng.Uniform(1, 7));
+    for (int v = 0; v < n; ++v) {
+      const std::vector<double>& shape =
+          shapes[static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(shapes.size()) - 1))];
+      std::vector<graph::LabelAlternative> alternatives;
+      for (size_t a = 0; a < shape.size(); ++a) {
+        alternatives.push_back({static_cast<graph::LabelId>(a), shape[a]});
+      }
+      g.AddVertex(alternatives);
+    }
+    groups.push_back(g);
+  }
+  UncertainGraph one;
+  one.AddVertex({{0, 0.4}});
+  groups.push_back(one);
+  UncertainGraph big;  // 4^6 = 4,096 worlds
+  for (int v = 0; v < 6; ++v) {
+    big.AddVertex({{0, 0.25}, {1, 0.25}, {2, 0.3}, {3, 0.2}});
+  }
+  groups.push_back(big);
+
+  WorldWalk walk;
+  for (const UncertainGraph& g : groups) {
+    const int n = g.num_vertices();
+    // Ranks by descending probability, ties in alternative order.
+    std::vector<std::vector<int>> rank_of(static_cast<size_t>(n));
+    int uncertain = 0;
+    for (int v = 0; v < n; ++v) {
+      const auto& alternatives = g.alternatives(v);
+      std::vector<int> order(alternatives.size());
+      for (size_t a = 0; a < order.size(); ++a) order[a] = static_cast<int>(a);
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return alternatives[a].prob > alternatives[b].prob;
+      });
+      rank_of[v].resize(order.size());
+      for (size_t r = 0; r < order.size(); ++r) rank_of[v][order[r]] = r;
+      if (alternatives.size() > 1) ++uncertain;
+    }
+    struct Keyed {
+      double probability;
+      int64_t rank_index;
+      std::vector<int> choice;
+    };
+    std::vector<Keyed> sorted;
+    for (graph::PossibleWorldIterator it(g); !it.Done(); it.Next()) {
+      int64_t index = 0;
+      int64_t stride = 1;
+      for (int v = 0; v < n; ++v) {
+        index += rank_of[v][it.choice()[v]] * stride;
+        stride *= static_cast<int64_t>(g.alternatives(v).size());
+      }
+      sorted.push_back({it.probability(), index, it.choice()});
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Keyed& a, const Keyed& b) {
+                return a.probability > b.probability ||
+                       (a.probability == b.probability &&
+                        a.rank_index < b.rank_index);
+              });
+    walk.Start(g);
+    std::vector<int> choice;
+    double probability = 0.0;
+    size_t k = 0;
+    while (walk.Next(&choice, &probability)) {
+      ASSERT_LT(k, sorted.size());
+      EXPECT_EQ(choice, sorted[k].choice) << "world " << k;
+      EXPECT_EQ(probability, g.WorldProbability(choice)) << "world " << k;
+      ++k;
+      EXPECT_LE(walk.pushed(), 1 + static_cast<int64_t>(k) * uncertain);
+    }
+    EXPECT_EQ(k, sorted.size());
+    EXPECT_EQ(static_cast<int64_t>(k), g.NumPossibleWorlds());
+  }
+}
 
 TEST(VerifySimPTest, EarlyAcceptStopsAtAlpha) {
   LabelDictionary dict;
