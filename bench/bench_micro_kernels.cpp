@@ -141,44 +141,29 @@ void BM_GreedyGedUpperBoundEr(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyGedUpperBoundEr);
 
-// One er_verify candidate pair (the ErGedPairs dataset shape at tau = 4,
-// alpha = 0.8, 8 groups): of the pairs the join verifies, the one whose
-// verification makes the most A* calls on the greedy-bound path. Its live
-// groups are split once, heaviest first as the join orders them, and each
-// iteration runs VerifySimP over them; witness:1 accepts non-best worlds
-// from earlier worlds' A* mappings, witness:0 from the greedy bound.
-struct ErCandidatePair {
-  static constexpr int kTau = 4;
-  static constexpr double kAlpha = 0.8;
-  static constexpr int kGroups = 8;
+// One candidate pair of a join, the one whose verification weighs most by
+// `weight` among the pairs the join verifies. Its live groups are split
+// once, heaviest first as the join orders them, and each iteration runs
+// VerifySimP over them.
+struct CandidatePair {
+  core::SimJParams params;
   graph::LabelDictionary dict;
   graph::LabeledGraph q;
   graph::UncertainGraph g;
   std::vector<graph::UncertainGraph> groups;
   double live_mass = 0.0;
 
-  ErCandidatePair() {
-    workload::SyntheticConfig config;
-    config.seed = 506;
-    config.num_certain = 40;
-    config.num_uncertain = 40;
-    config.num_vertices = 10;
-    config.num_edges = 16;
-    config.labels_per_vertex = 3;
-    config.perturbation_ops = 2;
-    config.uncertain_vertex_fraction = 0.4;
+  CandidatePair(const workload::SyntheticConfig& config,
+                const core::SimJParams& params_in,
+                int64_t core::PairExplain::*weight)
+      : params(params_in) {
     workload::SyntheticDataset data = workload::MakeErDataset(config);
-    core::SimJParams params;
-    params.tau = kTau;
-    params.alpha = kAlpha;
-    params.group_count = kGroups;
-    params.witness_accept = false;
     params.explain.enabled = true;
     const core::JoinResult join =
         core::SimJoin(data.certain, data.uncertain, params, data.dict);
     const core::PairExplain* heaviest = nullptr;
     for (const core::PairExplain& e : join.explains) {
-      if (heaviest == nullptr || e.ged_calls > heaviest->ged_calls) {
+      if (heaviest == nullptr || e.*weight > heaviest->*weight) {
         heaviest = &e;
       }
     }
@@ -188,7 +173,7 @@ struct ErCandidatePair {
     core::GroupingOptions options;
     options.group_count = params.group_count;
     core::GroupingResult grouping =
-        core::PartitionPossibleWorlds(q, g, kTau, dict, options);
+        core::PartitionPossibleWorlds(q, g, params.tau, dict, options);
     std::sort(grouping.live_groups.begin(), grouping.live_groups.end(),
               [](const core::ScoredGroup& a, const core::ScoredGroup& b) {
                 return a.mass > b.mass;
@@ -199,22 +184,46 @@ struct ErCandidatePair {
     live_mass = grouping.live_mass;
   }
 
-  static const ErCandidatePair& Get() {
-    static const ErCandidatePair pair;
+  double Verify(bool witness, core::VerifyStats* stats) const {
+    return core::VerifySimP(q, groups, live_mass, params.tau, params.alpha,
+                            dict, ged::GedOptions(), stats, witness)
+        .probability;
+  }
+};
+
+// er_verify's candidate (the ErGedPairs dataset shape at tau = 4,
+// alpha = 0.8, 8 groups) whose verification makes the most A* calls on the
+// greedy-bound path; witness:1 accepts non-best worlds from earlier worlds'
+// A* mappings, witness:0 from the greedy bound.
+struct ErCandidatePair {
+  static const CandidatePair& Get() {
+    static const CandidatePair pair = [] {
+      workload::SyntheticConfig config;
+      config.seed = 506;
+      config.num_certain = 40;
+      config.num_uncertain = 40;
+      config.num_vertices = 10;
+      config.num_edges = 16;
+      config.labels_per_vertex = 3;
+      config.perturbation_ops = 2;
+      config.uncertain_vertex_fraction = 0.4;
+      core::SimJParams params;
+      params.tau = 4;
+      params.alpha = 0.8;
+      params.group_count = 8;
+      params.witness_accept = false;
+      return CandidatePair(config, params, &core::PairExplain::ged_calls);
+    }();
     return pair;
   }
 };
 
 void BM_VerifySimPEr(benchmark::State& state) {
-  const ErCandidatePair& pair = ErCandidatePair::Get();
+  const CandidatePair& pair = ErCandidatePair::Get();
   const bool witness = state.range(0) == 1;
   core::VerifyStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::VerifySimP(pair.q, pair.groups, pair.live_mass,
-                         ErCandidatePair::kTau, ErCandidatePair::kAlpha,
-                         pair.dict, ged::GedOptions(), &stats, witness)
-            .probability);
+    benchmark::DoNotOptimize(pair.Verify(witness, &stats));
   }
   const double iterations = static_cast<double>(state.iterations());
   state.counters["ged_calls"] =
@@ -224,19 +233,51 @@ void BM_VerifySimPEr(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifySimPEr)->ArgName("witness")->Arg(0)->Arg(1);
 
+// er_filter's candidate (the perfbench er_filter input at seed 1: 400 x 400
+// ER graphs of 10 vertices and 16 edges, half the vertices uncertain with
+// 3 labels; tau = 1, alpha = 0.8, one group) whose verification visits the
+// most possible worlds: the early-exit world walk at its longest.
+void BM_VerifySimPErFilter(benchmark::State& state) {
+  static const CandidatePair pair = [] {
+    workload::SyntheticConfig config;
+    config.seed = 1000003;
+    config.num_certain = 400;
+    config.num_uncertain = 400;
+    config.num_vertices = 10;
+    config.num_edges = 16;
+    config.labels_per_vertex = 3;
+    core::SimJParams params;
+    params.tau = 1;
+    params.alpha = 0.8;
+    params.group_count = 1;
+    return CandidatePair(config, params,
+                         &core::PairExplain::worlds_enumerated);
+  }();
+  core::VerifyStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pair.Verify(pair.params.witness_accept, &stats));
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["worlds"] =
+      static_cast<double>(stats.worlds_enumerated) / iterations;
+  state.counters["ged_calls"] =
+      static_cast<double>(stats.ged_calls) / iterations;
+}
+BENCHMARK(BM_VerifySimPErFilter);
+
 // The possible-world partition of the same pair at 8 groups (the join's
 // Markov filter), from the summaries the join builds once per input graph.
 void BM_PartitionPossibleWorldsEr(benchmark::State& state) {
-  const ErCandidatePair& pair = ErCandidatePair::Get();
+  const CandidatePair& pair = ErCandidatePair::Get();
   const ged::GraphSummary q_summary = ged::Summarize(pair.q, pair.dict);
   const ged::GraphSummary g_summary = ged::Summarize(pair.g, pair.dict);
   core::GroupingOptions options;
-  options.group_count = ErCandidatePair::kGroups;
+  options.group_count = pair.params.group_count;
   size_t live_groups = 0;
   for (auto _ : state) {
     const core::GroupingResult grouping = core::PartitionPossibleWorlds(
-        pair.q, q_summary, pair.g, g_summary, ErCandidatePair::kTau,
-        pair.dict, options);
+        pair.q, q_summary, pair.g, g_summary, pair.params.tau, pair.dict,
+        options);
     live_groups = grouping.live_groups.size();
     benchmark::DoNotOptimize(grouping.simp_upper_bound);
   }
