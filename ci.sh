@@ -218,12 +218,16 @@ echo "=== cluster sim (20 seeds) ==="
 # named lane per worker and an attempt span for every shard execution the
 # flight recorder saw — requeued retries included — and the events dump
 # must satisfy the simj_flight_v1 schema with the restart story intact.
+# A failed shard goes to the back of the one shard queue, so the death
+# rate must leave a worker alive when the queue reaches it: at 0.2 workers
+# retry requeued shards, and every trial still ends in the inline
+# fallback (at 0.3 all four died first, and nothing was retried).
 echo "=== cluster observability smoke ==="
 CLUSTER_DIR="$(mktemp -d)"
 trap 'rm -rf "${CLUSTER_DIR}"' EXIT
 ./build-release/bench/bench_shard_scaling \
   --workers=4 --transport=thread --max_pairs_per_shard=16 \
-  --sim_seed=5 --death_probability=0.3 --slow_probability=0.1 \
+  --sim_seed=5 --death_probability=0.2 --slow_probability=0.1 \
   --num_certain=40 --num_uncertain=40 \
   --trace_out="${CLUSTER_DIR}/cluster_trace.json" \
   --events_out="${CLUSTER_DIR}/cluster_events.json" > /dev/null
@@ -254,12 +258,14 @@ for e in flight["events"]:
     by_type.setdefault(e["type"], []).append(e)
 assert by_type.get("requeue"), "fault plan injected no requeues"
 assert by_type.get("restart"), "no worker restart recorded"
+# One shared queue: shards are only ever dispatched, never dealt or stolen.
+assert not {"deal", "steal"} & by_type.keys(), sorted(by_type)
 
-# Every executed attempt (dispatch or steal) appears as a span in the
-# executing worker's lane; requeued shards therefore show attempt>0 spans.
+# Every executed attempt (a dispatch) appears as a span in the executing
+# worker's lane; requeued shards therefore show attempt>0 spans.
 spans = {e["name"]: e for e in events if e["ph"] == "X"}
 worker_pids = {name: pid for pid, name in lanes.items()}
-for e in by_type.get("dispatch", []) + by_type.get("steal", []):
+for e in by_type.get("dispatch", []):
     name = f"shard-{e['shard']}/attempt-{e['attempt']}"
     assert name in spans, f"no span for executed attempt {name}"
     expected_pid = worker_pids[f"worker-{e['worker']}"]

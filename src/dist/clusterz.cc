@@ -1,6 +1,5 @@
 #include "dist/clusterz.h"
 
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <string>
@@ -77,8 +76,17 @@ void RegisterClusterzEndpoint() {
 StatusOr<std::vector<int>> ReplayFinalAssignment(
     const std::vector<flight::Event>& events, int num_shards) {
   if (num_shards < 0) return InvalidArgumentError("negative shard count");
-  std::map<int, std::deque<int>> queues;     // worker -> queued shard ids
-  std::map<int, int> running;                // shard -> worker executing it
+  // The recorder restarts seq at 0 for each run, so a first seq of N means
+  // the ring dropped the run's first N events: the queue cannot be rebuilt.
+  if (!events.empty() && events.front().seq != 0) {
+    const std::string dropped = std::to_string(events.front().seq);
+    return FailedPreconditionError(
+        "flight replay: the dump starts at seq " + dropped +
+        ", not 0: the ring dropped the run's first " + dropped + " event(s)");
+  }
+  std::deque<int> queue;       // shard ids waiting, front first
+  for (int s = 0; s < num_shards; ++s) queue.push_back(s);
+  std::map<int, int> running;  // shard -> worker executing it
   std::vector<int> assignment(static_cast<size_t>(num_shards), -2);  // -2 = unfinished
 
   auto bad = [](const flight::Event& e, const std::string& why) {
@@ -89,56 +97,32 @@ StatusOr<std::vector<int>> ReplayFinalAssignment(
   };
 
   for (const flight::Event& e : events) {
-    if (e.type == kEventDeal) {
-      if (e.shard < 0 || e.shard >= num_shards) {
-        return bad(e, "dealt shard out of range");
+    if (e.type == kEventDispatch || e.type == kEventFallback) {
+      // A queued shard is neither running nor done, so popping the front
+      // is the whole check.
+      if (queue.empty() || queue.front() != e.shard) {
+        return bad(e, "pop of a shard that is not the queue front");
       }
-      queues[e.worker].push_back(e.shard);
-    } else if (e.type == kEventDispatch) {
-      std::deque<int>& q = queues[e.worker];
-      if (q.empty() || q.front() != e.shard) {
-        return bad(e, "dispatch does not match the worker's queue front");
+      queue.pop_front();
+      if (e.type == kEventDispatch) {
+        running[e.shard] = e.worker;
+      } else {
+        assignment[static_cast<size_t>(e.shard)] = -1;
       }
-      q.pop_front();
-      running[e.shard] = e.worker;
-    } else if (e.type == kEventSteal) {
-      // detail = "victim=N"
-      const size_t eq = e.detail.find('=');
-      if (e.detail.rfind("victim=", 0) != 0 || eq == std::string::npos) {
-        return bad(e, "steal event without victim= detail");
-      }
-      const int victim = std::atoi(e.detail.c_str() + eq + 1);
-      std::deque<int>& q = queues[victim];
-      if (q.empty() || q.back() != e.shard) {
-        return bad(e, "steal does not match the victim's queue back");
-      }
-      q.pop_back();
-      running[e.shard] = e.worker;
     } else if (e.type == kEventRequeue) {
       auto it = running.find(e.shard);
       if (it == running.end() || it->second != e.worker) {
         return bad(e, "requeue of a shard this worker was not running");
       }
       running.erase(it);
-      queues[e.worker].push_back(e.shard);
+      queue.push_back(e.shard);
     } else if (e.type == kEventComplete) {
       auto it = running.find(e.shard);
       if (it == running.end() || it->second != e.worker) {
         return bad(e, "completion by a worker that was not running the shard");
       }
       running.erase(it);
-      if (assignment[static_cast<size_t>(e.shard)] != -2) {
-        return bad(e, "shard completed twice");
-      }
       assignment[static_cast<size_t>(e.shard)] = e.worker;
-    } else if (e.type == kEventFallback) {
-      if (e.shard < 0 || e.shard >= num_shards) {
-        return bad(e, "fallback shard out of range");
-      }
-      if (assignment[static_cast<size_t>(e.shard)] != -2) {
-        return bad(e, "fallback for an already-completed shard");
-      }
-      assignment[static_cast<size_t>(e.shard)] = -1;
     }
     // restart / worker_dead / fault / stall carry no queue transitions.
   }

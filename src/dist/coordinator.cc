@@ -43,17 +43,13 @@ class Coordinator : public ClusterzSource {
         trace_id_(trace_id),
         state_(plan.shards.size(), ShardState::kQueued),
         attempts_(plan.shards.size(), 0),
-        results_(plan.shards.size()),
-        queues_(workers->size()) {
+        results_(plan.shards.size()) {
     stats_.shards_planned = num_shards_;
     stats_.workers.resize(workers->size());
     stats_.shard_completed_by.assign(plan.shards.size(), -1);
-    // Deterministic round-robin deal; stealing rebalances at runtime.
-    for (int s = 0; s < num_shards_; ++s) {
-      const int w = s % num_workers_;
-      queues_[static_cast<size_t>(w)].push_back(s);
-      RecordEvent(kEventDeal, w, s, /*attempt=*/-1);
-    }
+    // One FIFO in plan order: every pair is evaluated on its own, so any
+    // dispatch order merges to the same join.
+    for (int s = 0; s < num_shards_; ++s) queue_.push_back(s);
   }
 
   ~Coordinator() override = default;
@@ -98,9 +94,6 @@ class Coordinator : public ClusterzSource {
       MutexLock lock(mu_);
       stats_.stall_events =
           static_cast<int>(stall_events_.load(std::memory_order_relaxed));
-      // The run's flight events, straight from the global ring (cleared by
-      // ShardedSimJoin at run start, so the copy is exactly this run).
-      stats_.events = flight::FlightRecorder::Global().Events();
       out_stats = std::move(stats_);
     }
     return out_stats;
@@ -121,6 +114,7 @@ class Coordinator : public ClusterzSource {
     MutexLock lock(mu_);
     std::string out = "{\"num_shards\":" + std::to_string(num_shards_) +
                       ",\"done\":" + std::to_string(done_count_) +
+                      ",\"queued\":" + std::to_string(queue_.size()) +
                       ",\"requeued\":" + std::to_string(stats_.shards_requeued) +
                       ",\"fallback\":" + std::to_string(stats_.fallback_shards) +
                       ",\"workers\":[";
@@ -128,11 +122,8 @@ class Coordinator : public ClusterzSource {
       const WorkerReport& report = stats_.workers[static_cast<size_t>(w)];
       if (w > 0) out += ",";
       out += "{\"worker\":" + std::to_string(w) +
-             ",\"queue_depth\":" +
-             std::to_string(queues_[static_cast<size_t>(w)].size()) +
              ",\"completed\":" + std::to_string(report.shards_completed) +
              ",\"failed\":" + std::to_string(report.shards_failed) +
-             ",\"steals\":" + std::to_string(report.steals) +
              ",\"restarts\":" + std::to_string(report.restarts) +
              ",\"restart_budget\":" +
              std::to_string(dist_params_.max_worker_restarts - report.restarts) +
@@ -157,9 +148,9 @@ class Coordinator : public ClusterzSource {
   enum class ShardState { kQueued, kRunning, kDone };
 
   // Records one scheduling decision into the global flight ring. Queue
-  // transitions (deal/dispatch/steal/requeue/complete/fallback) are
-  // recorded while mu_ is held, so their ring order IS the queue-operation
-  // order — the property ReplayFinalAssignment relies on.
+  // transitions (dispatch/requeue/complete/fallback) are recorded while
+  // mu_ is held, so their ring order IS the queue-operation order — the
+  // property ReplayFinalAssignment relies on.
   static void RecordEvent(const char* type, int worker, int shard,
                           int attempt, std::string detail = std::string()) {
     flight::Event event;
@@ -176,8 +167,7 @@ class Coordinator : public ClusterzSource {
     core::JoinProgress& progress = core::JoinProgress::Global();
     for (;;) {
       int attempt = 0;
-      bool stolen = false;
-      const int shard_id = NextShard(w, &attempt, &stolen);
+      const int shard_id = NextShard(w, &attempt);
       if (shard_id < 0) return;
       const Shard& shard = plan_.shards[static_cast<size_t>(shard_id)];
       const FaultSpec fault =
@@ -210,7 +200,7 @@ class Coordinator : public ClusterzSource {
         CompleteShard(w, shard_id, worker, std::move(result).value(),
                       timer.ElapsedSeconds());
       } else if (!HandleFailure(w, shard_id, attempt, result.status())) {
-        return;  // worker is permanently dead; its queue remains stealable
+        return;  // worker is permanently dead; its shard went back on the queue
       }
     }
   }
@@ -264,45 +254,20 @@ class Coordinator : public ClusterzSource {
     return result;
   }
 
-  // Blocks until a shard is available (own queue, then stealing from the
-  // back of the longest other queue) or the join is complete (-1).
-  int NextShard(int w, int* attempt, bool* stolen) {
+  // Blocks until the queue has a shard, and pops its front, or until the
+  // join is complete (-1).
+  int NextShard(int w, int* attempt) {
     MutexLock lock(mu_);
     for (;;) {
       if (done_count_ == num_shards_) return -1;
-      int shard_id = -1;
-      int victim = -1;
-      if (!queues_[w].empty()) {
-        shard_id = queues_[w].front();
-        queues_[w].pop_front();
-        *stolen = false;
-      } else {
-        size_t longest = 0;
-        for (int other = 0; other < num_workers_; ++other) {
-          if (other == w || queues_[other].empty()) continue;
-          if (queues_[other].size() > longest) {
-            longest = queues_[other].size();
-            victim = other;
-          }
-        }
-        if (victim >= 0) {
-          shard_id = queues_[victim].back();
-          queues_[victim].pop_back();
-          *stolen = true;
-          ++stats_.workers[static_cast<size_t>(w)].steals;
-        }
-      }
-      if (shard_id >= 0) {
+      if (!queue_.empty()) {
+        const int shard_id = queue_.front();
+        queue_.pop_front();
         SIMJ_DCHECK(state_[static_cast<size_t>(shard_id)] ==
                     ShardState::kQueued);
         state_[static_cast<size_t>(shard_id)] = ShardState::kRunning;
         *attempt = attempts_[static_cast<size_t>(shard_id)]++;
-        if (*stolen) {
-          RecordEvent(kEventSteal, w, shard_id, *attempt,
-                      "victim=" + std::to_string(victim));
-        } else {
-          RecordEvent(kEventDispatch, w, shard_id, *attempt);
-        }
+        RecordEvent(kEventDispatch, w, shard_id, *attempt);
         return shard_id;
       }
       // Nothing queued, join unfinished: shards running elsewhere may yet
@@ -313,11 +278,10 @@ class Coordinator : public ClusterzSource {
 
   // Marks a shard done and stores its result. A shard is requeued only
   // when its attempt fails, so each shard completes exactly once: a worker
-  // completes a shard it is still running, the fallback one left queued.
-  void StoreResult(int shard_id, ShardState expected, ShardResult* result)
-      SIMJ_REQUIRES(mu_) {
+  // or the fallback completes a shard it popped and is still running.
+  void StoreResult(int shard_id, ShardResult* result) SIMJ_REQUIRES(mu_) {
     const auto id = static_cast<size_t>(shard_id);
-    SIMJ_CHECK(state_[id] == expected);
+    SIMJ_CHECK(state_[id] == ShardState::kRunning);
     state_[id] = ShardState::kDone;
     core::JoinResult& stored = results_[id];
     stored.pairs = std::move(result->pairs);
@@ -332,7 +296,7 @@ class Coordinator : public ClusterzSource {
     const core::JoinStats shard_stats = result.stats;
     {
       MutexLock lock(mu_);
-      StoreResult(shard_id, ShardState::kRunning, &result);
+      StoreResult(shard_id, &result);
       stats_.shard_completed_by[static_cast<size_t>(shard_id)] = w;
       WorkerReport& report = stats_.workers[static_cast<size_t>(w)];
       ++report.shards_completed;
@@ -359,8 +323,9 @@ class Coordinator : public ClusterzSource {
     }
   }
 
-  // Requeues the failed shard and restarts the worker. Returns false when
-  // the worker is permanently dead and its dispatch loop must exit.
+  // Puts the failed shard at the back of the queue and restarts the
+  // worker. Returns false when the worker is permanently dead and its
+  // dispatch loop must exit.
   bool HandleFailure(int w, int shard_id, int attempt, const Status& status) {
     const std::string component = "dist_worker_" + std::to_string(w);
     bool exhausted = false;
@@ -369,7 +334,7 @@ class Coordinator : public ClusterzSource {
       SIMJ_DCHECK(state_[static_cast<size_t>(shard_id)] ==
                   ShardState::kRunning);
       state_[static_cast<size_t>(shard_id)] = ShardState::kQueued;
-      queues_[static_cast<size_t>(w)].push_back(shard_id);
+      queue_.push_back(shard_id);
       ++stats_.shards_requeued;
       ++stats_.workers[static_cast<size_t>(w)].shards_failed;
       exhausted = stats_.workers[static_cast<size_t>(w)].restarts >=
@@ -415,27 +380,33 @@ class Coordinator : public ClusterzSource {
   }
 
   void RunFallback() {
-    // Dispatch threads have all exited, but the statusz thread may still
-    // scrape LiveJson concurrently — every state_/results_/stats_ touch
-    // stays under mu_, with only RunShard itself outside the lock so a
-    // scrape never blocks on an inline shard execution.
-    std::vector<int> remaining;
+    // Dispatch threads have all exited, so every unfinished shard is on the
+    // queue. The statusz thread may still scrape LiveJson concurrently —
+    // every queue_/state_/results_/stats_ touch stays under mu_, with only
+    // RunShard itself outside the lock so a scrape never blocks on an
+    // inline shard execution.
+    size_t unfinished = 0;
     {
       MutexLock lock(mu_);
-      for (int s = 0; s < num_shards_; ++s) {
-        if (state_[static_cast<size_t>(s)] != ShardState::kDone) {
-          remaining.push_back(s);
-        }
-      }
+      unfinished = queue_.size();
     }
-    if (remaining.empty()) return;
-    SIMJ_LOG(WARN) << "dist: all workers dead with " << remaining.size()
+    if (unfinished == 0) return;
+    SIMJ_LOG(WARN) << "dist: all workers dead with " << unfinished
                    << " shard(s) unfinished; running them inline";
     // A fault-free thread-transport shard cannot fail. Its attempt span
     // goes to the coordinator's own lane (pid 1), and it ships no profile
     // batch: its samples stay in the "coordinator" section.
     ShardWorker inline_worker(ctx_, /*worker_index=*/0, Transport::kThread);
-    for (int shard_id : remaining) {
+    for (;;) {
+      int shard_id = -1;
+      {
+        MutexLock lock(mu_);
+        if (queue_.empty()) return;
+        shard_id = queue_.front();
+        queue_.pop_front();
+        state_[static_cast<size_t>(shard_id)] = ShardState::kRunning;
+        RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
+      }
       StatusOr<ShardResult> result = RunAttempt(
           inline_worker, plan_.shards[static_cast<size_t>(shard_id)],
           FaultSpec{}, /*lane_pid=*/1,
@@ -445,9 +416,8 @@ class Coordinator : public ClusterzSource {
       const core::JoinStats shard_stats = result.value().stats;
       {
         MutexLock lock(mu_);
-        StoreResult(shard_id, ShardState::kQueued, &result.value());
+        StoreResult(shard_id, &result.value());
         ++stats_.fallback_shards;
-        RecordEvent(kEventFallback, /*worker=*/-1, shard_id, /*attempt=*/-1);
       }
       core::PublishJoinCounters(shard_stats, "inline");
       LogSlowPairs(result.value());
@@ -483,7 +453,8 @@ class Coordinator : public ClusterzSource {
   std::vector<ShardState> state_ SIMJ_GUARDED_BY(mu_);
   std::vector<int> attempts_ SIMJ_GUARDED_BY(mu_);
   std::vector<core::JoinResult> results_ SIMJ_GUARDED_BY(mu_);
-  std::vector<std::deque<int>> queues_ SIMJ_GUARDED_BY(mu_);
+  // Shard ids waiting for a worker: plan order, failed attempts at the back.
+  std::deque<int> queue_ SIMJ_GUARDED_BY(mu_);
   int done_count_ SIMJ_GUARDED_BY(mu_) = 0;
   DistStats stats_ SIMJ_GUARDED_BY(mu_);
   std::atomic<int64_t> stall_events_{0};
@@ -504,8 +475,6 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
       registry.GetCounter("simj_dist_shards_requeued_total");
   static metrics::Counter& worker_restarts_total =
       registry.GetCounter("simj_dist_worker_restarts_total");
-  static metrics::Counter& steals_total =
-      registry.GetCounter("simj_dist_steals_total");
   static metrics::Gauge& workers_gauge = registry.GetGauge("simj_dist_workers");
 
   WallTimer wall;
@@ -573,7 +542,6 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   for (size_t w = 0; w < out.dist.workers.size(); ++w) {
     const WorkerReport& report = out.dist.workers[w];
     worker_restarts_total.Add(report.restarts);
-    steals_total.Add(report.steals);
     // The run is over: a worker that was mid-death (or permanently dead)
     // no longer degrades the process — its shards all converged.
     health::SetHealthy("dist_worker_" + std::to_string(w));

@@ -1,20 +1,19 @@
 // Shard coordinator for the distributed join (DESIGN.md §9).
 //
-// The coordinator deals the planned shards round-robin onto per-worker
-// queues, runs one dispatch loop per worker, and merges the per-shard
-// results into a JoinResult that is byte-identical (pairs, mappings,
-// counters, explain lines — never wall/CPU timing) to SimJoin, with or
-// without use_index, at any worker count, either transport, and under any
-// fault schedule:
+// The coordinator queues the planned shards on one FIFO in plan order,
+// runs one dispatch loop per worker, and merges the per-shard results into
+// a JoinResult that is byte-identical (pairs, mappings, counters, explain
+// lines — never wall/CPU timing) to SimJoin, with or without use_index, at
+// any worker count, either transport, and under any fault schedule:
 //
-//   * work stealing — a worker whose own queue drains steals from the back
-//     of the longest remaining queue, so stragglers shed load;
+//   * one queue — each dispatch loop pops the front when its worker is
+//     idle, so a straggler simply takes fewer shards;
 //   * requeue — a shard whose execution fails (dead child, injected fault)
-//     goes back to the queues and the worker is restarted, up to
+//     goes to the back of the queue and the worker is restarted, up to
 //     max_worker_restarts times before it is declared permanently dead.
 //     Only a failed attempt is requeued, so every shard completes exactly
 //     once (checked): there is no duplicate-completion path;
-//   * inline fallback — shards still unfinished after every worker died
+//   * inline fallback — shards still queued after every worker died
 //     run on the coordinator thread itself, through a thread-transport
 //     ShardWorker, so the join always converges;
 //   * deterministic merge — per-shard stats fold in ascending shard_id
@@ -30,11 +29,11 @@
 // fallback.
 //
 // Cluster observability (DESIGN.md §10): while it runs, the coordinator
-//   * records every scheduling decision (deal, dispatch, steal, requeue,
-//     restart, complete, fault, stall, fallback) into the global
-//     util/flight_recorder ring — DistStats::events carries the run's copy
-//     and dist/clusterz.h's ReplayFinalAssignment can reconstruct the
-//     final shard-to-worker assignment from it;
+//   * records every scheduling decision (dispatch, requeue, restart,
+//     complete, fault, stall, fallback) into the global
+//     util/flight_recorder ring, from which dist/clusterz.h's
+//     ReplayFinalAssignment reconstructs the final shard-to-worker
+//     assignment;
 //   * when tracing is enabled, synthesizes one attempt span per shard
 //     execution (including failed/requeued attempts) under the worker's
 //     Chrome-trace process lane — fallback attempts under the coordinator's
@@ -49,7 +48,7 @@
 //     excluded. Plan-time skips and process-transport shards also reach
 //     the unlabeled counters, so a fault-free run's unlabeled deltas equal
 //     its JoinStats;
-//   * serves live queue depths / worker states through GET /clusterz and
+//   * serves the live queue length / worker states through GET /clusterz and
 //     reports dead-worker and stall degradation to util/health (/healthz).
 // All of it is observational: join results stay byte-identical with every
 // sink on or off.
@@ -67,7 +66,6 @@
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
-#include "util/flight_recorder.h"
 
 namespace simj::dist {
 
@@ -92,7 +90,9 @@ struct DistJoinParams {
 struct WorkerReport {
   int shards_completed = 0;
   int shards_failed = 0;  // executions that returned an error
-  int steals = 0;         // shards taken from another worker's queue
+  // Always 0: the coordinator has one shared queue and nothing to steal.
+  // Kept only because perfbench/er.cc reads it.
+  int steals = 0;
   int restarts = 0;
   bool permanently_dead = false;
   // Wall time spent inside RunShard for shards this worker COMPLETED
@@ -109,9 +109,6 @@ struct DistStats {
   // Stall observations the watchdog reported during the run.
   int stall_events = 0;
   std::vector<WorkerReport> workers;
-  // The run's flight-recorder events (a copy of the global ring taken at
-  // the end of the run; the coordinator clears the ring at run start).
-  std::vector<flight::Event> events;
   // Final assignment: the worker index that produced each shard's merged
   // result (-1 = the coordinator's inline fallback).
   std::vector<int> shard_completed_by;

@@ -3,8 +3,8 @@
 // The candidate space |D| x |U| is partitioned along size-signature
 // buckets: every shard holds pairs whose certain graphs share one
 // (|V|, |E|) signature, so its cost profile is homogeneous. Buckets larger
-// than `max_pairs_per_shard` are split into consecutive chunks so the
-// coordinator has enough shards to steal.
+// than `max_pairs_per_shard` are split into consecutive chunks, so no one
+// shard holds a whole large bucket.
 //
 // With `use_index` and structural pruning on, the pairs of a bucket whose
 // count lower bound against an uncertain graph exceeds tau are counted as

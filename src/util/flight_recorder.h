@@ -2,20 +2,20 @@
 // scheduling decisions, dumped as deterministic JSON for post-mortem
 // analysis (--events_out=).
 //
-// The distributed-join coordinator records one Event per decision — deal,
-// dispatch, steal, complete, requeue, restart, fault observed, worker
-// death, stall, fallback (string constants live in src/dist/clusterz.h so
-// util stays ignorant of dist semantics). Events carry a process-wide
-// monotone sequence number assigned at Record() time, so the dump's order
-// IS the decision order even when timestamps collide; DESIGN.md §10 shows
-// how replaying deal/steal/requeue/restart events reconstructs the exact
-// final shard-to-worker assignment.
+// The distributed-join coordinator records one Event per decision —
+// dispatch, complete, requeue, restart, fault observed, worker death,
+// stall, fallback (string constants live in src/dist/clusterz.h so util
+// stays ignorant of dist semantics). Events carry a process-wide monotone
+// sequence number assigned at Record() time, so the dump's order IS the
+// decision order even when timestamps collide; DESIGN.md §10 shows how
+// replaying dispatch/requeue/complete/fallback events reconstructs the
+// exact final shard-to-worker assignment.
 //
 // The ring is bounded (default 4096 events): when full, the oldest events
 // are dropped and dropped() counts them — a post-mortem is best-effort by
 // design, never a memory hazard. Recording is a mutex-guarded push; the
-// coordinator only records on scheduling transitions (dozens per shard at
-// most), never per pair.
+// coordinator only records on scheduling transitions (two per shard
+// without faults: dispatch and complete), never per pair.
 //
 // This lives in util (not dist) so bench_util can dump --events_out
 // without linking the dist layer.
@@ -35,11 +35,11 @@ namespace simj::flight {
 struct Event {
   int64_t seq = 0;     // assigned by Record(); process-wide decision order
   double ts_us = 0.0;  // microseconds since the recorder epoch
-  std::string type;    // "deal", "steal", "requeue", ... (see dist/clusterz.h)
+  std::string type;    // "dispatch", "requeue", ... (see dist/clusterz.h)
   int worker = -1;     // -1 = not worker-specific
   int shard = -1;      // -1 = not shard-specific
   int attempt = -1;    // -1 = not attempt-specific
-  std::string detail;  // free-form context ("victim=2", "exit status 3")
+  std::string detail;  // free-form context ("exit status 3")
 };
 
 class FlightRecorder {

@@ -10,9 +10,9 @@
 // Metrics are created on first use and live for the process lifetime, so
 // call sites may cache references:
 //
-//   static metrics::Counter& steals =
-//       metrics::Registry::Global().GetCounter("simj_dist_steals_total");
-//   steals.Increment();
+//   static metrics::Counter& requeues =
+//       metrics::Registry::Global().GetCounter("simj_dist_shards_requeued_total");
+//   requeues.Increment();
 //
 //   static metrics::Histogram& lat =
 //       metrics::Registry::Global().GetHistogram("simj_verify_pair_seconds");

@@ -29,9 +29,9 @@ Event MakeEvent(const std::string& type, int worker = -1, int shard = -1,
 
 TEST(FlightRecorderTest, RecordStampsMonotoneSeqAndTimestamps) {
   FlightRecorder recorder(/*capacity=*/16);
-  recorder.Record(MakeEvent("deal", 0, 0));
   recorder.Record(MakeEvent("dispatch", 0, 0, 0));
   recorder.Record(MakeEvent("complete", 0, 0, 0));
+  recorder.Record(MakeEvent("dispatch", 0, 1, 0));
   std::vector<Event> events = recorder.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].seq, 0);
@@ -45,7 +45,7 @@ TEST(FlightRecorderTest, RecordStampsMonotoneSeqAndTimestamps) {
 TEST(FlightRecorderTest, RingDropsOldestWhenFull) {
   FlightRecorder recorder(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    recorder.Record(MakeEvent("deal", /*worker=*/i % 2, /*shard=*/i));
+    recorder.Record(MakeEvent("dispatch", /*worker=*/i % 2, /*shard=*/i));
   }
   std::vector<Event> events = recorder.Events();
   ASSERT_EQ(events.size(), 4u);
@@ -60,12 +60,12 @@ TEST(FlightRecorderTest, RingDropsOldestWhenFull) {
 
 TEST(FlightRecorderTest, ClearResetsSeqAndDropped) {
   FlightRecorder recorder(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) recorder.Record(MakeEvent("deal"));
+  for (int i = 0; i < 5; ++i) recorder.Record(MakeEvent("dispatch"));
   EXPECT_EQ(recorder.dropped(), 3);
   recorder.Clear();
   EXPECT_TRUE(recorder.Events().empty());
   EXPECT_EQ(recorder.dropped(), 0);
-  recorder.Record(MakeEvent("deal"));
+  recorder.Record(MakeEvent("dispatch"));
   EXPECT_EQ(recorder.Events().front().seq, 0);
 }
 
@@ -75,11 +75,11 @@ TEST(FlightRecorderTest, EventsJsonIsByteDeterministic) {
   Event a;
   a.seq = 0;
   a.ts_us = 12.5;
-  a.type = "steal";
+  a.type = "fault";
   a.worker = 1;
   a.shard = 3;
   a.attempt = 0;
-  a.detail = "victim=2";
+  a.detail = "delay_ms=2";
   Event b;
   b.seq = 1;
   b.ts_us = 99.0;
@@ -91,8 +91,8 @@ TEST(FlightRecorderTest, EventsJsonIsByteDeterministic) {
   const std::string json = EventsJson({a, b}, /*dropped=*/7);
   EXPECT_EQ(json,
             "{\"schema\":\"simj_flight_v1\",\"dropped\":7,\"events\":["
-            "{\"seq\":0,\"ts_us\":12.500,\"type\":\"steal\",\"worker\":1,"
-            "\"shard\":3,\"attempt\":0,\"detail\":\"victim=2\"},"
+            "{\"seq\":0,\"ts_us\":12.500,\"type\":\"fault\",\"worker\":1,"
+            "\"shard\":3,\"attempt\":0,\"detail\":\"delay_ms=2\"},"
             "{\"seq\":1,\"ts_us\":99.000,\"type\":\"requeue\",\"worker\":2,"
             "\"shard\":3,\"attempt\":1,"
             "\"detail\":\"injected \\\"death\\\"\"}]}\n");
@@ -106,88 +106,107 @@ TEST(FlightRecorderTest, ToJsonRendersEmptyRing) {
 
 // --- ReplayFinalAssignment -------------------------------------------------
 //
-// The replay checker simulates the per-worker deques from the recorded
-// events; sequences below are coordinator-shaped (deal -> dispatch/steal ->
-// complete/requeue/fallback).
+// The replay checker simulates the coordinator's one shard queue, which
+// starts as 0..n-1; sequences below are coordinator-shaped (dispatch ->
+// complete/requeue, fallback once every worker is dead).
 
 using simj::dist::ReplayFinalAssignment;
 
-TEST(ReplayTest, DealDispatchCompleteAssignsWorker) {
+TEST(ReplayTest, DispatchCompleteAssignsWorker) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("deal", 1, 1));
-  events.push_back(MakeEvent("dispatch", 0, 0, 0));
-  events.push_back(MakeEvent("dispatch", 1, 1, 0));
-  events.push_back(MakeEvent("complete", 0, 0, 0));
-  events.push_back(MakeEvent("complete", 1, 1, 0));
+  events.push_back(MakeEvent("dispatch", 1, 0, 0));
+  events.push_back(MakeEvent("dispatch", 0, 1, 0));
+  events.push_back(MakeEvent("complete", 0, 1, 0));
+  events.push_back(MakeEvent("complete", 1, 0, 0));
   auto assignment = ReplayFinalAssignment(events, 2);
   ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{0, 1}));
-}
-
-TEST(ReplayTest, StealMovesShardToThief) {
-  std::vector<Event> events;
-  // Both shards dealt to worker 0; worker 1 steals from the BACK.
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("deal", 0, 1));
-  events.push_back(MakeEvent("steal", 1, 1, 0, "victim=0"));
-  events.push_back(MakeEvent("dispatch", 0, 0, 0));
-  events.push_back(MakeEvent("complete", 1, 1, 0));
-  events.push_back(MakeEvent("complete", 0, 0, 0));
-  auto assignment = ReplayFinalAssignment(events, 2);
-  ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(assignment.value(), (std::vector<int>{1, 0}));
 }
 
 TEST(ReplayTest, RequeueThenRetryAndFallback) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("deal", 1, 1));
-  // Shard 0 dies on worker 0, is requeued, retried, and completes.
+  // Shard 0 dies on worker 0 and goes to the back: queue [1, 2, 0].
   events.push_back(MakeEvent("dispatch", 0, 0, 0));
   events.push_back(MakeEvent("requeue", 0, 0, 0, "injected death"));
   events.push_back(MakeEvent("restart", 0));
-  events.push_back(MakeEvent("dispatch", 0, 0, 1));
-  events.push_back(MakeEvent("complete", 0, 0, 1));
-  // Shard 1 never dispatches; the coordinator runs it inline.
-  events.push_back(MakeEvent("fallback", -1, 1));
-  auto assignment = ReplayFinalAssignment(events, 2);
+  events.push_back(MakeEvent("dispatch", 0, 1, 0));
+  events.push_back(MakeEvent("complete", 0, 1, 0));
+  // Shard 2 dies too and the worker is out of restarts: queue [0, 2].
+  events.push_back(MakeEvent("dispatch", 0, 2, 0));
+  events.push_back(MakeEvent("requeue", 0, 2, 0, "injected death"));
+  events.push_back(MakeEvent("worker_dead", 0));
+  // The coordinator runs what is left inline, front first.
+  events.push_back(MakeEvent("fallback", -1, 0));
+  events.push_back(MakeEvent("fallback", -1, 2));
+  auto assignment = ReplayFinalAssignment(events, 3);
   ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{0, -1}));
+  EXPECT_EQ(assignment.value(), (std::vector<int>{-1, 0, -1}));
 }
 
 TEST(ReplayTest, RejectsDispatchOfNonFrontShard) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("deal", 0, 1));
-  // Worker 0's queue front is shard 0; dispatching shard 1 first is a
-  // transition the real coordinator cannot produce.
+  // The queue front is shard 0; dispatching shard 1 first is a transition
+  // the real coordinator cannot produce.
   events.push_back(MakeEvent("dispatch", 0, 1, 0));
   EXPECT_FALSE(ReplayFinalAssignment(events, 2).ok());
 }
 
-TEST(ReplayTest, RejectsStealOfNonBackShard) {
+TEST(ReplayTest, RequeuedShardDispatchesAfterEveryEarlierQueuedShard) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
-  events.push_back(MakeEvent("deal", 0, 1));
-  // Steals pop the victim's BACK (shard 1 here), not its front.
-  events.push_back(MakeEvent("steal", 1, 0, 0, "victim=0"));
-  EXPECT_FALSE(ReplayFinalAssignment(events, 2).ok());
+  // Shard 0 fails on worker 0 and joins the queue behind shards 1 and 2.
+  events.push_back(MakeEvent("dispatch", 0, 0, 0));
+  events.push_back(MakeEvent("requeue", 0, 0, 0, "injected death"));
+  std::vector<Event> jumps_the_line = events;
+  jumps_the_line.push_back(MakeEvent("dispatch", 1, 0, 1));
+  EXPECT_FALSE(ReplayFinalAssignment(jumps_the_line, 3).ok());
+
+  events.push_back(MakeEvent("dispatch", 1, 1, 0));
+  events.push_back(MakeEvent("dispatch", 0, 2, 0));
+  events.push_back(MakeEvent("dispatch", 1, 0, 1));
+  events.push_back(MakeEvent("complete", 1, 1, 0));
+  events.push_back(MakeEvent("complete", 0, 2, 0));
+  events.push_back(MakeEvent("complete", 1, 0, 1));
+  auto assignment = ReplayFinalAssignment(events, 3);
+  ASSERT_TRUE(assignment.ok()) << assignment.status().message();
+  EXPECT_EQ(assignment.value(), (std::vector<int>{1, 1, 0}));
 }
 
 TEST(ReplayTest, RejectsCompleteWithoutDispatch) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
   events.push_back(MakeEvent("complete", 0, 0, 0));
   EXPECT_FALSE(ReplayFinalAssignment(events, 1).ok());
 }
 
 TEST(ReplayTest, RejectsUnfinishedShard) {
   std::vector<Event> events;
-  events.push_back(MakeEvent("deal", 0, 0));
   events.push_back(MakeEvent("dispatch", 0, 0, 0));
   // No complete/fallback: the replay must refuse to call this final.
   EXPECT_FALSE(ReplayFinalAssignment(events, 1).ok());
+}
+
+// A ring that dropped the run's first events cannot be replayed: the
+// replay says so, with the drop count, instead of blaming a transition.
+TEST(ReplayTest, RejectsDumpThatDoesNotStartAtSeqZero) {
+  FlightRecorder recorder(/*capacity=*/4);
+  recorder.Record(MakeEvent("dispatch", 0, 0, 0));
+  recorder.Record(MakeEvent("complete", 0, 0, 0));
+  recorder.Record(MakeEvent("dispatch", 0, 1, 0));
+  recorder.Record(MakeEvent("complete", 0, 1, 0));
+  auto whole = ReplayFinalAssignment(recorder.Events(), 2);
+  ASSERT_TRUE(whole.ok()) << whole.status().message();
+  EXPECT_EQ(whole.value(), (std::vector<int>{0, 0}));
+
+  recorder.Record(MakeEvent("dispatch", 0, 2, 0));
+  recorder.Record(MakeEvent("complete", 0, 2, 0));
+  ASSERT_EQ(recorder.dropped(), 2);
+  const std::vector<Event> tail = recorder.Events();
+  ASSERT_EQ(tail.front().seq, 2);
+  auto replayed = ReplayFinalAssignment(tail, 3);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(replayed.status().message().find("dropped the run's first 2 "),
+            std::string::npos)
+      << replayed.status().message();
 }
 
 }  // namespace

@@ -207,8 +207,9 @@ inline RandomJoinWorkload MakeRandomJoinWorkload(
 // `hot_certain` certain graphs share the same (|V|, |E|) signature (so the
 // shard planner cuts that bucket into many shards), while `cold_certain`
 // graphs get unique, mostly-index-pruned signatures. Exercises the
-// distributed join's work stealing: without stealing, the round-robin deal
-// strands most of the hot bucket on a few workers.
+// distributed join's shared shard queue: most shards come from the hot
+// bucket, so a slow worker that kept a fixed share of them would dominate
+// the run's busy time.
 inline RandomJoinWorkload MakeSkewedBucketWorkload(uint64_t seed,
                                                    int hot_certain = 24,
                                                    int cold_certain = 6,

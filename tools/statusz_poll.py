@@ -149,11 +149,10 @@ def render_clusterz(clusterz: dict) -> str:
         return ""
     coord = clusterz.get("coordinator") or {}
     workers = coord.get("workers") or []
-    depths = ",".join(str(w.get("queue_depth", 0)) for w in workers)
     dead = sum(1 for w in workers if w.get("state") == "dead")
     segment = (
         f"cluster {coord.get('done', 0)}/{coord.get('num_shards', 0)} shards"
-        f"  q=[{depths}]  requeued {coord.get('requeued', 0)}"
+        f"  queued {coord.get('queued', 0)}  requeued {coord.get('requeued', 0)}"
     )
     if coord.get("fallback", 0):
         segment += f"  fallback {coord['fallback']}"
@@ -224,24 +223,25 @@ def self_test() -> int:
     })
     assert "hb w0:3ms w2:151ms" in with_beats, with_beats
 
-    # /clusterz summary: queue depths, requeues, dead workers, fallback.
+    # /clusterz summary: queued shards, requeues, dead workers, fallback.
     clusterz = {
         "active": True,
         "coordinator": {
             "num_shards": 12,
             "done": 5,
+            "queued": 4,
             "requeued": 1,
             "fallback": 2,
             "workers": [
-                {"worker": 0, "queue_depth": 2, "state": "alive"},
-                {"worker": 1, "queue_depth": 0, "state": "dead"},
-                {"worker": 2, "queue_depth": 3, "state": "alive"},
+                {"worker": 0, "state": "alive"},
+                {"worker": 1, "state": "dead"},
+                {"worker": 2, "state": "alive"},
             ],
         },
     }
     with_cluster = render_line({"join": {"active": True}}, clusterz)
     assert "cluster 5/12 shards" in with_cluster, with_cluster
-    assert "q=[2,0,3]" in with_cluster, with_cluster
+    assert "queued 4" in with_cluster, with_cluster
     assert "requeued 1" in with_cluster, with_cluster
     assert "fallback 2" in with_cluster, with_cluster
     assert "dead 1" in with_cluster, with_cluster
