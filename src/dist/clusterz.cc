@@ -115,7 +115,7 @@ StatusOr<std::vector<int>> ReplayFinalAssignment(
         return bad(e, "requeue of a shard this worker was not running");
       }
       running.erase(it);
-      queue.push_back(e.shard);
+      queue.push_front(e.shard);
     } else if (e.type == kEventComplete) {
       auto it = running.find(e.shard);
       if (it == running.end() || it->second != e.worker) {

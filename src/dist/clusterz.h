@@ -14,7 +14,7 @@
 // final shard-to-worker assignment by simulating the one queue, which
 // starts as shard ids 0..n-1. The simulation cross-checks every transition
 // (a dispatch or fallback must pop the queue front, a requeue pushes the
-// back, and a shard completes exactly once — the coordinator requeues
+// front, and a shard completes exactly once — the coordinator requeues
 // failed attempts only, so there is no duplicate-completion event). Tests
 // replay a faulted run's dump against DistStats::shard_completed_by.
 
@@ -32,7 +32,7 @@ namespace simj::dist {
 // Flight-recorder event types recorded by the coordinator.
 inline constexpr const char* kEventDispatch = "dispatch";  // queue front pop
 inline constexpr const char* kEventComplete = "complete";  // shard finished on worker
-inline constexpr const char* kEventRequeue = "requeue";    // failed execution, shard to queue back
+inline constexpr const char* kEventRequeue = "requeue";    // failed execution, shard to queue front
 inline constexpr const char* kEventRestart = "restart";    // worker restarted
 inline constexpr const char* kEventWorkerDead = "worker_dead";  // restart budget exhausted
 inline constexpr const char* kEventFault = "fault";        // injected fault observed

@@ -323,9 +323,10 @@ class Coordinator : public ClusterzSource {
     }
   }
 
-  // Puts the failed shard at the back of the queue and restarts the
-  // worker. Returns false when the worker is permanently dead and its
-  // dispatch loop must exit.
+  // Puts the failed shard at the front of the queue, so the next idle
+  // worker retries it before any fresh shard, and restarts the worker.
+  // Returns false when the worker is permanently dead and its dispatch
+  // loop must exit.
   bool HandleFailure(int w, int shard_id, int attempt, const Status& status) {
     const std::string component = "dist_worker_" + std::to_string(w);
     bool exhausted = false;
@@ -334,7 +335,7 @@ class Coordinator : public ClusterzSource {
       SIMJ_DCHECK(state_[static_cast<size_t>(shard_id)] ==
                   ShardState::kRunning);
       state_[static_cast<size_t>(shard_id)] = ShardState::kQueued;
-      queue_.push_back(shard_id);
+      queue_.push_front(shard_id);
       ++stats_.shards_requeued;
       ++stats_.workers[static_cast<size_t>(w)].shards_failed;
       exhausted = stats_.workers[static_cast<size_t>(w)].restarts >=
@@ -453,7 +454,7 @@ class Coordinator : public ClusterzSource {
   std::vector<ShardState> state_ SIMJ_GUARDED_BY(mu_);
   std::vector<int> attempts_ SIMJ_GUARDED_BY(mu_);
   std::vector<core::JoinResult> results_ SIMJ_GUARDED_BY(mu_);
-  // Shard ids waiting for a worker: plan order, failed attempts at the back.
+  // Shard ids waiting for a worker: plan order, failed attempts at the front.
   std::deque<int> queue_ SIMJ_GUARDED_BY(mu_);
   int done_count_ SIMJ_GUARDED_BY(mu_) = 0;
   DistStats stats_ SIMJ_GUARDED_BY(mu_);

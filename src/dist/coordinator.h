@@ -9,7 +9,8 @@
 //   * one queue — each dispatch loop pops the front when its worker is
 //     idle, so a straggler simply takes fewer shards;
 //   * requeue — a shard whose execution fails (dead child, injected fault)
-//     goes to the back of the queue and the worker is restarted, up to
+//     goes to the front of the queue, so the next idle worker retries it
+//     before any fresh shard, and the worker is restarted, up to
 //     max_worker_restarts times before it is declared permanently dead.
 //     Only a failed attempt is requeued, so every shard completes exactly
 //     once (checked): there is no duplicate-completion path;

@@ -29,9 +29,9 @@ Event MakeEvent(const std::string& type, int worker = -1, int shard = -1,
 
 TEST(FlightRecorderTest, RecordStampsMonotoneSeqAndTimestamps) {
   FlightRecorder recorder(/*capacity=*/16);
+  recorder.Record(MakeEvent("deal", 0, 0));
   recorder.Record(MakeEvent("dispatch", 0, 0, 0));
   recorder.Record(MakeEvent("complete", 0, 0, 0));
-  recorder.Record(MakeEvent("dispatch", 0, 1, 0));
   std::vector<Event> events = recorder.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].seq, 0);
@@ -45,7 +45,7 @@ TEST(FlightRecorderTest, RecordStampsMonotoneSeqAndTimestamps) {
 TEST(FlightRecorderTest, RingDropsOldestWhenFull) {
   FlightRecorder recorder(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    recorder.Record(MakeEvent("dispatch", /*worker=*/i % 2, /*shard=*/i));
+    recorder.Record(MakeEvent("deal", /*worker=*/i % 2, /*shard=*/i));
   }
   std::vector<Event> events = recorder.Events();
   ASSERT_EQ(events.size(), 4u);
@@ -60,12 +60,12 @@ TEST(FlightRecorderTest, RingDropsOldestWhenFull) {
 
 TEST(FlightRecorderTest, ClearResetsSeqAndDropped) {
   FlightRecorder recorder(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) recorder.Record(MakeEvent("dispatch"));
+  for (int i = 0; i < 5; ++i) recorder.Record(MakeEvent("deal"));
   EXPECT_EQ(recorder.dropped(), 3);
   recorder.Clear();
   EXPECT_TRUE(recorder.Events().empty());
   EXPECT_EQ(recorder.dropped(), 0);
-  recorder.Record(MakeEvent("dispatch"));
+  recorder.Record(MakeEvent("deal"));
   EXPECT_EQ(recorder.Events().front().seq, 0);
 }
 
@@ -75,11 +75,11 @@ TEST(FlightRecorderTest, EventsJsonIsByteDeterministic) {
   Event a;
   a.seq = 0;
   a.ts_us = 12.5;
-  a.type = "fault";
+  a.type = "steal";
   a.worker = 1;
   a.shard = 3;
   a.attempt = 0;
-  a.detail = "delay_ms=2";
+  a.detail = "victim=2";
   Event b;
   b.seq = 1;
   b.ts_us = 99.0;
@@ -91,8 +91,8 @@ TEST(FlightRecorderTest, EventsJsonIsByteDeterministic) {
   const std::string json = EventsJson({a, b}, /*dropped=*/7);
   EXPECT_EQ(json,
             "{\"schema\":\"simj_flight_v1\",\"dropped\":7,\"events\":["
-            "{\"seq\":0,\"ts_us\":12.500,\"type\":\"fault\",\"worker\":1,"
-            "\"shard\":3,\"attempt\":0,\"detail\":\"delay_ms=2\"},"
+            "{\"seq\":0,\"ts_us\":12.500,\"type\":\"steal\",\"worker\":1,"
+            "\"shard\":3,\"attempt\":0,\"detail\":\"victim=2\"},"
             "{\"seq\":1,\"ts_us\":99.000,\"type\":\"requeue\",\"worker\":2,"
             "\"shard\":3,\"attempt\":1,"
             "\"detail\":\"injected \\\"death\\\"\"}]}\n");
@@ -125,22 +125,22 @@ TEST(ReplayTest, DispatchCompleteAssignsWorker) {
 
 TEST(ReplayTest, RequeueThenRetryAndFallback) {
   std::vector<Event> events;
-  // Shard 0 dies on worker 0 and goes to the back: queue [1, 2, 0].
+  // Shard 0 dies on worker 0 and goes to the front: queue [0, 1, 2].
   events.push_back(MakeEvent("dispatch", 0, 0, 0));
   events.push_back(MakeEvent("requeue", 0, 0, 0, "injected death"));
   events.push_back(MakeEvent("restart", 0));
+  events.push_back(MakeEvent("dispatch", 0, 0, 1));
+  events.push_back(MakeEvent("complete", 0, 0, 1));
+  // Shard 1 dies too and the worker is out of restarts: queue [1, 2].
   events.push_back(MakeEvent("dispatch", 0, 1, 0));
-  events.push_back(MakeEvent("complete", 0, 1, 0));
-  // Shard 2 dies too and the worker is out of restarts: queue [0, 2].
-  events.push_back(MakeEvent("dispatch", 0, 2, 0));
-  events.push_back(MakeEvent("requeue", 0, 2, 0, "injected death"));
+  events.push_back(MakeEvent("requeue", 0, 1, 0, "injected death"));
   events.push_back(MakeEvent("worker_dead", 0));
   // The coordinator runs what is left inline, front first.
-  events.push_back(MakeEvent("fallback", -1, 0));
+  events.push_back(MakeEvent("fallback", -1, 1));
   events.push_back(MakeEvent("fallback", -1, 2));
   auto assignment = ReplayFinalAssignment(events, 3);
   ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{-1, 0, -1}));
+  EXPECT_EQ(assignment.value(), (std::vector<int>{0, -1, -1}));
 }
 
 TEST(ReplayTest, RejectsDispatchOfNonFrontShard) {
@@ -151,24 +151,24 @@ TEST(ReplayTest, RejectsDispatchOfNonFrontShard) {
   EXPECT_FALSE(ReplayFinalAssignment(events, 2).ok());
 }
 
-TEST(ReplayTest, RequeuedShardDispatchesAfterEveryEarlierQueuedShard) {
+TEST(ReplayTest, RequeuedShardDispatchesBeforeEveryFreshShard) {
   std::vector<Event> events;
-  // Shard 0 fails on worker 0 and joins the queue behind shards 1 and 2.
+  // Shard 0 fails on worker 0 and goes back ahead of shards 1 and 2.
   events.push_back(MakeEvent("dispatch", 0, 0, 0));
   events.push_back(MakeEvent("requeue", 0, 0, 0, "injected death"));
-  std::vector<Event> jumps_the_line = events;
-  jumps_the_line.push_back(MakeEvent("dispatch", 1, 0, 1));
-  EXPECT_FALSE(ReplayFinalAssignment(jumps_the_line, 3).ok());
+  std::vector<Event> skips_the_retry = events;
+  skips_the_retry.push_back(MakeEvent("dispatch", 1, 1, 0));
+  EXPECT_FALSE(ReplayFinalAssignment(skips_the_retry, 3).ok());
 
-  events.push_back(MakeEvent("dispatch", 1, 1, 0));
-  events.push_back(MakeEvent("dispatch", 0, 2, 0));
   events.push_back(MakeEvent("dispatch", 1, 0, 1));
-  events.push_back(MakeEvent("complete", 1, 1, 0));
-  events.push_back(MakeEvent("complete", 0, 2, 0));
+  events.push_back(MakeEvent("dispatch", 0, 1, 0));
+  events.push_back(MakeEvent("dispatch", 1, 2, 0));
   events.push_back(MakeEvent("complete", 1, 0, 1));
+  events.push_back(MakeEvent("complete", 0, 1, 0));
+  events.push_back(MakeEvent("complete", 1, 2, 0));
   auto assignment = ReplayFinalAssignment(events, 3);
   ASSERT_TRUE(assignment.ok()) << assignment.status().message();
-  EXPECT_EQ(assignment.value(), (std::vector<int>{1, 1, 0}));
+  EXPECT_EQ(assignment.value(), (std::vector<int>{1, 0, 1}));
 }
 
 TEST(ReplayTest, RejectsCompleteWithoutDispatch) {
